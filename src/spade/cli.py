@@ -2,7 +2,7 @@
 
 Subcommands: synth, simulate, align, densify, train, run, eval, sweep,
 gradcheck, report. Exit codes: 0 ok, 2 config error, 3 numeric failure,
-4 I/O or format error. SPADE_THREADS caps evaluation workers.
+4 I/O or format error.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from .attention import CBAM, DeformAttnConfig, TransformerBlock
 from .layers import BatchNorm2d, Conv2d, Module, ModuleList
 from .tensor import Tensor, concat, interpolate_bilinear
 
-SOFTPLUS_INV_ONE = float(np.log(np.e - 1.0))  # head bias making the neutral output exactly 1
+SOFTPLUS_INV_ONE = float(np.log(np.e - 1.0))  # head bias making the neutral output 1 (to within 1e-15)
 
 
 @dataclass(frozen=True)

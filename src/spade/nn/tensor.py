@@ -9,23 +9,24 @@ backward rule that the finite-difference suite checks.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
 from ..errors import ShapeError
 
-_grad_enabled = True
+# Per-thread (and per-context) switch: a no_grad block in one thread must not
+# stop another thread from recording its graph.
+_grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad():
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -56,7 +57,7 @@ class Tensor:
     @staticmethod
     def _make(data, parents, backward):
         out = Tensor(data)
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if _grad_enabled.get() and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward

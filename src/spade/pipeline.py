@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -24,7 +24,6 @@ from .errors import (
     ConfigError,
     DivergenceError,
     EmptyEvaluationError,
-    NumericError,
     SpadeError,
 )
 from .losses import loss_total
@@ -38,14 +37,6 @@ from .synth import OracleSpec, SceneSpec, generate_scene, oracle_relative
 log = logging.getLogger(__name__)
 
 TRAIN_LAYOUTS = ("seafloor_bumps", "canyon", "frame_with_ropes")
-
-
-def spade_threads() -> int:
-    """Worker cap from the SPADE_THREADS environment variable (default 1)."""
-    try:
-        return max(1, int(os.environ.get("SPADE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -163,10 +154,10 @@ class SpadeModel:
     """Refinement network plus feature pyramid under one checkpointable roof.
 
     Freshly built models are neutral: the output head weight is zero, so the
-    predicted correction is exactly 1 and the pipeline reduces to global
-    alignment. Training starts from `init="train"`, which perturbs only that
-    final weight slightly so gradients reach the rest of the network while
-    the initial output stays near 1.
+    predicted correction is 1 to within 1e-14 and the pipeline reduces to
+    global alignment up to rounding. Training starts from `init="train"`,
+    which perturbs only that final weight slightly so gradients reach the
+    rest of the network while the initial output stays near 1.
     """
 
     HEAD_INIT_SCALE = 0.01
@@ -394,7 +385,6 @@ def train(cfg: RunConfig, out_dir=None, quiet=False):
     )
 
     history = []
-    last_good: dict | None = None
     for epoch in range(1, cfg.epochs + 1):
         opt.lr = cfg.lr if epoch <= cfg.decay_after_epoch else cfg.lr_decayed
         order = np.random.default_rng([cfg.seed, 4, epoch]).permutation(len(train_frames))
@@ -412,10 +402,7 @@ def train(cfg: RunConfig, out_dir=None, quiet=False):
                 batch.append((eps_dense, z_vals, target, mask, frame.guide.values))
             loss, _ = _batch_loss(model, batch)
             if not np.isfinite(loss.data):
-                raise DivergenceError(
-                    f"training loss became non-finite at epoch {epoch}"
-                    + ("; last good checkpoint retained" if last_good else "")
-                )
+                raise DivergenceError(f"training loss became non-finite at epoch {epoch}")
             opt.zero_grad()
             loss.backward()
             opt.step()
@@ -438,7 +425,6 @@ def train(cfg: RunConfig, out_dir=None, quiet=False):
             "val_loss": float(np.mean(val_losses)),
         }
         history.append(entry)
-        last_good = model.state_dict()
         if not quiet:
             log.info(
                 "epoch %d/%d lr %.2e train %.4f val %.4f",
@@ -490,24 +476,56 @@ def _sweep_points(frame: FrameData, pattern: str, count: int, cfg: RunConfig, fr
     raise ConfigError(f"unknown sweep pattern {pattern!r}")
 
 
-def _eval_cell(model, frames, pattern, count, cap, cfg):
-    reports, skipped = [], 0
+def _eval_cells(model, frames, pattern, count, caps, cfg) -> list[dict]:
+    """Cells of one (pattern, count): each frame is refined once and scored at
+    every cap, with the globally aligned map as the GA baseline."""
     laser = LaserRig(default_intrinsics(*cfg.input_hw)) if pattern == "laser2" else None
+    refined = [[] for _ in caps]
+    ga = [[] for _ in caps]
+    skipped = [0] * len(caps)
     for idx, frame in enumerate(frames):
         try:
             pts = _sweep_points(frame, pattern, count, cfg, idx)
-            result = run_frame(model, frame.z_rel, frame.guide, pts, gt=frame.gt, laser=laser, cap_m=cap)
-            reports.append(result.metrics)
-        except (NumericError, SpadeError) as e:
+            result = run_frame(model, frame.z_rel, frame.guide, pts, laser=laser)
+        except SpadeError as e:
             log.warning("sweep frame %s (%s, n=%d) skipped: %s", frame.name, pattern, count, e)
-            skipped += 1
-    agg = aggregate_metrics(reports).to_dict() if reports else None
-    return agg, skipped
+            skipped = [s + 1 for s in skipped]
+            continue
+        ga_depth = from_inverse(result.aligned)
+        for i, cap in enumerate(caps):
+            try:
+                refined[i].append(compute_metrics(result.depth, frame.gt, cap))
+            except SpadeError as e:
+                log.warning(
+                    "sweep frame %s (%s, n=%d, cap %g m) skipped: %s", frame.name, pattern, count, cap, e
+                )
+                skipped[i] += 1
+                continue
+            with suppress(SpadeError):
+                ga[i].append(compute_metrics(ga_depth, frame.gt, cap))
+
+    cells = []
+    for cap, ref_reports, ga_reports, n_skipped in zip(caps, refined, ga, skipped):
+        ref = aggregate_metrics(ref_reports).to_dict() if ref_reports else None
+        base = aggregate_metrics(ga_reports).to_dict() if ga_reports else None
+        cells.append(
+            {
+                "pattern": pattern,
+                "count": count,
+                "cap_m": cap,
+                "refined": ref,
+                "ga_baseline": base,
+                "skipped_frames": n_skipped,
+                "delta_mae_vs_ga": (ref["mae"] - base["mae"]) if ref and base else None,
+            }
+        )
+    return cells
 
 
 def sweep(model: SpadeModel, cfg: RunConfig, spec: SweepSpec) -> dict:
     """Grid of (pattern, point count, range cap) cells with a global-alignment
-    baseline column computed from a neutral model over identical inputs."""
+    baseline column: the aligned map of the same frames and points, before
+    refinement."""
     frames = build_corpus(cfg, "eval", n_frames=spec.n_frames)
     # make sure enough feature points exist per frame for the largest count
     need = max(spec.point_counts)
@@ -518,38 +536,14 @@ def sweep(model: SpadeModel, cfg: RunConfig, spec: SweepSpec) -> dict:
                 PatternSpec(kind="feature_like", count=need, seed=(cfg.seed * 31 + i) & 0x7FFFFFFF),
                 guide=frame.guide,
             )
-    baseline = SpadeModel(cfg)  # neutral head: pure global alignment
 
     cells = []
-    workers = spade_threads()
-    tasks = []
     for pattern in spec.patterns:
         counts = [_FIXED_COUNT_PATTERNS[pattern]] if pattern in _FIXED_COUNT_PATTERNS else list(
             spec.point_counts
         )
         for count in counts:
-            for cap in spec.range_caps:
-                tasks.append((pattern, count, cap))
-
-    def eval_task(task):
-        pattern, count, cap = task
-        refined, skipped = _eval_cell(model, frames, pattern, count, cap, cfg)
-        ga, _ = _eval_cell(baseline, frames, pattern, count, cap, cfg)
-        return {
-            "pattern": pattern,
-            "count": count,
-            "cap_m": cap,
-            "refined": refined,
-            "ga_baseline": ga,
-            "skipped_frames": skipped,
-            "delta_mae_vs_ga": (refined["mae"] - ga["mae"]) if refined and ga else None,
-        }
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(eval_task, tasks))
-    else:
-        cells = [eval_task(t) for t in tasks]
+            cells += _eval_cells(model, frames, pattern, count, spec.range_caps, cfg)
     return {
         "n_frames": spec.n_frames,
         "seed": cfg.seed,
@@ -613,7 +607,7 @@ def sweep_table_markdown(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_report(pairs: list, out_dir, table_rows: list | None = None) -> dict:
+def render_report(pairs: list, out_dir) -> dict:
     """Emit per-frame error maps (PGM) and metric tables for (name, pred, gt)
     raster triples; returns the written paths."""
     os.makedirs(out_dir, exist_ok=True)
@@ -629,8 +623,6 @@ def render_report(pairs: list, out_dir, table_rows: list | None = None) -> dict:
             rows.append((name, rep))
         except EmptyEvaluationError:
             rows.append((name, None))
-    if table_rows is not None:
-        rows = table_rows
     csv_lines = ["frame," + ",".join(_METRIC_KEYS)]
     md_lines = ["| frame | " + " | ".join(k.upper() for k in _METRIC_KEYS) + " |", "|" + "---|" * 6]
     for name, rep in rows:

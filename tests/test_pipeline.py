@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -6,11 +7,14 @@ import pytest
 from conftest import fast_config
 from spade.core import from_inverse
 from spade.errors import ConfigError
+from spade.metrics import aggregate_metrics, compute_metrics
+from spade.nn import RefinementNet, Tensor, no_grad
 from spade.pipeline import (
     LaserRig,
     RunConfig,
     SpadeModel,
     SweepSpec,
+    _sweep_points,
     build_corpus,
     default_intrinsics,
     error_map,
@@ -101,6 +105,27 @@ class TestTraining:
             tmp_path / "b/checkpoint.spw1"
         ).read_bytes()
 
+    def test_no_grad_in_another_thread_leaves_this_thread_recording(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def hold_no_grad():
+            with no_grad():
+                entered.set()
+                release.wait(timeout=120)
+
+        other = threading.Thread(target=hold_no_grad)
+        other.start()
+        try:
+            assert entered.wait(timeout=30)
+            x = Tensor(np.ones(3), requires_grad=True)
+            assert (x * 2).sum().requires_grad
+            model, _ = train(fast_config(epochs=1, train_frames=4, val_frames=1), quiet=True)
+        finally:
+            release.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+        assert any(p.grad is not None and np.any(p.grad != 0) for p in model.parameters())
+
     def test_checkpoint_round_trip(self, trained_fast_model, tmp_path):
         model, _, cfg = trained_fast_model
         path = tmp_path / "ck.spw1"
@@ -131,6 +156,46 @@ class TestSweep:
         model, _, cfg = trained_fast_model
         spec = SweepSpec(point_counts=(30,), patterns=("feature_like",), range_caps=(10.0,), n_frames=2)
         assert sweep(model, cfg, spec) == sweep(model, cfg, spec)
+
+    def test_one_network_pass_per_frame_and_count(self, monkeypatch):
+        cfg = fast_config()
+        calls = []
+        forward = RefinementNet.__call__
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(RefinementNet, "__call__", counted)
+        spec = SweepSpec(point_counts=(30, 10), patterns=("feature_like",), range_caps=(10.0, 5.0, 2.0), n_frames=2)
+        report = sweep(SpadeModel(cfg), cfg, spec)
+        assert len(report["cells"]) == 6
+        assert len(calls) == 4
+
+    def test_ga_baseline_is_the_aligned_map(self, trained_fast_model):
+        model, _, cfg = trained_fast_model
+        spec = SweepSpec(point_counts=(30, 10), patterns=("feature_like",), range_caps=(10.0, 2.0), n_frames=2)
+        report = sweep(model, cfg, spec)
+        frames = build_corpus(cfg, "eval", n_frames=spec.n_frames)
+        for cell in report["cells"]:
+            reports = []
+            for idx, f in enumerate(frames):
+                pts = _sweep_points(f, "feature_like", cell["count"], cfg, idx)
+                aligned = run_frame(model, f.z_rel, f.guide, pts).aligned
+                reports.append(compute_metrics(from_inverse(aligned), f.gt, cell["cap_m"]))
+            assert cell["ga_baseline"] == aggregate_metrics(reports).to_dict()
+
+    def test_cap_without_pixels_skips_only_its_cell(self):
+        cfg = fast_config()
+        model = SpadeModel(cfg)
+        one_cap = SweepSpec(point_counts=(30,), patterns=("feature_like",), range_caps=(10.0,), n_frames=2)
+        two_caps = SweepSpec(point_counts=(30,), patterns=("feature_like",), range_caps=(10.0, 0.5), n_frames=2)
+        wide, narrow = sweep(model, cfg, two_caps)["cells"]
+        # every scene starts at depth_min >= 0.8 m, so nothing lies under 0.5 m
+        assert narrow["refined"] is None and narrow["ga_baseline"] is None
+        assert narrow["skipped_frames"] == two_caps.n_frames
+        assert wide == sweep(model, cfg, one_cap)["cells"][0]
+        assert wide["skipped_frames"] == 0
 
 
 class TestReportRendering:
