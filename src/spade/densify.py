@@ -64,6 +64,14 @@ def jbu_densify(eps: ScaleMap, z_tilde: DepthRaster, params: JBUParams = JBUPara
     (or with an invalid guide value) stay 0 and are later replaced by
     fill_default. The output's `filled` mask marks pixels that received a
     propagated value; `known` is carried over unchanged.
+
+    The sums are scattered from the known pixels rather than gathered over
+    the whole image: every known pixel q sends one weighted contribution to
+    each in-bounds target p = q - d of every window offset d, and
+    `np.bincount` accumulates them per target. Contributions are ordered
+    offset-major (offsets row by row, then the points), so each pixel adds
+    its terms in the same order as one shifted full-image pass per offset
+    would, and gets the same bits.
     """
     if eps.shape != z_tilde.shape:
         raise ShapeError(f"scale map {eps.shape} vs guide {z_tilde.shape}")
@@ -72,23 +80,21 @@ def jbu_densify(eps: ScaleMap, z_tilde: DepthRaster, params: JBUParams = JBUPara
     inv2sr = 1.0 / (2.0 * params.sigma_range**2)
 
     h, w = eps.shape
-    guide = z_tilde.values
-    kmask = eps.known & z_tilde.valid
-    vals = np.where(kmask, eps.values, 0.0)
+    guide = z_tilde.values.ravel()
+    q = np.flatnonzero(eps.known & z_tilde.valid)
+    qy, qx = np.divmod(q, w)
 
-    num = np.zeros((h, w), dtype=np.float64)
-    den = np.zeros((h, w), dtype=np.float64)
-    for dy in range(-r, r + 1):
-        ys = slice(max(dy, 0), h + min(dy, 0))
-        yd = slice(max(-dy, 0), h + min(-dy, 0))
-        for dx in range(-r, r + 1):
-            xs = slice(max(dx, 0), w + min(dx, 0))
-            xd = slice(max(-dx, 0), w + min(-dx, 0))
-            f = np.exp(-(dy * dy + dx * dx) * inv2ss)
-            dz = guide[yd, xd] - guide[ys, xs]
-            wgt = kmask[ys, xs] * f * np.exp(-(dz * dz) * inv2sr)
-            num[yd, xd] += wgt * vals[ys, xs]
-            den[yd, xd] += wgt
+    # (offsets, points) grids, row-major: offset-major, then point order
+    dy, dx = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
+    dy, dx = dy.reshape(-1, 1), dx.reshape(-1, 1)
+    inside = (qy >= dy) & (qy < h + dy) & (qx >= dx) & (qx < w + dx)
+    target = (q - (dy * w + dx))[inside]
+    f = np.broadcast_to(np.exp(-(dy * dy + dx * dx) * inv2ss), inside.shape)[inside]
+    dz = guide[target] - np.broadcast_to(guide[q], inside.shape)[inside]
+    wgt = f * np.exp(-(dz * dz) * inv2sr)
+    vals = np.broadcast_to(eps.values.ravel()[q], inside.shape)[inside]
+    num = np.bincount(target, weights=wgt * vals, minlength=h * w).reshape(h, w)
+    den = np.bincount(target, weights=wgt, minlength=h * w).reshape(h, w)
 
     ok = (den >= K_UNDERFLOW) & z_tilde.valid
     out = np.zeros((h, w), dtype=np.float64)

@@ -20,6 +20,7 @@ from .nn import (
     conv2d,
     depthwise_conv2d,
     interpolate_bilinear,
+    rel_pos_bias,
     softmax,
 )
 from .nn.gradcheck import fd_gradcheck, scalarize
@@ -72,6 +73,17 @@ def _bilinear_cases(rng):
         yield lambda: scalarize(bilinear_sample(x, loc), r), [x, loc]
         r2 = rng.standard_normal((1, c, h * 2, w * 2))
         yield lambda: scalarize(interpolate_bilinear(x, h * 2, w * 2), r2), [x]
+
+
+def _rel_pos_bias_cases(rng):
+    # key positions a whole number plus 0.2-0.8 keep every table coordinate
+    # off the grid lines for g in {1, 2}; keys beyond the map hit the clamp
+    for (heads, h, w, g, nk, b) in ((2, 4, 6, 1, 5, 1), (2, 4, 4, 2, 4, 2), (3, 6, 4, 2, 3, 1)):
+        table = Tensor(rng.standard_normal((heads, 2 * (h // g) - 1, 2 * (w // g) - 1)), requires_grad=True)
+        base = rng.integers(-3, max(h, w) + 3, size=(b, nk, 2)) + rng.uniform(0.2, 0.8, (b, nk, 2))
+        ppos = Tensor(base, requires_grad=True)
+        r = rng.standard_normal((b, heads, h * w, nk))
+        yield lambda: scalarize(rel_pos_bias(table, ppos, h, w, g), r), [table, ppos]
 
 
 def _cbam_cases(rng):
@@ -136,6 +148,7 @@ FAMILIES = {
     "deformable_attention": _deform_cases,
     "decoder_block": _decoder_cases,
     "losses": _loss_cases,
+    "rel_pos_bias": _rel_pos_bias_cases,
 }
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ConfigError, ShapeError
 from .layers import Conv2d, DepthwiseConv2d, Linear, LayerNorm, MLP, Module, Parameter
-from .tensor import Tensor, bilinear_sample, concat, softmax
+from .tensor import Tensor, bilinear_sample, concat, rel_pos_bias, softmax
 
 
 class ChannelAttention(Module):
@@ -99,6 +99,16 @@ class DeformAttnConfig:
 
 
 class DeformableAttention(Module):
+    """Multi-head attention of every feature pixel to keys sampled at a
+    query-offset reference grid.
+
+    The relative-position bias is read from `rel_bias_table` at the
+    continuous displacement of each query pixel from each key, in grid
+    cells. The row and column displacements interpolate separately, so
+    `rel_pos_bias` computes it per key as R T C^T from two-tap row and
+    column weights instead of sampling every (query, key) pair.
+    """
+
     def __init__(self, cfg: DeformAttnConfig, rng):
         super().__init__()
         self.cfg = cfg
@@ -117,8 +127,6 @@ class DeformableAttention(Module):
         rr = (np.arange(cfg.grid_h) + 0.5) * g - 0.5
         cc = (np.arange(cfg.grid_w) + 0.5) * g - 0.5
         self._ref = np.stack(np.meshgrid(rr, cc, indexing="ij"), axis=-1).reshape(-1, 2)
-        qr, qc = np.meshgrid(np.arange(cfg.feat_h), np.arange(cfg.feat_w), indexing="ij")
-        self._qpos = np.stack([qr, qc], axis=-1).reshape(-1, 2).astype(np.float64)
 
     def forward(self, x: Tensor, return_internals=False):
         cfg = self.cfg
@@ -147,15 +155,7 @@ class DeformableAttention(Module):
         v4 = v.reshape(B, Nk, hds, d).transpose(0, 2, 1, 3)
         logits = (q4 @ k4.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(d))
 
-        # relative displacements in grid cells, bilinear lookup into the bias table
-        disp = (Tensor(self._qpos[None, :, None, :]) - ppos.reshape(B, 1, Nk, 2)) * (
-            1.0 / cfg.grid_downsample
-        )
-        center = np.array([cfg.grid_h - 1.0, cfg.grid_w - 1.0])
-        table_coords = (disp + Tensor(center)).reshape(B, N * Nk, 2)
-        table = self.rel_bias_table.reshape(1, hds, 2 * cfg.grid_h - 1, 2 * cfg.grid_w - 1)
-        table_b = table.broadcast_to((B, hds, 2 * cfg.grid_h - 1, 2 * cfg.grid_w - 1))
-        bias = bilinear_sample(table_b, table_coords).reshape(B, hds, N, Nk)
+        bias = rel_pos_bias(self.rel_bias_table, ppos, H, W, cfg.grid_downsample)
 
         attn = softmax(logits + bias, axis=-1)
         heads_out = attn @ v4  # (B, heads, N, d)

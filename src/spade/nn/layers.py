@@ -35,10 +35,7 @@ class Module:
         object.__setattr__(self, name, value)
 
     def register_buffer(self, name, array):
-        self._buffers[name] = np.asarray(array, dtype=np.float64)
-        object.__setattr__(self, name, self._buffers[name])
-
-    def _set_buffer(self, name, array):
+        """Add or replace a named float64 array that is saved but not trained."""
         self._buffers[name] = np.asarray(array, dtype=np.float64)
         object.__setattr__(self, name, self._buffers[name])
 
@@ -52,10 +49,8 @@ class Module:
         return [p for _, p in self.named_parameters()]
 
     def named_buffers(self, prefix=""):
-        for k, b in self._buffers.items():
-            yield f"{prefix}{k}", b
-        for k, m in self._modules.items():
-            yield from m.named_buffers(prefix=f"{prefix}{k}.")
+        for _, k, b in self._walk_buffers(prefix):
+            yield k, b
 
     def train(self, mode=True):
         object.__setattr__(self, "training", mode)
@@ -79,26 +74,25 @@ class Module:
         return state
 
     def load_state_dict(self, state: dict):
-        params = dict(self.named_parameters())
-        missing = []
-        for k, p in params.items():
-            key = f"param.{k}"
-            if key not in state:
-                missing.append(key)
-                continue
-            if state[key].shape != p.data.shape:
-                raise ShapeError(f"{key}: checkpoint shape {state[key].shape} != model {p.data.shape}")
-            p.data = state[key].astype(np.float64).copy()
-        for holder, k, b in self._walk_buffers():
-            key = f"buffer.{k}"
-            if key not in state:
-                missing.append(key)
-                continue
-            if state[key].shape != b.shape:
-                raise ShapeError(f"{key}: checkpoint shape {state[key].shape} != model {b.shape}")
-            holder._set_buffer(k.split(".")[-1], state[key])
+        """Load every parameter and buffer; a missing, unexpected or
+        mis-shaped entry is an error."""
+        # shapes only: holding the current arrays would keep a second copy of
+        # the model alive until every entry is loaded
+        shapes = {f"param.{k}": p.data.shape for k, p in self.named_parameters()}
+        shapes.update({f"buffer.{k}": b.shape for _, k, b in self._walk_buffers()})
+        unexpected = sorted(set(state) - set(shapes))
+        if unexpected:
+            raise ConfigError(f"checkpoint has unexpected entries: {unexpected[:5]}")
+        missing = [k for k in shapes if k not in state]
         if missing:
             raise ConfigError(f"checkpoint is missing entries: {missing[:5]}")
+        for key, shape in shapes.items():
+            if state[key].shape != shape:
+                raise ShapeError(f"{key}: checkpoint shape {state[key].shape} != model {shape}")
+        for k, p in self.named_parameters():
+            p.data = state[f"param.{k}"].astype(np.float64).copy()
+        for holder, k, _ in self._walk_buffers():
+            holder.register_buffer(k.split(".")[-1], state[f"buffer.{k}"])
 
     def _walk_buffers(self, prefix=""):
         for k, b in self._buffers.items():
@@ -190,11 +184,11 @@ class BatchNorm2d(Module):
             var = ((x - mu) ** 2).mean(axis=(0, 2, 3), keepdims=True)
             n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
             unbiased = var.data.reshape(-1) * (n / max(n - 1, 1))
-            self._set_buffer(
+            self.register_buffer(
                 "running_mean",
                 (1 - self.momentum) * self.running_mean + self.momentum * mu.data.reshape(-1),
             )
-            self._set_buffer(
+            self.register_buffer(
                 "running_var", (1 - self.momentum) * self.running_var + self.momentum * unbiased
             )
             xhat = (x - mu) / ((var + self.eps) ** 0.5)

@@ -364,14 +364,6 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
     return Tensor._make(out_data, (a,), bw)
 
 
-def stack(tensors, axis=0):
-    expanded = []
-    for t in tensors:
-        t = Tensor.as_tensor(t)
-        expanded.append(t.reshape(t.shape[:axis] + (1,) + t.shape[axis:]))
-    return concat(expanded, axis=axis)
-
-
 # -- convolution ------------------------------------------------------------------
 
 
@@ -380,8 +372,19 @@ def _windows(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     return win[:, :, ::stride, ::stride]
 
 
+def _im2col(win: np.ndarray) -> np.ndarray:
+    """Column matrix (C*kh*kw, B*Ho*Wo) of the windows (B,C,Ho,Wo,kh,kw)."""
+    B, C, Ho, Wo, kh, kw = win.shape
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(C * kh * kw, B * Ho * Wo)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation: x (B,C,H,W) * w (F,C,kh,kw) -> (B,F,Ho,Wo)."""
+    """2-D cross-correlation: x (B,C,H,W) * w (F,C,kh,kw) -> (B,F,Ho,Wo).
+
+    The output and the weight gradient are each one GEMM on an explicit
+    im2col matrix (Chellapilla et al. 2006). The matrix is built where it
+    is used and dropped at once, not kept on the tape.
+    """
     x, w = Tensor.as_tensor(x), Tensor.as_tensor(w)
     B, C, H, W = x.data.shape
     F, Cw, kh, kw = w.data.shape
@@ -389,15 +392,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
         raise ShapeError(f"conv2d channel mismatch: input {x.data.shape} vs weight {w.data.shape}")
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     win = _windows(xp, kh, kw, stride)
-    out_data = np.einsum("bchwij,fcij->bfhw", win, w.data, optimize=True)
+    Ho, Wo = win.shape[2:4]
+    out_data = w.data.reshape(F, -1) @ _im2col(win)
+    out_data = np.ascontiguousarray(out_data.reshape(F, B, Ho, Wo).transpose(1, 0, 2, 3))
     if b is not None:
-        out_data = out_data + b.data[None, :, None, None]
-    Ho, Wo = out_data.shape[2:]
+        out_data += b.data[None, :, None, None]
     parents = (x, w) if b is None else (x, w, b)
 
     def bw(g):
         if w.requires_grad:
-            Tensor._accum(w, np.einsum("bchwij,bfhw->fcij", win, g, optimize=True))
+            g2 = g.transpose(1, 0, 2, 3).reshape(F, B * Ho * Wo)
+            Tensor._accum(w, (g2 @ _im2col(win).T).reshape(F, C, kh, kw))
         if b is not None and b.requires_grad:
             Tensor._accum(b, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
@@ -448,23 +453,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int 
     return Tensor._make(out_data, parents, bw)
 
 
-# -- pooling / resize -----------------------------------------------------------
-
-
-def avg_pool2x2(x: Tensor) -> Tensor:
-    B, C, H, W = x.shape
-    if H % 2 or W % 2:
-        x = x[:, :, : H - H % 2, : W - W % 2]
-        B, C, H, W = x.shape
-    return x.reshape(B, C, H // 2, 2, W // 2, 2).mean(axis=(3, 5))
-
-
-def max_pool2x2(x: Tensor) -> Tensor:
-    B, C, H, W = x.shape
-    if H % 2 or W % 2:
-        x = x[:, :, : H - H % 2, : W - W % 2]
-        B, C, H, W = x.shape
-    return x.reshape(B, C, H // 2, 2, W // 2, 2).max(axis=(3, 5))
+# -- resize / sampling -----------------------------------------------------------
 
 
 def _resize_matrix(in_size: int, out_size: int) -> np.ndarray:
@@ -499,6 +488,18 @@ def interpolate_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     return Tensor._make(out_data, (x,), bw)
 
 
+def _taps(raw: np.ndarray, size: int):
+    """Bilinear taps along one axis of length size, clamped to the border.
+
+    Returns the lower and upper indices, the fraction towards the upper one
+    and the mask of coordinates strictly inside, where the coordinate
+    gradient is non-zero.
+    """
+    c = np.clip(raw, 0.0, size - 1.0)
+    i0 = np.clip(np.floor(c).astype(int), 0, max(size - 2, 0))
+    return i0, np.minimum(i0 + 1, size - 1), c - i0, (raw > 0.0) & (raw < size - 1.0)
+
+
 def bilinear_sample(x: Tensor, loc: Tensor) -> Tensor:
     """Sample x (B,C,H,W) at continuous (row, col) locations (B,P,2) -> (B,C,P).
 
@@ -510,17 +511,10 @@ def bilinear_sample(x: Tensor, loc: Tensor) -> Tensor:
     if loc.data.ndim != 3 or loc.data.shape[2] != 2 or loc.data.shape[0] != B:
         raise ShapeError(f"locations must be (B,P,2), got {loc.data.shape}")
     P = loc.data.shape[1]
-    r_raw, c_raw = loc.data[..., 0], loc.data[..., 1]
-    r = np.clip(r_raw, 0.0, H - 1.0)
-    c = np.clip(c_raw, 0.0, W - 1.0)
-    r_in = (r_raw > 0.0) & (r_raw < H - 1.0)
-    c_in = (c_raw > 0.0) & (c_raw < W - 1.0)
-    r0 = np.clip(np.floor(r).astype(int), 0, max(H - 2, 0))
-    c0 = np.clip(np.floor(c).astype(int), 0, max(W - 2, 0))
-    r1 = np.minimum(r0 + 1, H - 1)
-    c1 = np.minimum(c0 + 1, W - 1)
-    fr = (r - r0)[:, None, :]  # (B,1,P)
-    fc = (c - c0)[:, None, :]
+    r0, r1, fr, r_in = _taps(loc.data[..., 0], H)
+    c0, c1, fc, c_in = _taps(loc.data[..., 1], W)
+    fr = fr[:, None, :]  # (B,1,P)
+    fc = fc[:, None, :]
 
     xf = x.data.reshape(B, C, H * W)
 
@@ -557,3 +551,62 @@ def bilinear_sample(x: Tensor, loc: Tensor) -> Tensor:
             Tensor._accum(loc, np.stack([dr, dc], axis=-1))
 
     return Tensor._make(out_data, (x, loc), bw)
+
+
+def rel_pos_bias(table: Tensor, ppos: Tensor, H: int, W: int, g: int) -> Tensor:
+    """Relative-position bias of every query pixel to every key -> (B,heads,H*W,Nk).
+
+    table (heads,Th,Tw) is indexed by query-to-key displacement in grid
+    cells, with zero displacement at its centre; ppos (B,Nk,2) holds the
+    continuous (row, col) key positions in feature pixels; the queries are
+    the H x W pixel grid. Query (qr, qc) reads key k's bias at
+    ((qr - pr_k) / g + (Th-1)/2, (qc - pc_k) / g + (Tw-1)/2), bilinearly,
+    with the border clamp of `bilinear_sample` (zero position gradient where
+    clamped).
+
+    The row coordinate does not depend on the query column, nor the column
+    coordinate on the query row, so for each key the lookup is separable:
+    bias = R T C^T with row weights R (H,Th) and column weights C (W,Tw),
+    each holding two taps per row.
+    """
+    table, ppos = Tensor.as_tensor(table), Tensor.as_tensor(ppos)
+    hds, Th, Tw = table.data.shape
+    if ppos.data.ndim != 3 or ppos.data.shape[2] != 2:
+        raise ShapeError(f"key positions must be (B,Nk,2), got {ppos.data.shape}")
+    B, Nk, _ = ppos.data.shape
+    inv_g = 1.0 / g
+
+    def weights(n, pos, size):
+        """(B,Nk,n,size) two-tap weights of the n query rows (or columns) of
+        each key, and a thunk for their derivative in the table coordinate."""
+        raw = (np.arange(n, dtype=np.float64) - pos[:, :, None]) * inv_g + (size - 1) / 2.0
+        i0, i1, frac, inside = (a[..., None] for a in _taps(raw, size))
+        lo, hi = np.arange(size) == i0, np.arange(size) == i1
+        return lo * (1.0 - frac) + hi * frac, lambda: (hi * 1.0 - lo) * inside
+
+    R, dR = weights(H, ppos.data[..., 0], Th)
+    C, dC = weights(W, ppos.data[..., 1], Tw)
+    T = table.data
+    # along table rows for all keys in one GEMM, then along columns per key
+    RT = R.reshape(B * Nk * H, Th) @ T.transpose(1, 0, 2).reshape(Th, hds * Tw)
+    RTC = RT.reshape(B, Nk, H * hds, Tw) @ C.transpose(0, 1, 3, 2)  # (B,Nk,H*hds,W)
+    out_data = np.ascontiguousarray(RTC.reshape(B, Nk, H, hds, W).transpose(0, 3, 2, 4, 1))
+    out_data = out_data.reshape(B, hds, H * W, Nk)
+
+    def bw(grad):
+        gk = grad.reshape(B, hds, H, W, Nk).transpose(0, 4, 2, 1, 3).reshape(B, Nk, H * hds, W)
+        # grad summed over query columns against C and dC: (B*Nk*H, hds, 2, Tw)
+        u = (gk @ np.stack([C, dC()], axis=3).reshape(B, Nk, W, 2 * Tw)).reshape(B * Nk * H, hds, 2, Tw)
+        if table.requires_grad:
+            dT = R.reshape(B * Nk * H, Th).T @ u[:, :, 0].reshape(B * Nk * H, hds * Tw)
+            Tensor._accum(table, dT.reshape(Th, hds, Tw).transpose(1, 0, 2))
+        if ppos.requires_grad:
+            # u mapped back through the table: index 0 meets dR (row gradient),
+            # index 1 meets R (column gradient)
+            s = u.transpose(0, 2, 1, 3).reshape(-1, hds * Tw) @ T.transpose(0, 2, 1).reshape(hds * Tw, Th)
+            s = s.reshape(B, Nk, H, 2, Th)
+            d_row = (dR() * s[:, :, :, 0]).sum(axis=(2, 3))
+            d_col = (R * s[:, :, :, 1]).sum(axis=(2, 3))
+            Tensor._accum(ppos, np.stack([d_row, d_col], axis=-1) * -inv_g)
+
+    return Tensor._make(out_data, (table, ppos), bw)

@@ -202,6 +202,9 @@ class SpadeModel:
         return state
 
     def load_state_dict(self, state: dict):
+        stray = sorted(k for k in state if not k.startswith(("pyramid.", "refine.")))
+        if stray:
+            raise ConfigError(f"checkpoint has unexpected entries: {stray[:5]}")
         self.pyramid.load_state_dict(
             {k[len("pyramid.") :]: v for k, v in state.items() if k.startswith("pyramid.")}
         )

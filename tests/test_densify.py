@@ -35,6 +35,34 @@ def jbu_oracle(values, known, guide, radius, sig_s, sig_r):
     return out, covered
 
 
+def jbu_shifted_reference(eps, z_tilde, params):
+    """The gather formulation: one shifted full-image pass per window offset."""
+    r = params.window_radius
+    inv2ss = 1.0 / (2.0 * params.sigma_spatial**2)
+    inv2sr = 1.0 / (2.0 * params.sigma_range**2)
+    h, w = eps.shape
+    guide = z_tilde.values
+    kmask = eps.known & z_tilde.valid
+    vals = np.where(kmask, eps.values, 0.0)
+    num = np.zeros((h, w))
+    den = np.zeros((h, w))
+    for dy in range(-r, r + 1):
+        ys = slice(max(dy, 0), h + min(dy, 0))
+        yd = slice(max(-dy, 0), h + min(-dy, 0))
+        for dx in range(-r, r + 1):
+            xs = slice(max(dx, 0), w + min(dx, 0))
+            xd = slice(max(-dx, 0), w + min(-dx, 0))
+            f = np.exp(-(dy * dy + dx * dx) * inv2ss)
+            dz = guide[yd, xd] - guide[ys, xs]
+            wgt = kmask[ys, xs] * f * np.exp(-(dz * dz) * inv2sr)
+            num[yd, xd] += wgt * vals[ys, xs]
+            den[yd, xd] += wgt
+    ok = (den >= 1e-300) & z_tilde.valid
+    out = np.zeros((h, w))
+    np.divide(num, den, out=out, where=ok)
+    return ScaleMap(out, eps.known & ok, filled=ok)
+
+
 class TestSparseScaleMap:
     def test_factor_one_when_aligned(self):
         zt = inverse_raster([[0.5]])
@@ -156,6 +184,64 @@ class TestJBU:
         assert not out.filled[0, 2]
         assert out.values[0, 2] == 0.0
         assert out.values[0, 0] == 2.0  # self-weight is exp(0) = 1
+
+    @staticmethod
+    def _assert_same_as_shifted(eps, zt, params):
+        out = jbu_densify(eps, zt, params)
+        ref = jbu_shifted_reference(eps, zt, params)
+        assert np.array_equal(out.values, ref.values)
+        assert np.array_equal(out.known, ref.known)
+        assert np.array_equal(out.filled, ref.filled)
+
+    def test_scatter_bit_identical_to_shifted_passes(self):
+        rng = np.random.default_rng(31)
+        for trial in range(12):
+            h, w = (int(v) for v in rng.integers(6, 40, size=2))
+            known = rng.random((h, w)) < rng.uniform(0.01, 0.3)
+            # known points on every border
+            known[0, rng.integers(w)] = known[-1, rng.integers(w)] = True
+            known[rng.integers(h), 0] = known[rng.integers(h), -1] = True
+            vals = np.where(known, rng.uniform(0.3, 3.0, (h, w)), 0.0)
+            valid = rng.random((h, w)) > 0.15
+            valid[0, 0] = False
+            known[0, 0] = True  # a measured point on an invalid guide pixel
+            vals[0, 0] = 2.5
+            guide = np.where(valid, rng.uniform(0.2, 1.5, (h, w)), 0.0)
+            params = JBUParams(int(rng.integers(1, 8)), rng.uniform(0.8, 4.0), rng.uniform(0.05, 0.5))
+            self._assert_same_as_shifted(ScaleMap(vals, known), inverse_raster(guide, valid), params)
+
+    def test_scatter_no_known_pixels(self):
+        zt = inverse_raster(np.full((9, 11), 0.5))
+        eps = ScaleMap(np.zeros((9, 11)), np.zeros((9, 11), bool))
+        self._assert_same_as_shifted(eps, zt, JBUParams())
+        assert not jbu_densify(eps, zt).filled.any()
+
+    def test_scatter_window_larger_than_image(self):
+        # the shifted passes need every offset to fit in the image, so the
+        # reference runs on a copy padded with unknown, invalid pixels (which
+        # add exact zeros) and is cropped back
+        rng = np.random.default_rng(32)
+        h, w, r, pad = 3, 4, 9, 9
+        known = rng.random((h, w)) < 0.5
+        known[1, 2] = True
+        vals = np.where(known, rng.uniform(0.5, 2.0, (h, w)), 0.0)
+        guide = rng.uniform(0.2, 1.5, (h, w))
+        params = JBUParams(r, 3.0, 0.2)
+        out = jbu_densify(ScaleMap(vals, known), inverse_raster(guide), params)
+
+        def padded(a):
+            return np.pad(a, pad)
+
+        inner = (slice(pad, pad + h), slice(pad, pad + w))
+        ref = jbu_shifted_reference(
+            ScaleMap(padded(vals), padded(known)),
+            inverse_raster(padded(guide), padded(np.ones((h, w), bool))),
+            params,
+        )
+        assert np.array_equal(out.values, ref.values[inner])
+        assert np.array_equal(out.known, ref.known[inner])
+        assert np.array_equal(out.filled, ref.filled[inner])
+        assert out.filled.all()
 
     def test_param_validation(self):
         with pytest.raises(ConfigError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spade.errors import FormatError, ShapeError
+from spade.errors import ConfigError, FormatError, ShapeError
 from spade.nn import (
     BatchNorm2d,
     CBAM,
@@ -156,6 +156,21 @@ class TestCheckpoint:
         m2.load_state_dict(state)
         x = Tensor(rng.standard_normal((2, 3)))
         assert np.array_equal(m1(x).data, m2(x).data)
+
+    def test_load_rejects_unexpected_entry(self):
+        rng = np.random.default_rng(13)
+        m = BatchNorm2d(3)
+        state = m.state_dict()
+        state["buffer.running_max"] = np.zeros(3)
+        before = m.state_dict()
+        with pytest.raises(ConfigError, match="unexpected.*running_max"):
+            m.load_state_dict(state)
+        # nothing was loaded
+        assert all(np.array_equal(v, before[k]) for k, v in m.state_dict().items())
+        del state["buffer.running_max"]
+        state["buffer.running_mean"] = rng.standard_normal(3)
+        m.load_state_dict(state)
+        assert np.array_equal(m.running_mean, state["buffer.running_mean"])
 
     def test_load_shape_mismatch(self):
         rng = np.random.default_rng(12)

@@ -137,6 +137,13 @@ class TestTraining:
         r2 = run_frame(again, f.z_rel, f.guide, f.points)
         assert np.array_equal(r1.depth.values, r2.depth.values)
 
+    def test_load_rejects_unprefixed_entry(self, trained_fast_model):
+        model, _, _ = trained_fast_model
+        state = model.state_dict()
+        state["head.param.weight"] = np.zeros(3)
+        with pytest.raises(ConfigError, match="unexpected.*head.param.weight"):
+            SpadeModel(model.cfg).load_state_dict(state)
+
 
 class TestSweep:
     def test_sweep_structure_and_ga_columns(self, trained_fast_model):

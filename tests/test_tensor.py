@@ -3,14 +3,13 @@ import pytest
 
 from spade.nn import (
     Tensor,
-    avg_pool2x2,
     bilinear_sample,
     concat,
     conv2d,
     depthwise_conv2d,
     interpolate_bilinear,
-    max_pool2x2,
     no_grad,
+    rel_pos_bias,
     softmax,
 )
 from spade.nn.gradcheck import fd_gradcheck, scalarize
@@ -51,11 +50,6 @@ class TestForwardValues:
         assert conv2d(x, w, stride=2, padding=1).shape == (1, 5, 4, 6)
         w5 = Tensor(np.zeros((5, 2, 5, 5)))
         assert conv2d(x, w5, stride=4, padding=2).shape == (1, 5, 2, 3)
-
-    def test_pooling(self):
-        x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-        assert avg_pool2x2(x).data.reshape(-1)[0] == 2.5
-        assert max_pool2x2(x).data.reshape(-1)[0] == 4.0
 
     def test_interpolate_on_nodes(self):
         x = Tensor(np.arange(12.0).reshape(1, 1, 3, 4))
@@ -185,13 +179,6 @@ class TestGradients:
         r = rng.standard_normal(out_shape)
         check(lambda: scalarize(depthwise_conv2d(x, w, b, stride=2, padding=2), r), [x, w, b])
 
-    def test_pooling_grads(self):
-        rng = np.random.default_rng(20)
-        x = Tensor(rng.standard_normal((2, 3, 6, 6)), requires_grad=True)
-        r = rng.standard_normal((2, 3, 3, 3))
-        check(lambda: scalarize(avg_pool2x2(x), r), [x])
-        check(lambda: scalarize(max_pool2x2(x), r), [x])
-
     def test_interpolate_grads(self):
         rng = np.random.default_rng(21)
         x = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
@@ -214,3 +201,91 @@ class TestGradients:
         x = Tensor(rng.standard_normal((1, 3, 1)), requires_grad=True)
         r = rng.standard_normal((4, 3, 2))
         check(lambda: scalarize(x.broadcast_to((4, 3, 2)), r), [x])
+
+
+def conv2d_loop(x, w, b, stride, padding):
+    """Direct cross-correlation, one output pixel at a time."""
+    B, C, H, W = x.shape
+    F, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    Ho = (H + 2 * padding - kh) // stride + 1
+    Wo = (W + 2 * padding - kw) // stride + 1
+    out = np.zeros((B, F, Ho, Wo))
+    for n in range(B):
+        for f in range(F):
+            for i in range(Ho):
+                for j in range(Wo):
+                    patch = xp[n, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
+                    out[n, f, i, j] = np.sum(patch * w[f]) + b[f]
+    return out
+
+
+def rel_pos_bias_via_sampling(table, ppos, H, W, g):
+    """The bias as a bilinear_sample of the table broadcast over the batch, at
+    every (query, key) displacement."""
+    hds, Th, Tw = table.shape
+    B, Nk, _ = ppos.shape
+    qr, qc = np.meshgrid(np.arange(H), np.arange(W), indexing="ij")
+    qpos = np.stack([qr, qc], axis=-1).reshape(-1, 2).astype(np.float64)
+    disp = (Tensor(qpos[None, :, None, :]) - ppos.reshape(B, 1, Nk, 2)) * (1.0 / g)
+    coords = (disp + Tensor(np.array([(Th - 1) / 2, (Tw - 1) / 2]))).reshape(B, H * W * Nk, 2)
+    table_b = table.reshape(1, hds, Th, Tw).broadcast_to((B, hds, Th, Tw))
+    return bilinear_sample(table_b, coords).reshape(B, hds, H * W, Nk)
+
+
+class TestKernelEquivalence:
+    """The fast kernels against direct formulations of the same sums."""
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    def test_conv2d_matches_direct_loop(self, stride, kernel):
+        rng = np.random.default_rng(40 + stride * 10 + kernel)
+        x = rng.standard_normal((2, 3, 9, 11))
+        w = rng.standard_normal((4, 3, kernel, kernel))
+        b = rng.standard_normal(4)
+        for padding in (0, 1, 2):
+            wt = Tensor(w, requires_grad=True)
+            out = conv2d(Tensor(x), wt, Tensor(b), stride=stride, padding=padding)
+            ref = conv2d_loop(x, w, b, stride, padding)
+            assert out.shape == ref.shape
+            assert out.data.flags.c_contiguous
+            np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+            # weight gradient: each weight's output is a strided window of xp
+            seed = rng.standard_normal(ref.shape)
+            out.backward(seed)
+            xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+            Ho, Wo = ref.shape[2:]
+            dw = np.zeros_like(w)
+            for i in range(kernel):
+                for j in range(kernel):
+                    patch = xp[:, :, i : i + stride * Ho : stride, j : j + stride * Wo : stride]
+                    dw[:, :, i, j] = np.einsum("bfhw,bchw->fc", seed, patch)
+            np.testing.assert_allclose(wt.grad, dw, rtol=1e-12, atol=1e-12)
+        no_bias = conv2d(Tensor(x), Tensor(w), stride=stride, padding=1).data
+        np.testing.assert_allclose(no_bias, conv2d_loop(x, w, np.zeros(4), stride, 1), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("g,batch", [(1, 1), (1, 2), (2, 1), (2, 3)])
+    def test_rel_pos_bias_matches_sampling(self, g, batch):
+        rng = np.random.default_rng(50 + 10 * g + batch)
+        heads, H, W = 3, 8, 6
+        gh, gw = H // g, W // g
+        table0 = rng.standard_normal((heads, 2 * gh - 1, 2 * gw - 1))
+        rr = (np.arange(gh) + 0.5) * g - 0.5
+        cc = (np.arange(gw) + 0.5) * g - 0.5
+        ref = np.stack(np.meshgrid(rr, cc, indexing="ij"), axis=-1).reshape(1, -1, 2)
+        # offsets up to 1.5x the map size reach the table's border clamp
+        pos0 = ref + rng.uniform(-1.5, 1.5, (batch, gh * gw, 2)) * np.array([H, W])
+        seed = rng.standard_normal((batch, heads, H * W, gh * gw))
+        results = []
+        for op in (rel_pos_bias, rel_pos_bias_via_sampling):
+            table = Tensor(table0.copy(), requires_grad=True)
+            ppos = Tensor(pos0.copy(), requires_grad=True)
+            out = op(table, ppos, H, W, g)
+            out.backward(seed)
+            results.append((out.data, table.grad, ppos.grad))
+        (fast, d_table, d_pos), (slow, d_table_ref, d_pos_ref) = results
+        assert fast.shape == slow.shape == (batch, heads, H * W, gh * gw)
+        np.testing.assert_allclose(fast, slow, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(d_table, d_table_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(d_pos, d_pos_ref, rtol=1e-12, atol=1e-12)
+        assert np.any(d_pos == 0.0)  # some keys are clamped in a whole axis
