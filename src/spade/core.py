@@ -88,14 +88,6 @@ class DepthRaster:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    def sample(self, u: int, v_row: int) -> float:
-        """Nearest-pixel lookup; raises DomainError on an invalid pixel."""
-        if not (0 <= u < self.width and 0 <= v_row < self.height):
-            raise DomainError(f"pixel (u={u}, v={v_row}) outside {self.width}x{self.height}")
-        if not self.valid[v_row, u]:
-            raise DomainError(f"pixel (u={u}, v={v_row}) is masked invalid")
-        return float(self.values[v_row, u])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, DepthRaster)
@@ -152,10 +144,6 @@ class SparsePointSet:
     def inverse_depths(self) -> np.ndarray:
         """v = 1/d for every point, in point order."""
         return 1.0 / np.array([p.depth_m for p in self.points], dtype=np.float64)
-
-    def pixels(self) -> np.ndarray:
-        """(N, 2) int array of (u, v_row)."""
-        return np.array([(p.u, p.v_row) for p in self.points], dtype=np.int64).reshape(-1, 2)
 
     def __repr__(self) -> str:
         return f"SparsePointSet({len(self.points)} points)"
@@ -286,7 +274,10 @@ def read_raster(path) -> DepthRaster:
         bad = int(np.argmax(mask_bytes > 1))
         raise FormatError(f"mask byte {mask_bytes[bad]} is not 0/1", byte_offset=off + bad)
     mask = mask_bytes.astype(bool).reshape(height, width)
-    return DepthRaster(values.astype(np.float64), mask, _TAG_SPACES[tag])
+    try:
+        return DepthRaster(values.astype(np.float64), mask, _TAG_SPACES[tag])
+    except DomainError as e:
+        raise FormatError(f"{e} of a {_TAG_SPACES[tag].value} raster")
 
 
 def scale_map_to_raster(m: ScaleMap) -> DepthRaster:
@@ -315,21 +306,25 @@ def write_points(pts: SparsePointSet, path) -> None:
 
 def read_points(path) -> SparsePointSet:
     with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError("empty points file", byte_offset=0)
-        if [h.strip() for h in header] != ["u", "v", "depth_m"]:
-            raise FormatError(f"bad points header {header!r}", byte_offset=0)
-        pts = []
-        for i, row in enumerate(reader):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise FormatError(f"line {i + 2}: expected 3 fields, got {len(row)}")
-            try:
-                pts.append(Point(int(row[0]), int(row[1]), float(row[2])))
-            except ValueError as e:
-                raise FormatError(f"line {i + 2}: {e}")
-    return SparsePointSet(pts)
+            rows = list(csv.reader(f))
+        except (UnicodeDecodeError, csv.Error) as e:
+            raise FormatError(f"unreadable points file: {e}")
+    if not rows:
+        raise FormatError("empty points file", byte_offset=0)
+    if [h.strip() for h in rows[0]] != ["u", "v", "depth_m"]:
+        raise FormatError(f"bad points header {rows[0]!r}", byte_offset=0)
+    pts = []
+    for i, row in enumerate(rows[1:]):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise FormatError(f"line {i + 2}: expected 3 fields, got {len(row)}")
+        try:
+            pts.append(Point(int(row[0]), int(row[1]), float(row[2])))
+        except ValueError as e:
+            raise FormatError(f"line {i + 2}: {e}")
+    try:
+        return SparsePointSet(pts)
+    except DomainError as e:
+        raise FormatError(str(e))

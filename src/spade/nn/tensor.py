@@ -91,9 +91,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -229,20 +226,23 @@ class Tensor:
         # measures when a preactivation sits exactly on 0 (zero-init biases
         # behind fully-rectified receptive fields make that case systematic)
         a = self
-        mask = (a.data > 0) + 0.5 * (a.data == 0)
-        return Tensor._make(a.data * (a.data > 0), (a,), lambda g: Tensor._accum(a, g * mask))
+
+        def bw(g):
+            Tensor._accum(a, g * ((a.data > 0) + 0.5 * (a.data == 0)))
+
+        return Tensor._make(a.data * (a.data > 0), (a,), bw)
 
     def gelu(self):
-        # tanh approximation, smooth everywhere
+        # tanh approximation, smooth everywhere; x2 * x, as x**3 is a slow float pow
         a = self
         c = np.sqrt(2.0 / np.pi)
         x = a.data
-        u = c * (x + 0.044715 * x**3)
-        t = np.tanh(u)
+        x2 = x * x
+        t = np.tanh(c * (x + 0.044715 * (x2 * x)))
         out_data = 0.5 * x * (1.0 + t)
 
         def bw(g):
-            du = c * (1.0 + 3 * 0.044715 * x**2)
+            du = c * (1.0 + 3 * 0.044715 * x2)
             Tensor._accum(a, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du))
 
         return Tensor._make(out_data, (a,), bw)
@@ -308,11 +308,6 @@ class Tensor:
         out_data = a.data.transpose(axes)
         return Tensor._make(out_data, (a,), lambda g: Tensor._accum(a, g.transpose(inv)))
 
-    def broadcast_to(self, shape):
-        a = self
-        out_data = np.broadcast_to(a.data, shape).copy()
-        return Tensor._make(out_data, (a,), lambda g: Tensor._accum(a, _unbroadcast(g, a.data.shape)))
-
     def __getitem__(self, idx):
         a = self
         out_data = a.data[idx]
@@ -367,13 +362,26 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
 # -- convolution ------------------------------------------------------------------
 
 
-def _windows(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return win[:, :, ::stride, ::stride]
+def _padded(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
+    """(B,C,H,W) zero-padded spatially (no copy for padding 0) and the kernel's output size."""
+    B, C, H, W = x.shape
+    xp = x
+    if padding:
+        xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
+        xp[:, :, padding : padding + H, padding : padding + W] = x
+    return xp, (xp.shape[2] - kh) // stride + 1, (xp.shape[3] - kw) // stride + 1
+
+
+def _windows(xp: np.ndarray, kh: int, kw: int, stride: int, Ho: int, Wo: int) -> np.ndarray:
+    """Strided view (B,C,Ho,Wo,kh,kw) of a padded map, no copy: (b, c, ho, wo, i, j) is
+    xp[b, c, stride*ho + i, stride*wo + j]. Taps [..., i, j] overlap: write one at a time."""
+    sB, sC, sH, sW = xp.strides
+    shape, strides = xp.shape[:2] + (Ho, Wo, kh, kw), (sB, sC, stride * sH, stride * sW, sH, sW)
+    return np.lib.stride_tricks.as_strided(xp, shape, strides)
 
 
 def _im2col(win: np.ndarray) -> np.ndarray:
-    """Column matrix (C*kh*kw, B*Ho*Wo) of the windows (B,C,Ho,Wo,kh,kw)."""
+    """Column matrix (C*kh*kw, B*Ho*Wo) of the windows (B,C,Ho,Wo,kh,kw), in one copy."""
     B, C, Ho, Wo, kh, kw = win.shape
     return win.transpose(1, 4, 5, 0, 2, 3).reshape(C * kh * kw, B * Ho * Wo)
 
@@ -381,18 +389,18 @@ def _im2col(win: np.ndarray) -> np.ndarray:
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation: x (B,C,H,W) * w (F,C,kh,kw) -> (B,F,Ho,Wo).
 
-    The output and the weight gradient are each one GEMM on an explicit
-    im2col matrix (Chellapilla et al. 2006). The matrix is built where it
-    is used and dropped at once, not kept on the tape.
+    The output and the weight gradient are each one GEMM on an im2col matrix
+    (Chellapilla et al. 2006), copied from the window view where it is used
+    and not kept on the tape. The input gradient is one GEMM per kernel row
+    i, w[:, :, i, :]^T (C*kw, F) @ grad (F, B*Ho*Wo), added tap by tap.
     """
     x, w = Tensor.as_tensor(x), Tensor.as_tensor(w)
     B, C, H, W = x.data.shape
     F, Cw, kh, kw = w.data.shape
     if Cw != C:
         raise ShapeError(f"conv2d channel mismatch: input {x.data.shape} vs weight {w.data.shape}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = _windows(xp, kh, kw, stride)
-    Ho, Wo = win.shape[2:4]
+    xp, Ho, Wo = _padded(x.data, kh, kw, stride, padding)
+    win = _windows(xp, kh, kw, stride, Ho, Wo)
     out_data = w.data.reshape(F, -1) @ _im2col(win)
     out_data = np.ascontiguousarray(out_data.reshape(F, B, Ho, Wo).transpose(1, 0, 2, 3))
     if b is not None:
@@ -400,55 +408,57 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     parents = (x, w) if b is None else (x, w, b)
 
     def bw(g):
+        g2 = g.transpose(1, 0, 2, 3).reshape(F, B * Ho * Wo)
         if w.requires_grad:
-            g2 = g.transpose(1, 0, 2, 3).reshape(F, B * Ho * Wo)
             Tensor._accum(w, (g2 @ _im2col(win).T).reshape(F, C, kh, kw))
         if b is not None and b.requires_grad:
             Tensor._accum(b, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            dxp = np.zeros_like(xp)
+            dxp = np.zeros(xp.shape)
+            dwin = _windows(dxp, kh, kw, stride, Ho, Wo)
             for i in range(kh):
+                wi = w.data[:, :, i, :].transpose(1, 2, 0).reshape(C * kw, F)
+                rows = (wi @ g2).reshape(C, kw, B, Ho, Wo)
                 for j in range(kw):
-                    dxp[:, :, i : i + stride * Ho : stride, j : j + stride * Wo : stride] += np.einsum(
-                        "bfhw,fc->bchw", g, w.data[:, :, i, j], optimize=True
-                    )
-            if padding:
-                dxp = dxp[:, :, padding : padding + H, padding : padding + W]
-            Tensor._accum(x, dxp)
+                    tap = dwin[..., i, j]
+                    tap += rows[:, j].transpose(1, 0, 2, 3)
+            Tensor._accum(x, dxp[:, :, padding : padding + H, padding : padding + W])
 
     return Tensor._make(out_data, parents, bw)
 
 
 def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
-    """Per-channel convolution: x (B,C,H,W) * w (C,kh,kw) -> (B,C,Ho,Wo)."""
+    """Per-channel convolution: x (B,C,H,W) * w (C,kh,kw) -> (B,C,Ho,Wo); the output
+    and both gradients accumulate one tap [..., i, j] of the window view at a time."""
     x, w = Tensor.as_tensor(x), Tensor.as_tensor(w)
     B, C, H, W = x.data.shape
     Cw, kh, kw = w.data.shape
     if Cw != C:
         raise ShapeError(f"depthwise channel mismatch: {x.data.shape} vs {w.data.shape}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = _windows(xp, kh, kw, stride)
-    out_data = np.einsum("bchwij,cij->bchw", win, w.data, optimize=True)
+    xp, Ho, Wo = _padded(x.data, kh, kw, stride, padding)
+    win, taps = _windows(xp, kh, kw, stride, Ho, Wo), [(i, j) for i in range(kh) for j in range(kw)]
+    out_data = np.zeros((B, C, Ho, Wo))
+    for i, j in taps:
+        out_data += win[..., i, j] * w.data[None, :, i, j, None, None]
     if b is not None:
-        out_data = out_data + b.data[None, :, None, None]
-    Ho, Wo = out_data.shape[2:]
+        out_data += b.data[None, :, None, None]
     parents = (x, w) if b is None else (x, w, b)
 
     def bw(g):
         if w.requires_grad:
-            Tensor._accum(w, np.einsum("bchwij,bchw->cij", win, g, optimize=True))
+            dw = np.empty(w.data.shape)
+            for i, j in taps:
+                dw[:, i, j] = np.einsum("bchw,bchw->c", win[..., i, j], g)
+            Tensor._accum(w, dw)
         if b is not None and b.requires_grad:
             Tensor._accum(b, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i : i + stride * Ho : stride, j : j + stride * Wo : stride] += (
-                        g * w.data[None, :, i, j, None, None]
-                    )
-            if padding:
-                dxp = dxp[:, :, padding : padding + H, padding : padding + W]
-            Tensor._accum(x, dxp)
+            dxp = np.zeros(xp.shape)
+            dwin = _windows(dxp, kh, kw, stride, Ho, Wo)
+            for i, j in taps:
+                tap = dwin[..., i, j]
+                tap += g * w.data[None, :, i, j, None, None]
+            Tensor._accum(x, dxp[:, :, padding : padding + H, padding : padding + W])
 
     return Tensor._make(out_data, parents, bw)
 

@@ -8,21 +8,18 @@ to recover.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DepthRaster, Space
 from .errors import ConfigError
-from .nn.network import FeaturePyramid  # trainable stand-in for a pretrained encoder
 from .nn.tensor import _resize_matrix
 
 LAYOUTS = ("plane", "canyon", "seafloor_bumps", "frame_with_ropes")
 
 __all__ = [
     "LAYOUTS",
-    "FeaturePyramid",
     "OracleSpec",
     "SceneSpec",
     "generate_scene",
@@ -52,17 +49,6 @@ class SceneSpec:
         if self.height < 8 or self.width < 8:
             raise ConfigError("scene must be at least 8x8")
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "SceneSpec":
-        payload = json.loads(text)
-        unknown = set(payload) - set(SceneSpec.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown scene spec fields: {sorted(unknown)}")
-        return SceneSpec(**payload)
-
 
 @dataclass(frozen=True)
 class OracleSpec:
@@ -80,17 +66,6 @@ class OracleSpec:
             raise ConfigError(f"bias amplitude must be in [0, 0.5], got {self.bias_amplitude}")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be >= 0")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "OracleSpec":
-        payload = json.loads(text)
-        unknown = set(payload) - set(OracleSpec.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown oracle spec fields: {sorted(unknown)}")
-        return OracleSpec(**payload)
 
 
 def smooth_field(height: int, width: int, wavelength: float, rng: np.random.Generator) -> np.ndarray:
@@ -179,9 +154,3 @@ def oracle_relative(gt: DepthRaster, spec: OracleSpec) -> DepthRaster:
         noisy = noisy * (1.0 + np.clip(rng.normal(0.0, spec.noise_sigma, (h, w)), -0.49, 0.49))
     z = (noisy - spec.t_true) / spec.s_true
     return DepthRaster(np.where(gt.valid, z, 0.0), gt.valid, Space.AFFINE)
-
-
-def oracle_bias_field(gt_shape: tuple, spec: OracleSpec) -> np.ndarray:
-    """The exact bias field a given oracle spec produces (testing hook)."""
-    rng = np.random.default_rng(spec.seed)
-    return 1.0 + spec.bias_amplitude * smooth_field(gt_shape[0], gt_shape[1], spec.bias_wavelength, rng)

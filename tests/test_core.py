@@ -46,12 +46,6 @@ class TestDepthRaster:
         with pytest.raises(ValueError):
             r.values[0, 0] = 2.0
 
-    def test_sample_invalid_pixel(self):
-        r = metric([[1.0, 3.0]], valid=[[True, False]])
-        assert r.sample(0, 0) == 1.0
-        with pytest.raises(DomainError):
-            r.sample(1, 0)
-
 
 class TestInverseConversions:
     def test_reciprocal_identity(self):
@@ -163,6 +157,31 @@ class TestSparsePoints:
         with pytest.raises(FormatError, match="header"):
             read_points(p)
 
+    def test_csv_not_utf8(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"u,v,depth_m\n1,2,3.0\n\xff\xfe,1,2\n")
+        with pytest.raises(FormatError, match="utf-8"):
+            read_points(p)
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [("1,2,-3.0\n", "depth -3.0"), ("1,2,nan\n", "depth nan"), ("1,2,3\n1,2,4\n", "duplicate")],
+    )
+    def test_csv_out_of_domain_points(self, tmp_path, body, message):
+        p = tmp_path / "pts.csv"
+        p.write_text("u,v,depth_m\n" + body)
+        with pytest.raises(FormatError, match=message):
+            read_points(p)
+
+    def test_raster_out_of_domain_value(self, tmp_path):
+        p = tmp_path / "nan.fdr1"
+        write_raster(metric([[1.0, 2.0]]), p)
+        raw = bytearray(p.read_bytes())
+        raw[13 + 4 : 13 + 8] = np.array([np.nan], dtype="<f4").tobytes()
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=r"non-finite value at valid pixel \(u=1, v=0\)"):
+            read_raster(p)
+
 
 class TestScaleMap:
     def test_known_must_be_positive(self):
@@ -172,4 +191,3 @@ class TestScaleMap:
     def test_point_helpers(self):
         pts = SparsePointSet([Point(2, 1, 2.0), Point(0, 0, 4.0)])
         assert pts.inverse_depths().tolist() == [0.5, 0.25]
-        assert pts.pixels().tolist() == [[2, 1], [0, 0]]

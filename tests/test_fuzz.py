@@ -1,0 +1,83 @@
+"""Property tests: whatever bytes the file readers get, they either return a
+value or raise FormatError, never another exception."""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from spade.core import read_points, read_raster
+from spade.errors import FormatError
+from spade.nn import load_checkpoint
+
+FUZZ = settings(
+    derandomize=True,
+    database=None,
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+# manifests near the valid form, so that many reach the buffer checks
+tensor_entries = st.fixed_dictionaries(
+    {"name": st.text(max_size=4), "shape": st.lists(st.integers(-2, 3), max_size=3)}
+) | json_values
+manifests = json_values | st.fixed_dictionaries(
+    {"tensors": st.lists(tensor_entries, max_size=3)}, optional={"meta": json_values}
+)
+
+
+def read_or_reject(reader, path, data: bytes):
+    path.write_bytes(data)
+    try:
+        reader(path)
+    except FormatError:
+        pass
+
+
+@pytest.mark.parametrize("reader", [read_raster, read_points, load_checkpoint])
+@FUZZ
+@given(data=st.binary(max_size=64))
+def test_any_bytes_give_only_format_error(tmp_path, reader, data):
+    read_or_reject(reader, tmp_path / "f", data)
+
+
+@FUZZ
+@given(manifest=manifests, payload=st.binary(max_size=48))
+def test_spw1_any_manifest_gives_only_format_error(tmp_path, manifest, payload):
+    mbytes = json.dumps(manifest).encode()
+    read_or_reject(load_checkpoint, tmp_path / "c.spw1", b"SPW1" + struct.pack("<I", len(mbytes)) + mbytes + payload)
+
+
+@FUZZ
+@given(data=st.data(), width=st.integers(1, 3), height=st.integers(1, 3), tag=st.integers(0, 3))
+def test_fdr1_any_payload_gives_only_format_error(tmp_path, data, width, height, tag):
+    n = width * height
+    values = data.draw(st.lists(st.floats(width=32), min_size=n, max_size=n))
+    mask = data.draw(st.lists(st.sampled_from([0, 1, 1, 2]), min_size=n, max_size=n))
+    cut = data.draw(st.integers(0, 2))  # sometimes drop trailing bytes
+    raw = struct.pack("<4sIIB", b"FDR1", width, height, tag)
+    raw += np.array(values, dtype="<f4").tobytes() + bytes(mask)
+    read_or_reject(read_raster, tmp_path / "r.fdr1", raw[: len(raw) - cut])
+
+
+fields = (
+    st.integers(-3, 3).map(str)
+    | st.floats(allow_nan=True, allow_infinity=True).map(repr)
+    | st.text(alphabet='0123456789-+.e"n \x00\xff\r\n', max_size=4)
+)
+
+
+@FUZZ
+@given(rows=st.lists(st.lists(fields, max_size=4), max_size=4))
+def test_points_any_rows_give_only_format_error(tmp_path, rows):
+    body = "".join(",".join(row) + "\n" for row in rows)
+    read_or_reject(read_points, tmp_path / "p.csv", ("u,v,depth_m\n" + body).encode("utf-8"))

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -144,6 +147,38 @@ class TestCheckpoint:
         save_checkpoint(p, {"x": np.ones(4)})
         p.write_bytes(p.read_bytes()[:-8])
         with pytest.raises(FormatError, match="truncated"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize(
+        "manifest,message",
+        [
+            ([], "expected a JSON object, got list"),
+            ({"meta": {}}, "'tensors' must be a list, got NoneType"),
+            ({"tensors": {"x": [2]}}, "'tensors' must be a list, got dict"),
+            ({"tensors": [{"name": "x"}]}, "tensor entry 0 must be an object"),
+            ({"tensors": [["x", [2]]]}, "tensor entry 0 must be an object"),
+            ({"tensors": [{"name": 3, "shape": [2]}]}, "tensor entry 0 must be an object"),
+            ({"tensors": [{"name": "x", "shape": "2"}]}, "tensor 'x' has shape '2'"),
+            ({"tensors": [{"name": "x", "shape": [-1]}]}, r"tensor 'x' has shape \[-1\]"),
+            ({"tensors": [{"name": "x", "shape": [1.0]}]}, r"tensor 'x' has shape \[1.0\]"),
+            ({"tensors": [{"name": "x", "shape": [True]}]}, r"tensor 'x' has shape \[True\]"),
+            ({"tensors": [{"name": "x", "shape": [1]}] * 2}, "tensor name 'x' appears twice"),
+            ({"tensors": [], "meta": [1]}, "'meta' must be an object, got list"),
+        ],
+    )
+    def test_malformed_manifest(self, tmp_path, manifest, message):
+        mbytes = json.dumps(manifest).encode()
+        p = tmp_path / "m.spw1"
+        # 24 payload bytes: enough for every shape above, so only the manifest is at fault
+        p.write_bytes(b"SPW1" + struct.pack("<I", len(mbytes)) + mbytes + b"\x00" * 24)
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(p)
+
+    def test_deeply_nested_manifest(self, tmp_path):
+        mbytes = b"[" * 100_000 + b"]" * 100_000  # deeper than the JSON parser recurses
+        p = tmp_path / "deep.spw1"
+        p.write_bytes(b"SPW1" + struct.pack("<I", len(mbytes)) + mbytes)
+        with pytest.raises(FormatError, match="bad manifest"):
             load_checkpoint(p)
 
     def test_module_state_dict_round_trip(self, tmp_path):

@@ -10,7 +10,6 @@ from spade.synth import (
     OracleSpec,
     SceneSpec,
     generate_scene,
-    oracle_bias_field,
     oracle_relative,
     smooth_field,
 )
@@ -88,7 +87,9 @@ class TestOracle:
         gt, _ = generate_scene(SceneSpec(layout="seafloor_bumps", seed=8))
         spec = OracleSpec(s_true=1.2, t_true=0.05, bias_amplitude=0.2, seed=9)
         z = oracle_relative(gt, spec)
-        bias = oracle_bias_field(gt.shape, spec)
+        # the bias field oracle_relative draws first from its seeded generator
+        rng = np.random.default_rng(spec.seed)
+        bias = 1.0 + spec.bias_amplitude * smooth_field(*gt.shape, spec.bias_wavelength, rng)
         # align with the true parameters, not a fit
         z_tilde_vals = spec.s_true * z.values + spec.t_true
         from spade.core import DepthRaster

@@ -196,32 +196,53 @@ class TestGradients:
         r = rng.standard_normal((2, 3, 11))
         check(lambda: scalarize(bilinear_sample(x, loc), r), [x, loc])
 
-    def test_broadcast_to(self):
-        rng = np.random.default_rng(23)
-        x = Tensor(rng.standard_normal((1, 3, 1)), requires_grad=True)
-        r = rng.standard_normal((4, 3, 2))
-        check(lambda: scalarize(x.broadcast_to((4, 3, 2)), r), [x])
 
-
-def conv2d_loop(x, w, b, stride, padding):
-    """Direct cross-correlation, one output pixel at a time."""
+def conv2d_loop(x, w, b, stride, padding, seed=None):
+    """Direct cross-correlation, one output pixel at a time; with an output
+    gradient seed, also the input gradient, spread back window by window."""
     B, C, H, W = x.shape
     F, _, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     Ho = (H + 2 * padding - kh) // stride + 1
     Wo = (W + 2 * padding - kw) // stride + 1
     out = np.zeros((B, F, Ho, Wo))
+    dxp = np.zeros_like(xp)
     for n in range(B):
-        for f in range(F):
+        for i in range(Ho):
+            for j in range(Wo):
+                win = (n, slice(None), slice(i * stride, i * stride + kh), slice(j * stride, j * stride + kw))
+                for f in range(F):
+                    out[n, f, i, j] = np.sum(xp[win] * w[f]) + b[f]
+                    if seed is not None:
+                        dxp[win] += seed[n, f, i, j] * w[f]
+    if seed is None:
+        return out
+    return out, dxp[:, :, padding : padding + H, padding : padding + W]
+
+
+def depthwise_loop(x, w, b, stride, padding, seed):
+    """Direct per-channel correlation and its three gradients, one output
+    pixel at a time: returns out, dx, dw, db."""
+    B, C, H, W = x.shape
+    _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    Ho = (H + 2 * padding - kh) // stride + 1
+    Wo = (W + 2 * padding - kw) // stride + 1
+    out = np.zeros((B, C, Ho, Wo))
+    dxp, dw = np.zeros_like(xp), np.zeros_like(w)
+    for n in range(B):
+        for c in range(C):
             for i in range(Ho):
                 for j in range(Wo):
-                    patch = xp[n, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
-                    out[n, f, i, j] = np.sum(patch * w[f]) + b[f]
-    return out
+                    win = (n, c, slice(i * stride, i * stride + kh), slice(j * stride, j * stride + kw))
+                    out[n, c, i, j] = np.sum(xp[win] * w[c]) + b[c]
+                    dxp[win] += seed[n, c, i, j] * w[c]
+                    dw[c] += seed[n, c, i, j] * xp[win]
+    return out, dxp[:, :, padding : padding + H, padding : padding + W], dw, seed.sum(axis=(0, 2, 3))
 
 
 def rel_pos_bias_via_sampling(table, ppos, H, W, g):
-    """The bias as a bilinear_sample of the table broadcast over the batch, at
+    """The bias as a bilinear_sample of the table tiled over the batch, at
     every (query, key) displacement."""
     hds, Th, Tw = table.shape
     B, Nk, _ = ppos.shape
@@ -229,7 +250,7 @@ def rel_pos_bias_via_sampling(table, ppos, H, W, g):
     qpos = np.stack([qr, qc], axis=-1).reshape(-1, 2).astype(np.float64)
     disp = (Tensor(qpos[None, :, None, :]) - ppos.reshape(B, 1, Nk, 2)) * (1.0 / g)
     coords = (disp + Tensor(np.array([(Th - 1) / 2, (Tw - 1) / 2]))).reshape(B, H * W * Nk, 2)
-    table_b = table.reshape(1, hds, Th, Tw).broadcast_to((B, hds, Th, Tw))
+    table_b = concat([table.reshape(1, hds, Th, Tw)] * B, axis=0)
     return bilinear_sample(table_b, coords).reshape(B, hds, H * W, Nk)
 
 
@@ -244,15 +265,16 @@ class TestKernelEquivalence:
         w = rng.standard_normal((4, 3, kernel, kernel))
         b = rng.standard_normal(4)
         for padding in (0, 1, 2):
-            wt = Tensor(w, requires_grad=True)
-            out = conv2d(Tensor(x), wt, Tensor(b), stride=stride, padding=padding)
-            ref = conv2d_loop(x, w, b, stride, padding)
+            xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+            out = conv2d(xt, wt, Tensor(b), stride=stride, padding=padding)
+            seed = rng.standard_normal(out.shape)
+            ref, dx = conv2d_loop(x, w, b, stride, padding, seed)
             assert out.shape == ref.shape
             assert out.data.flags.c_contiguous
             np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
-            # weight gradient: each weight's output is a strided window of xp
-            seed = rng.standard_normal(ref.shape)
             out.backward(seed)
+            np.testing.assert_allclose(xt.grad, dx, rtol=1e-12, atol=1e-12)
+            # weight gradient: each weight's output is a strided window of xp
             xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
             Ho, Wo = ref.shape[2:]
             dw = np.zeros_like(w)
@@ -263,6 +285,47 @@ class TestKernelEquivalence:
             np.testing.assert_allclose(wt.grad, dw, rtol=1e-12, atol=1e-12)
         no_bias = conv2d(Tensor(x), Tensor(w), stride=stride, padding=1).data
         np.testing.assert_allclose(no_bias, conv2d_loop(x, w, np.zeros(4), stride, 1), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel", [3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_depthwise_conv2d_matches_direct_loop(self, stride, kernel):
+        rng = np.random.default_rng(60 + stride * 10 + kernel)
+        x = rng.standard_normal((2, 3, 9, 11))
+        w = rng.standard_normal((3, kernel, kernel))
+        b = rng.standard_normal(3)
+        for padding in (0, 1, 2):
+            xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+            out = depthwise_conv2d(xt, wt, bt, stride=stride, padding=padding)
+            seed = rng.standard_normal(out.shape)
+            ref, dx, dw, db = depthwise_loop(x, w, b, stride, padding, seed)
+            assert out.shape == ref.shape
+            np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+            out.backward(seed)
+            np.testing.assert_allclose(xt.grad, dx, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(wt.grad, dw, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(bt.grad, db, rtol=1e-12, atol=1e-12)
+
+    def test_relu_slope_half_at_exact_zero(self):
+        x = Tensor(np.array([-2.0, -0.0, 0.0, 1e-300, 3.0]), requires_grad=True)
+        y = x.relu()
+        assert y.data.tolist() == [0.0, 0.0, 0.0, 1e-300, 3.0]
+        y.backward(np.full(5, 4.0))
+        assert x.grad.tolist() == [0.0, 2.0, 2.0, 4.0, 4.0]
+
+    def test_gelu_matches_cube_formula(self):
+        rng = np.random.default_rng(70)
+        x0 = np.concatenate([np.linspace(-10.0, 10.0, 2001), rng.standard_normal(500) * 4])
+        c = np.sqrt(2.0 / np.pi)
+        t = np.tanh(c * (x0 + 0.044715 * x0**3))
+        ref = 0.5 * x0 * (1.0 + t)
+        dref = 0.5 * (1.0 + t) + 0.5 * x0 * (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * x0**2)
+        x = Tensor(x0, requires_grad=True)
+        y = x.gelu()
+        y.backward(np.ones_like(x0))
+        # relative, or absolute where the value is within 1 of zero (far on the
+        # negative side 1 + tanh cancels, so relative error there says nothing)
+        np.testing.assert_allclose(y.data, ref, rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(x.grad, dref, rtol=1e-15, atol=1e-15)
 
     @pytest.mark.parametrize("g,batch", [(1, 1), (1, 2), (2, 1), (2, 3)])
     def test_rel_pos_bias_matches_sampling(self, g, batch):
