@@ -1,0 +1,8 @@
+"""`python -m spade` runs the `spade` command."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -28,6 +27,7 @@ from .core import (
     write_points,
     write_raster,
 )
+from .config import read_config
 from .densify import JBUParams, fill_default, jbu_densify
 from .errors import ConfigError, SpadeError
 from .gradsuite import TOLERANCE, run_suite
@@ -37,6 +37,7 @@ from .pipeline import (
     RunConfig,
     SpadeModel,
     SweepSpec,
+    config_hash,
     render_report,
     run_frame,
     sweep,
@@ -45,12 +46,7 @@ from .pipeline import (
     train,
 )
 from .sensors import PatternSpec, sample_pattern
-from .synth import OracleSpec, SceneSpec, generate_scene, oracle_relative
-
-
-def config_hash(cfg: RunConfig) -> str:
-    canon = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+from .synth import SynthSpec, generate_scene, oracle_relative
 
 
 def _write_json(path, payload):
@@ -60,7 +56,7 @@ def _write_json(path, payload):
 
 
 def _load_config(args) -> RunConfig:
-    cfg = RunConfig.from_json_file(args.config) if args.config else RunConfig()
+    cfg = read_config(RunConfig, args.config) if args.config else RunConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
@@ -80,34 +76,25 @@ def _parse_floats(text, n, what):
 
 
 def cmd_synth(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as f:
-        payload = json.load(f)
-    scene_payload = payload.get("scene", payload if "layout" in payload else {})
-    oracle_payload = payload.get("oracle")
+    spec = read_config(SynthSpec, args.spec)
     if args.seed is not None:
-        scene_payload = {**scene_payload, "seed": args.seed}
-        if oracle_payload is not None:
-            oracle_payload = {**oracle_payload, "seed": args.seed + 1}
-    scene = SceneSpec(**scene_payload)
+        oracle = None if spec.oracle is None else dataclasses.replace(spec.oracle, seed=args.seed + 1)
+        spec = SynthSpec(dataclasses.replace(spec.scene, seed=args.seed), oracle)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    gt, guide = generate_scene(scene)
+    gt, guide = generate_scene(spec.scene)
     write_raster(gt, out / "gt.fdr1")
     write_raster(guide, out / "guide.fdr1")
-    manifest = {"scene": dataclasses.asdict(scene)}
-    if oracle_payload is not None:
-        oracle = OracleSpec(**oracle_payload)
-        write_raster(oracle_relative(gt, oracle), out / "relative.fdr1")
-        manifest["oracle"] = dataclasses.asdict(oracle)
-    _write_json(out / "manifest.json", manifest)
-    print(f"wrote scene '{scene.layout}' ({scene.width}x{scene.height}) to {out}")
+    if spec.oracle is not None:
+        write_raster(oracle_relative(gt, spec.oracle), out / "relative.fdr1")
+    _write_json(out / "manifest.json", dataclasses.asdict(spec))
+    print(f"wrote scene '{spec.scene.layout}' ({spec.scene.width}x{spec.scene.height}) to {out}")
     return 0
 
 
 def cmd_simulate(args) -> int:
+    spec = read_config(PatternSpec, args.pattern)
     gt = read_raster(args.gt)
-    with open(args.pattern, "r", encoding="utf-8") as f:
-        spec = PatternSpec.from_json(f.read())
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     intrinsics = None
@@ -161,11 +148,7 @@ def cmd_densify(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    model, train_log = train(cfg, out_dir=out)
-    train_log["config_hash"] = config_hash(cfg)
-    _write_json(out / "training_log.json", train_log)
+    model, train_log = train(cfg, out_dir=args.out_dir)
     final = train_log["history"][-1]
     print(
         f"trained {cfg.epochs} epochs ({model.param_count()} params): "
@@ -259,12 +242,8 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
+    spec = read_config(SweepSpec, args.sweep) if args.sweep else SweepSpec()
     model = SpadeModel.load(args.checkpoint, cfg=cfg if args.config else None)
-    if args.sweep:
-        with open(args.sweep, "r", encoding="utf-8") as f:
-            spec = SweepSpec.from_dict(json.load(f))
-    else:
-        spec = SweepSpec()
     report = sweep(model, model.cfg, spec)
     report["config_hash"] = config_hash(model.cfg)
     out = Path(args.out_dir)
@@ -389,10 +368,3 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 4
-    except json.JSONDecodeError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

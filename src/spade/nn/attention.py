@@ -32,8 +32,6 @@ class ChannelAttention(Module):
         B, C = att.shape
         return att.sigmoid().reshape(B, C, 1, 1)
 
-    __call__ = forward
-
 
 class SpatialAttention(Module):
     def __init__(self, rng, kernel=7):
@@ -44,8 +42,6 @@ class SpatialAttention(Module):
         avg = x.mean(axis=1, keepdims=True)
         mx = x.max(axis=1, keepdims=True)
         return self.conv(concat([avg, mx], axis=1)).sigmoid()
-
-    __call__ = forward
 
 
 class CBAM(Module):
@@ -59,8 +55,6 @@ class CBAM(Module):
     def forward(self, x):
         x = x * self.channel(x)
         return x * self.spatial(x)
-
-    __call__ = forward
 
 
 @dataclass(frozen=True)
@@ -172,8 +166,6 @@ class DeformableAttention(Module):
             return out, internals
         return out
 
-    __call__ = forward
-
     def set_identity_projections(self):
         """Identity q/k/v/out projections and zero bias: reduces the layer to
         attention over bilinearly sampled grid features (testing hook)."""
@@ -202,5 +194,3 @@ class TransformerBlock(Module):
         tokens = x.reshape(B, C, H * W).transpose(0, 2, 1)
         tokens = tokens + self.mlp(self.norm2(tokens))
         return tokens.transpose(0, 2, 1).reshape(B, C, H, W)
-
-    __call__ = forward

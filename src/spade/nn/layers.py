@@ -27,6 +27,9 @@ class Module:
         object.__setattr__(self, "_modules", {})
         object.__setattr__(self, "training", True)
 
+    def __call__(self, *args, **kwargs):
+        return self.forward(*args, **kwargs)
+
     def __setattr__(self, name, value):
         if isinstance(value, Parameter):
             self._params[name] = value
@@ -135,8 +138,6 @@ class Conv2d(Module):
     def forward(self, x):
         return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
-    __call__ = forward
-
 
 class DepthwiseConv2d(Module):
     def __init__(self, channels, kernel, rng, stride=1, padding=None, bias=True):
@@ -150,8 +151,6 @@ class DepthwiseConv2d(Module):
     def forward(self, x):
         return depthwise_conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
-    __call__ = forward
-
 
 class Linear(Module):
     def __init__(self, in_dim, out_dim, rng, bias=True):
@@ -162,8 +161,6 @@ class Linear(Module):
     def forward(self, x):
         y = x @ self.weight
         return y + self.bias if self.bias is not None else y
-
-    __call__ = forward
 
 
 class BatchNorm2d(Module):
@@ -198,8 +195,6 @@ class BatchNorm2d(Module):
             xhat = (x - mu) / ((var + self.eps) ** 0.5)
         return xhat * g + b
 
-    __call__ = forward
-
 
 class LayerNorm(Module):
     def __init__(self, dim, eps=1e-6):
@@ -213,8 +208,6 @@ class LayerNorm(Module):
         var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
         return (x - mu) / ((var + self.eps) ** 0.5) * self.gamma + self.beta
 
-    __call__ = forward
-
 
 class MLP(Module):
     def __init__(self, dim, hidden, rng):
@@ -224,5 +217,3 @@ class MLP(Module):
 
     def forward(self, x):
         return self.fc2(self.fc1(x).gelu())
-
-    __call__ = forward

@@ -20,11 +20,11 @@ SOFTPLUS_INV_ONE = float(np.log(np.e - 1.0))  # head bias making the neutral out
 class CCDTConfig:
     """Per-stage encoder layout; strides produce 1/4..1/32 of the input."""
 
-    widths: tuple = (32, 64, 96, 128)
-    conv_counts: tuple = (1, 1, 2, 2)
-    trans_counts: tuple = (1, 1, 2, 2)
-    strides: tuple = (4, 2, 2, 2)
-    grid_downsamples: tuple = (2, 2, 2, 1)
+    widths: tuple[int, ...] = (32, 64, 96, 128)
+    conv_counts: tuple[int, ...] = (1, 1, 2, 2)
+    trans_counts: tuple[int, ...] = (1, 1, 2, 2)
+    strides: tuple[int, ...] = (4, 2, 2, 2)
+    grid_downsamples: tuple[int, ...] = (2, 2, 2, 1)
     heads: int = 4
     offset_range: float = 4.0
     mlp_ratio: int = 2
@@ -36,6 +36,8 @@ class CCDTConfig:
         lists = (self.widths, self.conv_counts, self.trans_counts, self.strides, self.grid_downsamples)
         if any(len(x) != 4 for x in lists):
             raise ConfigError("encoder config requires exactly four stages")
+        if self.heads < 1 or min(self.strides) < 1:
+            raise ConfigError(f"heads {self.heads} and strides {self.strides} must be positive")
         if any(w <= 0 for w in self.widths) or any(w % self.heads for w in self.widths):
             raise ConfigError(f"stage widths {self.widths} must be positive multiples of heads={self.heads}")
         if any(c < 0 for c in self.conv_counts + self.trans_counts):
@@ -64,8 +66,6 @@ class ResNetCBAMBlock(Module):
         branch = self.cbam(branch)
         skip = x if self.skip_conv is None else self.skip_bn(self.skip_conv(x))
         return (skip + branch).relu()
-
-    __call__ = forward
 
 
 class CCDTStage(Module):
@@ -107,8 +107,6 @@ class CCDTStage(Module):
             x = b(x)
         return x
 
-    __call__ = forward
-
 
 class FeaturePyramid(Module):
     """Trainable strided-conv pyramid over the guide image: 4 levels at 1/4..1/32."""
@@ -130,8 +128,6 @@ class FeaturePyramid(Module):
         f4 = self.conv4(f3.relu())
         return [f1, f2, f3, f4]
 
-    __call__ = forward
-
 
 class FeatureFusion(Module):
     """Iteratively fuse four multi-scale maps, coarsest first, into one map."""
@@ -151,8 +147,6 @@ class FeatureFusion(Module):
         u = self.fuse1(concat([interpolate_bilinear(u, *f1.shape[2:]), f1], axis=1))
         return self.out(u)
 
-    __call__ = forward
-
 
 class ResidualConvUnit(Module):
     def __init__(self, width, rng):
@@ -162,8 +156,6 @@ class ResidualConvUnit(Module):
 
     def forward(self, x):
         return x + self.conv2(self.conv1(x.relu()).relu())
-
-    __call__ = forward
 
 
 class DPTDecoderBlock(Module):
@@ -182,8 +174,6 @@ class DPTDecoderBlock(Module):
                 raise ShapeError(f"decoder resolution mismatch: skip {y.shape[2:]} vs upsampled {up.shape[2:]}")
             y = y + up
         return self.rcu(y)
-
-    __call__ = forward
 
 
 class OutputHead(Module):
@@ -204,8 +194,6 @@ class OutputHead(Module):
         x = self.conv2(x)
         x = interpolate_bilinear(x, 2 * x.shape[2], 2 * x.shape[3]).relu()
         return self.conv3(x).softplus()
-
-    __call__ = forward
 
 
 # Embedding pre-scaling: corrections are centered so the neutral factor 1 maps
@@ -284,5 +272,3 @@ class RefinementNet(Module):
         d2 = self.dec2(f2, d3)
         d1 = self.dec1(f1, d2)
         return self.head(d1)
-
-    __call__ = forward

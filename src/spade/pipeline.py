@@ -3,6 +3,7 @@ synthetic corpus, sparsity/distribution sweeps, and report rendering."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -19,11 +20,13 @@ from .core import (
     SparsePointSet,
     from_inverse,
 )
+from .config import from_json
 from .densify import JBUParams, fill_default, jbu_densify, sparse_scale_map
 from .errors import (
     ConfigError,
     DivergenceError,
     EmptyEvaluationError,
+    FormatError,
     SpadeError,
 )
 from .losses import loss_total
@@ -31,7 +34,7 @@ from .metrics import MetricReport, aggregate_metrics, compute_metrics
 from .nn import CCDTConfig, FeaturePyramid, RefinementNet, Tensor, no_grad
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .optim import AdamW
-from .sensors import PatternSpec, sample_pattern, subsample
+from .sensors import PATTERN_KINDS, PatternSpec, sample_pattern, subsample
 from .synth import OracleSpec, SceneSpec, generate_scene, oracle_relative
 
 log = logging.getLogger(__name__)
@@ -43,15 +46,15 @@ TRAIN_LAYOUTS = ("seafloor_bumps", "canyon", "frame_with_ropes")
 class RunConfig:
     network: CCDTConfig = field(default_factory=CCDTConfig)
     jbu: JBUParams = field(default_factory=JBUParams)
-    input_hw: tuple = (64, 96)
-    pyramid_channels: tuple = (16, 32, 48, 64)
+    input_hw: tuple[int, int] = (64, 96)
+    pyramid_channels: tuple[int, ...] = (16, 32, 48, 64)
     epochs: int = 10
     lr: float = 2e-4
     lr_decayed: float = 5e-5
     decay_after_epoch: int = 6
     batch_size: int = 8
     weight_decay: float = 1e-2
-    betas: tuple = (0.9, 0.999)
+    betas: tuple[float, float] = (0.9, 0.999)
     train_frames: int = 200
     val_frames: int = 20
     points_min: int = 20
@@ -65,61 +68,40 @@ class RunConfig:
 
     def __post_init__(self):
         h, w = self.input_hw
-        if h % 32 or w % 32:
-            raise ConfigError(f"input resolution {h}x{w} must be divisible by 32")
+        if h < 1 or w < 1 or h % 32 or w % 32:
+            raise ConfigError(f"input resolution {h}x{w} must be positive multiples of 32")
         if not (1 <= self.decay_after_epoch <= self.epochs):
             raise ConfigError(
                 f"decay epoch {self.decay_after_epoch} outside schedule of {self.epochs} epochs"
             )
-        if self.batch_size < 1 or self.train_frames < 1:
+        if self.batch_size < 1 or self.train_frames < 1 or self.val_frames < 1:
             raise ConfigError("batch size and frame counts must be positive")
+        if self.points_min > self.points_max:
+            raise ConfigError(f"points_min {self.points_min} exceeds points_max {self.points_max}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-    @staticmethod
-    def from_dict(payload: dict) -> "RunConfig":
-        payload = dict(payload)
-        unknown = set(payload) - set(RunConfig.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "network" in payload and isinstance(payload["network"], dict):
-            net = {k: tuple(v) if isinstance(v, list) else v for k, v in payload["network"].items()}
-            payload["network"] = CCDTConfig(**net)
-        if "jbu" in payload and isinstance(payload["jbu"], dict):
-            payload["jbu"] = JBUParams(**payload["jbu"])
-        for key in ("input_hw", "pyramid_channels", "betas"):
-            if key in payload and isinstance(payload[key], list):
-                payload[key] = tuple(payload[key])
-        return RunConfig(**payload)
-
-    @staticmethod
-    def from_json_file(path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as f:
-            try:
-                return RunConfig.from_dict(json.load(f))
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"bad config JSON in {path}: {e}")
+def config_hash(cfg: RunConfig) -> str:
+    canon = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    point_counts: tuple = (200, 100, 50, 10)
-    patterns: tuple = ("feature_like",)
-    range_caps: tuple = (10.0, 5.0, 2.0)
+    point_counts: tuple[int, ...] = (200, 100, 50, 10)
+    patterns: tuple[str, ...] = ("feature_like",)
+    range_caps: tuple[float, ...] = (10.0, 5.0, 2.0)
     n_frames: int = 20
 
     def __post_init__(self):
         if not self.point_counts or not self.patterns or not self.range_caps:
             raise ConfigError("sweep lists must be non-empty")
-
-    @staticmethod
-    def from_dict(payload: dict) -> "SweepSpec":
-        payload = {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
-        unknown = set(payload) - set(SweepSpec.__dataclass_fields__)
+        unknown = sorted(set(self.patterns) - set(PATTERN_KINDS))
         if unknown:
-            raise ConfigError(f"unknown sweep fields: {sorted(unknown)}")
-        return SweepSpec(**payload)
+            raise ConfigError(f"unknown sweep patterns {unknown}; expected some of {PATTERN_KINDS}")
+        if min(self.point_counts) < 1 or self.n_frames < 1:
+            raise ConfigError("sweep point counts and n_frames must be positive")
+        if not all(cap > 0 for cap in self.range_caps):
+            raise ConfigError(f"range caps must be positive, got {list(self.range_caps)}")
 
 
 @dataclass(frozen=True)
@@ -213,7 +195,7 @@ class SpadeModel:
         )
 
     def save(self, path, extra_meta: dict | None = None):
-        meta = {"config": self.cfg.to_dict(), "seed": self.cfg.seed}
+        meta = {"config": asdict(self.cfg), "seed": self.cfg.seed}
         if extra_meta:
             meta.update(extra_meta)
         save_checkpoint(path, self.state_dict(), meta=meta)
@@ -224,7 +206,10 @@ class SpadeModel:
         if cfg is None:
             if "config" not in meta:
                 raise ConfigError(f"checkpoint {path} has no embedded config; pass one explicitly")
-            cfg = RunConfig.from_dict(meta["config"])
+            try:
+                cfg = from_json(RunConfig, meta["config"])
+            except ConfigError as e:
+                raise FormatError(f"checkpoint {path} has a malformed config: {e}") from None
         model = SpadeModel(cfg)
         model.load_state_dict(state)
         return model
@@ -443,6 +428,7 @@ def train(cfg: RunConfig, out_dir=None, quiet=False):
         "param_count": model.param_count(),
         "seed": cfg.seed,
         "epochs": cfg.epochs,
+        "config_hash": config_hash(cfg),
     }
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -471,12 +457,8 @@ def _sweep_points(frame: FrameData, pattern: str, count: int, cfg: RunConfig, fr
         return subsample(pts, min(count, len(pts)), seed=seed)
     if pattern == "sonar_line":
         return sample_pattern(frame.gt, PatternSpec(kind="sonar_line", count=count, seed=seed))
-    if pattern == "dvl4":
-        return sample_pattern(frame.gt, PatternSpec(kind="dvl4"))
-    if pattern == "laser2":
-        K = default_intrinsics(h, w)
-        return sample_pattern(frame.gt, PatternSpec(kind="laser2"), intrinsics=K)
-    raise ConfigError(f"unknown sweep pattern {pattern!r}")
+    # dvl4 and laser2 (fixed counts; PatternSpec rejects any other kind)
+    return sample_pattern(frame.gt, PatternSpec(kind=pattern), intrinsics=default_intrinsics(h, w))
 
 
 def _eval_cells(model, frames, pattern, count, caps, cfg) -> list[dict]:

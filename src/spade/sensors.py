@@ -7,9 +7,8 @@ valid pixel within a small radius or dropped (and logged).
 
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,20 +44,6 @@ class PatternSpec:
             raise ConfigError(f"dvl_fraction must be in (0, 1], got {self.dvl_fraction}")
         if self.laser_baseline_m <= 0 or self.laser_max_range_m <= 0:
             raise ConfigError("laser baseline and max range must be positive")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "PatternSpec":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"bad pattern spec JSON: {e}")
-        unknown = set(payload) - set(PatternSpec.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown pattern spec fields: {sorted(unknown)}")
-        return PatternSpec(**payload)
 
 
 def _centered_positions(size: int, n: int) -> np.ndarray:

@@ -8,7 +8,7 @@ to recover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "LAYOUTS",
     "OracleSpec",
     "SceneSpec",
+    "SynthSpec",
     "generate_scene",
     "oracle_relative",
     "smooth_field",
@@ -66,6 +67,14 @@ class OracleSpec:
             raise ConfigError(f"bias amplitude must be in [0, 0.5], got {self.bias_amplitude}")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be >= 0")
+
+
+@dataclass(frozen=True)
+class SynthSpec:
+    """`spade synth --spec`: a scene, and an oracle if a relative raster is wanted."""
+
+    scene: SceneSpec = field(default_factory=SceneSpec)
+    oracle: OracleSpec | None = None
 
 
 def smooth_field(height: int, width: int, wavelength: float, rng: np.random.Generator) -> np.ndarray:

@@ -1,5 +1,6 @@
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import fast_config
 from spade.cli import main
 from spade.core import read_points, read_raster, write_points, write_raster, Space
 from spade.core import SparsePointSet
+from spade.nn import save_checkpoint
 from spade.pipeline import build_corpus
 
 
@@ -39,7 +41,7 @@ def cfg_file(tmp_path_factory):
     out = tmp_path_factory.mktemp("cfg")
     cfg = fast_config(epochs=1, train_frames=6, val_frames=2)
     path = out / "config.json"
-    path.write_text(json.dumps(cfg.to_dict()))
+    path.write_text(json.dumps(asdict(cfg)))
     return path
 
 
@@ -64,6 +66,64 @@ class TestSynthSimulate:
         pat.write_text(json.dumps({"kind": "lidar"}))
         code = run_cli("simulate", "--gt", scene_dir / "gt.fdr1", "--pattern", pat, "--out", tmp_path / "x.csv")
         assert code == 2
+
+
+CONFIG_FAULTS = {
+    "train-unknown-network-field": ("train", {"network": {"bogus": 1}}),
+    "train-string-epochs": ("train", {"epochs": "3"}),
+    "train-array": ("train", [1, 2]),
+    "train-string-jbu-radius": ("train", {"jbu": {"window_radius": "7"}}),
+    "train-short-input-hw": ("train", {"input_hw": [64]}),
+    "train-not-utf8": ("train", b'{"epochs": 3, "seed": "\xff"}'),
+    "train-deep-nesting": ("train", b"[" * 100_000),
+    "train-points-min-above-max": ("train", {"points_min": 100, "points_max": 50}),
+    "train-zero-input-hw": ("train", {"input_hw": [0, 0]}),
+    "train-zero-val-frames": ("train", {"val_frames": 0}),
+    "train-zero-heads": ("train", {"network": {"heads": 0}}),
+    "train-zero-stride": ("train", {"network": {"strides": [4, 2, 0, 2]}}),
+    "train-boolean-lr": ("train", {"lr": True}),
+    "synth-unknown-scene-field": ("synth", {"scene": {"bogus": 1}}),
+    "synth-unknown-oracle-field": ("synth", {"oracle": {"bogus": 1}}),
+    "synth-flat-form": ("synth", {"height": 32, "width": 64}),
+    "synth-misspelt-oracle": ("synth", {"scene": {}, "oracel": {}}),
+    "synth-null-scene": ("synth", {"scene": None}),
+    "simulate-array": ("simulate", []),
+    "simulate-string-count": ("simulate", {"count": "5"}),
+    "sweep-string-n-frames": ("sweep", {"n_frames": "2"}),
+    "sweep-string-patterns": ("sweep", {"patterns": "feature_like"}),
+    "sweep-unknown-pattern": ("sweep", {"patterns": ["bogus"]}),
+    "sweep-zero-count": ("sweep", {"point_counts": [0]}),
+    "sweep-zero-frames": ("sweep", {"n_frames": 0}),
+    "sweep-zero-cap": ("sweep", {"range_caps": [0.0]}),
+}
+
+
+@pytest.mark.parametrize("command, payload", CONFIG_FAULTS.values(), ids=CONFIG_FAULTS.keys())
+def test_config_fault_is_one_line_config_error(command, payload, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
+    # the config is read before any input file, so the other paths need not exist
+    argv = {
+        "train": ["train", "--config", path],
+        "synth": ["synth", "--spec", path],
+        "simulate": ["simulate", "--gt", tmp_path / "gt.fdr1", "--pattern", path, "--out", tmp_path / "p.csv"],
+        "sweep": ["sweep", "--checkpoint", tmp_path / "c.spw1", "--sweep", path],
+    }[command]
+    assert run_cli(*argv, "--out-dir", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_checkpoint_with_malformed_config_is_format_error(tmp_path, capsys):
+    save_checkpoint(tmp_path / "c.spw1", {}, meta={"config": []})
+    code = run_cli(
+        "run", "--checkpoint", tmp_path / "c.spw1", "--relative", tmp_path / "r.fdr1",
+        "--guide", tmp_path / "g.fdr1", "--points", tmp_path / "p.csv",
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "malformed config" in err and err.count("\n") == 1, err
 
 
 class TestAlignDensify:

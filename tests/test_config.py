@@ -1,0 +1,65 @@
+"""The JSON config reader: round trips through `dataclasses.asdict` and the
+typing rules that `from_json` applies."""
+
+import json
+from dataclasses import asdict
+
+import pytest
+
+from conftest import FAST_NET, fast_config
+from spade.config import from_json, read_config
+from spade.densify import JBUParams
+from spade.errors import ConfigError
+from spade.pipeline import RunConfig, SweepSpec
+from spade.sensors import PatternSpec
+from spade.synth import OracleSpec, SceneSpec, SynthSpec
+
+CONFIGS = {
+    "RunConfig": fast_config(),
+    "CCDTConfig": FAST_NET,
+    "JBUParams": JBUParams(window_radius=5, sigma_spatial=2.5),
+    "SweepSpec": SweepSpec(point_counts=(30, 10), patterns=("dvl4", "laser2"), range_caps=(10.0, 0.5), n_frames=2),
+    "PatternSpec": PatternSpec(kind="sonar_line", count=33, sonar_jitter=2, seed=4),
+    "SynthSpec": SynthSpec(SceneSpec(layout="canyon", height=32, seed=5), OracleSpec(s_true=1.4, seed=6)),
+    "SynthSpec-no-oracle": SynthSpec(SceneSpec(width=48)),
+}
+
+
+@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+def test_round_trip(config):
+    assert from_json(type(config), json.loads(json.dumps(asdict(config)))) == config
+
+
+def test_integer_accepted_for_float_and_null_for_optional():
+    cfg = from_json(RunConfig, {"lr": 1, "betas": [0, 1]})
+    assert (cfg.lr, cfg.betas) == (1.0, (0.0, 1.0)) and type(cfg.lr) is float
+    assert from_json(PatternSpec, {"sonar_row": None}).sonar_row is None
+    assert from_json(SynthSpec, {"oracle": None}) == SynthSpec()
+
+
+@pytest.mark.parametrize(
+    "cls, payload, message",
+    [
+        (RunConfig, {"network": {"widths": [8, 12, 16, "20"]}}, "network.widths[3]: expected int"),
+        (RunConfig, {"input_hw": [64, 96, 1]}, "input_hw: expected 2 values, got 3"),
+        (RunConfig, {"epochs": 3.0}, "epochs: expected int, got 3.0"),
+        (RunConfig, {"epochs": False}, "epochs: expected int, got false"),
+        (RunConfig, {"lr": None}, "lr: expected float, got null"),
+        (RunConfig, {"lr": 10**400}, "lr: integer too large for a float"),
+        (RunConfig, {"jbu": [7]}, "jbu must be a JSON object, got list"),
+        (SynthSpec, {"scene": {"layout": "canyon", "depth": 2}}, "unknown fields in scene: ['depth']"),
+        (PatternSpec, "dvl4", "PatternSpec must be a JSON object"),
+    ],
+)
+def test_rejection_names_the_field(cls, payload, message):
+    with pytest.raises(ConfigError) as err:
+        from_json(cls, payload)
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("data", [b"{", b'{"kind": "\xff"}', b"[" * 100_000], ids=["truncated", "not-utf8", "deep"])
+def test_unreadable_file_names_the_path(tmp_path, data):
+    path = tmp_path / "spec.json"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError, match="spec.json"):
+        read_config(PatternSpec, path)

@@ -1,17 +1,24 @@
 """Property tests: whatever bytes the file readers get, they either return a
-value or raise FormatError, never another exception."""
+value or raise FormatError, never another exception; whatever JSON value the
+config reader gets, it returns a config or raises ConfigError."""
 
+import dataclasses
 import json
 import struct
+import typing
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from spade.config import from_json
 from spade.core import read_points, read_raster
-from spade.errors import FormatError
+from spade.errors import ConfigError, FormatError
 from spade.nn import load_checkpoint
+from spade.pipeline import RunConfig, SweepSpec
+from spade.sensors import PATTERN_KINDS, PatternSpec
+from spade.synth import LAYOUTS, SynthSpec
 
 FUZZ = settings(
     derandomize=True,
@@ -81,3 +88,43 @@ fields = (
 def test_points_any_rows_give_only_format_error(tmp_path, rows):
     body = "".join(",".join(row) + "\n" for row in rows)
     read_or_reject(read_points, tmp_path / "p.csv", ("u,v,depth_m\n" + body).encode("utf-8"))
+
+
+# values of each field's annotated type near its valid range, including
+# integers too large for a float, or else any JSON value
+NEAR = {
+    int: st.integers(-1, 64),
+    float: st.floats(-1.0, 16.0) | st.integers(-1, 8) | st.integers(2**1024, 2**1100),
+    str: st.sampled_from(PATTERN_KINDS + LAYOUTS),
+    type(None): st.none(),
+}
+
+
+def near(hint):
+    if dataclasses.is_dataclass(hint):
+        typed = near_valid(hint)
+    elif typing.get_origin(hint) is tuple:
+        typed = st.lists(near(typing.get_args(hint)[0]), max_size=5)
+    elif typing.get_args(hint):  # X | None
+        typed = st.one_of(*map(near, typing.get_args(hint)))
+    else:
+        typed = NEAR[hint]
+    return typed | json_values
+
+
+def near_valid(cls):
+    """Objects over the field names of `cls`, each with a value near its type."""
+    hints = typing.get_type_hints(cls)
+    return st.fixed_dictionaries({}, optional={name: near(hint) for name, hint in hints.items()})
+
+
+@pytest.mark.parametrize("cls", [RunConfig, SweepSpec, PatternSpec, SynthSpec], ids=lambda c: c.__name__)
+@FUZZ
+@given(data=st.data())
+def test_config_reader_gives_config_or_config_error(cls, data):
+    payload = data.draw(json_values | near_valid(cls))
+    try:
+        config = from_json(cls, payload)
+    except ConfigError:
+        return
+    assert isinstance(config, cls)

@@ -1,10 +1,10 @@
-import json
 import threading
 
 import numpy as np
 import pytest
 
 from conftest import fast_config
+from spade.config import from_json
 from spade.core import from_inverse
 from spade.errors import ConfigError
 from spade.metrics import aggregate_metrics, compute_metrics
@@ -28,11 +28,6 @@ from spade.sensors import PatternSpec, sample_pattern
 
 
 class TestRunConfig:
-    def test_round_trip_dict(self):
-        cfg = fast_config()
-        again = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-        assert again == cfg
-
     def test_resolution_validated(self):
         with pytest.raises(ConfigError):
             fast_config(input_hw=(60, 64))
@@ -43,7 +38,7 @@ class TestRunConfig:
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
-            RunConfig.from_dict({"bogus": 1})
+            from_json(RunConfig, {"bogus": 1})
 
 
 class TestNeutralFixedPoint:
