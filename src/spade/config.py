@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 import typing
 
@@ -57,6 +58,9 @@ def _value(tp, value, where: str):
             return float(value)
         except OverflowError:
             raise ConfigError(f"{where}: integer too large for a float") from None
+    if tp is float and type(value) is float and not math.isfinite(value):
+        # Python's json reads NaN and Infinity, which JSON itself does not have
+        raise ConfigError(f"{where}: expected a finite number, got {value}")
     if type(value) is not tp:  # `type`, not isinstance: true and false are not numbers
         raise ConfigError(f"{where}: expected {tp.__name__}, got {_got(value)}")
     return value

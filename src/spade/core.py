@@ -228,6 +228,21 @@ def from_inverse(r: DepthRaster) -> DepthRaster:
     return DepthRaster(out, r.valid, Space.METRIC)
 
 
+def resize_matrix(in_size: int, out_size: int) -> np.ndarray:
+    """Dense (out, in) bilinear interpolation matrix, half-pixel centers, border clamp."""
+    R = np.zeros((out_size, in_size))
+    if in_size == 1:
+        R[:, 0] = 1.0
+        return R
+    src = (np.arange(out_size) + 0.5) * (in_size / out_size) - 0.5
+    src = np.clip(src, 0.0, in_size - 1.0)
+    i0 = np.clip(np.floor(src).astype(int), 0, in_size - 2)
+    frac = src - i0
+    R[np.arange(out_size), i0] += 1.0 - frac
+    R[np.arange(out_size), i0 + 1] += frac
+    return R
+
+
 # ---------------------------------------------------------------------------
 # FDR1 raster file format:
 #   magic "FDR1" | u32 LE width | u32 LE height | u8 space tag

@@ -8,6 +8,8 @@ filled with the neutral factor 1.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +29,11 @@ class JBUParams:
     def __post_init__(self):
         if self.window_radius < 1:
             raise ConfigError(f"window_radius must be >= 1, got {self.window_radius}")
-        if self.sigma_spatial <= 0 or self.sigma_range <= 0:
+        # the kernel divides by 2 sigma^2, which must be a normal, finite float
+        if not all(s > 0 and sys.float_info.min <= s * s < math.inf for s in (self.sigma_spatial, self.sigma_range)):
             raise ConfigError(
-                f"kernel sigmas must be positive, got spatial={self.sigma_spatial}, range={self.sigma_range}"
+                f"kernel sigmas must be positive, with a square that neither underflows nor overflows; "
+                f"got spatial={self.sigma_spatial}, range={self.sigma_range}"
             )
 
 

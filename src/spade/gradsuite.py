@@ -16,10 +16,12 @@ from .nn import (
     DeformableAttention,
     LayerNorm,
     Tensor,
+    batch_norm,
     bilinear_sample,
     conv2d,
     depthwise_conv2d,
     interpolate_bilinear,
+    layer_norm,
     rel_pos_bias,
     softmax,
 )
@@ -52,6 +54,34 @@ def _norm_cases(rng):
         x = Tensor(rng.standard_normal(shape), requires_grad=True)
         r = rng.standard_normal(shape)
         yield lambda: scalarize(ln(x), r), [x, ln.gamma, ln.beta]
+
+
+def _norm_op_cases(rng):
+    # the fused ops themselves: training batch_norm down to B*H*W = 2, eval
+    # BatchNorm2d (an affine in gamma and beta), layer_norm on a transposed view
+    for shape in ((2, 3, 1, 1), (1, 2, 1, 2), (2, 3, 3, 2)):
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, shape[1]), requires_grad=True)
+        beta = Tensor(rng.standard_normal(shape[1]), requires_grad=True)
+        r = rng.standard_normal(shape)
+        yield lambda: scalarize(batch_norm(x, gamma, beta, 1e-5)[0], r), [x, gamma, beta]
+    bn = BatchNorm2d(3).eval()
+    bn.register_buffer("running_mean", rng.standard_normal(3))
+    bn.register_buffer("running_var", rng.uniform(0.5, 2.0, 3))
+    x = Tensor(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)
+    r = rng.standard_normal((2, 3, 4, 4))
+    yield lambda: scalarize(bn(x), r), [x, bn.gamma, bn.beta]
+    for shape in ((2, 5, 3, 4), (1, 4, 2, 3)):
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, shape[1]), requires_grad=True)
+        beta = Tensor(rng.standard_normal(shape[1]), requires_grad=True)
+        r = rng.standard_normal((shape[0], shape[2] * shape[3], shape[1]))
+
+        def tokens_ln(x=x, gamma=gamma, beta=beta, r=r):
+            B, C, H, W = x.shape
+            return scalarize(layer_norm(x.reshape(B, C, H * W).transpose(0, 2, 1), gamma, beta, 1e-6), r)
+
+        yield tokens_ln, [x, gamma, beta]
 
 
 def _activation_cases(rng):
@@ -149,6 +179,7 @@ FAMILIES = {
     "decoder_block": _decoder_cases,
     "losses": _loss_cases,
     "rel_pos_bias": _rel_pos_bias_cases,
+    "norm_ops": _norm_op_cases,
 }
 
 

@@ -122,7 +122,7 @@ class DeformableAttention(Module):
         cc = (np.arange(cfg.grid_w) + 0.5) * g - 0.5
         self._ref = np.stack(np.meshgrid(rr, cc, indexing="ij"), axis=-1).reshape(-1, 2)
 
-    def forward(self, x: Tensor, return_internals=False):
+    def forward(self, x: Tensor) -> Tensor:
         cfg = self.cfg
         B, C, H, W = x.shape
         if (H, W) != (cfg.feat_h, cfg.feat_w) or C != cfg.channels:
@@ -154,26 +154,7 @@ class DeformableAttention(Module):
         attn = softmax(logits + bias, axis=-1)
         heads_out = attn @ v4  # (B, heads, N, d)
         merged = heads_out.transpose(0, 2, 1, 3).reshape(B, N, C)
-        out = self.wo(merged).transpose(0, 2, 1).reshape(B, C, H, W)
-        if return_internals:
-            internals = {
-                "attn": attn.data.copy(),
-                "head_outputs": heads_out.data.copy(),
-                "values": v4.data.copy(),
-                "key_positions": ppos.data.copy(),
-                "offsets": dpos.data.copy(),
-            }
-            return out, internals
-        return out
-
-    def set_identity_projections(self):
-        """Identity q/k/v/out projections and zero bias: reduces the layer to
-        attention over bilinearly sampled grid features (testing hook)."""
-        C = self.cfg.channels
-        for lin in (self.wq, self.wk, self.wv, self.wo):
-            lin.weight.data = np.eye(C)
-            lin.bias.data[:] = 0.0
-        self.rel_bias_table.data[:] = 0.0
+        return self.wo(merged).transpose(0, 2, 1).reshape(B, C, H, W)
 
 
 class TransformerBlock(Module):

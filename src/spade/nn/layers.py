@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
-from .tensor import Tensor, conv2d, depthwise_conv2d
+from .tensor import Tensor, batch_norm, conv2d, depthwise_conv2d, layer_norm
 
 
 class Parameter(Tensor):
@@ -173,27 +173,18 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", np.ones(channels))
 
     def forward(self, x):
-        C = x.shape[1]
-        g = self.gamma.reshape(1, C, 1, 1)
-        b = self.beta.reshape(1, C, 1, 1)
         if self.training:
-            mu = x.mean(axis=(0, 2, 3), keepdims=True)
-            var = ((x - mu) ** 2).mean(axis=(0, 2, 3), keepdims=True)
+            out, mean, var = batch_norm(x, self.gamma, self.beta, self.eps)
             n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
-            unbiased = var.data.reshape(-1) * (n / max(n - 1, 1))
-            self.register_buffer(
-                "running_mean",
-                (1 - self.momentum) * self.running_mean + self.momentum * mu.data.reshape(-1),
-            )
-            self.register_buffer(
-                "running_var", (1 - self.momentum) * self.running_var + self.momentum * unbiased
-            )
-            xhat = (x - mu) / ((var + self.eps) ** 0.5)
-        else:
-            mu = Tensor(self.running_mean.reshape(1, C, 1, 1))
-            var = Tensor(self.running_var.reshape(1, C, 1, 1))
-            xhat = (x - mu) / ((var + self.eps) ** 0.5)
-        return xhat * g + b
+            unbiased = var * (n / max(n - 1, 1))
+            self.register_buffer("running_mean", (1 - self.momentum) * self.running_mean + self.momentum * mean)
+            self.register_buffer("running_var", (1 - self.momentum) * self.running_var + self.momentum * unbiased)
+            return out
+        # one per-channel affine; scale and shift are tensor ops, so gradients still reach gamma and beta
+        C = x.shape[1]
+        scale = self.gamma * Tensor(1.0 / np.sqrt(self.running_var + self.eps))
+        shift = self.beta - Tensor(self.running_mean) * scale
+        return x * scale.reshape(1, C, 1, 1) + shift.reshape(1, C, 1, 1)
 
 
 class LayerNorm(Module):
@@ -204,9 +195,7 @@ class LayerNorm(Module):
         self.beta = Parameter(np.zeros(dim))
 
     def forward(self, x):
-        mu = x.mean(axis=-1, keepdims=True)
-        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-        return (x - mu) / ((var + self.eps) ** 0.5) * self.gamma + self.beta
+        return layer_norm(x, self.gamma, self.beta, self.eps)
 
 
 class MLP(Module):

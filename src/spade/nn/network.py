@@ -36,12 +36,20 @@ class CCDTConfig:
         lists = (self.widths, self.conv_counts, self.trans_counts, self.strides, self.grid_downsamples)
         if any(len(x) != 4 for x in lists):
             raise ConfigError("encoder config requires exactly four stages")
-        if self.heads < 1 or min(self.strides) < 1:
-            raise ConfigError(f"heads {self.heads} and strides {self.strides} must be positive")
+        if self.heads < 1:
+            raise ConfigError(f"heads must be positive, got {self.heads}")
+        if self.strides != (4, 2, 2, 2):
+            raise ConfigError(
+                f"strides must be (4, 2, 2, 2), got {self.strides}: the decoders upsample by 2 and the head by 4"
+            )
         if any(w <= 0 for w in self.widths) or any(w % self.heads for w in self.widths):
             raise ConfigError(f"stage widths {self.widths} must be positive multiples of heads={self.heads}")
         if any(c < 0 for c in self.conv_counts + self.trans_counts):
             raise ConfigError("block counts must be >= 0")
+        if self.mlp_ratio < 1 or self.embed_channels < 1 or self.fused_channels < 1:
+            raise ConfigError("mlp_ratio, embed_channels and fused_channels must be >= 1")
+        if self.decoder_width < 2:
+            raise ConfigError(f"decoder_width must be >= 2 (the output head halves it), got {self.decoder_width}")
 
 
 class ResNetCBAMBlock(Module):

@@ -1,9 +1,10 @@
 """Dense float64 tensor with reverse-mode differentiation.
 
 A thin tape: every op wires a backward closure onto its output; calling
-``backward()`` on a scalar walks the graph in reverse topological order.
-Only the ops this project needs are implemented, each with an analytic
-backward rule that the finite-difference suite checks.
+``backward()`` on a scalar walks the graph once in reverse topological
+order and frees it as it goes. Only the ops this project needs are
+implemented, each with an analytic backward rule that the
+finite-difference suite checks.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from contextvars import ContextVar
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..core import resize_matrix
+from ..errors import ShapeError, SpadeError
 
 # Per-thread (and per-context) switch: a no_grad block in one thread must not
 # stop another thread from recording its graph.
@@ -40,6 +42,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+def _spent(grad):
+    raise SpadeError("the graph was already used by backward(), which frees it; run the forward again")
 
 
 class Tensor:
@@ -69,6 +75,15 @@ class Tensor:
             p.grad = g if p.grad is None else p.grad + g
 
     def backward(self, seed=None):
+        """Accumulate d(self)/d(leaf) into every leaf's `.grad`, once per graph.
+
+        The walk frees the graph behind it: each interior node (one made by
+        an op) loses its closure, its parents and its gradient as soon as its
+        closure has run, so every activation and interior gradient is
+        released once the last closure that needs it is done. Leaves keep
+        their `.grad`. The spent closure raises, so a second backward through
+        any part of the graph fails instead of returning partial gradients.
+        """
         if seed is None:
             if self.data.size != 1:
                 raise ShapeError(f"backward() without seed needs a scalar, got {self.data.shape}")
@@ -87,9 +102,13 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.asarray(seed, dtype=np.float64).reshape(self.data.shape)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._parents, node._backward = None, (), _spent
 
     def zero_grad(self):
         self.grad = None
@@ -359,6 +378,74 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
     return Tensor._make(out_data, (a,), bw)
 
 
+# -- normalization ----------------------------------------------------------------
+# Closed-form backward of y = xhat * gamma + beta, xhat normalized over some
+# axes (Ioffe & Szegedy 2015): with gh = g * gamma,
+# dx = inv * (gh - mean(gh) - xhat * mean(gh * xhat)).
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
+    """Training-mode batch normalization of x (B,C,H,W) over (0, 2, 3) as one node.
+
+    Returns the output and the batch mean and biased variance, each (C,).
+    """
+    x, gamma, beta = Tensor.as_tensor(x), Tensor.as_tensor(gamma), Tensor.as_tensor(beta)
+    B, C, H, W = x.data.shape
+    axes, n = (0, 2, 3), B * H * W
+    mean = x.data.mean(axis=axes, keepdims=True)
+    xhat = x.data - mean
+    var = (xhat * xhat).mean(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    g4 = gamma.data.reshape(1, C, 1, 1)
+    out_data = xhat * g4
+    out_data += beta.data.reshape(1, C, 1, 1)
+
+    def bw(g):
+        # gamma is constant over the reduced axes, so mean(gh) = gamma * mean(g)
+        sg = g.sum(axis=axes, keepdims=True)
+        sgx = (g * xhat).sum(axis=axes, keepdims=True)
+        if gamma.requires_grad:
+            Tensor._accum(gamma, sgx.reshape(C))
+        if beta.requires_grad:
+            Tensor._accum(beta, sg.reshape(C))
+        if x.requires_grad:
+            dx = xhat * (-sgx / n)
+            dx += g
+            dx -= sg / n
+            dx *= g4 * inv
+            Tensor._accum(x, dx)
+
+    return Tensor._make(out_data, (x, gamma, beta), bw), mean.reshape(C), var.reshape(C)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """Layer normalization over the last axis as one node; x may be a
+    non-contiguous view, such as tokens transposed out of a feature map."""
+    x, gamma, beta = Tensor.as_tensor(x), Tensor.as_tensor(gamma), Tensor.as_tensor(beta)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    out_data = xhat * gamma.data
+    out_data += beta.data
+    lead = tuple(range(x.data.ndim - 1))
+
+    def bw(g):
+        if gamma.requires_grad:
+            Tensor._accum(gamma, (g * xhat).sum(axis=lead))
+        if beta.requires_grad:
+            Tensor._accum(beta, g.sum(axis=lead))
+        if x.requires_grad:
+            gh = g * gamma.data
+            dx = xhat * -(gh * xhat).mean(axis=-1, keepdims=True)
+            dx += gh
+            dx -= gh.mean(axis=-1, keepdims=True)
+            dx *= inv
+            Tensor._accum(x, dx)
+
+    return Tensor._make(out_data, (x, gamma, beta), bw)
+
+
 # -- convolution ------------------------------------------------------------------
 
 
@@ -466,27 +553,12 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int 
 # -- resize / sampling -----------------------------------------------------------
 
 
-def _resize_matrix(in_size: int, out_size: int) -> np.ndarray:
-    """Dense (out, in) bilinear interpolation matrix, half-pixel centers, border clamp."""
-    R = np.zeros((out_size, in_size))
-    if in_size == 1:
-        R[:, 0] = 1.0
-        return R
-    src = (np.arange(out_size) + 0.5) * (in_size / out_size) - 0.5
-    src = np.clip(src, 0.0, in_size - 1.0)
-    i0 = np.clip(np.floor(src).astype(int), 0, in_size - 2)
-    frac = src - i0
-    R[np.arange(out_size), i0] += 1.0 - frac
-    R[np.arange(out_size), i0 + 1] += frac
-    return R
-
-
 def interpolate_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Resize (B,C,H,W) -> (B,C,out_h,out_w) with separable bilinear weights."""
     x = Tensor.as_tensor(x)
     B, C, H, W = x.data.shape
-    Rh = _resize_matrix(H, out_h)
-    Rw = _resize_matrix(W, out_w)
+    Rh = resize_matrix(H, out_h)
+    Rw = resize_matrix(W, out_w)
     tmp = np.einsum("oh,bchw->bcow", Rh, x.data, optimize=True)
     out_data = np.einsum("pw,bcow->bcop", Rw, tmp, optimize=True)
 

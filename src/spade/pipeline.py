@@ -78,6 +78,10 @@ class RunConfig:
             raise ConfigError("batch size and frame counts must be positive")
         if self.points_min > self.points_max:
             raise ConfigError(f"points_min {self.points_min} exceeds points_max {self.points_max}")
+        if min(self.pyramid_channels, default=1) < 1:
+            raise ConfigError(f"pyramid_channels {list(self.pyramid_channels)} must all be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def config_hash(cfg: RunConfig) -> str:

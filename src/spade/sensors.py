@@ -44,6 +44,8 @@ class PatternSpec:
             raise ConfigError(f"dvl_fraction must be in (0, 1], got {self.dvl_fraction}")
         if self.laser_baseline_m <= 0 or self.laser_max_range_m <= 0:
             raise ConfigError("laser baseline and max range must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _centered_positions(size: int, n: int) -> np.ndarray:

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DepthRaster, Space
+from .core import DepthRaster, Space, resize_matrix
 from .errors import ConfigError
-from .nn.tensor import _resize_matrix
 
 LAYOUTS = ("plane", "canyon", "seafloor_bumps", "frame_with_ropes")
 
@@ -49,6 +48,8 @@ class SceneSpec:
             raise ConfigError(f"depth_max {self.depth_max} exceeds far cap {self.far_cap}")
         if self.height < 8 or self.width < 8:
             raise ConfigError("scene must be at least 8x8")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,8 @@ class OracleSpec:
             raise ConfigError(f"bias amplitude must be in [0, 0.5], got {self.bias_amplitude}")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,7 @@ def smooth_field(height: int, width: int, wavelength: float, rng: np.random.Gene
     ch = max(int(np.ceil(height / wavelength)) + 1, 2)
     cw = max(int(np.ceil(width / wavelength)) + 1, 2)
     coarse = rng.uniform(-1.0, 1.0, size=(ch, cw))
-    return _resize_matrix(ch, height) @ coarse @ _resize_matrix(cw, width).T
+    return resize_matrix(ch, height) @ coarse @ resize_matrix(cw, width).T
 
 
 def _normalize(x: np.ndarray) -> np.ndarray:

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from spade.errors import ConfigError
-from spade.nn import DeformAttnConfig, DeformableAttention, Tensor, TransformerBlock
+from spade.nn import (
+    DeformAttnConfig,
+    DeformableAttention,
+    Tensor,
+    TransformerBlock,
+    bilinear_sample,
+    rel_pos_bias,
+    softmax,
+)
 from spade.nn.gradcheck import fd_gradcheck, scalarize
 
 RTOL = 1e-4
@@ -25,10 +33,35 @@ def dense_attention_oracle(x: np.ndarray, heads: int) -> np.ndarray:
 
 
 def make_identity_layer(C=8, heads=2, H=5, W=6, rng=None):
+    """Identity q/k/v/out projections; the relative-position table starts at
+    zero, so the layer is attention over bilinearly sampled grid features."""
     cfg = DeformAttnConfig(channels=C, heads=heads, feat_h=H, feat_w=W, grid_downsample=1)
     layer = DeformableAttention(cfg, rng or np.random.default_rng(0))
-    layer.set_identity_projections()
+    for lin in (layer.wq, layer.wk, layer.wv, layer.wo):
+        lin.weight.data, lin.bias.data = np.eye(C), np.zeros(C)
     return layer
+
+
+def forward_internals(layer: DeformableAttention, x: Tensor):
+    """The layer's forward recomputed step by step from its parameters:
+    its output and the intermediates the tests inspect."""
+    cfg = layer.cfg
+    B, C, H, W = x.shape
+    N, Nk, hds, d = H * W, cfg.grid_h * cfg.grid_w, cfg.heads, cfg.head_dim
+    q = layer.wq(x.reshape(B, C, N).transpose(0, 2, 1))
+    off = layer.offset_proj(layer.offset_depthwise(q.transpose(0, 2, 1).reshape(B, C, H, W)).gelu()).tanh()
+    offsets = (off * (cfg.offset_range * cfg.grid_downsample)).reshape(B, 2, Nk).transpose(0, 2, 1)
+    ppos = Tensor(layer._ref[None]) + offsets
+    sampled = bilinear_sample(x, ppos).transpose(0, 2, 1)
+    q4 = q.reshape(B, N, hds, d).transpose(0, 2, 1, 3)
+    k4 = layer.wk(sampled).reshape(B, Nk, hds, d).transpose(0, 2, 1, 3)
+    v4 = layer.wv(sampled).reshape(B, Nk, hds, d).transpose(0, 2, 1, 3)
+    logits = (q4 @ k4.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(d))
+    attn = softmax(logits + rel_pos_bias(layer.rel_bias_table, ppos, H, W, cfg.grid_downsample), axis=-1)
+    heads_out = attn @ v4
+    out = layer.wo(heads_out.transpose(0, 2, 1, 3).reshape(B, N, C)).transpose(0, 2, 1).reshape(B, C, H, W)
+    internals = {"attn": attn.data, "values": v4.data, "head_outputs": heads_out.data, "offsets": offsets.data}
+    return out.data, internals
 
 
 class TestDeformableAttention:
@@ -55,7 +88,8 @@ class TestDeformableAttention:
         layer.offset_proj.weight.data = rng.standard_normal(layer.offset_proj.weight.shape) * 0.3
         layer.offset_proj.bias.data = rng.standard_normal(2) * 0.3
         x = Tensor(rng.standard_normal((2, 8, 6, 6)))
-        _, internals = layer(x, return_internals=True)
+        out, internals = forward_internals(layer, x)
+        np.testing.assert_array_equal(out, layer(x).data)
         attn, values, heads_out = internals["attn"], internals["values"], internals["head_outputs"]
         assert np.all(attn >= 0)
         assert np.max(np.abs(attn.sum(-1) - 1.0)) < 1e-12
@@ -70,7 +104,8 @@ class TestDeformableAttention:
             np.random.default_rng(3),
         )
         x = Tensor(np.random.default_rng(4).standard_normal((1, 8, 4, 4)))
-        _, internals = layer(x, return_internals=True)
+        out, internals = forward_internals(layer, x)
+        np.testing.assert_array_equal(out, layer(x).data)
         assert np.all(internals["offsets"] == 0.0)
 
     def test_grid_divisibility_validated(self):

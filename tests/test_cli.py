@@ -82,6 +82,14 @@ CONFIG_FAULTS = {
     "train-zero-heads": ("train", {"network": {"heads": 0}}),
     "train-zero-stride": ("train", {"network": {"strides": [4, 2, 0, 2]}}),
     "train-boolean-lr": ("train", {"lr": True}),
+    "train-negative-seed": ("train", {"seed": -1}),
+    "train-zero-pyramid-channel": ("train", {"pyramid_channels": [0, 8, 10, 12]}),
+    "train-zero-mlp-ratio": ("train", {"network": {"mlp_ratio": 0}}),
+    "train-decoder-width-one": ("train", {"network": {"decoder_width": 1}}),
+    "train-nan-offset-range": ("train", b'{"network": {"offset_range": NaN}}'),
+    "synth-negative-scene-seed": ("synth", {"scene": {"seed": -1}}),
+    "synth-negative-oracle-seed": ("synth", {"oracle": {"seed": -1}}),
+    "simulate-negative-seed": ("simulate", {"seed": -1}),
     "synth-unknown-scene-field": ("synth", {"scene": {"bogus": 1}}),
     "synth-unknown-oracle-field": ("synth", {"oracle": {"bogus": 1}}),
     "synth-flat-form": ("synth", {"height": 32, "width": 64}),
@@ -112,6 +120,22 @@ def test_config_fault_is_one_line_config_error(command, payload, tmp_path, capsy
     assert run_cli(*argv, "--out-dir", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "synth", "simulate", "gradcheck"])
+def test_negative_seed_flag_is_one_line_config_error(command, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text("{}")
+    argv = {
+        "train": ["train"],
+        "synth": ["synth", "--spec", spec],
+        "simulate": ["simulate", "--gt", tmp_path / "gt.fdr1", "--pattern", spec, "--out", tmp_path / "p.csv"],
+        "gradcheck": ["gradcheck"],
+    }[command]
+    assert run_cli(*argv, "--seed", "-1", "--out-dir", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err == "error: --seed must be >= 0, got -1\n", err
     assert not (tmp_path / "out").exists()
 
 

@@ -49,6 +49,22 @@ def test_integer_accepted_for_float_and_null_for_optional():
         (RunConfig, {"jbu": [7]}, "jbu must be a JSON object, got list"),
         (SynthSpec, {"scene": {"layout": "canyon", "depth": 2}}, "unknown fields in scene: ['depth']"),
         (PatternSpec, "dvl4", "PatternSpec must be a JSON object"),
+        (RunConfig, {"network": {"offset_range": float("nan")}}, "network.offset_range: expected a finite number"),
+        (RunConfig, {"lr": float("inf")}, "lr: expected a finite number, got inf"),
+        # out of range: each would otherwise crash in numpy or in the network build
+        (RunConfig, {"seed": -1}, "seed must be >= 0, got -1"),
+        (SynthSpec, {"scene": {"seed": -1}}, "seed must be >= 0, got -1"),
+        (SynthSpec, {"oracle": {"seed": -2}}, "seed must be >= 0, got -2"),
+        (PatternSpec, {"seed": -1}, "seed must be >= 0, got -1"),
+        (RunConfig, {"pyramid_channels": [0, 8, 10, 12]}, "pyramid_channels [0, 8, 10, 12] must all be >= 1"),
+        (RunConfig, {"pyramid_channels": [16, 32, 48, 0]}, "pyramid_channels [16, 32, 48, 0] must all be >= 1"),
+        (RunConfig, {"network": {"mlp_ratio": 0}}, "mlp_ratio, embed_channels and fused_channels must be >= 1"),
+        (RunConfig, {"network": {"embed_channels": 0}}, "mlp_ratio, embed_channels and fused_channels must be >= 1"),
+        (RunConfig, {"network": {"fused_channels": 0}}, "mlp_ratio, embed_channels and fused_channels must be >= 1"),
+        (RunConfig, {"network": {"decoder_width": 1}}, "decoder_width must be >= 2"),
+        (RunConfig, {"network": {"strides": [2, 2, 2, 2]}}, "strides must be (4, 2, 2, 2), got (2, 2, 2, 2)"),
+        (RunConfig, {"jbu": {"sigma_range": 1e-200}}, "kernel sigmas must be positive"),
+        (RunConfig, {"jbu": {"sigma_spatial": 1e200}}, "kernel sigmas must be positive"),
     ],
 )
 def test_rejection_names_the_field(cls, payload, message):

@@ -16,9 +16,9 @@ from spade.config import from_json
 from spade.core import read_points, read_raster
 from spade.errors import ConfigError, FormatError
 from spade.nn import load_checkpoint
-from spade.pipeline import RunConfig, SweepSpec
-from spade.sensors import PATTERN_KINDS, PatternSpec
-from spade.synth import LAYOUTS, SynthSpec
+from spade.pipeline import RunConfig, SpadeModel, SweepSpec, run_frame
+from spade.sensors import PATTERN_KINDS, PatternSpec, sample_pattern
+from spade.synth import LAYOUTS, OracleSpec, SceneSpec, SynthSpec, generate_scene, oracle_relative
 
 FUZZ = settings(
     derandomize=True,
@@ -128,3 +128,73 @@ def test_config_reader_gives_config_or_config_error(cls, data):
     except ConfigError:
         return
     assert isinstance(config, cls)
+
+
+# a small valid run config, and values near the valid range for each field
+# that shapes the model or the frame: every config the reader accepts must
+# build a model that runs a frame, or be rejected with ConfigError
+SMALL_RUN = {
+    "input_hw": [32, 32],
+    "pyramid_channels": [4, 4, 4, 4],
+    "network": {
+        "widths": [8, 8, 8, 8],
+        "heads": 2,
+        "grid_downsamples": [2, 2, 1, 1],
+        "decoder_width": 8,
+        "embed_channels": 4,
+        "fused_channels": 4,
+    },
+}
+
+
+def four(values):
+    return st.lists(values, min_size=4, max_size=4)
+
+
+odd_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([1e-200, 1e200])
+NEAR_RUN = {
+    "input_hw": st.sampled_from([[32, 64], [0, 32], [48, 32]]),
+    "pyramid_channels": four(st.integers(-1, 6)) | st.lists(st.integers(1, 4), max_size=5),
+    "seed": st.integers(-2, 3),
+    "jbu.window_radius": st.integers(-1, 3),
+    "jbu.sigma_spatial": st.floats(-1.0, 4.0) | odd_floats,
+    "jbu.sigma_range": st.floats(-1.0, 1.0) | odd_floats,
+    "network.widths": four(st.sampled_from([-2, 0, 2, 3, 4, 6])) | st.lists(st.just(4), max_size=5),
+    "network.conv_counts": four(st.integers(-1, 2)),
+    "network.trans_counts": four(st.integers(-1, 2)),
+    "network.strides": four(st.integers(0, 5)),
+    "network.grid_downsamples": four(st.integers(0, 3)),
+    "network.heads": st.integers(-1, 4),
+    "network.offset_range": st.floats(-1.0, 8.0) | odd_floats,
+    "network.mlp_ratio": st.integers(-1, 3),
+    "network.decoder_width": st.integers(-1, 8),
+    "network.embed_channels": st.integers(-1, 4),
+    "network.fused_channels": st.integers(-1, 4),
+}
+
+
+@pytest.fixture(scope="module")
+def small_frames():
+    frames = {}
+    for h, w in ((32, 32), (32, 64)):
+        gt, guide = generate_scene(SceneSpec(height=h, width=w, seed=1))
+        pts = sample_pattern(gt, PatternSpec(count=20, seed=2), guide=guide)
+        frames[(h, w)] = (oracle_relative(gt, OracleSpec(seed=3)), guide, pts)
+    return frames
+
+
+@settings(FUZZ, max_examples=150)
+@given(data=st.data())
+def test_accepted_run_config_builds_and_runs_a_frame(small_frames, data):
+    payload = json.loads(json.dumps(SMALL_RUN))
+    for key in data.draw(st.lists(st.sampled_from(sorted(NEAR_RUN)), min_size=1, max_size=2, unique=True)):
+        *outer, name = key.split(".")
+        target = payload.setdefault(outer[0], {}) if outer else payload
+        target[name] = data.draw(NEAR_RUN[key], label=key)
+    try:
+        cfg = from_json(RunConfig, payload)
+        model = SpadeModel(cfg)
+        result = run_frame(model, *small_frames[cfg.input_hw])
+    except ConfigError:
+        return
+    assert result.eps_hat.shape == cfg.input_hw

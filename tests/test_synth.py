@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import spade
 
 from spade.alignment import align_global
 from spade.core import Space
@@ -123,3 +130,12 @@ class TestOracle:
             OracleSpec(s_true=0.0)
         with pytest.raises(ConfigError):
             OracleSpec(bias_amplitude=0.6)
+
+
+def test_import_does_not_load_the_network_package():
+    # synth is numpy-only; its resize matrix lives in spade.core
+    src = Path(spade.__file__).parent.parent
+    code = "import sys, spade.synth; print('spade.nn' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
