@@ -2,7 +2,8 @@
 
 Fits scale/shift (or scale only) between an affine-invariant prediction and
 sparse inverse-depth measurements by closed-form least squares, with the
-negative-scale fallback, plus the two-point laser-baseline scale.
+negative-scale fallback, plus the two-point laser-baseline scale. Every fit
+returns a finite scale, shift and residual, or raises FitOverflowError.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .errors import (
     AlignmentFailureError,
     DegenerateDesignError,
     DomainError,
+    FitOverflowError,
     InconsistentMeasurementsError,
     InsufficientPointsError,
 )
@@ -43,10 +45,29 @@ class AffineFit:
         }
 
 
+def _finite(what: str, *values) -> None:
+    if not all(np.all(np.isfinite(x)) for x in values):
+        raise FitOverflowError(f"{what} overflowed float64")
+
+
+# the public fits run with numpy's warnings off and test what they compute with _finite
+_quiet = np.errstate(all="ignore")
+
+
 def _residual_rms(z, v, s, t):
-    return float(np.sqrt(np.mean((s * z + t - v) ** 2)))
+    rms = float(np.sqrt(np.mean((s * z + t - v) ** 2)))
+    _finite("fit residual", rms)
+    return rms
 
 
+def _aligned_raster(z: DepthRaster, s: float, t: float) -> DepthRaster:
+    aligned = s * z.values + t
+    valid = z.valid & (aligned > 0)
+    _finite("aligned inverse depth", aligned[valid])
+    return DepthRaster(np.where(valid, aligned, 0.0), valid, Space.INVERSE)
+
+
+@_quiet
 def fit_scale_shift(z_at_points, v) -> tuple[float, float]:
     """Closed-form argmin over (s, t) of sum((s*z_i + t - v_i)^2).
 
@@ -61,16 +82,18 @@ def fit_scale_shift(z_at_points, v) -> tuple[float, float]:
     if n < 2:
         raise InsufficientPointsError(f"scale/shift fit needs >= 2 points, got {n}")
     var = float(np.mean(z * z) - np.mean(z) ** 2)
-    if var < VARIANCE_FLOOR:
-        raise DegenerateDesignError(f"z variance {var:.3e} below {VARIANCE_FLOOR:.0e}")
     sz, sv = z.sum(), v.sum()
     szz, szv = float(z @ z), float(z @ v)
     det = n * szz - sz * sz
     s = (n * szv - sz * sv) / det
     t = (sv - s * sz) / n
+    if var < VARIANCE_FLOOR:
+        raise DegenerateDesignError(f"z variance {var:.3e} below {VARIANCE_FLOOR:.0e}")
+    _finite("scale/shift fit", var, sz, sv, szz, szv, det, s, t)
     return float(s), float(t)
 
 
+@_quiet
 def fit_scale_only(z_at_points, v) -> float:
     """Closed-form argmin over s of sum((s*z_i - v_i)^2): s = sum(zv)/sum(z^2)."""
     z = np.asarray(z_at_points, dtype=np.float64)
@@ -79,10 +102,11 @@ def fit_scale_only(z_at_points, v) -> float:
         raise DomainError(f"length mismatch: {z.shape} vs {v.shape}")
     if z.size < 1:
         raise InsufficientPointsError("scale-only fit needs >= 1 point")
-    szz = float(z @ z)
+    szz, szv = float(z @ z), float(z @ v)
     if szz <= 0:
-        raise DegenerateDesignError("all z samples are zero")
-    s = float(z @ v) / szz
+        raise DegenerateDesignError("the sum of squared z samples is 0")
+    s = szv / szz
+    _finite("scale-only fit", szz, szv, s)
     if s <= 0:
         raise InconsistentMeasurementsError(
             f"scale-only fit produced s={s:.6g} <= 0; measurements contradict a positive-depth scene"
@@ -90,6 +114,7 @@ def fit_scale_only(z_at_points, v) -> float:
     return s
 
 
+@_quiet
 def align_global(z: DepthRaster, pts: SparsePointSet) -> tuple[DepthRaster, AffineFit]:
     """Align an affine-invariant raster to sparse measurements.
 
@@ -121,12 +146,10 @@ def align_global(z: DepthRaster, pts: SparsePointSet) -> tuple[DepthRaster, Affi
             raise AlignmentFailureError(f"joint fit unusable and scale-only fallback failed: {e}")
         fit = AffineFit(s, 0.0, "scale_only", _residual_rms(z_samp, v, s, 0.0), len(usable))
 
-    aligned = fit.s * z.values + fit.t
-    valid = z.valid & (aligned > 0)
-    out = np.where(valid, aligned, 0.0)
-    return DepthRaster(out, valid, Space.INVERSE), fit
+    return _aligned_raster(z, fit.s, fit.t), fit
 
 
+@_quiet
 def laser_scale(p1, p2, intrinsics: CameraIntrinsics, baseline_m: float) -> float:
     """Global scale from two parallel-laser projections a fixed baseline apart.
 
@@ -141,7 +164,8 @@ def laser_scale(p1, p2, intrinsics: CameraIntrinsics, baseline_m: float) -> floa
     if baseline_m <= 0:
         raise DomainError(f"baseline must be positive, got {baseline_m}")
     fx, cx = intrinsics.fx, intrinsics.cx
-    s = ((u2 - cx) / (fx * z2) - (u1 - cx) / (fx * z1)) / baseline_m
+    s = float((np.float64(u2 - cx) / (fx * z2) - np.float64(u1 - cx) / (fx * z1)) / baseline_m)
+    _finite("laser scale", s)
     if s <= 0:
         raise InconsistentMeasurementsError(
             f"laser geometry produced s={s:.6g} <= 0; check point ordering and intrinsics"
@@ -149,6 +173,7 @@ def laser_scale(p1, p2, intrinsics: CameraIntrinsics, baseline_m: float) -> floa
     return float(s)
 
 
+@_quiet
 def align_with_laser(
     z: DepthRaster, pts: SparsePointSet, intrinsics: CameraIntrinsics, baseline_m: float
 ) -> tuple[DepthRaster, AffineFit]:
@@ -166,6 +191,4 @@ def align_with_laser(
     z_samp = np.array([zz for _, zz in samples])
     v = 1.0 / np.array([p.depth_m for p in ordered])
     fit = AffineFit(s, 0.0, "laser_baseline", _residual_rms(z_samp, v, s, 0.0), 2)
-    aligned = s * z.values
-    valid = z.valid & (aligned > 0)
-    return DepthRaster(np.where(valid, aligned, 0.0), valid, Space.INVERSE), fit
+    return _aligned_raster(z, s, 0.0), fit

@@ -67,9 +67,12 @@ def _parse_floats(text, n, what):
     if len(parts) != n:
         raise ConfigError(f"{what} expects {n} comma-separated values, got {text!r}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise ConfigError(f"{what}: could not parse {text!r}")
+    if not all(np.isfinite(values)):
+        raise ConfigError(f"{what} values must be finite, got {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------

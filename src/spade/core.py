@@ -141,10 +141,6 @@ class SparsePointSet:
                     f"point (u={p.u}, v={p.v_row}) outside raster {raster.width}x{raster.height}"
                 )
 
-    def inverse_depths(self) -> np.ndarray:
-        """v = 1/d for every point, in point order."""
-        return 1.0 / np.array([p.depth_m for p in self.points], dtype=np.float64)
-
     def __repr__(self) -> str:
         return f"SparsePointSet({len(self.points)} points)"
 
@@ -254,9 +250,15 @@ _HEADER = struct.Struct("<4sIIB")
 
 
 def write_raster(r: DepthRaster, path) -> None:
+    with np.errstate(over="ignore"):
+        values = r.values.astype("<f4")
+    try:  # the checks read_raster applies to the stored values
+        DepthRaster._validate(values, r.valid, r.space)
+    except DomainError as e:
+        raise DomainError(f"{e} after rounding to float32") from None
     buf = io.BytesIO()
     buf.write(_HEADER.pack(_MAGIC, r.width, r.height, _SPACE_TAGS[r.space]))
-    buf.write(r.values.astype("<f4").tobytes())
+    buf.write(values.tobytes())
     buf.write(r.valid.astype(np.uint8).tobytes())
     with open(path, "wb") as f:
         f.write(buf.getvalue())
@@ -295,13 +297,9 @@ def read_raster(path) -> DepthRaster:
         raise FormatError(f"{e} of a {_TAG_SPACES[tag].value} raster")
 
 
-def scale_map_to_raster(m: ScaleMap) -> DepthRaster:
+def raster_to_scale_map(r: DepthRaster) -> ScaleMap:
     """Scale maps travel in FDR1 containers under the unitless (affine) tag;
     the raster mask carries the known mask."""
-    return DepthRaster(m.values, m.known, Space.AFFINE)
-
-
-def raster_to_scale_map(r: DepthRaster) -> ScaleMap:
     if r.space is not Space.AFFINE:
         raise DomainError("scale maps are stored under the unitless (affine) tag")
     return ScaleMap(r.values, r.valid)

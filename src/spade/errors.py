@@ -37,6 +37,10 @@ class InconsistentMeasurementsError(NumericError):
     """Measurements imply a non-positive scale for a positive-depth scene."""
 
 
+class FitOverflowError(NumericError):
+    """Alignment arithmetic left the float64 range."""
+
+
 class AlignmentFailureError(NumericError):
     """Both the joint fit and the scale-only fallback failed."""
 

@@ -51,10 +51,6 @@ class Module:
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
-    def named_buffers(self, prefix=""):
-        for _, k, b in self._walk_buffers(prefix):
-            yield k, b
-
     def train(self, mode=True):
         object.__setattr__(self, "training", mode)
         for m in self._modules.values():
@@ -64,16 +60,12 @@ class Module:
     def eval(self):
         return self.train(False)
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
-
     def param_count(self) -> int:
         return int(sum(p.data.size for p in self.parameters()))
 
     def state_dict(self) -> dict:
         state = {f"param.{k}": p.data.copy() for k, p in self.named_parameters()}
-        state.update({f"buffer.{k}": b.copy() for k, b in self.named_buffers()})
+        state.update({f"buffer.{k}": b.copy() for _, k, b in self._walk_buffers()})
         return state
 
     def load_state_dict(self, state: dict):

@@ -14,16 +14,17 @@ from .layers import BatchNorm2d, Conv2d, Module, ModuleList
 from .tensor import Tensor, concat, interpolate_bilinear
 
 SOFTPLUS_INV_ONE = float(np.log(np.e - 1.0))  # head bias making the neutral output 1 (to within 1e-15)
+# encoder stage strides, 1/4..1/32 of the input: the decoders upsample by 2 and the head by 4
+STRIDES = (4, 2, 2, 2)
 
 
 @dataclass(frozen=True)
 class CCDTConfig:
-    """Per-stage encoder layout; strides produce 1/4..1/32 of the input."""
+    """Per-stage encoder layout; the stages run at the fixed STRIDES."""
 
     widths: tuple[int, ...] = (32, 64, 96, 128)
     conv_counts: tuple[int, ...] = (1, 1, 2, 2)
     trans_counts: tuple[int, ...] = (1, 1, 2, 2)
-    strides: tuple[int, ...] = (4, 2, 2, 2)
     grid_downsamples: tuple[int, ...] = (2, 2, 2, 1)
     heads: int = 4
     offset_range: float = 4.0
@@ -33,15 +34,11 @@ class CCDTConfig:
     fused_channels: int = 32
 
     def __post_init__(self):
-        lists = (self.widths, self.conv_counts, self.trans_counts, self.strides, self.grid_downsamples)
+        lists = (self.widths, self.conv_counts, self.trans_counts, self.grid_downsamples)
         if any(len(x) != 4 for x in lists):
             raise ConfigError("encoder config requires exactly four stages")
         if self.heads < 1:
             raise ConfigError(f"heads must be positive, got {self.heads}")
-        if self.strides != (4, 2, 2, 2):
-            raise ConfigError(
-                f"strides must be (4, 2, 2, 2), got {self.strides}: the decoders upsample by 2 and the head by 4"
-            )
         if any(w <= 0 for w in self.widths) or any(w % self.heads for w in self.widths):
             raise ConfigError(f"stage widths {self.widths} must be positive multiples of heads={self.heads}")
         if any(c < 0 for c in self.conv_counts + self.trans_counts):
@@ -119,12 +116,11 @@ class CCDTStage(Module):
 class FeaturePyramid(Module):
     """Trainable strided-conv pyramid over the guide image: 4 levels at 1/4..1/32."""
 
-    def __init__(self, rng, in_ch=1, channels=(16, 32, 48, 64)):
+    def __init__(self, rng, channels):
         super().__init__()
         if len(channels) != 4:
             raise ConfigError("feature pyramid needs exactly four levels")
-        self.channels = tuple(channels)
-        self.conv1 = Conv2d(in_ch, channels[0], 5, rng, stride=4)
+        self.conv1 = Conv2d(1, channels[0], 5, rng, stride=4)
         self.conv2 = Conv2d(channels[0], channels[1], 3, rng, stride=2)
         self.conv3 = Conv2d(channels[1], channels[2], 3, rng, stride=2)
         self.conv4 = Conv2d(channels[2], channels[3], 3, rng, stride=2)
@@ -218,14 +214,11 @@ class RefinementNet(Module):
     """Predict a dense positive scale-correction map from the densified sparse
     corrections, the aligned inverse depth, and fused guide features."""
 
-    def __init__(self, cfg: CCDTConfig, input_hw, pyramid_channels=(16, 32, 48, 64), rng=None):
+    def __init__(self, cfg: CCDTConfig, input_hw, pyramid_channels, rng):
         super().__init__()
-        if rng is None:
-            rng = np.random.default_rng(0)
         H, W = input_hw
         if H % 32 or W % 32:
             raise ConfigError(f"input resolution {H}x{W} must be divisible by 32")
-        self.cfg = cfg
         self.input_hw = (H, W)
         e = cfg.embed_channels
         self.embed_eps = Conv2d(1, e, 3, rng)
@@ -235,13 +228,13 @@ class RefinementNet(Module):
         in_ch = 2 * e + cfg.fused_channels
         stages = []
         h, w = H, W
-        for i in range(4):
-            h, w = h // cfg.strides[i], w // cfg.strides[i]
+        for i, stride in enumerate(STRIDES):
+            h, w = h // stride, w // stride
             stages.append(
                 CCDTStage(
                     in_ch,
                     cfg.widths[i],
-                    cfg.strides[i],
+                    stride,
                     cfg.conv_counts[i],
                     cfg.trans_counts[i],
                     h,

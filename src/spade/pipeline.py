@@ -31,7 +31,7 @@ from .errors import (
 )
 from .losses import loss_total
 from .metrics import MetricReport, aggregate_metrics, compute_metrics
-from .nn import CCDTConfig, FeaturePyramid, RefinementNet, Tensor, no_grad
+from .nn import CCDTConfig, FeaturePyramid, Module, RefinementNet, Tensor, no_grad
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .optim import AdamW
 from .sensors import PATTERN_KINDS, PatternSpec, sample_pattern, subsample
@@ -136,8 +136,8 @@ def default_intrinsics(h: int, w: int) -> CameraIntrinsics:
     return CameraIntrinsics(fx=float(w), fy=float(w), cx=(w - 1) / 2.0, cy=(h - 1) / 2.0)
 
 
-class SpadeModel:
-    """Refinement network plus feature pyramid under one checkpointable roof.
+class SpadeModel(Module):
+    """Feature pyramid feeding the refinement network: one checkpointable module.
 
     Freshly built models are neutral: the output head weight is zero, so the
     predicted correction is 1 to within 1e-14 and the pipeline reduces to
@@ -151,12 +151,11 @@ class SpadeModel:
     def __init__(self, cfg: RunConfig, seed: int | None = None, init: str = "neutral"):
         if init not in ("neutral", "train"):
             raise ConfigError(f"unknown init mode {init!r}")
+        super().__init__()
         self.cfg = cfg
         rng = np.random.default_rng([cfg.seed if seed is None else seed, 7])
-        self.pyramid = FeaturePyramid(rng, in_ch=1, channels=cfg.pyramid_channels)
-        self.refine = RefinementNet(
-            cfg.network, cfg.input_hw, pyramid_channels=cfg.pyramid_channels, rng=rng
-        )
+        self.pyramid = FeaturePyramid(rng, cfg.pyramid_channels)
+        self.refine = RefinementNet(cfg.network, cfg.input_hw, cfg.pyramid_channels, rng)
         if init == "train":
             head = self.refine.head.conv3
             fan_in = head.weight.data.shape[1]
@@ -166,37 +165,8 @@ class SpadeModel:
                 * rng.uniform(-1.0, 1.0, size=head.weight.data.shape)
             )
 
-    def train(self):
-        self.pyramid.train()
-        self.refine.train()
-        return self
-
-    def eval(self):
-        self.pyramid.eval()
-        self.refine.eval()
-        return self
-
-    def parameters(self):
-        return self.pyramid.parameters() + self.refine.parameters()
-
-    def param_count(self) -> int:
-        return self.pyramid.param_count() + self.refine.param_count()
-
-    def state_dict(self) -> dict:
-        state = {f"pyramid.{k}": v for k, v in self.pyramid.state_dict().items()}
-        state.update({f"refine.{k}": v for k, v in self.refine.state_dict().items()})
-        return state
-
-    def load_state_dict(self, state: dict):
-        stray = sorted(k for k in state if not k.startswith(("pyramid.", "refine.")))
-        if stray:
-            raise ConfigError(f"checkpoint has unexpected entries: {stray[:5]}")
-        self.pyramid.load_state_dict(
-            {k[len("pyramid.") :]: v for k, v in state.items() if k.startswith("pyramid.")}
-        )
-        self.refine.load_state_dict(
-            {k[len("refine.") :]: v for k, v in state.items() if k.startswith("refine.")}
-        )
+    def forward(self, eps_dense: Tensor, z_tilde: Tensor, guide: Tensor) -> Tensor:
+        return self.refine(eps_dense, z_tilde, self.pyramid(guide))
 
     def save(self, path, extra_meta: dict | None = None):
         meta = {"config": asdict(self.cfg), "seed": self.cfg.seed}
@@ -271,26 +241,12 @@ def build_corpus(cfg: RunConfig, split: str, n_frames: int | None = None) -> lis
 # ---------------------------------------------------------------------------
 
 
-def stage1_align(
-    z_rel: DepthRaster, pts: SparsePointSet, laser: LaserRig | None = None
-) -> tuple[DepthRaster, AffineFit]:
-    """Global alignment with laser routing: a laser rig plus a two-point set
-    takes the baseline path and never attempts the joint fit."""
-    if laser is not None and len(pts) == 2:
-        return align_with_laser(z_rel, pts, laser.intrinsics, laser.baseline_m)
-    return align_global(z_rel, pts)
-
-
-def densified_corrections(
-    pts: SparsePointSet, aligned: DepthRaster, jbu: JBUParams
-) -> tuple[np.ndarray, np.ndarray]:
+def densified_corrections(pts: SparsePointSet, aligned: DepthRaster, jbu: JBUParams) -> np.ndarray:
     """Sparse corrections propagated by JBU and hole-filled with 1."""
     usable = SparsePointSet([p for p in pts if aligned.valid[p.v_row, p.u]])
     if len(usable) == 0:
         raise EmptyEvaluationError("no sparse points survive alignment masking")
-    eps = sparse_scale_map(usable, aligned)
-    dense = fill_default(jbu_densify(eps, aligned, jbu))
-    return dense.values, eps.known
+    return fill_default(jbu_densify(sparse_scale_map(usable, aligned), aligned, jbu)).values
 
 
 def run_frame(
@@ -306,14 +262,16 @@ def run_frame(
     cfg = model.cfg
     if z_rel.shape != tuple(cfg.input_hw):
         raise ConfigError(f"frame {z_rel.shape} does not match configured input {cfg.input_hw}")
-    aligned, fit = stage1_align(z_rel, pts, laser)
-    eps_dense, _ = densified_corrections(pts, aligned, cfg.jbu)
+    if laser is not None and len(pts) == 2:  # a laser pair never attempts the joint fit
+        aligned, fit = align_with_laser(z_rel, pts, laser.intrinsics, laser.baseline_m)
+    else:
+        aligned, fit = align_global(z_rel, pts)
+    eps_dense = densified_corrections(pts, aligned, cfg.jbu)
 
     model.eval()
     with no_grad():
-        feats = model.pyramid(Tensor(guide.values[None, None]))
-        eps_hat = model.refine(
-            Tensor(eps_dense[None, None]), Tensor(aligned.values[None, None]), feats
+        eps_hat = model(
+            Tensor(eps_dense[None, None]), Tensor(aligned.values[None, None]), Tensor(guide.values[None, None])
         )
     eps_hat_map = eps_hat.data[0, 0]
     refined_inv = np.where(aligned.valid, aligned.values * eps_hat_map, 0.0)
@@ -334,29 +292,25 @@ def _subsample_seed(cfg_seed: int, epoch: int, frame_idx: int) -> int:
     return (cfg_seed * 1_000_003 + epoch * 10_007 + frame_idx * 101) & 0x7FFFFFFF
 
 
-def _frame_training_arrays(frame: FrameData, pts: SparsePointSet, cfg: RunConfig):
+def _training_sample(frame: FrameData, pts: SparsePointSet, cfg: RunConfig):
+    """(densified corrections, aligned inverse depth, target inverse depth, loss mask, guide)"""
     aligned, _ = align_global(frame.z_rel, pts)
-    eps_dense, _ = densified_corrections(pts, aligned, cfg.jbu)
+    eps_dense = densified_corrections(pts, aligned, cfg.jbu)
     target_inv = np.zeros(frame.gt.shape)
     np.divide(1.0, frame.gt.values, out=target_inv, where=frame.gt.valid)
     mask = frame.gt.valid & aligned.valid
-    return eps_dense, aligned.values, target_inv, mask
+    return eps_dense, aligned.values, target_inv, mask, frame.guide.values
 
 
-def _batch_loss(model: SpadeModel, batch: list):
-    eps_b = Tensor(np.stack([b[0] for b in batch])[:, None])
-    z_b = np.stack([b[1] for b in batch])[:, None]
-    guide_b = Tensor(np.stack([b[4] for b in batch])[:, None])
-    feats = model.pyramid(guide_b)
-    eps_hat = model.refine(eps_b, Tensor(z_b), feats)
-    zhat = eps_hat * Tensor(z_b)
+def _batch_loss(model: SpadeModel, batch: list) -> Tensor:
+    eps, z, targets, masks, guides = zip(*batch)
+    z_b = Tensor(np.stack(z)[:, None])
+    zhat = model(Tensor(np.stack(eps)[:, None]), z_b, Tensor(np.stack(guides)[:, None])) * z_b
     total = None
-    reports = []
-    for i, (_, _, target, mask, _) in enumerate(batch):
-        frame_loss, rep = loss_total(zhat[i, 0], target, mask)
-        reports.append(rep)
+    for i, (target, mask) in enumerate(zip(targets, masks)):
+        frame_loss, _ = loss_total(zhat[i, 0], target, mask)
         total = frame_loss if total is None else total + frame_loss
-    return total * (1.0 / len(batch)), reports
+    return total * (1.0 / len(batch))
 
 
 def train(cfg: RunConfig, out_dir=None, quiet=False):
@@ -367,7 +321,6 @@ def train(cfg: RunConfig, out_dir=None, quiet=False):
     network sees a slightly different correction field each epoch.
     """
     train_frames = build_corpus(cfg, "train")
-    val_frames = build_corpus(cfg, "val")
     model = SpadeModel(cfg, init="train")
     opt = AdamW(
         model.parameters(),
@@ -375,6 +328,9 @@ def train(cfg: RunConfig, out_dir=None, quiet=False):
         betas=cfg.betas,
         weight_decay=cfg.weight_decay,
     )
+    # validation inputs, built once; built before the model they raised peak RSS by 8 MB
+    val = [_training_sample(f, f.points, cfg) for f in build_corpus(cfg, "val")]
+    val_batches = [val[i : i + cfg.batch_size] for i in range(0, len(val), cfg.batch_size)]
 
     history = []
     for epoch in range(1, cfg.epochs + 1):
@@ -383,16 +339,13 @@ def train(cfg: RunConfig, out_dir=None, quiet=False):
         model.train()
         epoch_losses = []
         for start in range(0, len(order), cfg.batch_size):
-            idxs = order[start : start + cfg.batch_size]
             batch = []
-            for fi in idxs:
+            for fi in order[start : start + cfg.batch_size]:
                 frame = train_frames[fi]
-                pts = subsample(
-                    frame.points, cfg.subsample_fraction, seed=_subsample_seed(cfg.seed, epoch, int(fi))
-                )
-                eps_dense, z_vals, target, mask = _frame_training_arrays(frame, pts, cfg)
-                batch.append((eps_dense, z_vals, target, mask, frame.guide.values))
-            loss, _ = _batch_loss(model, batch)
+                seed = _subsample_seed(cfg.seed, epoch, int(fi))
+                pts = subsample(frame.points, cfg.subsample_fraction, seed=seed)
+                batch.append(_training_sample(frame, pts, cfg))
+            loss = _batch_loss(model, batch)
             if not np.isfinite(loss.data):
                 raise DivergenceError(f"training loss became non-finite at epoch {epoch}")
             opt.zero_grad()
@@ -401,15 +354,8 @@ def train(cfg: RunConfig, out_dir=None, quiet=False):
             epoch_losses.append(loss.item())
 
         model.eval()
-        val_losses = []
         with no_grad():
-            for vi in range(0, len(val_frames), cfg.batch_size):
-                batch = []
-                for frame in val_frames[vi : vi + cfg.batch_size]:
-                    eps_dense, z_vals, target, mask = _frame_training_arrays(frame, frame.points, cfg)
-                    batch.append((eps_dense, z_vals, target, mask, frame.guide.values))
-                vloss, _ = _batch_loss(model, batch)
-                val_losses.append(vloss.item())
+            val_losses = [_batch_loss(model, batch).item() for batch in val_batches]
         entry = {
             "epoch": epoch,
             "lr": opt.lr,

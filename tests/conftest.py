@@ -9,7 +9,6 @@ FAST_NET = CCDTConfig(
     widths=(8, 12, 16, 20),
     conv_counts=(1, 1, 1, 1),
     trans_counts=(1, 1, 1, 1),
-    strides=(4, 2, 2, 2),
     grid_downsamples=(2, 2, 1, 1),
     heads=2,
     decoder_width=12,

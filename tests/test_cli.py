@@ -1,5 +1,6 @@
 
 import json
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -10,7 +11,7 @@ from spade.cli import main
 from spade.core import read_points, read_raster, write_points, write_raster, Space
 from spade.core import SparsePointSet
 from spade.nn import save_checkpoint
-from spade.pipeline import build_corpus
+from spade.pipeline import SpadeModel, build_corpus
 
 
 def run_cli(*argv):
@@ -150,6 +151,43 @@ def test_checkpoint_with_malformed_config_is_format_error(tmp_path, capsys):
     assert err.startswith("error: ") and "malformed config" in err and err.count("\n") == 1, err
 
 
+def test_checkpoint_in_the_old_layout_is_format_error(scene_dir, tmp_path, capsys):
+    # before the model was one module: tensors named "pyramid.param.conv1.weight"
+    # and so on, and a config that still held network.strides
+    cfg = fast_config()
+    state = {}
+    for key, value in SpadeModel(cfg).state_dict().items():
+        kind, root, rest = key.split(".", 2)
+        state[f"{root}.{kind}.{rest}"] = value
+    config = asdict(cfg)
+    config["network"]["strides"] = [4, 2, 2, 2]
+    save_checkpoint(tmp_path / "old.spw1", state, meta={"config": config, "seed": cfg.seed})
+    write_points(SparsePointSet([(3, 4, 2.0), (10, 12, 1.5), (40, 20, 2.5)]), tmp_path / "p.csv")
+    code = run_cli(
+        "run", "--checkpoint", tmp_path / "old.spw1", "--relative", scene_dir / "relative.fdr1",
+        "--guide", scene_dir / "guide.fdr1", "--points", tmp_path / "p.csv", "--out-dir", tmp_path / "out",
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "['strides']" in err and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("depth", ["5e-324", "1e-300"])
+def test_align_overflow_is_one_line_numeric_error(scene_dir, tmp_path, capsys, depth):
+    (tmp_path / "p.csv").write_text(f"u,v,depth_m\n3,4,{depth}\n10,12,2.0\n40,20,1.5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(
+            "align", "--relative", scene_dir / "relative.fdr1", "--points", tmp_path / "p.csv",
+            "--out", tmp_path / "aligned.fdr1", "--fit-report", tmp_path / "fit.json",
+        )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflowed" in err and err.count("\n") == 1, err
+    assert not (tmp_path / "aligned.fdr1").exists() and not (tmp_path / "fit.json").exists()
+
+
 class TestAlignDensify:
     def test_align_recovers_oracle(self, scene_dir, tmp_path):
         pat = tmp_path / "p.json"
@@ -199,12 +237,12 @@ class TestAlignDensify:
             "--out", tmp_path / "aligned.fdr1",
         )
         # build the sparse scale map through the library, then densify via CLI
-        from spade.core import scale_map_to_raster
+        from spade.core import DepthRaster
         from spade.densify import sparse_scale_map
 
         aligned = read_raster(tmp_path / "aligned.fdr1")
         eps = sparse_scale_map(read_points(pts), aligned)
-        write_raster(scale_map_to_raster(eps), tmp_path / "eps.fdr1")
+        write_raster(DepthRaster(eps.values, eps.known, Space.AFFINE), tmp_path / "eps.fdr1")
         code = run_cli(
             "densify", "--scale-map", tmp_path / "eps.fdr1", "--guide", tmp_path / "aligned.fdr1",
             "--radius", 5, "--sigma-s", 2.5, "--sigma-r", 0.1, "--out", tmp_path / "dense.fdr1",

@@ -62,7 +62,7 @@ def test_integer_accepted_for_float_and_null_for_optional():
         (RunConfig, {"network": {"embed_channels": 0}}, "mlp_ratio, embed_channels and fused_channels must be >= 1"),
         (RunConfig, {"network": {"fused_channels": 0}}, "mlp_ratio, embed_channels and fused_channels must be >= 1"),
         (RunConfig, {"network": {"decoder_width": 1}}, "decoder_width must be >= 2"),
-        (RunConfig, {"network": {"strides": [2, 2, 2, 2]}}, "strides must be (4, 2, 2, 2), got (2, 2, 2, 2)"),
+        (RunConfig, {"network": {"strides": [4, 2, 2, 2]}}, "unknown fields in network: ['strides']"),
         (RunConfig, {"jbu": {"sigma_range": 1e-200}}, "kernel sigmas must be positive"),
         (RunConfig, {"jbu": {"sigma_spatial": 1e200}}, "kernel sigmas must be positive"),
     ],

@@ -103,6 +103,16 @@ class TestRasterIO:
         write_raster(r, tmp_path / "r.fdr1")
         assert read_raster(tmp_path / "r.fdr1") == r
 
+    @pytest.mark.parametrize("value, space", [(1e39, Space.INVERSE), (-1e39, Space.AFFINE), (1e-50, Space.METRIC)])
+    def test_write_refuses_values_float32_cannot_hold(self, tmp_path, value, space):
+        r = DepthRaster([[1.0, value]], [[True, True]], space)
+        with pytest.raises(DomainError, match=r"valid pixel \(u=1, v=0\) after rounding to float32"):
+            write_raster(r, tmp_path / "r.fdr1")
+        assert not (tmp_path / "r.fdr1").exists()
+        # the same value at an invalid pixel is not checked, here or by read_raster
+        write_raster(DepthRaster([[1.0, value]], [[True, False]], space), tmp_path / "r.fdr1")
+        assert read_raster(tmp_path / "r.fdr1").valid.tolist() == [[True, False]]
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.fdr1"
         p.write_bytes(b"XXXX" + b"\x00" * 16)
@@ -190,4 +200,5 @@ class TestScaleMap:
 
     def test_point_helpers(self):
         pts = SparsePointSet([Point(2, 1, 2.0), Point(0, 0, 4.0)])
-        assert pts.inverse_depths().tolist() == [0.5, 0.25]
+        assert len(pts) == 2
+        assert [(p.u, p.v_row, p.depth_m) for p in pts] == [(2, 1, 2.0), (0, 0, 4.0)]

@@ -1,20 +1,23 @@
 """Property tests: whatever bytes the file readers get, they either return a
 value or raise FormatError, never another exception; whatever JSON value the
-config reader gets, it returns a config or raises ConfigError."""
+config reader gets, it returns a config or raises ConfigError; whatever finite
+inputs the alignment fits get, they return finite values or raise SpadeError."""
 
 import dataclasses
 import json
 import struct
 import typing
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from spade.alignment import align_global, align_with_laser, fit_scale_only, fit_scale_shift, laser_scale
 from spade.config import from_json
-from spade.core import read_points, read_raster
-from spade.errors import ConfigError, FormatError
+from spade.core import CameraIntrinsics, DepthRaster, Point, Space, SparsePointSet, read_points, read_raster
+from spade.errors import ConfigError, FormatError, SpadeError
 from spade.nn import load_checkpoint
 from spade.pipeline import RunConfig, SpadeModel, SweepSpec, run_frame
 from spade.sensors import PATTERN_KINDS, PatternSpec, sample_pattern
@@ -198,3 +201,76 @@ def test_accepted_run_config_builds_and_runs_a_frame(small_frames, data):
     except ConfigError:
         return
     assert result.eps_hat.shape == cfg.input_hw
+
+
+# inputs to the alignment fits: ordinary values, so that many fits succeed,
+# with up to two of them replaced by any finite value, the float64 extremes included
+ordinary = st.floats(-2.0, 2.0)
+ordinary_positive = st.floats(0.05, 20.0)
+any_finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, 5e-324, 1e-300, 1e300, -1e300])
+any_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | st.sampled_from(
+    [5e-324, 1e-300, 1e308]
+)
+positive = ordinary_positive | any_positive
+
+
+def mostly(data, typical, extreme, n):
+    values = data.draw(st.lists(typical, min_size=n, max_size=n))
+    for i in data.draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        values[i] = data.draw(extreme)
+    return values
+
+
+def finite_or_spade_error(fit, *args):
+    """fit(*args), or None if it raises SpadeError; any numpy warning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return fit(*args)
+        except SpadeError:
+            return None
+
+
+@FUZZ
+@given(data=st.data(), n=st.integers(1, 4))
+def test_fits_return_finite_values_or_raise(data, n):
+    z, v = mostly(data, ordinary, any_finite, n), mostly(data, ordinary_positive, any_positive, n)
+    for fit in (fit_scale_shift, fit_scale_only):
+        out = finite_or_spade_error(fit, z, v)
+        assert out is None or np.all(np.isfinite(out)), (fit.__name__, out)
+    z1, z2 = mostly(data, ordinary_positive, any_positive, 2)
+    u1, u2 = data.draw(st.integers(0, 63)), data.draw(st.integers(0, 63))
+    K = CameraIntrinsics(fx=data.draw(positive), fy=1.0, cx=data.draw(ordinary | any_finite), cy=0.0)
+    s = finite_or_spade_error(laser_scale, (u1, z1), (u2, z2), K, data.draw(positive))
+    assert s is None or np.isfinite(s)
+
+
+@FUZZ
+@given(data=st.data())
+def test_alignment_is_finite_or_raises(data):
+    h, w = 3, 4
+    values = np.array(mostly(data, ordinary, any_finite, h * w)).reshape(h, w)
+    valid = np.array(data.draw(st.lists(st.sampled_from([True, True, False]), min_size=h * w, max_size=h * w)))
+    valid = valid.reshape(h, w)
+    z = DepthRaster(values, valid, Space.AFFINE)
+    pixel = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
+    pixels = data.draw(st.lists(pixel, min_size=1, max_size=5, unique=True))
+    depths = mostly(data, ordinary_positive, any_positive, len(pixels))
+    pts = SparsePointSet([Point(u, v, d) for (u, v), d in zip(pixels, depths)])
+    K = CameraIntrinsics(fx=data.draw(positive), fy=1.0, cx=data.draw(ordinary | any_finite), cy=0.0)
+    results = [finite_or_spade_error(align_global, z, pts)]
+    if len(pts) >= 2:
+        laser_pair = SparsePointSet(list(pts)[:2])
+        results.append(finite_or_spade_error(align_with_laser, z, laser_pair, K, data.draw(positive)))
+    for result in results:
+        if result is not None:
+            aligned, fit = result
+            assert np.all(np.isfinite([fit.s, fit.t, fit.residual_rms])), fit
+            assert aligned.space is Space.INVERSE
+
+    # the fallback: a joint fit with s <= 0 ends in a scale-only fit or an error
+    usable = [p for p in pts if valid[p.v_row, p.u]]
+    z_samples, v = [values[p.v_row, p.u] for p in usable], [1 / p.depth_m for p in usable]
+    joint = finite_or_spade_error(fit_scale_shift, z_samples, v)
+    if joint is not None and joint[0] <= 0 and results[0] is not None:
+        assert results[0][1].mode == "scale_only"

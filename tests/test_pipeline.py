@@ -100,6 +100,21 @@ class TestTraining:
             tmp_path / "b/checkpoint.spw1"
         ).read_bytes()
 
+    def test_validation_inputs_are_built_once(self, monkeypatch):
+        import spade.pipeline
+
+        cfg = fast_config(epochs=2, train_frames=4, val_frames=3)
+        calls = []
+        densify = spade.pipeline.jbu_densify
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return densify(*args, **kwargs)
+
+        monkeypatch.setattr(spade.pipeline, "jbu_densify", counted)
+        train(cfg, quiet=True)
+        assert len(calls) == cfg.epochs * cfg.train_frames + cfg.val_frames
+
     def test_no_grad_in_another_thread_leaves_this_thread_recording(self):
         entered, release = threading.Event(), threading.Event()
 
