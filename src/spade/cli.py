@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Subcommands: synth, simulate, align, densify, train, run, eval, sweep,
-gradcheck, report. Exit codes: 0 ok, 2 config error, 3 numeric failure,
-4 I/O or format error.
+gradcheck, report. Each accepts only the flags it reads; any other flag is
+a usage error. A checkpoint carries its config and seed, so `run
+--checkpoint` refuses --config and --seed and `sweep` has neither. Exit
+codes: 0 ok, 2 config or usage error, 3 numeric failure, 4 I/O or format
+error.
 """
 
 from __future__ import annotations
@@ -161,6 +164,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.checkpoint and (args.config or args.seed is not None):
+        raise ConfigError("a checkpoint carries its config and seed: --checkpoint takes no --config or --seed")
     model = SpadeModel.load(args.checkpoint) if args.checkpoint else SpadeModel(_load_config(args))
     z = read_raster(args.relative)
     guide = read_raster(args.guide)
@@ -244,9 +249,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
     spec = read_config(SweepSpec, args.sweep) if args.sweep else SweepSpec()
-    model = SpadeModel.load(args.checkpoint, cfg=cfg if args.config else None)
+    model = SpadeModel.load(args.checkpoint)
     report = sweep(model, model.cfg, spec)
     report["config_hash"] = config_hash(model.cfg)
     out = Path(args.out_dir)
@@ -289,74 +293,72 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"spade {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="RunConfig JSON file")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--out-dir", default="out", help="output directory")
+    shared = {
+        "--config": dict(help="RunConfig JSON file"),
+        "--seed": dict(type=int, default=None, help="seed override"),
+        "--out-dir": dict(default="out", help="output directory"),
+    }
+
+    def command(name, fn, summary, *flags):
+        """A subcommand with those of the shared flags it reads."""
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        p.set_defaults(fn=fn)
         return p
 
-    p = common(sub.add_parser("synth", help="generate a synthetic scene (+ optional oracle raster)"))
+    p = command("synth", cmd_synth, "generate a synthetic scene (+ optional oracle raster)", "--seed", "--out-dir")
     p.add_argument("--spec", required=True, help="scene (and optional oracle) spec JSON")
-    p.set_defaults(fn=cmd_synth)
 
-    p = common(sub.add_parser("simulate", help="sample sparse points from dense ground truth"))
+    p = command("simulate", cmd_simulate, "sample sparse points from dense ground truth", "--seed")
     p.add_argument("--gt", required=True)
     p.add_argument("--pattern", required=True, help="pattern spec JSON")
     p.add_argument("--out", required=True, help="output CSV")
     p.add_argument("--intrinsics", help="fx,fy,cx,cy (laser2 pattern)")
     p.add_argument("--guide", help="guide raster for feature_like sampling")
-    p.set_defaults(fn=cmd_simulate)
 
-    p = common(sub.add_parser("align", help="stage-1 global alignment"))
+    p = command("align", cmd_align, "stage-1 global alignment")
     p.add_argument("--relative", required=True)
     p.add_argument("--points", required=True)
     p.add_argument("--laser", help="fx,cx,B,u1,u2 for the two-point laser path")
     p.add_argument("--out", required=True)
     p.add_argument("--fit-report", help="JSON fit report path")
-    p.set_defaults(fn=cmd_align)
 
-    p = common(sub.add_parser("densify", help="JBU densification of a sparse scale map"))
+    p = command("densify", cmd_densify, "JBU densification of a sparse scale map")
     p.add_argument("--scale-map", required=True)
     p.add_argument("--guide", required=True, help="aligned inverse-depth raster")
     p.add_argument("--radius", type=int, default=JBUParams().window_radius)
     p.add_argument("--sigma-s", type=float, default=JBUParams().sigma_spatial)
     p.add_argument("--sigma-r", type=float, default=JBUParams().sigma_range)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_densify)
 
-    p = common(sub.add_parser("train", help="train the refinement network on synthetic scenes"))
-    p.set_defaults(fn=cmd_train)
+    command("train", cmd_train, "train the refinement network on synthetic scenes", "--config", "--seed", "--out-dir")
 
-    p = common(sub.add_parser("run", help="full two-stage inference on one frame"))
-    p.add_argument("--checkpoint", help="SPW1 checkpoint (neutral model if omitted)")
+    p = command("run", cmd_run, "full two-stage inference on one frame", "--config", "--seed", "--out-dir")
+    p.add_argument("--checkpoint", help="SPW1 checkpoint, which carries its config and seed (neutral model if omitted)")
     p.add_argument("--relative", required=True)
     p.add_argument("--guide", required=True)
     p.add_argument("--points", required=True)
     p.add_argument("--gt")
     p.add_argument("--laser", help="fx,cx,B for the two-point laser path")
     p.add_argument("--cap", type=float, default=None, help="metric range cap")
-    p.set_defaults(fn=cmd_run)
 
-    p = common(sub.add_parser("eval", help="metrics for prediction/ground-truth rasters"))
+    p = command("eval", cmd_eval, "metrics for prediction/ground-truth rasters")
     p.add_argument("--pred", required=True, help="raster file or directory")
     p.add_argument("--gt", required=True, help="raster file or directory")
     p.add_argument("--cap", type=float, default=10.0)
     p.add_argument("--points", help="points CSV or directory (prior depth statistics)")
     p.add_argument("--out", required=True, help="JSON report path")
-    p.set_defaults(fn=cmd_eval)
 
-    p = common(sub.add_parser("sweep", help="sparsity/pattern/range sweep with GA baseline"))
-    p.add_argument("--checkpoint", required=True)
+    p = command("sweep", cmd_sweep, "sparsity/pattern/range sweep with GA baseline", "--out-dir")
+    p.add_argument("--checkpoint", required=True, help="SPW1 checkpoint; the sweep uses its config and seed")
     p.add_argument("--sweep", help="SweepSpec JSON")
-    p.set_defaults(fn=cmd_sweep)
 
-    p = common(sub.add_parser("gradcheck", help="finite-difference gradient suite"))
-    p.set_defaults(fn=cmd_gradcheck)
+    command("gradcheck", cmd_gradcheck, "finite-difference gradient suite", "--seed")
 
-    p = common(sub.add_parser("report", help="error maps and metric tables"))
+    p = command("report", cmd_report, "error maps and metric tables", "--out-dir")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.set_defaults(fn=cmd_report)
 
     return parser
 
@@ -364,8 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        seed = getattr(args, "seed", None)
+        if seed is not None and seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {seed}")
         return args.fn(args)
     except SpadeError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DepthRaster, ScaleMap, Space, SparsePointSet
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, NumericError, ShapeError
 
 K_UNDERFLOW = 1e-300  # below this the normalizer is treated as "no neighbours"
 
@@ -29,7 +29,7 @@ class JBUParams:
     def __post_init__(self):
         if self.window_radius < 1:
             raise ConfigError(f"window_radius must be >= 1, got {self.window_radius}")
-        # the kernel divides by 2 sigma^2, which must be a normal, finite float
+        # the kernel divides by sigma^2, which must be a normal, finite float
         if not all(s > 0 and sys.float_info.min <= s * s < math.inf for s in (self.sigma_spatial, self.sigma_range)):
             raise ConfigError(
                 f"kernel sigmas must be positive, with a square that neither underflows nor overflows; "
@@ -50,7 +50,13 @@ def sparse_scale_map(pts: SparsePointSet, z_tilde: DepthRaster) -> ScaleMap:
             raise DomainError(
                 f"aligned map is not positive at point pixel (u={p.u}, v={p.v_row})"
             )
-        values[p.v_row, p.u] = (1.0 / p.depth_m) / zt
+        eps = (1.0 / float(p.depth_m)) / float(zt)  # Python floats overflow to inf without a warning
+        if not 0.0 < eps < math.inf:
+            raise DomainError(
+                f"correction factor (1/{p.depth_m}) / {zt} at point pixel (u={p.u}, v={p.v_row}) "
+                f"is {eps}, outside the positive float64 range"
+            )
+        values[p.v_row, p.u] = eps
         known[p.v_row, p.u] = True
     return ScaleMap(values, known)
 
@@ -80,8 +86,9 @@ def jbu_densify(eps: ScaleMap, z_tilde: DepthRaster, params: JBUParams = JBUPara
     if eps.shape != z_tilde.shape:
         raise ShapeError(f"scale map {eps.shape} vs guide {z_tilde.shape}")
     r = params.window_radius
-    inv2ss = 1.0 / (2.0 * params.sigma_spatial**2)
-    inv2sr = 1.0 / (2.0 * params.sigma_range**2)
+    # 0.5 / sigma^2 has the bits of 1 / (2 sigma^2), and stays positive where 2 sigma^2 overflows
+    inv2ss = 0.5 / params.sigma_spatial**2
+    inv2sr = 0.5 / params.sigma_range**2
 
     h, w = eps.shape
     guide = z_tilde.values.ravel()
@@ -93,9 +100,10 @@ def jbu_densify(eps: ScaleMap, z_tilde: DepthRaster, params: JBUParams = JBUPara
     dy, dx = dy.reshape(-1, 1), dx.reshape(-1, 1)
     inside = (qy >= dy) & (qy < h + dy) & (qx >= dx) & (qx < w + dx)
     target = (q - (dy * w + dx))[inside]
-    f = np.broadcast_to(np.exp(-(dy * dy + dx * dx) * inv2ss), inside.shape)[inside]
     dz = guide[target] - np.broadcast_to(guide[q], inside.shape)[inside]
-    wgt = f * np.exp(-(dz * dz) * inv2sr)
+    with np.errstate(over="ignore"):  # an exponent past float64 is a weight of 0 either way
+        f = np.broadcast_to(np.exp(-(dy * dy + dx * dx) * inv2ss), inside.shape)[inside]
+        wgt = f * np.exp(-(dz * dz) * inv2sr)
     vals = np.broadcast_to(eps.values.ravel()[q], inside.shape)[inside]
     num = np.bincount(target, weights=wgt * vals, minlength=h * w).reshape(h, w)
     den = np.bincount(target, weights=wgt, minlength=h * w).reshape(h, w)
@@ -103,6 +111,11 @@ def jbu_densify(eps: ScaleMap, z_tilde: DepthRaster, params: JBUParams = JBUPara
     ok = (den >= K_UNDERFLOW) & z_tilde.valid
     out = np.zeros((h, w), dtype=np.float64)
     np.divide(num, den, out=out, where=ok)
+    bad = ok & ~((out > 0) & (out < math.inf))
+    if bad.any():
+        y, x = np.argwhere(bad)[0]
+        how = "overflowed" if out[y, x] == math.inf else "underflowed to 0"
+        raise NumericError(f"JBU weighted mean of the known factors at pixel (u={x}, v={y}) {how} in float64")
     # a measured point on an invalid guide pixel contributes nothing and is dropped
     return ScaleMap(out, eps.known & ok, filled=ok)
 

@@ -28,6 +28,7 @@ from .nn import (
 from .nn.gradcheck import fd_gradcheck, scalarize
 
 TOLERANCE = 1e-4
+MAX_ELEMS = 20  # elements checked per tensor
 
 
 def _conv_cases(rng):
@@ -183,7 +184,7 @@ FAMILIES = {
 }
 
 
-def run_suite(seed: int = 0, max_elems: int = 20) -> dict:
+def run_suite(seed: int = 0) -> dict:
     """Run every family; returns {family: worst relative error} plus timing."""
     results = {}
     start = time.perf_counter()
@@ -191,7 +192,7 @@ def run_suite(seed: int = 0, max_elems: int = 20) -> dict:
         rng = np.random.default_rng([seed, fam_idx])
         worst = 0.0
         for i, (fn, wrt) in enumerate(case_gen(rng)):
-            worst = max(worst, fd_gradcheck(fn, wrt, max_elems=max_elems, seed=seed + i))
+            worst = max(worst, fd_gradcheck(fn, wrt, max_elems=MAX_ELEMS, seed=seed + i))
         results[name] = worst
     return {
         "families": results,

@@ -4,7 +4,6 @@ ground-truth validity mask."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,24 +14,6 @@ SILOG_LAMBDA = 0.85
 SILOG_BETA = 10.0
 GRAD_WEIGHT = 0.5
 GRAD_SCALES = 3
-
-
-@dataclass(frozen=True)
-class LossReport:
-    rmse_loss: float
-    silog_loss: float
-    grad_loss: float
-    total: float
-    valid_pixel_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "rmse": self.rmse_loss,
-            "silog": self.silog_loss,
-            "grad": self.grad_loss,
-            "total": self.total,
-            "valid_pixels": self.valid_pixel_count,
-        }
 
 
 def _check_inputs(pred: Tensor, target: np.ndarray, mask: np.ndarray):
@@ -49,16 +30,15 @@ def loss_rmse(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
     return (d * d).mean().sqrt()
 
 
-def loss_silog(pred: Tensor, target: np.ndarray, mask: np.ndarray,
-               lam: float = SILOG_LAMBDA, beta: float = SILOG_BETA) -> Tensor:
-    """beta * sqrt(mean(g^2) - lam * mean(g)^2), g = log(pred) - log(target)."""
+def loss_silog(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
+    """SILOG_BETA * sqrt(mean(g^2) - SILOG_LAMBDA * mean(g)^2), g = log(pred) - log(target)."""
     _check_inputs(pred, target, mask)
     if np.any(pred.data[mask] <= 0):
         raise DomainError("silog loss needs strictly positive predictions at valid pixels")
     if np.any(target[mask] <= 0):
         raise DomainError("silog loss needs strictly positive targets at valid pixels")
     g = pred[mask].log() - Tensor(np.log(target[mask]))
-    return ((g * g).mean() - lam * g.mean() ** 2).sqrt() * beta
+    return ((g * g).mean() - SILOG_LAMBDA * g.mean() ** 2).sqrt() * SILOG_BETA
 
 
 def _pool_masked(pred: Tensor, target: np.ndarray, mask: np.ndarray):
@@ -76,8 +56,7 @@ def _pool_masked(pred: Tensor, target: np.ndarray, mask: np.ndarray):
     return pred_dn, target_dn, count > 0
 
 
-def loss_grad(pred: Tensor, target: np.ndarray, mask: np.ndarray,
-              num_scales: int = GRAD_SCALES) -> Tensor:
+def loss_grad(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
     """Multi-scale mean absolute forward differences of the residual.
 
     Per scale the horizontal and vertical differences are averaged over the
@@ -88,7 +67,7 @@ def loss_grad(pred: Tensor, target: np.ndarray, mask: np.ndarray,
     _check_inputs(pred, target, mask)
     terms = []
     p, t, m = pred, target, mask
-    for k in range(num_scales):
+    for k in range(GRAD_SCALES):
         h, w = m.shape
         if h < 2 and w < 2:
             warnings.warn(f"gradient loss: scale {k} is {h}x{w}, skipping remaining scales")
@@ -110,7 +89,7 @@ def loss_grad(pred: Tensor, target: np.ndarray, mask: np.ndarray,
             terms.append(term)
         else:
             terms.append(Tensor(0.0))
-        if k + 1 < num_scales:
+        if k + 1 < GRAD_SCALES:
             p, t, m = _pool_masked(p, t, m)
     if not terms:
         return Tensor(0.0)
@@ -120,17 +99,9 @@ def loss_grad(pred: Tensor, target: np.ndarray, mask: np.ndarray,
     return total * (1.0 / len(terms))
 
 
-def loss_total(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> tuple[Tensor, LossReport]:
+def loss_total(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
     """Weighted sum: rmse + silog + 0.5 * grad."""
     r = loss_rmse(pred, target, mask)
     s = loss_silog(pred, target, mask)
     g = loss_grad(pred, target, mask)
-    total = r + s + GRAD_WEIGHT * g
-    report = LossReport(
-        rmse_loss=r.item(),
-        silog_loss=s.item(),
-        grad_loss=g.item(),
-        total=total.item(),
-        valid_pixel_count=int(mask.sum()),
-    )
-    return total, report
+    return r + s + GRAD_WEIGHT * g

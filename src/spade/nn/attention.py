@@ -18,10 +18,14 @@ from .layers import Conv2d, DepthwiseConv2d, Linear, LayerNorm, MLP, Module, Par
 from .tensor import Tensor, bilinear_sample, concat, rel_pos_bias, softmax
 
 
+CBAM_REDUCTION = 8
+CBAM_SPATIAL_KERNEL = 7
+
+
 class ChannelAttention(Module):
-    def __init__(self, channels, rng, reduction=8):
+    def __init__(self, channels, rng):
         super().__init__()
-        hidden = max(channels // reduction, 4)
+        hidden = max(channels // CBAM_REDUCTION, 4)
         self.fc1 = Linear(channels, hidden, rng)
         self.fc2 = Linear(hidden, channels, rng)
 
@@ -34,9 +38,9 @@ class ChannelAttention(Module):
 
 
 class SpatialAttention(Module):
-    def __init__(self, rng, kernel=7):
+    def __init__(self, rng):
         super().__init__()
-        self.conv = Conv2d(2, 1, kernel, rng)
+        self.conv = Conv2d(2, 1, CBAM_SPATIAL_KERNEL, rng)
 
     def forward(self, x):
         avg = x.mean(axis=1, keepdims=True)
@@ -47,10 +51,10 @@ class SpatialAttention(Module):
 class CBAM(Module):
     """Sequential channel-then-spatial sigmoid gating on a feature map."""
 
-    def __init__(self, channels, rng, reduction=8, spatial_kernel=7):
+    def __init__(self, channels, rng):
         super().__init__()
-        self.channel = ChannelAttention(channels, rng, reduction)
-        self.spatial = SpatialAttention(rng, spatial_kernel)
+        self.channel = ChannelAttention(channels, rng)
+        self.spatial = SpatialAttention(rng)
 
     def forward(self, x):
         x = x * self.channel(x)

@@ -59,8 +59,16 @@ def _entries(manifest) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """(state, meta) of an SPW1 file; a malformed file is a FormatError that names it."""
     with open(path, "rb") as f:
         raw = f.read()
+    try:
+        return _parse(raw)
+    except FormatError as e:
+        raise FormatError(f"checkpoint {path}: {e}") from None
+
+
+def _parse(raw: bytes) -> tuple[dict[str, np.ndarray], dict]:
     if len(raw) < 8:
         raise FormatError("truncated checkpoint header", byte_offset=len(raw))
     if raw[:4] != _MAGIC:

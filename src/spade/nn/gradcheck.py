@@ -12,12 +12,11 @@ import numpy as np
 
 from .tensor import Tensor, no_grad
 
-DEFAULT_STEP = 1e-6
-DEFAULT_RTOL = 1e-4
+STEP = 1e-6
 REL_FLOOR = 1e-3
 
 
-def fd_gradcheck(fn, wrt, h=DEFAULT_STEP, max_elems=48, seed=0):
+def fd_gradcheck(fn, wrt, max_elems=48, seed=0):
     """Worst relative error between tape gradients and central differences.
 
     fn   : nullary callable rebuilding the scalar loss from the tensors in wrt
@@ -41,14 +40,14 @@ def fd_gradcheck(fn, wrt, h=DEFAULT_STEP, max_elems=48, seed=0):
         idxs = range(n) if n <= max_elems else rng.choice(n, size=max_elems, replace=False)
         for i in idxs:
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + STEP
             with no_grad():
                 lp = fn().item()
-            flat[i] = orig - h
+            flat[i] = orig - STEP
             with no_grad():
                 lm = fn().item()
             flat[i] = orig
-            fd = (lp - lm) / (2.0 * h)
+            fd = (lp - lm) / (2.0 * STEP)
             a = an_flat[i]
             if not (np.isfinite(fd) and np.isfinite(a)):
                 return np.inf

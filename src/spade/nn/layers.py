@@ -118,47 +118,46 @@ class ModuleList(Module):
 
 
 class Conv2d(Module):
-    def __init__(self, in_ch, out_ch, kernel, rng, stride=1, padding=None, bias=True):
+    """Biased convolution padded by kernel // 2 (none for 1x1)."""
+
+    def __init__(self, in_ch, out_ch, kernel, rng, stride=1):
         super().__init__()
-        if padding is None:
-            padding = kernel // 2
-        self.stride, self.padding = stride, padding
+        self.stride, self.padding = stride, kernel // 2
         fan_in = in_ch * kernel * kernel
         self.weight = Parameter(kaiming_uniform(rng, (out_ch, in_ch, kernel, kernel), fan_in))
-        self.bias = Parameter(np.zeros(out_ch)) if bias else None
+        self.bias = Parameter(np.zeros(out_ch))
 
     def forward(self, x):
         return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
 
 class DepthwiseConv2d(Module):
-    def __init__(self, channels, kernel, rng, stride=1, padding=None, bias=True):
+    def __init__(self, channels, kernel, rng, stride=1):
         super().__init__()
-        if padding is None:
-            padding = kernel // 2
-        self.stride, self.padding = stride, padding
+        self.stride, self.padding = stride, kernel // 2
         self.weight = Parameter(kaiming_uniform(rng, (channels, kernel, kernel), kernel * kernel))
-        self.bias = Parameter(np.zeros(channels)) if bias else None
+        self.bias = Parameter(np.zeros(channels))
 
     def forward(self, x):
         return depthwise_conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
 
 class Linear(Module):
-    def __init__(self, in_dim, out_dim, rng, bias=True):
+    def __init__(self, in_dim, out_dim, rng):
         super().__init__()
         self.weight = Parameter(kaiming_uniform(rng, (in_dim, out_dim), in_dim))
-        self.bias = Parameter(np.zeros(out_dim)) if bias else None
+        self.bias = Parameter(np.zeros(out_dim))
 
     def forward(self, x):
-        y = x @ self.weight
-        return y + self.bias if self.bias is not None else y
+        return x @ self.weight + self.bias
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels, eps=1e-5, momentum=0.1):
+    eps = 1e-5
+    momentum = 0.1
+
+    def __init__(self, channels):
         super().__init__()
-        self.eps, self.momentum = eps, momentum
         self.gamma = Parameter(np.ones(channels))
         self.beta = Parameter(np.zeros(channels))
         self.register_buffer("running_mean", np.zeros(channels))
@@ -180,9 +179,10 @@ class BatchNorm2d(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim, eps=1e-6):
+    eps = 1e-6
+
+    def __init__(self, dim):
         super().__init__()
-        self.eps = eps
         self.gamma = Parameter(np.ones(dim))
         self.beta = Parameter(np.zeros(dim))
 

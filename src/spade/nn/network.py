@@ -61,7 +61,7 @@ class ResNetCBAMBlock(Module):
         self.bn2 = BatchNorm2d(out_ch)
         self.cbam = CBAM(out_ch, rng)
         if stride != 1 or in_ch != out_ch:
-            self.skip_conv = Conv2d(in_ch, out_ch, 1, rng, stride=stride, padding=0)
+            self.skip_conv = Conv2d(in_ch, out_ch, 1, rng, stride=stride)
             self.skip_bn = BatchNorm2d(out_ch)
         else:
             self.skip_conv = None
@@ -139,10 +139,10 @@ class FeatureFusion(Module):
     def __init__(self, channels, out_ch, rng):
         super().__init__()
         c1, c2, c3, c4 = channels
-        self.fuse3 = Conv2d(c4 + c3, c3, 1, rng, padding=0)
-        self.fuse2 = Conv2d(c3 + c2, c2, 1, rng, padding=0)
-        self.fuse1 = Conv2d(c2 + c1, c1, 1, rng, padding=0)
-        self.out = Conv2d(c1, out_ch, 1, rng, padding=0)
+        self.fuse3 = Conv2d(c4 + c3, c3, 1, rng)
+        self.fuse2 = Conv2d(c3 + c2, c2, 1, rng)
+        self.fuse1 = Conv2d(c2 + c1, c1, 1, rng)
+        self.out = Conv2d(c1, out_ch, 1, rng)
 
     def forward(self, feats):
         f1, f2, f3, f4 = feats
@@ -167,7 +167,7 @@ class DPTDecoderBlock(Module):
 
     def __init__(self, skip_ch, width, rng):
         super().__init__()
-        self.proj = Conv2d(skip_ch, width, 1, rng, padding=0)
+        self.proj = Conv2d(skip_ch, width, 1, rng)
         self.rcu = ResidualConvUnit(width, rng)
 
     def forward(self, skip: Tensor, deeper: Tensor | None = None) -> Tensor:
@@ -188,7 +188,7 @@ class OutputHead(Module):
         super().__init__()
         self.conv1 = Conv2d(width, width // 2, 3, rng)
         self.conv2 = Conv2d(width // 2, 32, 3, rng)
-        self.conv3 = Conv2d(32, 1, 1, rng, padding=0)
+        self.conv3 = Conv2d(32, 1, 1, rng)
         self.conv3.weight.data[:] = 0.0
         self.conv3.bias.data[:] = SOFTPLUS_INV_ONE
 

@@ -184,9 +184,6 @@ class Tensor:
 
         return Tensor._make(out_data, (a, b), bw)
 
-    def __rtruediv__(self, other):
-        return Tensor.as_tensor(other) / self
-
     def __pow__(self, p):
         if not np.isscalar(p):
             raise ShapeError("only scalar exponents are supported")
@@ -211,11 +208,6 @@ class Tensor:
         return Tensor._make(out_data, (a, b), bw)
 
     # -- elementwise functions -------------------------------------------------
-
-    def exp(self):
-        a = self
-        out_data = np.exp(a.data)
-        return Tensor._make(out_data, (a,), lambda g: Tensor._accum(a, g * out_data))
 
     def log(self):
         a = self

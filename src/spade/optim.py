@@ -6,11 +6,12 @@ import numpy as np
 
 
 class AdamW:
-    def __init__(self, params, lr=2e-4, betas=(0.9, 0.999), eps=1e-8, weight_decay=1e-2):
+    eps = 1e-8
+
+    def __init__(self, params, lr=2e-4, betas=(0.9, 0.999), weight_decay=1e-2):
         self.params = list(params)
         self.lr = float(lr)
         self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]

@@ -175,17 +175,20 @@ class SpadeModel(Module):
         save_checkpoint(path, self.state_dict(), meta=meta)
 
     @staticmethod
-    def load(path, cfg: RunConfig | None = None) -> "SpadeModel":
+    def load(path) -> "SpadeModel":
+        """The model an SPW1 checkpoint holds, built from its embedded config;
+        every fault in the file is a FormatError that names it."""
         state, meta = load_checkpoint(path)
-        if cfg is None:
-            if "config" not in meta:
-                raise ConfigError(f"checkpoint {path} has no embedded config; pass one explicitly")
-            try:
-                cfg = from_json(RunConfig, meta["config"])
-            except ConfigError as e:
-                raise FormatError(f"checkpoint {path} has a malformed config: {e}") from None
-        model = SpadeModel(cfg)
-        model.load_state_dict(state)
+        if "config" not in meta:
+            raise FormatError(f"checkpoint {path} has no embedded config")
+        try:
+            model = SpadeModel(from_json(RunConfig, meta["config"]))
+        except ConfigError as e:
+            raise FormatError(f"checkpoint {path} has a malformed config: {e}") from None
+        try:
+            model.load_state_dict(state)
+        except ConfigError as e:
+            raise FormatError(f"checkpoint {path} does not fit its embedded config: {e}") from None
         return model
 
 
@@ -308,7 +311,7 @@ def _batch_loss(model: SpadeModel, batch: list) -> Tensor:
     zhat = model(Tensor(np.stack(eps)[:, None]), z_b, Tensor(np.stack(guides)[:, None])) * z_b
     total = None
     for i, (target, mask) in enumerate(zip(targets, masks)):
-        frame_loss, _ = loss_total(zhat[i, 0], target, mask)
+        frame_loss = loss_total(zhat[i, 0], target, mask)
         total = frame_loss if total is None else total + frame_loss
     return total * (1.0 / len(batch))
 
@@ -496,10 +499,10 @@ def sweep(model: SpadeModel, cfg: RunConfig, spec: SweepSpec) -> dict:
 _METRIC_KEYS = ("mae", "rmse", "absrel", "silog", "imae")
 
 
-def write_pgm(path, values: np.ndarray, scale_max: float | None = None) -> None:
-    """8-bit binary PGM with a colormap monotone in the input value."""
+def write_pgm(path, values: np.ndarray) -> None:
+    """8-bit binary PGM with a colormap monotone in the input value, white at its maximum."""
     v = np.asarray(values, dtype=np.float64)
-    top = float(np.max(v)) if scale_max is None else scale_max
+    top = float(np.max(v))
     img = np.zeros(v.shape, dtype=np.uint8) if top <= 0 else np.clip(
         np.round(255.0 * v / top), 0, 255
     ).astype(np.uint8)

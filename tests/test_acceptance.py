@@ -206,14 +206,13 @@ def test_criterion_6_loss_metric_identities():
             assert abs(scaled - base) <= 1e-9
 
         pred = rng.uniform(0.3, 1.5, (12, 14))
-        total, rep = loss_total(Tensor(pred), z, mask)
+        total = loss_total(Tensor(pred), z, mask)
         recomposed = (
             loss_rmse(Tensor(pred), z, mask).item()
             + loss_silog(Tensor(pred), z, mask).item()
             + 0.5 * loss_grad(Tensor(pred), z, mask).item()
         )
         assert abs(total.item() - recomposed) <= 1e-12
-        assert abs(rep.total - (rep.rmse_loss + rep.silog_loss + 0.5 * rep.grad_loss)) <= 1e-12
 
 
 def test_criterion_7_neutral_fixed_point():

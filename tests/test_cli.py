@@ -111,14 +111,16 @@ CONFIG_FAULTS = {
 def test_config_fault_is_one_line_config_error(command, payload, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
-    # the config is read before any input file, so the other paths need not exist
+    # the config is read before any input file, so the other paths need not exist;
+    # "out" is the output directory, or the CSV that simulate would write
+    out = tmp_path / "out"
     argv = {
-        "train": ["train", "--config", path],
-        "synth": ["synth", "--spec", path],
-        "simulate": ["simulate", "--gt", tmp_path / "gt.fdr1", "--pattern", path, "--out", tmp_path / "p.csv"],
-        "sweep": ["sweep", "--checkpoint", tmp_path / "c.spw1", "--sweep", path],
+        "train": ["train", "--config", path, "--out-dir", out],
+        "synth": ["synth", "--spec", path, "--out-dir", out],
+        "simulate": ["simulate", "--gt", tmp_path / "gt.fdr1", "--pattern", path, "--out", out],
+        "sweep": ["sweep", "--checkpoint", tmp_path / "c.spw1", "--sweep", path, "--out-dir", out],
     }[command]
-    assert run_cli(*argv, "--out-dir", tmp_path / "out") == 2
+    assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
@@ -128,13 +130,14 @@ def test_config_fault_is_one_line_config_error(command, payload, tmp_path, capsy
 def test_negative_seed_flag_is_one_line_config_error(command, tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text("{}")
+    out = tmp_path / "out"
     argv = {
-        "train": ["train"],
-        "synth": ["synth", "--spec", spec],
-        "simulate": ["simulate", "--gt", tmp_path / "gt.fdr1", "--pattern", spec, "--out", tmp_path / "p.csv"],
+        "train": ["train", "--out-dir", out],
+        "synth": ["synth", "--spec", spec, "--out-dir", out],
+        "simulate": ["simulate", "--gt", tmp_path / "gt.fdr1", "--pattern", spec, "--out", out],
         "gradcheck": ["gradcheck"],
     }[command]
-    assert run_cli(*argv, "--seed", "-1", "--out-dir", tmp_path / "out") == 2
+    assert run_cli(*argv, "--seed", "-1") == 2
     err = capsys.readouterr().err
     assert err == "error: --seed must be >= 0, got -1\n", err
     assert not (tmp_path / "out").exists()
@@ -151,26 +154,100 @@ def test_checkpoint_with_malformed_config_is_format_error(tmp_path, capsys):
     assert err.startswith("error: ") and "malformed config" in err and err.count("\n") == 1, err
 
 
-def test_checkpoint_in_the_old_layout_is_format_error(scene_dir, tmp_path, capsys):
-    # before the model was one module: tensors named "pyramid.param.conv1.weight"
-    # and so on, and a config that still held network.strides
-    cfg = fast_config()
+def frame_args(scene_dir, tmp_path):
+    """--relative, --guide and --points of a frame that `spade run` completes."""
+    write_points(SparsePointSet([(3, 4, 2.0), (10, 12, 1.5), (40, 20, 2.5)]), tmp_path / "p.csv")
+    return ["--relative", scene_dir / "relative.fdr1", "--guide", scene_dir / "guide.fdr1", "--points", tmp_path / "p.csv"]
+
+
+def old_layout_state(cfg):
+    """Tensors named as before the model was one module: "pyramid.param.conv1.weight" and so on."""
     state = {}
     for key, value in SpadeModel(cfg).state_dict().items():
         kind, root, rest = key.split(".", 2)
         state[f"{root}.{kind}.{rest}"] = value
+    return state
+
+
+def test_checkpoint_in_the_old_layout_is_format_error(scene_dir, tmp_path, capsys):
+    # the old layout's config still held network.strides
+    cfg = fast_config()
     config = asdict(cfg)
     config["network"]["strides"] = [4, 2, 2, 2]
-    save_checkpoint(tmp_path / "old.spw1", state, meta={"config": config, "seed": cfg.seed})
-    write_points(SparsePointSet([(3, 4, 2.0), (10, 12, 1.5), (40, 20, 2.5)]), tmp_path / "p.csv")
+    save_checkpoint(tmp_path / "old.spw1", old_layout_state(cfg), meta={"config": config, "seed": cfg.seed})
     code = run_cli(
-        "run", "--checkpoint", tmp_path / "old.spw1", "--relative", scene_dir / "relative.fdr1",
-        "--guide", scene_dir / "guide.fdr1", "--points", tmp_path / "p.csv", "--out-dir", tmp_path / "out",
+        "run", "--checkpoint", tmp_path / "old.spw1", *frame_args(scene_dir, tmp_path), "--out-dir", tmp_path / "out"
     )
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "['strides']" in err and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+def _misshaped(state):
+    key = next(iter(state))
+    return {**state, key: state[key].reshape(-1)[:-1]}
+
+
+# (tensors, meta) of checkpoints whose embedded config is valid but whose
+# tensors do not fit it, or that have no embedded config
+CHECKPOINT_FAULTS = {
+    "old-layout-tensors": lambda cfg: (old_layout_state(cfg), {"config": asdict(cfg), "seed": cfg.seed}),
+    "missing-tensor": lambda cfg: (dict(list(SpadeModel(cfg).state_dict().items())[1:]), {"config": asdict(cfg)}),
+    "misshaped-tensor": lambda cfg: (_misshaped(SpadeModel(cfg).state_dict()), {"config": asdict(cfg)}),
+    "no-embedded-config": lambda cfg: (SpadeModel(cfg).state_dict(), {"seed": cfg.seed}),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("fault", CHECKPOINT_FAULTS.values(), ids=CHECKPOINT_FAULTS.keys())
+def test_checkpoint_fault_is_one_line_format_error_naming_the_file(fault, command, scene_dir, tmp_path, capsys):
+    state, meta = fault(fast_config())
+    path = tmp_path / "bad.spw1"
+    save_checkpoint(path, state, meta=meta)
+    inputs = frame_args(scene_dir, tmp_path) if command == "run" else []
+    assert run_cli(command, "--checkpoint", path, *inputs, "--out-dir", tmp_path / "out") == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {path} ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--config", "--seed"])
+def test_run_checkpoint_refuses_config_and_seed(flag, scene_dir, cfg_file, tmp_path, capsys):
+    # a checkpoint carries its config and seed; at exit 0 the flag would be ignored
+    SpadeModel(fast_config()).save(tmp_path / "c.spw1")
+    value = cfg_file if flag == "--config" else 5
+    code = run_cli(
+        "run", "--checkpoint", tmp_path / "c.spw1", *frame_args(scene_dir, tmp_path),
+        "--out-dir", tmp_path / "out", flag, value,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+# each command with one flag it does not read, after all the flags it needs
+UNREAD_FLAGS = {
+    "align --config": ["align", "--relative", "r.fdr1", "--points", "p.csv", "--out", "a.fdr1", "--config", "c.json"],
+    "densify --seed": ["densify", "--scale-map", "e.fdr1", "--guide", "g.fdr1", "--out", "d.fdr1", "--seed", "5"],
+    "eval --out-dir": ["eval", "--pred", "p.fdr1", "--gt", "g.fdr1", "--out", "r.json", "--out-dir", "o"],
+    "synth --config": ["synth", "--spec", "s.json", "--config", "c.json"],
+    "simulate --out-dir": ["simulate", "--gt", "g.fdr1", "--pattern", "p.json", "--out", "p.csv", "--out-dir", "o"],
+    "gradcheck --config": ["gradcheck", "--config", "c.json"],
+    "report --seed": ["report", "--pred", "p", "--gt", "g", "--seed", "5"],
+    "sweep --config": ["sweep", "--checkpoint", "c.spw1", "--config", "c.json"],
+    "sweep --seed": ["sweep", "--checkpoint", "c.spw1", "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("argv", UNREAD_FLAGS.values(), ids=UNREAD_FLAGS.keys())
+def test_flag_the_command_does_not_read_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(*argv)
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("depth", ["5e-324", "1e-300"])

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from spade.core import DepthRaster, ScaleMap, Space, SparsePointSet
 from spade.densify import JBUParams, fill_default, jbu_densify, sparse_scale_map
-from spade.errors import ConfigError, DomainError
+from spade.errors import ConfigError, DomainError, NumericError
 
 
 def inverse_raster(values, valid=None):
@@ -248,6 +250,35 @@ class TestJBU:
             JBUParams(0, 1.0, 1.0)
         with pytest.raises(ConfigError):
             JBUParams(2, -1.0, 1.0)
+
+
+class TestFloatRange:
+    """Inputs past the float64 range end in a true error or a right value, never a numpy warning."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_factor_overflow_is_named(self):
+        with pytest.raises(DomainError, match=r"\(u=1, v=1\) is inf, outside the positive float64 range"):
+            sparse_scale_map(SparsePointSet([(1, 1, 1e-300)]), inverse_raster(np.full((4, 4), 1e-10)))
+
+    def test_far_guide_value_gets_weight_zero(self):
+        guide = np.ones((4, 4))
+        guide[0, 1] = 1e200  # its squared difference to any ordinary value overflows
+        known = np.zeros((4, 4), dtype=bool)
+        known[0, 0] = known[0, 1] = True
+        eps = ScaleMap(np.where(known, [[2.0, 3.0, 0, 0]] * 4, 0.0), known)
+        out = jbu_densify(eps, inverse_raster(guide), JBUParams(2, 1.0, 0.1))
+        assert out.values[0, 1] == 3.0
+        assert np.all(out.values[out.filled & (guide == 1.0)] == 2.0)
+
+    def test_weighted_sum_overflow_is_named(self):
+        eps = ScaleMap(np.full((4, 4), 1e308), np.ones((4, 4), dtype=bool))
+        with pytest.raises(NumericError, match=r"pixel \(u=0, v=0\) overflowed in float64"):
+            jbu_densify(eps, inverse_raster(np.ones((4, 4))))
 
 
 class TestFillDefault:

@@ -1,10 +1,13 @@
 """Property tests: whatever bytes the file readers get, they either return a
 value or raise FormatError, never another exception; whatever JSON value the
 config reader gets, it returns a config or raises ConfigError; whatever finite
-inputs the alignment fits get, they return finite values or raise SpadeError."""
+inputs the alignment fits and the scale-map densification get, they return
+finite values or raise SpadeError."""
 
 import dataclasses
 import json
+import math
+import re
 import struct
 import typing
 import warnings
@@ -16,7 +19,17 @@ from hypothesis import strategies as st
 
 from spade.alignment import align_global, align_with_laser, fit_scale_only, fit_scale_shift, laser_scale
 from spade.config import from_json
-from spade.core import CameraIntrinsics, DepthRaster, Point, Space, SparsePointSet, read_points, read_raster
+from spade.densify import JBUParams, jbu_densify, sparse_scale_map
+from spade.core import (
+    CameraIntrinsics,
+    DepthRaster,
+    Point,
+    ScaleMap,
+    Space,
+    SparsePointSet,
+    read_points,
+    read_raster,
+)
 from spade.errors import ConfigError, FormatError, SpadeError
 from spade.nn import load_checkpoint
 from spade.pipeline import RunConfig, SpadeModel, SweepSpec, run_frame
@@ -274,3 +287,92 @@ def test_alignment_is_finite_or_raises(data):
     joint = finite_or_spade_error(fit_scale_shift, z_samples, v)
     if joint is not None and joint[0] <= 0 and results[0] is not None:
         assert results[0][1].mode == "scale_only"
+
+
+def pixel_of(message):
+    u, v = re.search(r"pixel \(u=(\d+), v=(\d+)\)", message).groups()
+    return int(v), int(u)
+
+
+def jbu_terms(eps, z, params, y, x):
+    """weight * factor of each known pixel in the JBU window of (y, x), and the weights,
+    in Python floats (which overflow to inf without a warning)."""
+    r = params.window_radius
+    terms, weights = [], []
+    for qy, qx in zip(*np.nonzero(eps.known & z.valid)):
+        if abs(qy - y) <= r and abs(qx - x) <= r:
+            dz = float(z.values[y, x]) - float(z.values[qy, qx])
+            wgt = math.exp(-((qy - y) ** 2 + (qx - x) ** 2) * (0.5 / params.sigma_spatial**2))
+            wgt *= math.exp(-(dz * dz) * (0.5 / params.sigma_range**2))
+            terms.append(wgt * float(eps.values[qy, qx]))
+            weights.append(wgt)
+    return terms, weights
+
+
+def exact_sum(terms):
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
+def inverse_raster(data, h=4, w=4):
+    """Ordinary inverse depths with up to two extreme ones; invalid pixels hold anything."""
+    values = np.array(mostly(data, ordinary_positive, any_positive, h * w)).reshape(h, w)
+    valid = np.array(data.draw(st.lists(st.sampled_from([True, True, True, False]), min_size=h * w, max_size=h * w)))
+    valid = valid.reshape(h, w)
+    values[~valid] = data.draw(st.floats())
+    return DepthRaster(values, valid, Space.INVERSE)
+
+
+@FUZZ
+@given(data=st.data())
+def test_sparse_scale_map_is_finite_and_positive_or_raises(data):
+    z = inverse_raster(data)
+    pixel = st.tuples(st.integers(0, z.width - 1), st.integers(0, z.height - 1))
+    pixels = data.draw(st.lists(pixel, min_size=1, max_size=6, unique=True))
+    depths = mostly(data, ordinary_positive, any_positive, len(pixels))
+    pts = SparsePointSet([Point(u, v, d) for (u, v), d in zip(pixels, depths)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            eps = sparse_scale_map(pts, z)
+        except SpadeError as e:
+            y, x = pixel_of(str(e))
+            if str(e).startswith("aligned map is not positive"):
+                assert not z.valid[y, x]
+            else:
+                assert str(e).startswith("correction factor"), e
+                depth = next(p.depth_m for p in pts if (p.v_row, p.u) == (y, x))
+                assert not 0.0 < (1.0 / depth) / float(z.values[y, x]) < math.inf, e
+            return
+    known = eps.values[eps.known]
+    assert len(known) == len(pts) and np.all(np.isfinite(known)) and np.all(known > 0)
+
+
+@FUZZ
+@given(data=st.data())
+def test_jbu_is_finite_and_positive_or_raises(data):
+    z = inverse_raster(data)
+    known = np.array(data.draw(st.lists(st.booleans(), min_size=z.values.size, max_size=z.values.size)))
+    known = known.reshape(z.shape)
+    factors = np.array(mostly(data, ordinary_positive, any_positive, z.values.size)).reshape(z.shape)
+    eps = ScaleMap(np.where(known, factors, 0.0), known)
+    # sigmas whose square is near either end of the normal float64 range
+    sigma_s = st.floats(0.3, 5.0) | st.sampled_from([1.5e-154, 1e154])
+    sigma_r = st.floats(0.01, 1.0) | st.sampled_from([1.5e-154, 1e154])
+    params = JBUParams(data.draw(st.integers(1, 3)), data.draw(sigma_s), data.draw(sigma_r))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            dense = jbu_densify(eps, z, params)
+        except SpadeError as e:
+            assert str(e).startswith("JBU weighted mean"), e
+            terms, weights = jbu_terms(eps, z, params, *pixel_of(str(e)))
+            if "overflowed" in str(e):
+                assert exact_sum(terms) > 1e308, e
+            else:
+                assert "underflowed to 0" in str(e) and exact_sum(terms) / math.fsum(weights) < 1e-300, e
+            return
+    filled = dense.values[dense.filled]
+    assert np.all(np.isfinite(filled)) and np.all(filled > 0)

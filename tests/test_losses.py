@@ -158,29 +158,22 @@ class TestGrad:
         p = np.array([[0.5, 0.7]])
         t = np.array([[0.4, 0.9]])
         m = np.ones((1, 2), dtype=bool)
-        got = loss_grad(Tensor(p), t, m, num_scales=3).item()
+        got = loss_grad(Tensor(p), t, m).item()
         assert got == pytest.approx(grad_oracle(p, t, m), abs=1e-12)
 
 
 class TestTotal:
     def test_weights_and_invariant(self):
-        p, t, m = random_frame(13)
-        total, rep = loss_total(Tensor(p), t, m)
-        assert rep.total == pytest.approx(
-            rep.rmse_loss + rep.silog_loss + GRAD_WEIGHT * rep.grad_loss, abs=1e-12
-        )
         assert GRAD_WEIGHT == 0.5 and SILOG_LAMBDA == 0.85 and SILOG_BETA == 10.0
-        assert total.item() == pytest.approx(rep.total, abs=0)
-        assert rep.valid_pixel_count == int(m.sum())
 
     def test_zero_at_identity(self):
         _, t, m = random_frame(14)
-        total, _ = loss_total(Tensor(t), t, m)
+        total = loss_total(Tensor(t), t, m)
         assert total.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_component_recomposition(self):
         p, t, m = random_frame(15)
-        total, _ = loss_total(Tensor(p), t, m)
+        total = loss_total(Tensor(p), t, m)
         parts = (
             loss_rmse(Tensor(p), t, m).item()
             + loss_silog(Tensor(p), t, m).item()

@@ -97,7 +97,7 @@ class TestGradients:
         x = Tensor(rng.uniform(0.3, 2.0, (3, 4)), requires_grad=True)
         y = Tensor(rng.uniform(0.3, 2.0, (3, 4)), requires_grad=True)
         r = rng.standard_normal((3, 4))
-        check(lambda: scalarize((x * y + x / y + y**1.5).sqrt().log().exp(), r), [x, y])
+        check(lambda: scalarize((x * y + x / y + y**1.5).sqrt().log(), r), [x, y])
 
     def test_activations(self):
         rng = np.random.default_rng(11)
