@@ -35,15 +35,6 @@ class AffineFit:
     residual_rms: float
     n_points: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "t": self.t,
-            "mode": self.mode,
-            "residual_rms": self.residual_rms,
-            "n_points": self.n_points,
-        }
-
 
 def _finite(what: str, *values) -> None:
     if not all(np.all(np.isfinite(x)) for x in values):

@@ -78,6 +78,22 @@ def _parse_floats(text, n, what):
     return values
 
 
+def _laser_camera(text, n, z, pts):
+    """The n values of --laser (fx,cx,B, then u1,u2 for align) and the rig's
+    camera: fx for both focal lengths, the principal row at the middle of z.
+    A laser frame has exactly 2 points."""
+    values = _parse_floats(text, n, "--laser")
+    if len(pts) != 2:
+        raise ConfigError(f"laser alignment expects exactly 2 points, file has {len(pts)}")
+    fx, cx = values[:2]
+    return values, CameraIntrinsics(fx=fx, fy=fx, cx=cx, cy=(z.height - 1) / 2.0)
+
+
+def _check_cap(cap):
+    if not 0 < cap < float("inf"):  # also refuses nan
+        raise ConfigError(f"--cap must be a finite number > 0, got {cap}")
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -119,19 +135,16 @@ def cmd_align(args) -> int:
     pts = read_points(args.points)
     pts.check_bounds(z)
     if args.laser:
-        fx, cx, baseline, u1, u2 = _parse_floats(args.laser, 5, "--laser")
-        if len(pts) != 2:
-            raise ConfigError(f"laser alignment expects exactly 2 points, file has {len(pts)}")
+        (_, _, baseline, u1, u2), K = _laser_camera(args.laser, 5, z, pts)
         us = sorted(p.u for p in pts)
         if us != sorted([int(u1), int(u2)]):
             raise ConfigError(f"--laser columns {sorted([int(u1), int(u2)])} do not match points {us}")
-        K = CameraIntrinsics(fx=fx, fy=fx, cx=cx, cy=(z.height - 1) / 2.0)
         aligned, fit = align_with_laser(z, pts, K, baseline)
     else:
         aligned, fit = align_global(z, pts)
     write_raster(aligned, args.out)
     if args.fit_report:
-        _write_json(args.fit_report, fit.to_dict())
+        _write_json(args.fit_report, dataclasses.asdict(fit))
     print(f"aligned with mode={fit.mode} s={fit.s:.6g} t={fit.t:.6g} rms={fit.residual_rms:.3g}")
     return 0
 
@@ -166,6 +179,10 @@ def cmd_train(args) -> int:
 def cmd_run(args) -> int:
     if args.checkpoint and (args.config or args.seed is not None):
         raise ConfigError("a checkpoint carries its config and seed: --checkpoint takes no --config or --seed")
+    if args.cap is not None:
+        if not args.gt:
+            raise ConfigError("--cap caps the metrics against --gt: it needs --gt")
+        _check_cap(args.cap)
     model = SpadeModel.load(args.checkpoint) if args.checkpoint else SpadeModel(_load_config(args))
     z = read_raster(args.relative)
     guide = read_raster(args.guide)
@@ -173,18 +190,16 @@ def cmd_run(args) -> int:
     gt = read_raster(args.gt) if args.gt else None
     laser = None
     if args.laser:
-        fx, cx, baseline = _parse_floats(args.laser, 3, "--laser")
-        laser = LaserRig(
-            CameraIntrinsics(fx=fx, fy=fx, cx=cx, cy=(z.height - 1) / 2.0), baseline_m=baseline
-        )
+        (_, _, baseline), K = _laser_camera(args.laser, 3, z, pts)
+        laser = LaserRig(K, baseline_m=baseline)
     result = run_frame(model, z, guide, pts, gt=gt, laser=laser, cap_m=args.cap)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_raster(result.depth, out / "depth.fdr1")
     write_raster(result.aligned, out / "aligned.fdr1")
-    _write_json(out / "fit.json", result.fit.to_dict())
+    _write_json(out / "fit.json", dataclasses.asdict(result.fit))
     if result.metrics is not None:
-        _write_json(out / "metrics.json", result.metrics.to_dict())
+        _write_json(out / "metrics.json", dataclasses.asdict(result.metrics))
         print(f"frame MAE {result.metrics.mae:.4f} m (mode={result.fit.mode})")
     else:
         print(f"frame complete (mode={result.fit.mode})")
@@ -208,20 +223,21 @@ def _match_rasters(pred_path, gt_path):
 
 
 def cmd_eval(args) -> int:
+    _check_cap(args.cap)
     pairs = _match_rasters(args.pred, args.gt)
     reports, per_frame, skipped = [], [], []
     for name, pf, gf in pairs:
         try:
             rep = compute_metrics(read_raster(pf), read_raster(gf), cap_m=args.cap)
             reports.append(rep)
-            per_frame.append({"frame": name, **rep.to_dict()})
+            per_frame.append({"frame": name, **dataclasses.asdict(rep)})
         except SpadeError as e:
             skipped.append({"frame": name, "reason": str(e)})
     report = {
         "range_cap_m": args.cap,
         "frames": per_frame,
         "skipped": skipped,
-        "aggregate": aggregate_metrics(reports).to_dict() if reports else None,
+        "aggregate": dataclasses.asdict(aggregate_metrics(reports)) if reports else None,
     }
     if args.points:
         depths, counts = [], []
@@ -341,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True)
     p.add_argument("--gt")
     p.add_argument("--laser", help="fx,cx,B for the two-point laser path")
-    p.add_argument("--cap", type=float, default=None, help="metric range cap")
+    p.add_argument("--cap", type=float, default=None, help="metric range cap (with --gt)")
 
     p = command("eval", cmd_eval, "metrics for prediction/ground-truth rasters")
     p.add_argument("--pred", required=True, help="raster file or directory")

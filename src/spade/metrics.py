@@ -21,18 +21,6 @@ class MetricReport:
     frame_count: int = 1
     valid_px: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "mae": self.mae,
-            "rmse": self.rmse,
-            "absrel": self.absrel,
-            "silog": self.silog,
-            "imae": self.imae,
-            "range_cap_m": self.range_cap_m,
-            "frame_count": self.frame_count,
-            "valid_px": self.valid_px,
-        }
-
 
 def compute_metrics(pred: DepthRaster, gt: DepthRaster, cap_m: float) -> MetricReport:
     """MAE/RMSE/AbsRel/SILog/iMAE at pixels where ground truth is valid,

@@ -174,16 +174,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        a, b = self, Tensor.as_tensor(other)
-        out_data = a.data / b.data
-
-        def bw(g):
-            Tensor._accum(a, _unbroadcast(g / b.data, a.data.shape))
-            Tensor._accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-        return Tensor._make(out_data, (a, b), bw)
-
     def __pow__(self, p):
         if not np.isscalar(p):
             raise ShapeError("only scalar exponents are supported")
@@ -459,44 +449,48 @@ def _windows(xp: np.ndarray, kh: int, kw: int, stride: int, Ho: int, Wo: int) ->
     return np.lib.stride_tricks.as_strided(xp, shape, strides)
 
 
-def _im2col(win: np.ndarray) -> np.ndarray:
-    """Column matrix (C*kh*kw, B*Ho*Wo) of the windows (B,C,Ho,Wo,kh,kw), in one copy."""
+def _im2col(win: np.ndarray, groups: int) -> np.ndarray:
+    """Column matrices (groups, C/groups*kh*kw, B*Ho*Wo) of the windows (B,C,Ho,Wo,kh,kw), in one copy."""
     B, C, Ho, Wo, kh, kw = win.shape
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(C * kh * kw, B * Ho * Wo)
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(groups, C // groups * kh * kw, B * Ho * Wo)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation: x (B,C,H,W) * w (F,C,kh,kw) -> (B,F,Ho,Wo).
+def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, groups: int) -> Tensor:
+    """Grouped 2-D cross-correlation, the one kernel behind `conv2d` and
+    `depthwise_conv2d`: x (B,C,H,W) * w (F,C/groups,kh,kw) -> (B,F,Ho,Wo),
+    where output channel f reads only the C/groups input channels of group
+    f // (F/groups). With one input channel per group, w may also be
+    (F,kh,kw): it is reshaped here, so no extra tape node appears.
 
-    The output and the weight gradient are each one GEMM on an im2col matrix
-    (Chellapilla et al. 2006), copied from the window view where it is used
-    and not kept on the tape. The input gradient is one GEMM per kernel row
-    i, w[:, :, i, :]^T (C*kw, F) @ grad (F, B*Ho*Wo), added tap by tap.
+    The output and the weight gradient are each one GEMM per group on an
+    im2col matrix (Chellapilla et al. 2006), copied from the window view
+    where it is used and not kept on the tape. The input gradient is one GEMM
+    per group and kernel row i, the group's w[:, :, i, :]^T (C/groups*kw,
+    F/groups) @ grad (F/groups, B*Ho*Wo), added tap by tap.
     """
-    x, w = Tensor.as_tensor(x), Tensor.as_tensor(w)
     B, C, H, W = x.data.shape
-    F, Cw, kh, kw = w.data.shape
-    if Cw != C:
-        raise ShapeError(f"conv2d channel mismatch: input {x.data.shape} vs weight {w.data.shape}")
+    F, kh, kw = w.data.shape[0], w.data.shape[-2], w.data.shape[-1]
+    G, Fg, Cg = groups, F // groups, C // groups
     xp, Ho, Wo = _padded(x.data, kh, kw, stride, padding)
     win = _windows(xp, kh, kw, stride, Ho, Wo)
-    out_data = w.data.reshape(F, -1) @ _im2col(win)
+    out_data = w.data.reshape(G, Fg, Cg * kh * kw) @ _im2col(win, G)
     out_data = np.ascontiguousarray(out_data.reshape(F, B, Ho, Wo).transpose(1, 0, 2, 3))
     if b is not None:
         out_data += b.data[None, :, None, None]
     parents = (x, w) if b is None else (x, w, b)
 
     def bw(g):
-        g2 = g.transpose(1, 0, 2, 3).reshape(F, B * Ho * Wo)
+        g2 = g.transpose(1, 0, 2, 3).reshape(G, Fg, B * Ho * Wo)
         if w.requires_grad:
-            Tensor._accum(w, (g2 @ _im2col(win).T).reshape(F, C, kh, kw))
+            Tensor._accum(w, (g2 @ _im2col(win, G).transpose(0, 2, 1)).reshape(w.data.shape))
         if b is not None and b.requires_grad:
             Tensor._accum(b, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             dxp = np.zeros(xp.shape)
             dwin = _windows(dxp, kh, kw, stride, Ho, Wo)
+            w5 = w.data.reshape(G, Fg, Cg, kh, kw)
             for i in range(kh):
-                wi = w.data[:, :, i, :].transpose(1, 2, 0).reshape(C * kw, F)
+                wi = w5[:, :, :, i, :].transpose(0, 2, 3, 1).reshape(G, Cg * kw, Fg)
                 rows = (wi @ g2).reshape(C, kw, B, Ho, Wo)
                 for j in range(kw):
                     tap = dwin[..., i, j]
@@ -506,40 +500,22 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     return Tensor._make(out_data, parents, bw)
 
 
-def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
-    """Per-channel convolution: x (B,C,H,W) * w (C,kh,kw) -> (B,C,Ho,Wo); the output
-    and both gradients accumulate one tap [..., i, j] of the window view at a time."""
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D cross-correlation: x (B,C,H,W) * w (F,C,kh,kw) -> (B,F,Ho,Wo); the
+    one-group case of the grouped im2col kernel `_conv`."""
     x, w = Tensor.as_tensor(x), Tensor.as_tensor(w)
-    B, C, H, W = x.data.shape
-    Cw, kh, kw = w.data.shape
-    if Cw != C:
+    if w.data.shape[1] != x.data.shape[1]:
+        raise ShapeError(f"conv2d channel mismatch: input {x.data.shape} vs weight {w.data.shape}")
+    return _conv(x, w, b, stride, padding, groups=1)
+
+
+def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
+    """Per-channel convolution: x (B,C,H,W) * w (C,kh,kw) -> (B,C,Ho,Wo); the
+    one-channel-per-group case (groups=C) of the grouped im2col kernel `_conv`."""
+    x, w = Tensor.as_tensor(x), Tensor.as_tensor(w)
+    if w.data.shape[0] != x.data.shape[1]:
         raise ShapeError(f"depthwise channel mismatch: {x.data.shape} vs {w.data.shape}")
-    xp, Ho, Wo = _padded(x.data, kh, kw, stride, padding)
-    win, taps = _windows(xp, kh, kw, stride, Ho, Wo), [(i, j) for i in range(kh) for j in range(kw)]
-    out_data = np.zeros((B, C, Ho, Wo))
-    for i, j in taps:
-        out_data += win[..., i, j] * w.data[None, :, i, j, None, None]
-    if b is not None:
-        out_data += b.data[None, :, None, None]
-    parents = (x, w) if b is None else (x, w, b)
-
-    def bw(g):
-        if w.requires_grad:
-            dw = np.empty(w.data.shape)
-            for i, j in taps:
-                dw[:, i, j] = np.einsum("bchw,bchw->c", win[..., i, j], g)
-            Tensor._accum(w, dw)
-        if b is not None and b.requires_grad:
-            Tensor._accum(b, g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            dxp = np.zeros(xp.shape)
-            dwin = _windows(dxp, kh, kw, stride, Ho, Wo)
-            for i, j in taps:
-                tap = dwin[..., i, j]
-                tap += g * w.data[None, :, i, j, None, None]
-            Tensor._accum(x, dxp[:, :, padding : padding + H, padding : padding + W])
-
-    return Tensor._make(out_data, parents, bw)
+    return _conv(x, w, b, stride, padding, groups=x.data.shape[1])
 
 
 # -- resize / sampling -----------------------------------------------------------

@@ -111,7 +111,7 @@ class SweepSpec:
 @dataclass(frozen=True)
 class LaserRig:
     intrinsics: CameraIntrinsics
-    baseline_m: float = 0.1
+    baseline_m: float
 
 
 @dataclass
@@ -417,7 +417,9 @@ def _sweep_points(frame: FrameData, pattern: str, count: int, cfg: RunConfig, fr
 def _eval_cells(model, frames, pattern, count, caps, cfg) -> list[dict]:
     """Cells of one (pattern, count): each frame is refined once and scored at
     every cap, with the globally aligned map as the GA baseline."""
-    laser = LaserRig(default_intrinsics(*cfg.input_hw)) if pattern == "laser2" else None
+    laser = None
+    if pattern == "laser2":  # the baseline _sweep_points samples laser2 with
+        laser = LaserRig(default_intrinsics(*cfg.input_hw), PatternSpec(kind=pattern).laser_baseline_m)
     refined = [[] for _ in caps]
     ga = [[] for _ in caps]
     skipped = [0] * len(caps)
@@ -444,8 +446,8 @@ def _eval_cells(model, frames, pattern, count, caps, cfg) -> list[dict]:
 
     cells = []
     for cap, ref_reports, ga_reports, n_skipped in zip(caps, refined, ga, skipped):
-        ref = aggregate_metrics(ref_reports).to_dict() if ref_reports else None
-        base = aggregate_metrics(ga_reports).to_dict() if ga_reports else None
+        ref = asdict(aggregate_metrics(ref_reports)) if ref_reports else None
+        base = asdict(aggregate_metrics(ga_reports)) if ga_reports else None
         cells.append(
             {
                 "pattern": pattern,

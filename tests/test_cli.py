@@ -227,6 +227,78 @@ def test_run_checkpoint_refuses_config_and_seed(flag, scene_dir, cfg_file, tmp_p
     assert not (tmp_path / "out").exists()
 
 
+# a --cap that is not a finite number above 0, or that no metric would read
+CAP_FAULTS = {
+    **{f"eval {cap}": ("eval", cap) for cap in ["-1", "0", "nan", "inf"]},
+    **{f"run --gt {cap}": ("run", cap) for cap in ["-1", "0", "nan", "inf"]},
+    "run without --gt": ("run-no-gt", "5"),
+}
+
+
+@pytest.mark.parametrize("command, cap", CAP_FAULTS.values(), ids=CAP_FAULTS.keys())
+def test_bad_cap_is_one_line_config_error(command, cap, scene_dir, tmp_path, capsys):
+    gt = scene_dir / "gt.fdr1"
+    if command == "eval":
+        argv = ["eval", "--pred", gt, "--gt", gt, "--out", tmp_path / "out"]
+    else:
+        SpadeModel(fast_config()).save(tmp_path / "c.spw1")
+        argv = ["run", "--checkpoint", tmp_path / "c.spw1", *frame_args(scene_dir, tmp_path), "--out-dir", tmp_path / "out"]
+        argv += ["--gt", gt] if command == "run" else []
+    assert run_cli(*argv, "--cap", cap) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --cap ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def laser_points(scene_dir):
+    """A laser2 pair on the scene, sampled with the camera that `--laser 64,31.5,0.1` describes."""
+    pattern = scene_dir / "laser.json"
+    pattern.write_text(json.dumps({"kind": "laser2", "laser_baseline_m": 0.1}))
+    out = scene_dir / "laser.csv"
+    assert run_cli("simulate", "--gt", scene_dir / "gt.fdr1", "--pattern", pattern,
+                   "--intrinsics", "64,64,31.5,15.5", "--out", out) == 0
+    assert len(read_points(out)) == 2
+    return out
+
+
+def test_align_laser_pair_takes_laser_path(scene_dir, laser_points, tmp_path):
+    u1, u2 = (p.u for p in read_points(laser_points))
+    code = run_cli(
+        "align", "--relative", scene_dir / "relative.fdr1", "--points", laser_points,
+        "--laser", f"64,31.5,0.1,{u1},{u2}", "--out", tmp_path / "a.fdr1", "--fit-report", tmp_path / "fit.json",
+    )
+    assert code == 0
+    assert json.loads((tmp_path / "fit.json").read_text())["mode"] == "laser_baseline"
+
+
+def test_run_laser_pair_takes_laser_path(scene_dir, laser_points, tmp_path):
+    SpadeModel(fast_config()).save(tmp_path / "c.spw1")
+    code = run_cli(
+        "run", "--checkpoint", tmp_path / "c.spw1", "--relative", scene_dir / "relative.fdr1",
+        "--guide", scene_dir / "guide.fdr1", "--points", laser_points, "--laser", "64,31.5,0.1",
+        "--out-dir", tmp_path / "out",
+    )
+    assert code == 0
+    assert json.loads((tmp_path / "out" / "fit.json").read_text())["mode"] == "laser_baseline"
+
+
+def test_run_laser_needs_a_pair(scene_dir, tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"kind": "uniform_grid", "grid_rows": 8, "grid_cols": 12}))
+    assert run_cli("simulate", "--gt", scene_dir / "gt.fdr1", "--pattern", grid, "--out", tmp_path / "p.csv") == 0
+    SpadeModel(fast_config()).save(tmp_path / "c.spw1")
+    code = run_cli(
+        "run", "--checkpoint", tmp_path / "c.spw1", "--relative", scene_dir / "relative.fdr1",
+        "--guide", scene_dir / "guide.fdr1", "--points", tmp_path / "p.csv", "--laser", "64,31.5,0.1",
+        "--out-dir", tmp_path / "out",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: laser alignment expects exactly 2 points, file has 96\n", err
+    assert not (tmp_path / "out").exists()
+
+
 # each command with one flag it does not read, after all the flags it needs
 UNREAD_FLAGS = {
     "align --config": ["align", "--relative", "r.fdr1", "--points", "p.csv", "--out", "a.fdr1", "--config", "c.json"],

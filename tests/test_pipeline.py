@@ -1,4 +1,5 @@
 import threading
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -60,13 +61,13 @@ class TestLaserRouting:
         cfg = fast_config()
         model = SpadeModel(cfg)
         frames = build_corpus(cfg, "val", n_frames=6)
-        K = default_intrinsics(*cfg.input_hw)
+        K, spec = default_intrinsics(*cfg.input_hw), PatternSpec(kind="laser2")
         routed = 0
         for f in frames:
-            pts = sample_pattern(f.gt, PatternSpec(kind="laser2"), intrinsics=K)
+            pts = sample_pattern(f.gt, spec, intrinsics=K)
             if len(pts) != 2:
                 continue
-            res = run_frame(model, f.z_rel, f.guide, pts, gt=f.gt, laser=LaserRig(K))
+            res = run_frame(model, f.z_rel, f.guide, pts, gt=f.gt, laser=LaserRig(K, spec.laser_baseline_m))
             assert res.fit.mode == "laser_baseline"
             assert res.fit.t == 0.0
             routed += 1
@@ -200,7 +201,7 @@ class TestSweep:
                 pts = _sweep_points(f, "feature_like", cell["count"], cfg, idx)
                 aligned = run_frame(model, f.z_rel, f.guide, pts).aligned
                 reports.append(compute_metrics(from_inverse(aligned), f.gt, cell["cap_m"]))
-            assert cell["ga_baseline"] == aggregate_metrics(reports).to_dict()
+            assert cell["ga_baseline"] == asdict(aggregate_metrics(reports))
 
     def test_cap_without_pixels_skips_only_its_cell(self):
         cfg = fast_config()

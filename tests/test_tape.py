@@ -89,7 +89,7 @@ def composed_batch_norm_train(x, gamma, beta, eps):
     C = x.shape[1]
     mu = x.mean(axis=(0, 2, 3), keepdims=True)
     var = ((x - mu) ** 2).mean(axis=(0, 2, 3), keepdims=True)
-    out = (x - mu) / ((var + eps) ** 0.5) * gamma.reshape(1, C, 1, 1) + beta.reshape(1, C, 1, 1)
+    out = (x - mu) * (var + eps) ** -0.5 * gamma.reshape(1, C, 1, 1) + beta.reshape(1, C, 1, 1)
     return out, mu.data.reshape(-1), var.data.reshape(-1)
 
 
@@ -97,13 +97,13 @@ def composed_batch_norm_eval(x, gamma, beta, running_mean, running_var, eps):
     C = x.shape[1]
     mu = Tensor(running_mean.reshape(1, C, 1, 1))
     var = Tensor(running_var.reshape(1, C, 1, 1))
-    return (x - mu) / ((var + eps) ** 0.5) * gamma.reshape(1, C, 1, 1) + beta.reshape(1, C, 1, 1)
+    return (x - mu) * (var + eps) ** -0.5 * gamma.reshape(1, C, 1, 1) + beta.reshape(1, C, 1, 1)
 
 
 def composed_layer_norm(x, gamma, beta, eps):
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    return (x - mu) / ((var + eps) ** 0.5) * gamma + beta
+    return (x - mu) * (var + eps) ** -0.5 * gamma + beta
 
 
 def values_and_grads(fn, leaves, seed):
