@@ -85,7 +85,9 @@ def _laser_camera(text, n, z, pts):
     values = _parse_floats(text, n, "--laser")
     if len(pts) != 2:
         raise ConfigError(f"laser alignment expects exactly 2 points, file has {len(pts)}")
-    fx, cx = values[:2]
+    fx, cx, baseline = values[:3]
+    if baseline <= 0:
+        raise ConfigError(f"--laser baseline B must be > 0, got {baseline}")
     return values, CameraIntrinsics(fx=fx, fy=fx, cx=cx, cy=(z.height - 1) / 2.0)
 
 

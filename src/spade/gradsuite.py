@@ -168,6 +168,14 @@ def _loss_cases(rng):
         yield (lambda x=x, t=target, m=mask: loss_rmse(x, t, m)), [x]
         yield (lambda x=x, t=target, m=mask: loss_silog(x, t, m)), [x]
         yield (lambda x=x, t=target, m=mask: loss_grad(x, t, m)), [x]
+    # a batch of three frames: dense, sparse, and one valid column (no horizontal pairs)
+    target = rng.uniform(0.2, 1.5, (3, 8, 10))
+    mask = rng.random((3, 8, 10)) < np.array([0.9, 0.4, 0.0])[:, None, None]
+    mask[:2, 0, 0] = True
+    mask[2, :, 3] = True
+    x = Tensor(rng.uniform(0.2, 1.5, (3, 8, 10)), requires_grad=True)
+    for loss in (loss_rmse, loss_silog, loss_grad):
+        yield (lambda loss=loss: loss(x, target, mask)), [x]
 
 
 FAMILIES = {

@@ -41,8 +41,8 @@ class CCDTConfig:
             raise ConfigError(f"heads must be positive, got {self.heads}")
         if any(w <= 0 for w in self.widths) or any(w % self.heads for w in self.widths):
             raise ConfigError(f"stage widths {self.widths} must be positive multiples of heads={self.heads}")
-        if any(c < 0 for c in self.conv_counts + self.trans_counts):
-            raise ConfigError("block counts must be >= 0")
+        if any(c < 1 for c in self.conv_counts) or any(c < 0 for c in self.trans_counts):
+            raise ConfigError("conv_counts entries must be >= 1 and trans_counts entries >= 0")
         if self.mlp_ratio < 1 or self.embed_channels < 1 or self.fused_channels < 1:
             raise ConfigError("mlp_ratio, embed_channels and fused_channels must be >= 1")
         if self.decoder_width < 2:
@@ -79,16 +79,10 @@ class CCDTStage(Module):
     def __init__(self, in_ch, out_ch, stride, n_conv, n_trans, feat_h, feat_w, grid_ds, cfg, rng):
         super().__init__()
         self.out_hw = (feat_h, feat_w)
-        blocks = []
-        if n_conv >= 1:
-            blocks.append(ResNetCBAMBlock(in_ch, out_ch, rng, stride=stride))
-            for _ in range(n_conv - 1):
-                blocks.append(ResNetCBAMBlock(out_ch, out_ch, rng))
-            self.entry = None
-        else:
-            self.entry = Conv2d(in_ch, out_ch, 3 if stride <= 2 else 5, rng, stride=stride)
-            self.entry_bn = BatchNorm2d(out_ch)
-        self.conv_blocks = ModuleList(blocks)
+        self.conv_blocks = ModuleList(
+            [ResNetCBAMBlock(in_ch, out_ch, rng, stride=stride)]
+            + [ResNetCBAMBlock(out_ch, out_ch, rng) for _ in range(n_conv - 1)]
+        )
         self.attn_cfg = DeformAttnConfig(
             channels=out_ch,
             heads=cfg.heads,
@@ -102,8 +96,6 @@ class CCDTStage(Module):
         )
 
     def forward(self, x):
-        if self.entry is not None:
-            x = self.entry_bn(self.entry(x)).relu()
         for b in self.conv_blocks:
             x = b(x)
         if x.shape[2:] != self.out_hw:

@@ -310,26 +310,19 @@ class Tensor:
         return Tensor._make(out_data, (a,), lambda g: Tensor._accum(a, g.transpose(inv)))
 
     def __getitem__(self, idx):
+        """Basic indexing only (ints, slices, `...`, None): its backward
+        writes the gradient into the one place each element came from."""
         a = self
-        out_data = a.data[idx]
-        # boolean masks and basic slices never alias, so += is safe for them
-        no_dups = not isinstance(idx, np.ndarray) and not (
-            isinstance(idx, tuple) and any(isinstance(i, np.ndarray) for i in idx)
-        )
-        if isinstance(idx, np.ndarray) and idx.dtype == bool:
-            no_dups = True
+        for i in idx if isinstance(idx, tuple) else (idx,):
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer, slice, type(Ellipsis), type(None))):
+                raise ShapeError(f"Tensor indexing takes ints, slices, ... and None, got {type(i).__name__}")
 
         def bw(g):
-            if not a.requires_grad:
-                return
             dx = np.zeros_like(a.data)
-            if no_dups:
-                dx[idx] += g
-            else:
-                np.add.at(dx, idx, g)
+            dx[idx] = g
             Tensor._accum(a, dx)
 
-        return Tensor._make(np.ascontiguousarray(out_data), (a,), bw)
+        return Tensor._make(np.ascontiguousarray(a.data[idx]), (a,), bw)
 
 
 def concat(tensors, axis=0):

@@ -168,11 +168,8 @@ class SpadeModel(Module):
     def forward(self, eps_dense: Tensor, z_tilde: Tensor, guide: Tensor) -> Tensor:
         return self.refine(eps_dense, z_tilde, self.pyramid(guide))
 
-    def save(self, path, extra_meta: dict | None = None):
-        meta = {"config": asdict(self.cfg), "seed": self.cfg.seed}
-        if extra_meta:
-            meta.update(extra_meta)
-        save_checkpoint(path, self.state_dict(), meta=meta)
+    def save(self, path):
+        save_checkpoint(path, self.state_dict(), meta={"config": asdict(self.cfg)})
 
     @staticmethod
     def load(path) -> "SpadeModel":
@@ -309,11 +306,7 @@ def _batch_loss(model: SpadeModel, batch: list) -> Tensor:
     eps, z, targets, masks, guides = zip(*batch)
     z_b = Tensor(np.stack(z)[:, None])
     zhat = model(Tensor(np.stack(eps)[:, None]), z_b, Tensor(np.stack(guides)[:, None])) * z_b
-    total = None
-    for i, (target, mask) in enumerate(zip(targets, masks)):
-        frame_loss = loss_total(zhat[i, 0], target, mask)
-        total = frame_loss if total is None else total + frame_loss
-    return total * (1.0 / len(batch))
+    return loss_total(zhat[:, 0], np.stack(targets), np.stack(masks))
 
 
 def train(cfg: RunConfig, out_dir=None, quiet=False):
@@ -385,7 +378,7 @@ def train(cfg: RunConfig, out_dir=None, quiet=False):
     }
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        model.save(os.path.join(out_dir, "checkpoint.spw1"), extra_meta={"epochs": cfg.epochs})
+        model.save(os.path.join(out_dir, "checkpoint.spw1"))
         with open(os.path.join(out_dir, "training_log.json"), "w", encoding="utf-8") as f:
             json.dump(train_log, f, indent=1, sort_keys=True)
     return model, train_log

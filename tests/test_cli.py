@@ -104,6 +104,7 @@ CONFIG_FAULTS = {
     "sweep-zero-count": ("sweep", {"point_counts": [0]}),
     "sweep-zero-frames": ("sweep", {"n_frames": 0}),
     "sweep-zero-cap": ("sweep", {"range_caps": [0.0]}),
+    "train-zero-conv-count": ("train", {"network": {"conv_counts": [1, 0, 1, 1]}}),
 }
 
 
@@ -297,6 +298,31 @@ def test_run_laser_needs_a_pair(scene_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: laser alignment expects exactly 2 points, file has 96\n", err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("baseline", ["0", "-0.1"])
+@pytest.mark.parametrize("command", ["run", "align"])
+def test_nonpositive_laser_baseline_is_one_line_config_error(
+    command, baseline, scene_dir, laser_points, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    if command == "run":
+        SpadeModel(fast_config()).save(tmp_path / "c.spw1")
+        argv = [
+            "run", "--checkpoint", tmp_path / "c.spw1", "--relative", scene_dir / "relative.fdr1",
+            "--guide", scene_dir / "guide.fdr1", "--points", laser_points, "--laser", f"64,31.5,{baseline}",
+            "--out-dir", out,
+        ]
+    else:
+        u1, u2 = (p.u for p in read_points(laser_points))
+        argv = [
+            "align", "--relative", scene_dir / "relative.fdr1", "--points", laser_points,
+            "--laser", f"64,31.5,{baseline},{u1},{u2}", "--out", out,
+        ]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --laser baseline B must be > 0, got {float(baseline)}\n", err
+    assert not out.exists()
 
 
 # each command with one flag it does not read, after all the flags it needs

@@ -158,7 +158,8 @@ class TestGrad:
         p = np.array([[0.5, 0.7]])
         t = np.array([[0.4, 0.9]])
         m = np.ones((1, 2), dtype=bool)
-        got = loss_grad(Tensor(p), t, m).item()
+        with pytest.warns(UserWarning, match="skipping remaining scales"):
+            got = loss_grad(Tensor(p), t, m).item()
         assert got == pytest.approx(grad_oracle(p, t, m), abs=1e-12)
 
 
@@ -186,10 +187,54 @@ class TestLossGradients:
     def test_all_three_losses_differentiate(self):
         p, t, m = random_frame(16, shape=(6, 6))
         x = Tensor(p, requires_grad=True)
-        for fn in (
-            lambda: loss_rmse(x, t, m),
-            lambda: loss_silog(x, t, m),
-            lambda: loss_grad(x, t, m),
-        ):
-            worst = fd_gradcheck(fn, [x], max_elems=30, seed=17)
-            assert worst <= 1e-4, f"worst {worst:.3e}"
+        with pytest.warns(UserWarning, match="skipping remaining scales"):
+            for fn in (
+                lambda: loss_rmse(x, t, m),
+                lambda: loss_silog(x, t, m),
+                lambda: loss_grad(x, t, m),
+            ):
+                worst = fd_gradcheck(fn, [x], max_elems=30, seed=17)
+                assert worst <= 1e-4, f"worst {worst:.3e}"
+
+
+def batch_of_frames(seed, shape=(8, 10)):
+    """Three frames with dense, sparse and single-column masks; the last has
+    no horizontal pairs at any scale."""
+    frames = [random_frame(seed + i, shape, mask_p) for i, mask_p in enumerate((0.9, 0.4, 0.0))]
+    pred, target, mask = (np.stack(x) for x in zip(*frames))
+    mask[2] = False
+    mask[2, :, 3] = True
+    return pred, target, mask
+
+
+class TestBatchedFrames:
+    @pytest.mark.parametrize("loss", [loss_rmse, loss_silog, loss_grad, loss_total])
+    def test_batch_is_mean_of_frames(self, loss):
+        p, t, m = batch_of_frames(20)
+        got = loss(Tensor(p), t, m).item()
+        frames = [loss(Tensor(p[i]), t[i], m[i]).item() for i in range(len(p))]
+        assert got == pytest.approx(np.mean(frames), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("loss", [loss_rmse, loss_silog, loss_grad, loss_total])
+    def test_one_empty_frame_raises(self, loss):
+        p, t, m = batch_of_frames(21)
+        for i in range(len(m)):
+            empty = m.copy()
+            empty[i] = False
+            with pytest.raises(EmptyEvaluationError):
+                loss(Tensor(p), t, empty)
+
+    def test_masked_zero_prediction_stays_finite(self):
+        p, t, m = batch_of_frames(22)
+        p[~m] = 0.0
+        x = Tensor(p, requires_grad=True)
+        total = loss_total(x, t, m)
+        total.backward()
+        assert np.isfinite(total.item()) and np.isfinite(x.grad).all()
+        assert np.all(x.grad[~m] == 0.0)
+
+    def test_tiny_batch_warns_once_per_call(self):
+        p, t, m = (np.stack([x] * 4) for x in random_frame(23, shape=(1, 2), mask_p=1.0))
+        with pytest.warns(UserWarning, match="skipping remaining scales") as record:
+            loss_grad(Tensor(p), t, m)
+        assert len(record) == 1

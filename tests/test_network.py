@@ -58,13 +58,6 @@ class TestStage:
         assert len(stage.trans_blocks) == 0
         assert stage(x).shape == (1, 8, 4, 4)
 
-    def test_pure_transformer_stage(self):
-        rng = np.random.default_rng(4)
-        stage = CCDTStage(6, 8, 2, 0, 2, 4, 4, 2, TINY, rng)
-        x = Tensor(rng.standard_normal((1, 6, 8, 8)))
-        assert len(stage.conv_blocks) == 0
-        assert stage(x).shape == (1, 8, 4, 4)
-
 
 class TestDecoderBlock:
     def test_zero_deeper_is_refined_projection(self):

@@ -15,7 +15,9 @@ from spade.pipeline import (
     RunConfig,
     SpadeModel,
     SweepSpec,
+    _batch_loss,
     _sweep_points,
+    _training_sample,
     build_corpus,
     default_intrinsics,
     error_map,
@@ -115,6 +117,22 @@ class TestTraining:
         monkeypatch.setattr(spade.pipeline, "jbu_densify", counted)
         train(cfg, quiet=True)
         assert len(calls) == cfg.epochs * cfg.train_frames + cfg.val_frames
+
+    def test_batch_loss_graph_does_not_grow_with_the_batch(self):
+        cfg = fast_config()
+        model = SpadeModel(cfg, init="train")
+        samples = [_training_sample(f, f.points, cfg) for f in build_corpus(cfg, "val", n_frames=4)]
+
+        def graph_nodes(batch):
+            seen, stack = set(), [_batch_loss(model, batch)]
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    stack.extend(node._parents)
+            return len(seen)
+
+        assert graph_nodes(samples[:1]) == graph_nodes(samples)
 
     def test_no_grad_in_another_thread_leaves_this_thread_recording(self):
         entered, release = threading.Event(), threading.Event()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spade.errors import ShapeError
 from spade.nn import (
     Tensor,
     bilinear_sample,
@@ -128,10 +129,13 @@ class TestGradients:
         rng = np.random.default_rng(13)
         x = Tensor(rng.standard_normal((5, 6)), requires_grad=True)
         mask = rng.random((5, 6)) < 0.4
-        r = rng.standard_normal(int(mask.sum()))
-        check(lambda: scalarize(x[mask], r), [x])
+        for idx in (mask, (0, np.array([1, 1, 2])), [0, 1]):
+            with pytest.raises(ShapeError):
+                x[idx]
         r2 = rng.standard_normal((2, 3))
         check(lambda: scalarize(x[1:3, ::2], r2), [x])
+        r3 = rng.standard_normal((5, 1, 2))
+        check(lambda: scalarize(x[..., None, 4:], r3), [x])
 
     def test_matmul_batched(self):
         rng = np.random.default_rng(14)
