@@ -4,8 +4,9 @@ Subcommands: synth, simulate, align, densify, train, run, eval, sweep,
 gradcheck, report. Each accepts only the flags it reads; any other flag is
 a usage error. A checkpoint carries its config and seed, so `run
 --checkpoint` refuses --config and --seed and `sweep` has neither. Exit
-codes: 0 ok, 2 config or usage error, 3 numeric failure, 4 I/O or format
-error.
+codes: 0 ok, 2 config or usage error (and running out of memory, which a
+config asking for too large an input can cause), 3 numeric failure, 4 I/O
+or format error.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .pipeline import (
     RunConfig,
     SpadeModel,
     SweepSpec,
+    check_frame_shape,
     config_hash,
     render_report,
     run_frame,
@@ -185,8 +187,12 @@ def cmd_run(args) -> int:
         if not args.gt:
             raise ConfigError("--cap caps the metrics against --gt: it needs --gt")
         _check_cap(args.cap)
-    model = SpadeModel.load(args.checkpoint) if args.checkpoint else SpadeModel(_load_config(args))
+    model = SpadeModel.load(args.checkpoint) if args.checkpoint else None
+    cfg = _load_config(args) if model is None else model.cfg
     z = read_raster(args.relative)
+    check_frame_shape(z, cfg)  # before a model is built for a size the frame does not have
+    if model is None:
+        model = SpadeModel(cfg)
     guide = read_raster(args.guide)
     pts = read_points(args.points)
     gt = read_raster(args.gt) if args.gt else None
@@ -394,3 +400,6 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 4
+    except MemoryError as e:
+        print(f"error: out of memory: {e or 'an allocation failed'}", file=sys.stderr)
+        return 2

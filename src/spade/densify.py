@@ -85,18 +85,20 @@ def jbu_densify(eps: ScaleMap, z_tilde: DepthRaster, params: JBUParams = JBUPara
     """
     if eps.shape != z_tilde.shape:
         raise ShapeError(f"scale map {eps.shape} vs guide {z_tilde.shape}")
-    r = params.window_radius
+    h, w = eps.shape
+    # a row (column) offset past the image height (width) reaches no pixel:
+    # dropping those offsets leaves every pixel's terms, in the same order
+    ry, rx = (min(params.window_radius, n - 1) for n in (h, w))
     # 0.5 / sigma^2 has the bits of 1 / (2 sigma^2), and stays positive where 2 sigma^2 overflows
     inv2ss = 0.5 / params.sigma_spatial**2
     inv2sr = 0.5 / params.sigma_range**2
 
-    h, w = eps.shape
     guide = z_tilde.values.ravel()
     q = np.flatnonzero(eps.known & z_tilde.valid)
     qy, qx = np.divmod(q, w)
 
     # (offsets, points) grids, row-major: offset-major, then point order
-    dy, dx = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
+    dy, dx = np.meshgrid(np.arange(-ry, ry + 1), np.arange(-rx, rx + 1), indexing="ij")
     dy, dx = dy.reshape(-1, 1), dx.reshape(-1, 1)
     inside = (qy >= dy) & (qy < h + dy) & (qx >= dx) & (qx < w + dx)
     target = (q - (dy * w + dx))[inside]

@@ -56,12 +56,13 @@ def _pool_masked(pred: Tensor, target: np.ndarray, mask: np.ndarray):
     """2x2 average pooling of (..., H, W) that ignores masked pixels (odd edges cropped)."""
     *lead, h, w = mask.shape
     h2, w2 = h - h % 2, w - w % 2
+    if (h2, w2) != (h, w):  # a crop is a tape node that copies the map, so only when needed
+        pred, target, mask = pred[..., :h2, :w2], target[..., :h2, :w2], mask[..., :h2, :w2]
     blocks = (*lead, h2 // 2, 2, w2 // 2, 2)
-    m = mask[..., :h2, :w2]
-    count = m.reshape(blocks).sum(axis=(-3, -1))
+    count = mask.reshape(blocks).sum(axis=(-3, -1))
     denom = np.maximum(count, 1).astype(np.float64)
-    pred_sum = (pred[..., :h2, :w2] * Tensor(m.astype(np.float64))).reshape(blocks).sum(axis=(-3, -1))
-    target_dn = np.where(m, target[..., :h2, :w2], 0.0).reshape(blocks).sum(axis=(-3, -1)) / denom
+    pred_sum = (pred * Tensor(mask.astype(np.float64))).reshape(blocks).sum(axis=(-3, -1))
+    target_dn = np.where(mask, target, 0.0).reshape(blocks).sum(axis=(-3, -1)) / denom
     return pred_sum * Tensor(1.0 / denom), target_dn, count > 0
 
 

@@ -164,18 +164,14 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", np.ones(channels))
 
     def forward(self, x):
-        if self.training:
-            out, mean, var = batch_norm(x, self.gamma, self.beta, self.eps)
-            n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
-            unbiased = var * (n / max(n - 1, 1))
-            self.register_buffer("running_mean", (1 - self.momentum) * self.running_mean + self.momentum * mean)
-            self.register_buffer("running_var", (1 - self.momentum) * self.running_var + self.momentum * unbiased)
-            return out
-        # one per-channel affine; scale and shift are tensor ops, so gradients still reach gamma and beta
-        C = x.shape[1]
-        scale = self.gamma * Tensor(1.0 / np.sqrt(self.running_var + self.eps))
-        shift = self.beta - Tensor(self.running_mean) * scale
-        return x * scale.reshape(1, C, 1, 1) + shift.reshape(1, C, 1, 1)
+        if not self.training:
+            return batch_norm(x, self.gamma, self.beta, self.eps, (self.running_mean, self.running_var))[0]
+        out, mean, var = batch_norm(x, self.gamma, self.beta, self.eps)
+        n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
+        unbiased = var * (n / max(n - 1, 1))
+        self.register_buffer("running_mean", (1 - self.momentum) * self.running_mean + self.momentum * mean)
+        self.register_buffer("running_var", (1 - self.momentum) * self.running_var + self.momentum * unbiased)
+        return out
 
 
 class LayerNorm(Module):

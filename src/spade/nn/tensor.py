@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import lru_cache
 
 import numpy as np
 
@@ -342,9 +343,10 @@ def concat(tensors, axis=0):
 
 def softmax(x: Tensor, axis=-1) -> Tensor:
     a = Tensor.as_tensor(x)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    # shift, exponentiate and normalize in one buffer
+    out_data = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=axis, keepdims=True)
 
     def bw(g):
         dot = (g * out_data).sum(axis=axis, keepdims=True)
@@ -359,12 +361,18 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
 # dx = inv * (gh - mean(gh) - xhat * mean(gh * xhat)).
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
-    """Training-mode batch normalization of x (B,C,H,W) over (0, 2, 3) as one node.
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, stats=None):
+    """Batch normalization of x (B,C,H,W) over (0, 2, 3) as one node.
 
-    Returns the output and the batch mean and biased variance, each (C,).
+    Returns the output and the mean and biased variance it normalized with,
+    each (C,). Without `stats` these are the batch's (training mode); with
+    `stats` = (mean, var), constant arrays such as the running statistics
+    (eval mode), the output is the per-channel affine x * scale + shift with
+    scale = gamma / sqrt(var + eps) and shift = beta - mean * scale.
     """
     x, gamma, beta = Tensor.as_tensor(x), Tensor.as_tensor(gamma), Tensor.as_tensor(beta)
+    if stats is not None:
+        return _batch_norm_affine(x, gamma, beta, eps, *stats)
     B, C, H, W = x.data.shape
     axes, n = (0, 2, 3), B * H * W
     mean = x.data.mean(axis=axes, keepdims=True)
@@ -392,6 +400,28 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
             Tensor._accum(x, dx)
 
     return Tensor._make(out_data, (x, gamma, beta), bw), mean.reshape(C), var.reshape(C)
+
+
+def _batch_norm_affine(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, mean: np.ndarray, var: np.ndarray):
+    """`batch_norm` with fixed statistics: scale and shift are computed here,
+    not on the tape, and the backward reaches x, gamma and beta."""
+    C = x.data.shape[1]
+    inv = 1.0 / np.sqrt(var + eps)
+    scale = gamma.data * inv
+    shift = beta.data - mean * scale
+    out_data = x.data * scale.reshape(1, C, 1, 1)
+    out_data += shift.reshape(1, C, 1, 1)
+
+    def bw(g):
+        if x.requires_grad:
+            Tensor._accum(x, g * scale.reshape(1, C, 1, 1))
+        if gamma.requires_grad or beta.requires_grad:
+            d_shift = _unbroadcast(g, (1, C, 1, 1)).reshape(C)
+            Tensor._accum(beta, d_shift)
+            d_scale = _unbroadcast(g * x.data, (1, C, 1, 1)).reshape(C) + -d_shift * mean
+            Tensor._accum(gamma, d_scale * inv)
+
+    return Tensor._make(out_data, (x, gamma, beta), bw), mean, var
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
@@ -460,24 +490,40 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, gro
     where it is used and not kept on the tape. The input gradient is one GEMM
     per group and kernel row i, the group's w[:, :, i, :]^T (C/groups*kw,
     F/groups) @ grad (F/groups, B*Ho*Wo), added tap by tap.
+
+    An ungrouped, unpadded 1x1 convolution at stride 1 is a channel mix of
+    each sample, w (F,C) @ x (C,H*W) and its transposes, with no window,
+    im2col matrix or output transpose.
     """
     B, C, H, W = x.data.shape
     F, kh, kw = w.data.shape[0], w.data.shape[-2], w.data.shape[-1]
     G, Fg, Cg = groups, F // groups, C // groups
-    xp, Ho, Wo = _padded(x.data, kh, kw, stride, padding)
-    win = _windows(xp, kh, kw, stride, Ho, Wo)
-    out_data = w.data.reshape(G, Fg, Cg * kh * kw) @ _im2col(win, G)
-    out_data = np.ascontiguousarray(out_data.reshape(F, B, Ho, Wo).transpose(1, 0, 2, 3))
+    mix = kh == kw == stride == groups == 1 and padding == 0
+    if mix:
+        x3 = x.data.reshape(B, C, H * W)
+        out_data = (w.data.reshape(F, C) @ x3).reshape(B, F, H, W)
+    else:
+        xp, Ho, Wo = _padded(x.data, kh, kw, stride, padding)
+        win = _windows(xp, kh, kw, stride, Ho, Wo)
+        out_data = w.data.reshape(G, Fg, Cg * kh * kw) @ _im2col(win, G)
+        out_data = np.ascontiguousarray(out_data.reshape(F, B, Ho, Wo).transpose(1, 0, 2, 3))
     if b is not None:
         out_data += b.data[None, :, None, None]
     parents = (x, w) if b is None else (x, w, b)
 
     def bw(g):
+        if b is not None and b.requires_grad:
+            Tensor._accum(b, g.sum(axis=(0, 2, 3)))
+        if mix:
+            g3 = g.reshape(B, F, H * W)
+            if w.requires_grad:
+                Tensor._accum(w, (g3 @ x3.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape))
+            if x.requires_grad:
+                Tensor._accum(x, (w.data.reshape(F, C).T @ g3).reshape(B, C, H, W))
+            return
         g2 = g.transpose(1, 0, 2, 3).reshape(G, Fg, B * Ho * Wo)
         if w.requires_grad:
             Tensor._accum(w, (g2 @ _im2col(win, G).transpose(0, 2, 1)).reshape(w.data.shape))
-        if b is not None and b.requires_grad:
-            Tensor._accum(b, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             dxp = np.zeros(xp.shape)
             dwin = _windows(dxp, kh, kw, stride, Ho, Wo)
@@ -514,19 +560,28 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int 
 # -- resize / sampling -----------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _resize_pair(in_size: int, out_size: int):
+    """`resize_matrix(in_size, out_size)` and its transpose, both read-only:
+    a network resizes between a few fixed sizes, so each pair is built once."""
+    R = resize_matrix(in_size, out_size)
+    RT = np.ascontiguousarray(R.T)
+    R.flags.writeable = RT.flags.writeable = False
+    return R, RT
+
+
 def interpolate_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Resize (B,C,H,W) -> (B,C,out_h,out_w) with separable bilinear weights."""
+    """Resize (B,C,H,W) -> (B,C,out_h,out_w) with separable bilinear weights:
+    Rh @ x @ Rw^T for each map, as two matmuls."""
     x = Tensor.as_tensor(x)
     B, C, H, W = x.data.shape
-    Rh = resize_matrix(H, out_h)
-    Rw = resize_matrix(W, out_w)
-    tmp = np.einsum("oh,bchw->bcow", Rh, x.data, optimize=True)
-    out_data = np.einsum("pw,bcow->bcop", Rw, tmp, optimize=True)
+    Rh, RhT = _resize_pair(H, out_h)
+    Rw, RwT = _resize_pair(W, out_w)
+    out_data = Rh @ (x.data @ RwT)
 
     def bw(g):
         if x.requires_grad:
-            t = np.einsum("pw,bcop->bcow", Rw, g, optimize=True)
-            Tensor._accum(x, np.einsum("oh,bcow->bchw", Rh, t, optimize=True))
+            Tensor._accum(x, RhT @ (g @ Rw))
 
     return Tensor._make(out_data, (x,), bw)
 
@@ -559,16 +614,11 @@ def bilinear_sample(x: Tensor, loc: Tensor) -> Tensor:
     fr = fr[:, None, :]  # (B,1,P)
     fc = fc[:, None, :]
 
-    xf = x.data.reshape(B, C, H * W)
-
-    def gather(ri, ci):
-        idx = np.broadcast_to((ri * W + ci)[:, None, :], (B, C, P))
-        return np.take_along_axis(xf, idx, axis=2)
-
-    x00 = gather(r0, c0)
-    x01 = gather(r0, c1)
-    x10 = gather(r1, c0)
-    x11 = gather(r1, c1)
+    # the four taps' flat pixel indices (B,4P), gathered for every channel at once
+    taps = np.concatenate([r0 * W + c0, r0 * W + c1, r1 * W + c0, r1 * W + c1], axis=1)
+    idx = np.broadcast_to(taps[:, None, :], (B, C, 4 * P))
+    gathered = np.take_along_axis(x.data.reshape(B, C, H * W), idx, axis=2)
+    x00, x01, x10, x11 = gathered.reshape(B, C, 4, P).transpose(2, 0, 1, 3)
     top = x00 * (1 - fc) + x01 * fc
     bot = x10 * (1 - fc) + x11 * fc
     out_data = top * (1 - fr) + bot * fr
@@ -596,6 +646,26 @@ def bilinear_sample(x: Tensor, loc: Tensor) -> Tensor:
     return Tensor._make(out_data, (x, loc), bw)
 
 
+def _two_tap_weights(n: int, pos: np.ndarray, size: int, inv_g: float):
+    """(B,Nk,n,size) weights of `rel_pos_bias` along one table axis, two taps
+    per query row (or column), and a thunk for their derivative in the table
+    coordinate (q - pos[b, k]) * inv_g + (size-1)/2."""
+    raw = (np.arange(n, dtype=np.float64) - pos[:, :, None]) * inv_g + (size - 1) / 2.0
+    i0, i1, frac, inside = (a.ravel() for a in _taps(raw, size))
+    rows = np.arange(0, i0.size * size, size)
+
+    def written(*taps):
+        out = np.zeros(i0.size * size)
+        for i, v in taps:  # (tap index of each row, values), in turn
+            out[rows + i] = v
+        return out.reshape(raw.shape + (size,))
+
+    # the taps coincide only for size 1, where frac and inside are 0: the
+    # weight there is 1 - frac and its derivative 0, so those are written last
+    ins = inside.astype(np.float64)
+    return written((i1, frac), (i0, 1.0 - frac)), lambda: written((i0, -ins), (i1, ins))
+
+
 def rel_pos_bias(table: Tensor, ppos: Tensor, H: int, W: int, g: int) -> Tensor:
     """Relative-position bias of every query pixel to every key -> (B,heads,H*W,Nk).
 
@@ -619,16 +689,8 @@ def rel_pos_bias(table: Tensor, ppos: Tensor, H: int, W: int, g: int) -> Tensor:
     B, Nk, _ = ppos.data.shape
     inv_g = 1.0 / g
 
-    def weights(n, pos, size):
-        """(B,Nk,n,size) two-tap weights of the n query rows (or columns) of
-        each key, and a thunk for their derivative in the table coordinate."""
-        raw = (np.arange(n, dtype=np.float64) - pos[:, :, None]) * inv_g + (size - 1) / 2.0
-        i0, i1, frac, inside = (a[..., None] for a in _taps(raw, size))
-        lo, hi = np.arange(size) == i0, np.arange(size) == i1
-        return lo * (1.0 - frac) + hi * frac, lambda: (hi * 1.0 - lo) * inside
-
-    R, dR = weights(H, ppos.data[..., 0], Th)
-    C, dC = weights(W, ppos.data[..., 1], Tw)
+    R, dR = _two_tap_weights(H, ppos.data[..., 0], Th, inv_g)
+    C, dC = _two_tap_weights(W, ppos.data[..., 1], Tw, inv_g)
     T = table.data
     # along table rows for all keys in one GEMM, then along columns per key
     RT = R.reshape(B * Nk * H, Th) @ T.transpose(1, 0, 2).reshape(Th, hds * Tw)

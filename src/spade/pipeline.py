@@ -249,6 +249,12 @@ def densified_corrections(pts: SparsePointSet, aligned: DepthRaster, jbu: JBUPar
     return fill_default(jbu_densify(sparse_scale_map(usable, aligned), aligned, jbu)).values
 
 
+def check_frame_shape(z_rel: DepthRaster, cfg: RunConfig):
+    """A frame must have the configured input size; this check needs no model."""
+    if z_rel.shape != tuple(cfg.input_hw):
+        raise ConfigError(f"frame {z_rel.shape} does not match configured input {cfg.input_hw}")
+
+
 def run_frame(
     model: SpadeModel,
     z_rel: DepthRaster,
@@ -260,8 +266,7 @@ def run_frame(
 ) -> FrameResult:
     """Full two-stage inference for one frame."""
     cfg = model.cfg
-    if z_rel.shape != tuple(cfg.input_hw):
-        raise ConfigError(f"frame {z_rel.shape} does not match configured input {cfg.input_hw}")
+    check_frame_shape(z_rel, cfg)
     if laser is not None and len(pts) == 2:  # a laser pair never attempts the joint fit
         aligned, fit = align_with_laser(z_rel, pts, laser.intrinsics, laser.baseline_m)
     else:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import fast_config
+from spade import cli
 from spade.cli import main
 from spade.core import read_points, read_raster, write_points, write_raster, Space
 from spade.core import SparsePointSet
@@ -226,6 +227,34 @@ def test_run_checkpoint_refuses_config_and_seed(flag, scene_dir, cfg_file, tmp_p
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+def test_run_frame_size_mismatch_is_refused_before_the_model_is_built(scene_dir, tmp_path, monkeypatch, capsys):
+    # the scene is 32x64; a model built for the configured input is never needed
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"input_hw": [64, 96]}))
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(cli, "SpadeModel", no_model)
+    code = run_cli("run", "--config", cfg, *frame_args(scene_dir, tmp_path), "--out-dir", tmp_path / "out")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: frame (32, 64) does not match configured input (64, 96)\n", err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 3.22 GiB for an array", ""])
+def test_out_of_memory_is_one_line_exit_2(message, monkeypatch, capsys):
+    def out_of_memory(**kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_suite", out_of_memory)
+    assert run_cli("gradcheck") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+    assert message in err
 
 
 # a --cap that is not a finite number above 0, or that no metric would read

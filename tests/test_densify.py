@@ -245,6 +245,20 @@ class TestJBU:
         assert np.array_equal(out.filled, ref.filled[inner])
         assert out.filled.all()
 
+    def test_radius_is_clamped_to_the_image_extent(self):
+        # (2r+1)^2 offsets for r = 10^6 could not even be allocated: the clamp
+        # must come before any array is built
+        rng = np.random.default_rng(33)
+        h, w = 5, 9
+        known = rng.random((h, w)) < 0.3
+        known[2, 4] = True
+        vals = np.where(known, rng.uniform(0.5, 2.0, (h, w)), 0.0)
+        eps, guide = ScaleMap(vals, known), inverse_raster(rng.uniform(0.2, 1.5, (h, w)))
+        huge = jbu_densify(eps, guide, JBUParams(10**6, 3.0, 0.2))
+        extent = jbu_densify(eps, guide, JBUParams(max(h, w), 3.0, 0.2))
+        assert huge.values.tobytes() == extent.values.tobytes()
+        assert np.array_equal(huge.filled, extent.filled) and np.array_equal(huge.known, extent.known)
+
     def test_param_validation(self):
         with pytest.raises(ConfigError):
             JBUParams(0, 1.0, 1.0)

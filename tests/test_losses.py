@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from spade import losses
 from spade.errors import DomainError, EmptyEvaluationError
 from spade.losses import (
     GRAD_WEIGHT,
     SILOG_BETA,
     SILOG_LAMBDA,
+    _pool_masked,
     loss_grad,
     loss_rmse,
     loss_silog,
@@ -238,3 +240,38 @@ class TestBatchedFrames:
         with pytest.warns(UserWarning, match="skipping remaining scales") as record:
             loss_grad(Tensor(p), t, m)
         assert len(record) == 1
+
+
+def pool_masked_always_cropped(pred, target, mask):
+    """_pool_masked as it was: the crop to even size is taken even when it is the whole map."""
+    *lead, h, w = mask.shape
+    h2, w2 = h - h % 2, w - w % 2
+    blocks = (*lead, h2 // 2, 2, w2 // 2, 2)
+    m = mask[..., :h2, :w2]
+    count = m.reshape(blocks).sum(axis=(-3, -1))
+    denom = np.maximum(count, 1).astype(np.float64)
+    pred_sum = (pred[..., :h2, :w2] * Tensor(m.astype(np.float64))).reshape(blocks).sum(axis=(-3, -1))
+    target_dn = np.where(m, target[..., :h2, :w2], 0.0).reshape(blocks).sum(axis=(-3, -1)) / denom
+    return pred_sum * Tensor(1.0 / denom), target_dn, count > 0
+
+
+class TestPooling:
+    def test_even_size_pools_without_a_crop(self, monkeypatch):
+        p, t, m = batch_of_frames(24, shape=(8, 12))
+        crops = []
+        getitem = Tensor.__getitem__
+        monkeypatch.setattr(Tensor, "__getitem__", lambda self, idx: crops.append(idx) or getitem(self, idx))
+        _pool_masked(Tensor(p), t, m)
+        assert crops == []
+
+    @pytest.mark.parametrize("shape", [(8, 12), (16, 24), (7, 12), (8, 11)])
+    def test_loss_and_gradient_bitwise_equal_to_cropped_form(self, shape, monkeypatch):
+        p, t, m = batch_of_frames(25, shape=shape)
+        results = []
+        for pool in (losses._pool_masked, pool_masked_always_cropped):
+            monkeypatch.setattr(losses, "_pool_masked", pool)
+            x = Tensor(p, requires_grad=True)
+            total = loss_total(x, t, m)
+            total.backward()
+            results.append((total.data.tobytes(), x.grad.tobytes()))
+        assert results[0] == results[1]

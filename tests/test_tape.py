@@ -202,3 +202,28 @@ def test_layer_norm_matches_composition(layout):
     for g, w in zip(got_grads, want_grads):
         assert_close(g, w)
 
+
+
+def eval_batch_norm_as_tensor_ops(bn, x):
+    """Eval BatchNorm2d as the eight tape ops it was before it became one node."""
+    C = x.shape[1]
+    scale = bn.gamma * Tensor(1.0 / np.sqrt(bn.running_var + bn.eps))
+    shift = bn.beta - Tensor(bn.running_mean) * scale
+    return x * scale.reshape(1, C, 1, 1) + shift.reshape(1, C, 1, 1)
+
+
+@pytest.mark.parametrize("shape", [(1, 32, 16, 24), (2, 3, 4, 5), (1, 2, 1, 2)])
+def test_batch_norm_eval_bitwise_equal_to_tensor_ops(shape):
+    rng = np.random.default_rng(sum(shape) + 2)
+    C = shape[1]
+    bn = BatchNorm2d(C).eval()
+    bn.gamma.data, bn.beta.data = rng.uniform(0.5, 1.5, C), rng.standard_normal(C)
+    bn.register_buffer("running_mean", rng.standard_normal(C))
+    bn.register_buffer("running_var", rng.uniform(0.3, 2.0, C))
+    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    seed = rng.standard_normal(shape)
+    leaves = [x, bn.gamma, bn.beta]
+    got, got_grads = values_and_grads(lambda: bn(x), leaves, seed)
+    want, want_grads = values_and_grads(lambda: eval_batch_norm_as_tensor_ops(bn, x), leaves, seed)
+    for g, w in zip([got, *got_grads], [want, *want_grads]):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()

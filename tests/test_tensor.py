@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spade.core import resize_matrix
 from spade.errors import ShapeError
 from spade.nn import (
     Tensor,
@@ -14,6 +15,10 @@ from spade.nn import (
     softmax,
 )
 from spade.nn.gradcheck import fd_gradcheck, scalarize
+from spade.nn.tensor import _resize_pair, _taps, _two_tap_weights
+from spade.pipeline import SpadeModel
+
+from conftest import fast_config
 
 RTOL = 1e-4
 
@@ -356,3 +361,129 @@ class TestKernelEquivalence:
         np.testing.assert_allclose(d_table, d_table_ref, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(d_pos, d_pos_ref, rtol=1e-12, atol=1e-12)
         assert np.any(d_pos == 0.0)  # some keys are clamped in a whole axis
+
+
+# -- the frame kernels against the formulations they replaced -----------------
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def softmax_three_temporaries(x, axis):
+    """softmax with a shifted copy, an exponentiated copy and a quotient."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def bilinear_sample_four_gathers(x, loc):
+    """bilinear_sample's forward with one broadcast gather per tap."""
+    B, C, H, W = x.shape
+    P = loc.shape[1]
+    r0, r1, fr, _ = _taps(loc[..., 0], H)
+    c0, c1, fc, _ = _taps(loc[..., 1], W)
+    fr, fc = fr[:, None, :], fc[:, None, :]
+    xf = x.reshape(B, C, H * W)
+
+    def gather(ri, ci):
+        return np.take_along_axis(xf, np.broadcast_to((ri * W + ci)[:, None, :], (B, C, P)), axis=2)
+
+    top = gather(r0, c0) * (1 - fc) + gather(r0, c1) * fc
+    bot = gather(r1, c0) * (1 - fc) + gather(r1, c1) * fc
+    return top * (1 - fr) + bot * fr
+
+
+def two_tap_weights_one_hot(n, pos, size, inv_g):
+    """rel_pos_bias's tap weights and their derivative from dense one-hot comparisons."""
+    raw = (np.arange(n, dtype=np.float64) - pos[:, :, None]) * inv_g + (size - 1) / 2.0
+    i0, i1, frac, inside = (a[..., None] for a in _taps(raw, size))
+    lo, hi = np.arange(size) == i0, np.arange(size) == i1
+    return lo * (1.0 - frac) + hi * frac, (hi * 1.0 - lo) * inside
+
+
+def interpolate_einsum(x, out_h, out_w, seed):
+    """The resize and its input gradient as the einsum contractions it replaced."""
+    Rh, Rw = resize_matrix(x.shape[2], out_h), resize_matrix(x.shape[3], out_w)
+    tmp = np.einsum("oh,bchw->bcow", Rh, x, optimize=True)
+    out = np.einsum("pw,bcow->bcop", Rw, tmp, optimize=True)
+    t = np.einsum("pw,bcop->bcow", Rw, seed, optimize=True)
+    return out, np.einsum("oh,bcow->bchw", Rh, t, optimize=True)
+
+
+class TestFrameKernels:
+    @pytest.mark.parametrize("shape,axis", [((1, 4, 384, 96), -1), ((2, 3, 5, 7), 1), ((3, 1), -1)])
+    def test_softmax_bitwise_equal_to_three_temporaries(self, shape, axis):
+        x = np.random.default_rng(80).standard_normal(shape) * 4.0
+        assert_same_bits(softmax(Tensor(x), axis=axis).data, softmax_three_temporaries(x, axis))
+
+    @pytest.mark.parametrize("B,C,H,W,P", [(1, 96, 4, 6, 6), (2, 3, 7, 9, 11), (1, 2, 1, 5, 4)])
+    def test_bilinear_sample_bitwise_equal_to_four_gathers(self, B, C, H, W, P):
+        rng = np.random.default_rng(81 + P)
+        x = rng.standard_normal((B, C, H, W))
+        # inside, on grid lines and beyond the border clamp
+        loc = rng.uniform(-2.0, 1.0, (B, P, 2)) * np.array([H, W]) + np.array([H, W])
+        loc[:, 0] = [0.0, W - 1.0]
+        assert_same_bits(bilinear_sample(Tensor(x), Tensor(loc)).data, bilinear_sample_four_gathers(x, loc))
+
+    # the desk model's four stages (feature map, grid step) and a one-row table
+    @pytest.mark.parametrize("H,W,g", [(16, 24, 2), (8, 12, 2), (4, 6, 2), (2, 3, 1), (2, 4, 2)])
+    def test_rel_pos_weights_bitwise_equal_to_one_hot(self, H, W, g):
+        rng = np.random.default_rng(82 + H)
+        gh, gw = H // g, W // g
+        rr, cc = (np.arange(gh) + 0.5) * g - 0.5, (np.arange(gw) + 0.5) * g - 0.5
+        ref = np.stack(np.meshgrid(rr, cc, indexing="ij"), axis=-1).reshape(1, -1, 2)
+        # offsets up to 1.5x the map size reach the table's border clamp
+        pos = ref + rng.uniform(-1.5, 1.5, (2, gh * gw, 2)) * np.array([H, W])
+        for axis, (n, size) in enumerate([(H, 2 * gh - 1), (W, 2 * gw - 1)]):
+            weights, d_weights = _two_tap_weights(n, pos[..., axis], size, 1.0 / g)
+            want, d_want = two_tap_weights_one_hot(n, pos[..., axis], size, 1.0 / g)
+            assert_same_bits(weights, want)
+            assert_same_bits(d_weights(), d_want)
+
+    @pytest.mark.parametrize("shape,out_hw", [((1, 32, 32, 48), (64, 96)), ((2, 3, 2, 3), (4, 6)),
+                                              ((1, 2, 1, 5), (3, 2)), ((2, 2, 7, 9), (3, 4))])
+    def test_resize_matches_einsum_form(self, shape, out_hw):
+        rng = np.random.default_rng(83)
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        out = interpolate_bilinear(x, *out_hw)
+        seed = rng.standard_normal(out.shape)
+        out.backward(seed)
+        want, dx = interpolate_einsum(x.data, *out_hw, seed)
+        np.testing.assert_allclose(out.data, want, rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(x.grad, dx, rtol=1e-15, atol=1e-15)
+
+    def test_cached_resize_matrices_are_read_only(self):
+        R, RT = _resize_pair(5, 9)
+        np.testing.assert_array_equal(R, resize_matrix(5, 9))
+        np.testing.assert_array_equal(RT, resize_matrix(5, 9).T)
+        for a in (R, RT):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+
+    def test_second_eval_forward_builds_no_resize_matrix(self):
+        model = SpadeModel(fast_config()).eval()
+        x = [Tensor(np.full((1, 1, 32, 64), v)) for v in (1.0, 0.5, 0.3)]
+        with no_grad():
+            model(*x)
+            before = _resize_pair.cache_info()
+            model(*x)
+        after = _resize_pair.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 2 * 9  # nine resizes, two axes each
+
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_1x1_conv_matches_direct_loop(self, bias):
+        rng = np.random.default_rng(84)
+        x = rng.standard_normal((3, 5, 7, 9))
+        w = rng.standard_normal((4, 5, 1, 1))
+        b = rng.standard_normal(4) if bias else np.zeros(4)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = conv2d(xt, wt, Tensor(b) if bias else None)
+        seed = rng.standard_normal(out.shape)
+        ref, dx = conv2d_loop(x, w, b, 1, 0, seed)
+        assert out.data.flags.c_contiguous
+        np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+        out.backward(seed)
+        np.testing.assert_allclose(xt.grad, dx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(wt.grad[:, :, 0, 0], np.einsum("bfhw,bchw->fc", seed, x), rtol=1e-12, atol=1e-12)
