@@ -34,6 +34,7 @@ class AffineFit:
     mode: str  # "scale_shift" | "scale_only" | "laser_baseline"
     residual_rms: float
     n_points: int = 0
+    fallback: str | None = None  # why the fit is not the one asked for
 
 
 def _finite(what: str, *values) -> None:
@@ -111,8 +112,9 @@ def align_global(z: DepthRaster, pts: SparsePointSet) -> tuple[DepthRaster, Affi
 
     Samples z at the point pixels (nearest pixel, no interpolation),
     attempts the joint scale/shift fit, and falls back to scale-only
-    whenever the joint fit is degenerate or yields s <= 0. Aligned pixels
-    with non-positive value are masked invalid in the output.
+    whenever the joint fit is degenerate or yields s <= 0; the fit's
+    `fallback` then says which. Aligned pixels with non-positive value are
+    masked invalid in the output.
     """
     if z.space is not Space.AFFINE:
         raise DomainError(f"align_global expects an affine-invariant raster, got {z.space.value}")
@@ -123,19 +125,19 @@ def align_global(z: DepthRaster, pts: SparsePointSet) -> tuple[DepthRaster, Affi
     z_samp = np.array([z.values[p.v_row, p.u] for p in usable], dtype=np.float64)
     v = 1.0 / np.array([p.depth_m for p in usable], dtype=np.float64)
 
-    fit = None
     try:
         s, t = fit_scale_shift(z_samp, v)
-        if s > 0:
-            fit = AffineFit(s, t, "scale_shift", _residual_rms(z_samp, v, s, t), len(usable))
-    except (InsufficientPointsError, DegenerateDesignError):
-        pass
-    if fit is None:
+        why = None if s > 0 else f"joint fit gave s={s:.6g} <= 0"
+    except (InsufficientPointsError, DegenerateDesignError) as e:
+        why = str(e)
+    if why is None:
+        fit = AffineFit(s, t, "scale_shift", _residual_rms(z_samp, v, s, t), len(usable))
+    else:
         try:
             s = fit_scale_only(z_samp, v)
         except (DegenerateDesignError, InconsistentMeasurementsError) as e:
-            raise AlignmentFailureError(f"joint fit unusable and scale-only fallback failed: {e}")
-        fit = AffineFit(s, 0.0, "scale_only", _residual_rms(z_samp, v, s, 0.0), len(usable))
+            raise AlignmentFailureError(f"joint fit unusable ({why}) and scale-only fallback failed: {e}")
+        fit = AffineFit(s, 0.0, "scale_only", _residual_rms(z_samp, v, s, 0.0), len(usable), why)
 
     return _aligned_raster(z, fit.s, fit.t), fit
 

@@ -190,10 +190,10 @@ def cmd_run(args) -> int:
     model = SpadeModel.load(args.checkpoint) if args.checkpoint else None
     cfg = _load_config(args) if model is None else model.cfg
     z = read_raster(args.relative)
-    check_frame_shape(z, cfg)  # before a model is built for a size the frame does not have
+    guide = read_raster(args.guide)
+    check_frame_shape(z, guide, cfg)  # before a model is built for a size the frame does not have
     if model is None:
         model = SpadeModel(cfg)
-    guide = read_raster(args.guide)
     pts = read_points(args.points)
     gt = read_raster(args.gt) if args.gt else None
     laser = None

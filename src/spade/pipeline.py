@@ -8,7 +8,7 @@ import json
 import logging
 import os
 from contextlib import suppress
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -19,14 +19,17 @@ from .core import (
     Space,
     SparsePointSet,
     from_inverse,
+    to_inverse,
 )
 from .config import from_json
 from .densify import JBUParams, fill_default, jbu_densify, sparse_scale_map
 from .errors import (
     ConfigError,
     DivergenceError,
+    DomainError,
     EmptyEvaluationError,
     FormatError,
+    ShapeError,
     SpadeError,
 )
 from .losses import loss_total
@@ -241,18 +244,32 @@ def build_corpus(cfg: RunConfig, split: str, n_frames: int | None = None) -> lis
 # ---------------------------------------------------------------------------
 
 
-def densified_corrections(pts: SparsePointSet, aligned: DepthRaster, jbu: JBUParams) -> np.ndarray:
-    """Sparse corrections propagated by JBU and hole-filled with 1."""
+def prepare_frame(
+    z_rel: DepthRaster, pts: SparsePointSet, jbu: JBUParams, laser: LaserRig | None = None
+) -> tuple[DepthRaster, AffineFit, np.ndarray]:
+    """Stage 1 for `run`, training and sweeps: (aligned inverse depth, fit,
+    JBU-densified corrections). A laser rig takes the laser path only with
+    exactly 2 points; with any other count the fit's `fallback` says so."""
+    if laser is not None and len(pts) == 2:  # a laser pair never attempts the joint fit
+        aligned, fit = align_with_laser(z_rel, pts, laser.intrinsics, laser.baseline_m)
+    else:
+        aligned, fit = align_global(z_rel, pts)
+        if laser is not None:
+            why = f"laser rig needs 2 points, got {len(pts)}"
+            fit = replace(fit, fallback=why if fit.fallback is None else f"{why}; {fit.fallback}")
     usable = SparsePointSet([p for p in pts if aligned.valid[p.v_row, p.u]])
     if len(usable) == 0:
         raise EmptyEvaluationError("no sparse points survive alignment masking")
-    return fill_default(jbu_densify(sparse_scale_map(usable, aligned), aligned, jbu)).values
+    return aligned, fit, fill_default(jbu_densify(sparse_scale_map(usable, aligned), aligned, jbu)).values
 
 
-def check_frame_shape(z_rel: DepthRaster, cfg: RunConfig):
-    """A frame must have the configured input size; this check needs no model."""
+def check_frame_shape(z_rel: DepthRaster, guide: DepthRaster, cfg: RunConfig):
+    """A frame must have the configured input size and a guide of its size;
+    this check needs no model."""
     if z_rel.shape != tuple(cfg.input_hw):
         raise ConfigError(f"frame {z_rel.shape} does not match configured input {cfg.input_hw}")
+    if guide.shape != z_rel.shape:
+        raise ShapeError(f"guide {guide.shape} does not match frame {z_rel.shape}")
 
 
 def run_frame(
@@ -266,12 +283,8 @@ def run_frame(
 ) -> FrameResult:
     """Full two-stage inference for one frame."""
     cfg = model.cfg
-    check_frame_shape(z_rel, cfg)
-    if laser is not None and len(pts) == 2:  # a laser pair never attempts the joint fit
-        aligned, fit = align_with_laser(z_rel, pts, laser.intrinsics, laser.baseline_m)
-    else:
-        aligned, fit = align_global(z_rel, pts)
-    eps_dense = densified_corrections(pts, aligned, cfg.jbu)
+    check_frame_shape(z_rel, guide, cfg)
+    aligned, fit, eps_dense = prepare_frame(z_rel, pts, cfg.jbu, laser)
 
     model.eval()
     with no_grad():
@@ -299,12 +312,9 @@ def _subsample_seed(cfg_seed: int, epoch: int, frame_idx: int) -> int:
 
 def _training_sample(frame: FrameData, pts: SparsePointSet, cfg: RunConfig):
     """(densified corrections, aligned inverse depth, target inverse depth, loss mask, guide)"""
-    aligned, _ = align_global(frame.z_rel, pts)
-    eps_dense = densified_corrections(pts, aligned, cfg.jbu)
-    target_inv = np.zeros(frame.gt.shape)
-    np.divide(1.0, frame.gt.values, out=target_inv, where=frame.gt.valid)
+    aligned, _, eps_dense = prepare_frame(frame.z_rel, pts, cfg.jbu)
     mask = frame.gt.valid & aligned.valid
-    return eps_dense, aligned.values, target_inv, mask, frame.guide.values
+    return eps_dense, aligned.values, to_inverse(frame.gt).values, mask, frame.guide.values
 
 
 def _batch_loss(model: SpadeModel, batch: list) -> Tensor:
@@ -547,7 +557,13 @@ def sweep_table_markdown(report: dict) -> str:
 
 def render_report(pairs: list, out_dir) -> dict:
     """Emit per-frame error maps (PGM) and metric tables for (name, pred, gt)
-    raster triples; returns the written paths."""
+    raster triples; returns the written paths. Every pair is checked before
+    any file is written."""
+    for name, pred, gt in pairs:
+        if pred.shape != gt.shape:
+            raise ShapeError(f"frame {name}: prediction {pred.shape} vs ground truth {gt.shape}")
+        if pred.space is not Space.METRIC or gt.space is not Space.METRIC:
+            raise DomainError(f"frame {name}: report needs metric depth, got {pred.space.value} vs {gt.space.value}")
     os.makedirs(out_dir, exist_ok=True)
     written = {"error_maps": [], "tables": []}
     rows = []

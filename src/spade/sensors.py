@@ -112,6 +112,10 @@ def sample_pattern(
     if gt.space is not Space.METRIC:
         raise DomainError(f"pattern sampling expects metric ground truth, got {gt.space.value}")
     h, w = gt.shape
+    if spec.kind == "sonar_line" and spec.count > h * w:
+        raise ConfigError(f"sonar_line count {spec.count} exceeds the {h}x{w} raster's {h * w} pixels")
+    if spec.kind == "uniform_grid" and (spec.grid_rows > h or spec.grid_cols > w):
+        raise ConfigError(f"uniform_grid {spec.grid_rows}x{spec.grid_cols} exceeds the {h}x{w} raster")
     rng = np.random.default_rng(spec.seed)
 
     if spec.kind == "feature_like":

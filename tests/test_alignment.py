@@ -10,6 +10,7 @@ from spade.alignment import (
 )
 from spade.core import CameraIntrinsics, DepthRaster, Space, SparsePointSet
 from spade.errors import (
+    AlignmentFailureError,
     DegenerateDesignError,
     InconsistentMeasurementsError,
     InsufficientPointsError,
@@ -96,6 +97,7 @@ class TestAlignGlobal:
         assert fit.s == pytest.approx(2.0, abs=1e-12)
         assert fit.t == pytest.approx(0.1, abs=1e-12)
         assert fit.residual_rms < 1e-12
+        assert fit.fallback is None
         assert aligned.space is Space.INVERSE
         assert np.allclose(aligned.values, 2.0 * z.values + 0.1)
 
@@ -110,6 +112,8 @@ class TestAlignGlobal:
         assert fit.mode == "scale_only"
         assert fit.t == 0.0
         assert fit.s == pytest.approx(float(z_at @ v) / float(z_at @ z_at), abs=1e-15)
+        s_joint, _ = fit_scale_shift(z_at, v)
+        assert fit.fallback == f"joint fit gave s={s_joint:.6g} <= 0"
 
     def test_degenerate_design_falls_back(self):
         z = affine_raster([[0.5, 0.5, 0.5]])
@@ -117,12 +121,16 @@ class TestAlignGlobal:
         aligned, fit = align_global(z, pts)
         assert fit.mode == "scale_only"
         assert fit.s == pytest.approx(1.0, abs=1e-12)  # s*0.5 = 0.5 = 1/2m
+        with pytest.raises(DegenerateDesignError) as joint:
+            fit_scale_shift([0.5, 0.5, 0.5], [0.5, 0.5, 0.5])
+        assert fit.fallback == str(joint.value) and "variance" in fit.fallback
 
     def test_single_point_scale_only(self):
         z = affine_raster([[0.25]])
         _, fit = align_global(z, SparsePointSet([(0, 0, 2.0)]))
         assert fit.mode == "scale_only"
         assert fit.s == pytest.approx(2.0, abs=1e-12)
+        assert fit.fallback == "scale/shift fit needs >= 2 points, got 1"
 
     def test_synthetic_frame_recovery(self):
         rng = np.random.default_rng(3)
@@ -160,6 +168,11 @@ class TestAlignGlobal:
         z = DepthRaster(vals, np.array([[False, False]]), Space.AFFINE)
         with pytest.raises(InsufficientPointsError):
             align_global(z, SparsePointSet([(0, 0, 2.0)]))
+
+    def test_failed_fallback_names_the_joint_reason(self):
+        z = affine_raster([[0.0, 0.0]])
+        with pytest.raises(AlignmentFailureError, match=r"joint fit unusable \(z variance .*\)"):
+            align_global(z, SparsePointSet([(0, 0, 2.0), (1, 0, 2.0)]))
 
 
 class TestLaserScale:

@@ -9,7 +9,7 @@ import pytest
 from conftest import fast_config
 from spade import cli
 from spade.cli import main
-from spade.core import read_points, read_raster, write_points, write_raster, Space
+from spade.core import DepthRaster, read_points, read_raster, write_points, write_raster, Space
 from spade.core import SparsePointSet
 from spade.nn import save_checkpoint
 from spade.pipeline import SpadeModel, build_corpus
@@ -245,6 +245,25 @@ def test_run_frame_size_mismatch_is_refused_before_the_model_is_built(scene_dir,
     assert not (tmp_path / "out").exists()
 
 
+def test_run_guide_size_mismatch_is_refused_before_anything_is_written(scene_dir, tmp_path, monkeypatch, capsys):
+    guide = read_raster(scene_dir / "guide.fdr1")
+    write_raster(DepthRaster(guide.values[:10, :10], guide.valid[:10, :10], guide.space), tmp_path / "g10.fdr1")
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(cli, "SpadeModel", no_model)
+    argv = frame_args(scene_dir, tmp_path)
+    argv[argv.index("--guide") + 1] = tmp_path / "g10.fdr1"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"input_hw": [32, 64]}))
+    code = run_cli("run", "--config", cfg, *argv, "--out-dir", tmp_path / "out")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: guide (10, 10) does not match frame (32, 64)\n", err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("message", ["Unable to allocate 3.22 GiB for an array", ""])
 def test_out_of_memory_is_one_line_exit_2(message, monkeypatch, capsys):
     def out_of_memory(**kwargs):
@@ -424,6 +443,17 @@ class TestAlignDensify:
         )
         assert code == 3
 
+    def test_fit_report_says_why_the_fit_fell_back(self, scene_dir, tmp_path):
+        write_points(SparsePointSet([(3, 4, 2.0)]), tmp_path / "one.csv")
+        code = run_cli(
+            "align", "--relative", scene_dir / "relative.fdr1", "--points", tmp_path / "one.csv",
+            "--out", tmp_path / "a.fdr1", "--fit-report", tmp_path / "fit.json",
+        )
+        assert code == 0
+        fit = json.loads((tmp_path / "fit.json").read_text())
+        assert fit["mode"] == "scale_only"
+        assert fit["fallback"] == "scale/shift fit needs >= 2 points, got 1"
+
     def test_missing_file_is_io_error(self, tmp_path):
         code = run_cli(
             "align", "--relative", tmp_path / "nope.fdr1", "--points", tmp_path / "x.csv",
@@ -524,6 +554,40 @@ class TestTrainRunEvalSweep:
         assert run_cli("report", "--pred", pred_dir, "--gt", gt_dir, "--out-dir", out) == 0
         assert (out / "error_f0.pgm").exists()
         assert (out / "metrics.csv").exists()
+
+
+def report_dirs(tmp_path, pairs):
+    """pred/ and gt/ directories holding the named (pred, gt) raster pairs."""
+    pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+    pred_dir.mkdir(), gt_dir.mkdir()
+    for name, (pred, gt) in pairs.items():
+        write_raster(pred, pred_dir / f"{name}.fdr1")
+        write_raster(gt, gt_dir / f"{name}.fdr1")
+    return pred_dir, gt_dir
+
+
+def depth(shape, space=Space.METRIC):
+    return DepthRaster(np.full(shape, 2.0), np.ones(shape, bool), space)
+
+
+@pytest.mark.parametrize(
+    "bad, code, message",
+    [
+        ((depth((8, 8)), depth((8, 10))), 2, "error: frame d: prediction (8, 8) vs ground truth (8, 10)\n"),
+        (
+            (depth((8, 8), Space.INVERSE), depth((8, 8))),
+            3,
+            "error: frame d: report needs metric depth, got inverse_depth_per_m vs metric_depth_m\n",
+        ),
+    ],
+    ids=["shape", "space"],
+)
+def test_report_refuses_a_mismatched_pair_before_writing(bad, code, message, tmp_path, capsys):
+    # the good pair "c" sorts first, so a check inside the per-pair loop would have written its map
+    pred_dir, gt_dir = report_dirs(tmp_path, {"c": (depth((8, 8)), depth((8, 8))), "d": bad})
+    assert run_cli("report", "--pred", pred_dir, "--gt", gt_dir, "--out-dir", tmp_path / "rep") == code
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "rep").exists()
 
 
 class TestGradcheckCommand:

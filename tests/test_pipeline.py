@@ -6,7 +6,7 @@ import pytest
 
 from conftest import fast_config
 from spade.config import from_json
-from spade.core import from_inverse
+from spade.core import SparsePointSet, from_inverse
 from spade.errors import ConfigError
 from spade.metrics import aggregate_metrics, compute_metrics
 from spade.nn import RefinementNet, Tensor, no_grad
@@ -27,7 +27,7 @@ from spade.pipeline import (
     train,
     write_pgm,
 )
-from spade.sensors import PatternSpec, sample_pattern
+from spade.sensors import PatternSpec, sample_pattern, subsample
 
 
 class TestRunConfig:
@@ -74,6 +74,85 @@ class TestLaserRouting:
             assert res.fit.t == 0.0
             routed += 1
         assert routed >= 1
+
+    def test_laser_rig_without_a_pair_names_the_count(self):
+        cfg = fast_config()
+        model = SpadeModel(cfg)
+        f = build_corpus(cfg, "val", n_frames=1)[0]
+        rig = LaserRig(default_intrinsics(*cfg.input_hw), PatternSpec(kind="laser2").laser_baseline_m)
+        one = run_frame(model, f.z_rel, f.guide, SparsePointSet(f.points.points[:1]), laser=rig)
+        assert one.fit.mode == "scale_only"
+        assert one.fit.fallback == "laser rig needs 2 points, got 1; scale/shift fit needs >= 2 points, got 1"
+        three = run_frame(model, f.z_rel, f.guide, SparsePointSet(f.points.points[:3]), laser=rig)
+        assert three.fit.mode == "scale_shift"
+        assert three.fit.fallback == "laser rig needs 2 points, got 3"
+
+
+def laser_pair_frame(cfg):
+    """A frame whose laser2 pattern has both points, with its pair and rig."""
+    K, spec = default_intrinsics(*cfg.input_hw), PatternSpec(kind="laser2")
+    for f in build_corpus(cfg, "val", n_frames=6):
+        pts = sample_pattern(f.gt, spec, intrinsics=K)
+        if len(pts) == 2:
+            return f, pts, LaserRig(K, spec.laser_baseline_m)
+    raise AssertionError("no frame with a laser pair")
+
+
+# the pipeline attributes perfbench wraps to time and count stage 1
+STAGE_ONE_HOOKS = ("align_global", "align_with_laser", "sparse_scale_map", "jbu_densify")
+
+
+class TestStageOne:
+    def test_run_and_training_prepare_the_same_inputs(self):
+        cfg = fast_config()
+        model = SpadeModel(cfg, init="train")
+        f = build_corpus(cfg, "val", n_frames=1)[0]
+        pts = subsample(f.points, 0.9, seed=3)
+        seen = {}
+        forward = model.forward
+
+        def spy(eps_dense, z_tilde, guide):
+            seen["eps"], seen["z"] = eps_dense.data[0, 0], z_tilde.data[0, 0]
+            return forward(eps_dense, z_tilde, guide)
+
+        model.forward = spy
+        res = run_frame(model, f.z_rel, f.guide, pts)
+        eps, z, target, mask, _ = _training_sample(f, pts, cfg)
+        assert eps.tobytes() == seen["eps"].tobytes()
+        assert z.tobytes() == seen["z"].tobytes() == res.aligned.values.tobytes()
+        by_hand = np.zeros(f.gt.shape)
+        np.divide(1.0, f.gt.values, out=by_hand, where=f.gt.valid)
+        assert target.tobytes() == by_hand.tobytes()
+        assert np.array_equal(mask, f.gt.valid & res.aligned.valid)
+
+    def test_benchmark_hook_points_fire(self, monkeypatch):
+        import spade.pipeline
+
+        calls = {name: [] for name in STAGE_ONE_HOOKS}
+        for name in STAGE_ONE_HOOKS:
+
+            def counted(*args, _fn=getattr(spade.pipeline, name), _calls=calls[name], **kwargs):
+                _calls.append((args, kwargs))
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(spade.pipeline, name, counted)
+
+        def fired():
+            return {name: len(c) for name, c in calls.items()}
+
+        cfg = fast_config()
+        model = SpadeModel(cfg)
+        f, pair, rig = laser_pair_frame(cfg)
+        res = run_frame(model, f.z_rel, f.guide, f.points)
+        assert fired() == {"align_global": 1, "align_with_laser": 0, "sparse_scale_map": 1, "jbu_densify": 1}
+        # perfbench reads the scale map and the aligned raster as positional args 0 and 1
+        args, kwargs = calls["jbu_densify"][-1]
+        assert len(args) == 3 and not kwargs and args[1] is res.aligned and args[2] is cfg.jbu
+        assert args[0].known.sum() == len(f.points)
+        run_frame(model, f.z_rel, f.guide, pair, laser=rig)
+        assert fired() == {"align_global": 1, "align_with_laser": 1, "sparse_scale_map": 2, "jbu_densify": 2}
+        _training_sample(f, f.points, cfg)
+        assert fired() == {"align_global": 2, "align_with_laser": 1, "sparse_scale_map": 3, "jbu_densify": 3}
 
 
 class TestTraining:

@@ -52,6 +52,23 @@ class TestSonarLine:
             assert abs(p.v_row - r0) <= 3
 
 
+class TestPatternBounds:
+    """Counts beyond the raster are refused before anything is allocated for them."""
+
+    def test_sonar_count_above_the_pixel_count_is_refused(self):
+        gt = metric(np.full((8, 8), 2.0))
+        assert len(sample_pattern(gt, PatternSpec(kind="sonar_line", count=64, sonar_jitter=7))) > 8
+        with pytest.raises(ConfigError, match="sonar_line count 65 exceeds the 8x8 raster's 64 pixels"):
+            sample_pattern(gt, PatternSpec(kind="sonar_line", count=65))
+
+    @pytest.mark.parametrize("rows, cols", [(9, 8), (8, 9)])
+    def test_grid_larger_than_the_raster_is_refused(self, rows, cols):
+        gt = metric(np.full((8, 8), 2.0))
+        assert len(sample_pattern(gt, PatternSpec(kind="uniform_grid", grid_rows=8, grid_cols=8))) == 64
+        with pytest.raises(ConfigError, match=f"uniform_grid {rows}x{cols} exceeds the 8x8 raster"):
+            sample_pattern(gt, PatternSpec(kind="uniform_grid", grid_rows=rows, grid_cols=cols))
+
+
 class TestFeatureLike:
     def test_count_and_determinism(self):
         gt = bumpy(3)
