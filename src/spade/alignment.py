@@ -119,6 +119,8 @@ def align_global(z: DepthRaster, pts: SparsePointSet) -> tuple[DepthRaster, Affi
     if z.space is not Space.AFFINE:
         raise DomainError(f"align_global expects an affine-invariant raster, got {z.space.value}")
     pts.check_bounds(z)
+    if len(pts) == 0:
+        raise InsufficientPointsError("no sparse points given")
     usable = [p for p in pts if z.valid[p.v_row, p.u]]
     if not usable:
         raise InsufficientPointsError("no sparse points fall on valid pixels")

@@ -2,13 +2,20 @@
 
 Layout: magic "SPW1" | u32 LE manifest length | manifest JSON {"tensors": [{"name",
 "shape"}, ...], "meta": {...}} | raw float64 little-endian buffers in manifest order.
+
+Both directions stream: saving writes each array's own buffer, and loading
+checks the whole layout against the file size before it allocates anything,
+then reads each buffer straight into the array that keeps it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+import sys
+from collections.abc import Callable, Mapping
 
 import numpy as np
 
@@ -16,10 +23,12 @@ from ..errors import FormatError
 
 _MAGIC = b"SPW1"
 
+Entries = list[tuple[str, tuple[int, ...]]]
 
-def save_checkpoint(path, state: dict[str, np.ndarray], meta: dict | None = None) -> None:
+
+def save_checkpoint(path, state: Mapping[str, np.ndarray], meta: dict | None = None) -> None:
     manifest = {
-        "tensors": [{"name": k, "shape": list(np.asarray(v).shape)} for k, v in state.items()],
+        "tensors": [{"name": k, "shape": list(np.shape(v))} for k, v in state.items()],
         "meta": meta or {},
     }
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -28,10 +37,11 @@ def save_checkpoint(path, state: dict[str, np.ndarray], meta: dict | None = None
         f.write(struct.pack("<I", len(mbytes)))
         f.write(mbytes)
         for v in state.values():
-            f.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+            # no copy for a contiguous float64 array on a little-endian host
+            f.write(np.ascontiguousarray(v, dtype="<f8"))
 
 
-def _entries(manifest) -> list[tuple[str, tuple[int, ...]]]:
+def _entries(manifest) -> Entries:
     """(name, shape) of each tensor of a parsed manifest; FormatError unless it has the
     layout above with unique string names, shapes of non-negative ints, optional meta."""
 
@@ -58,37 +68,52 @@ def _entries(manifest) -> list[tuple[str, tuple[int, ...]]]:
     return list(entries.items())
 
 
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """(state, meta) of an SPW1 file; a malformed file is a FormatError that names it."""
+def load_checkpoint(
+    path, targets: Callable[[dict, Entries], dict[str, np.ndarray]] | None = None
+) -> tuple[dict[str, np.ndarray], dict]:
+    """(state, meta) of an SPW1 file; a malformed file is a FormatError that names it.
+
+    The header, the manifest and the buffer sizes it declares are checked
+    against the file before any tensor is allocated. Each tensor is then read
+    into a new array, or, given `targets(meta, entries)`, into the C-contiguous
+    float64 arrays of those shapes it returns by name; its errors pass through.
+    """
     with open(path, "rb") as f:
-        raw = f.read()
-    try:
-        return _parse(raw)
-    except FormatError as e:
-        raise FormatError(f"checkpoint {path}: {e}") from None
+        try:
+            entries, meta = _layout(f, os.fstat(f.fileno()).st_size)
+        except FormatError as e:
+            raise FormatError(f"checkpoint {path}: {e}") from None
+        state = targets(meta, entries) if targets else {name: np.empty(shape) for name, shape in entries}
+        for name, _ in entries:
+            buf = state[name]
+            if f.readinto(buf) != buf.nbytes:  # the file shrank after its size was checked
+                raise FormatError(f"checkpoint {path}: buffer for {name} truncated")
+            if sys.byteorder == "big":
+                buf.byteswap(inplace=True)
+    return state, meta
 
 
-def _parse(raw: bytes) -> tuple[dict[str, np.ndarray], dict]:
-    if len(raw) < 8:
-        raise FormatError("truncated checkpoint header", byte_offset=len(raw))
-    if raw[:4] != _MAGIC:
-        raise FormatError(f"bad checkpoint magic {raw[:4]!r}", byte_offset=0)
-    (mlen,) = struct.unpack_from("<I", raw, 4)
-    if 8 + mlen > len(raw):
+def _layout(f, size: int) -> tuple[Entries, dict]:
+    """(entries, meta) of the SPW1 file f of `size` bytes, read up to its first buffer."""
+    head = f.read(8)
+    if len(head) < 8:
+        raise FormatError("truncated checkpoint header", byte_offset=len(head))
+    if head[:4] != _MAGIC:
+        raise FormatError(f"bad checkpoint magic {head[:4]!r}", byte_offset=0)
+    (mlen,) = struct.unpack_from("<I", head, 4)
+    if 8 + mlen > size:
         raise FormatError("manifest extends past end of file", byte_offset=8)
     try:
-        manifest = json.loads(raw[8 : 8 + mlen].decode("utf-8"))
+        manifest = json.loads(f.read(mlen).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise FormatError(f"bad manifest: {e}", byte_offset=8)
+    entries = _entries(manifest)
     off = 8 + mlen
-    state = {}
-    for name, shape in _entries(manifest):
-        n = math.prod(shape)
-        end = off + 8 * n
-        if end > len(raw):
+    for name, shape in entries:
+        end = off + 8 * math.prod(shape)
+        if end > size:
             raise FormatError(f"buffer for {name} truncated", byte_offset=off)
-        state[name] = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(shape).copy()
         off = end
-    if off != len(raw):
-        raise FormatError(f"{len(raw) - off} trailing bytes after last buffer", byte_offset=off)
-    return state, manifest.get("meta", {})
+    if off != size:
+        raise FormatError(f"{size - off} trailing bytes after last buffer", byte_offset=off)
+    return entries, manifest.get("meta", {})

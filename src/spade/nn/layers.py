@@ -63,31 +63,39 @@ class Module:
     def param_count(self) -> int:
         return int(sum(p.data.size for p in self.parameters()))
 
-    def state_dict(self) -> dict:
-        state = {f"param.{k}": p.data.copy() for k, p in self.named_parameters()}
-        state.update({f"buffer.{k}": b.copy() for _, k, b in self._walk_buffers()})
-        return state
+    def named_arrays(self):
+        """("param.<name>" or "buffer.<name>", array) of every parameter and
+        buffer, in checkpoint order; the arrays are the module's own, not copies."""
+        for k, p in self.named_parameters():
+            yield f"param.{k}", p.data
+        for _, k, b in self._walk_buffers():
+            yield f"buffer.{k}", b
 
-    def load_state_dict(self, state: dict):
-        """Load every parameter and buffer; a missing, unexpected or
-        mis-shaped entry is an error."""
-        # shapes only: holding the current arrays would keep a second copy of
-        # the model alive until every entry is loaded
-        shapes = {f"param.{k}": p.data.shape for k, p in self.named_parameters()}
-        shapes.update({f"buffer.{k}": b.shape for _, k, b in self._walk_buffers()})
-        unexpected = sorted(set(state) - set(shapes))
+    def state_dict(self) -> dict:
+        return {k: v.copy() for k, v in self.named_arrays()}
+
+    def check_state(self, shapes: dict):
+        """Refuse a state, given as entry name -> shape, that this module could
+        not load: a missing, unexpected or mis-shaped entry is an error."""
+        own = {k: v.shape for k, v in self.named_arrays()}
+        unexpected = sorted(set(shapes) - set(own))
         if unexpected:
             raise ConfigError(f"checkpoint has unexpected entries: {unexpected[:5]}")
-        missing = [k for k in shapes if k not in state]
+        missing = [k for k in own if k not in shapes]
         if missing:
             raise ConfigError(f"checkpoint is missing entries: {missing[:5]}")
-        for key, shape in shapes.items():
-            if state[key].shape != shape:
-                raise ShapeError(f"{key}: checkpoint shape {state[key].shape} != model {shape}")
+        for key, shape in own.items():
+            if tuple(shapes[key]) != shape:
+                raise ShapeError(f"{key}: checkpoint shape {tuple(shapes[key])} != model {shape}")
+
+    def load_state_dict(self, state: dict):
+        """Load a copy of every parameter and buffer; nothing is loaded unless
+        `check_state` accepts the state's shapes."""
+        self.check_state({k: np.shape(v) for k, v in state.items()})
         for k, p in self.named_parameters():
-            p.data = state[f"param.{k}"].astype(np.float64).copy()
+            p.data = np.array(state[f"param.{k}"], dtype=np.float64)
         for holder, k, _ in self._walk_buffers():
-            holder.register_buffer(k.split(".")[-1], state[f"buffer.{k}"])
+            holder.register_buffer(k.split(".")[-1], np.array(state[f"buffer.{k}"], dtype=np.float64))
 
     def _walk_buffers(self, prefix=""):
         for k, b in self._buffers.items():

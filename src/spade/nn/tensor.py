@@ -9,6 +9,7 @@ finite-difference suite checks.
 
 from __future__ import annotations
 
+import ctypes
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache
@@ -17,6 +18,29 @@ import numpy as np
 
 from ..core import resize_matrix
 from ..errors import ShapeError, SpadeError
+
+
+def _set_malloc_policy():
+    """Serve blocks under 32 MiB from the heap and trim it only past 64 MiB free.
+
+    Every forward allocates and frees the same MB-sized temporaries (im2col
+    matrices, padded copies). glibc's default mmap threshold starts at 128 KiB
+    and rises only once the process frees a large mmapped block, so the speed
+    of a forward would depend on what the process freed before: below the
+    threshold's rise each temporary is a fresh mmap whose pages fault in again,
+    about 2,500 minor faults and 6-8 ms of system time per B=1 desk forward.
+    Outside glibc there is no mallopt and this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_set_malloc_policy()
 
 # Per-thread (and per-context) switch: a no_grad block in one thread must not
 # stop another thread from recording its graph.
@@ -487,9 +511,10 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, gro
 
     The output and the weight gradient are each one GEMM per group on an
     im2col matrix (Chellapilla et al. 2006), copied from the window view
-    where it is used and not kept on the tape. The input gradient is one GEMM
-    per group and kernel row i, the group's w[:, :, i, :]^T (C/groups*kw,
-    F/groups) @ grad (F/groups, B*Ho*Wo), added tap by tap.
+    where it is used; neither it nor the padded input is kept on the tape.
+    The input gradient is one GEMM per group and kernel row i, the group's
+    w[:, :, i, :]^T (C/groups*kw, F/groups) @ grad (F/groups, B*Ho*Wo),
+    added tap by tap.
 
     An ungrouped, unpadded 1x1 convolution at stride 1 is a channel mix of
     each sample, w (F,C) @ x (C,H*W) and its transposes, with no window,
@@ -504,8 +529,7 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, gro
         out_data = (w.data.reshape(F, C) @ x3).reshape(B, F, H, W)
     else:
         xp, Ho, Wo = _padded(x.data, kh, kw, stride, padding)
-        win = _windows(xp, kh, kw, stride, Ho, Wo)
-        out_data = w.data.reshape(G, Fg, Cg * kh * kw) @ _im2col(win, G)
+        out_data = w.data.reshape(G, Fg, Cg * kh * kw) @ _im2col(_windows(xp, kh, kw, stride, Ho, Wo), G)
         out_data = np.ascontiguousarray(out_data.reshape(F, B, Ho, Wo).transpose(1, 0, 2, 3))
     if b is not None:
         out_data += b.data[None, :, None, None]
@@ -523,9 +547,11 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, gro
             return
         g2 = g.transpose(1, 0, 2, 3).reshape(G, Fg, B * Ho * Wo)
         if w.requires_grad:
+            # padded again: the tape keeps x, not the forward's padded copy
+            win = _windows(_padded(x.data, kh, kw, stride, padding)[0], kh, kw, stride, Ho, Wo)
             Tensor._accum(w, (g2 @ _im2col(win, G).transpose(0, 2, 1)).reshape(w.data.shape))
         if x.requires_grad:
-            dxp = np.zeros(xp.shape)
+            dxp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
             dwin = _windows(dxp, kh, kw, stride, Ho, Wo)
             w5 = w.data.reshape(G, Fg, Cg, kh, kw)
             for i in range(kh):

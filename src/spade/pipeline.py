@@ -24,11 +24,13 @@ from .core import (
 from .config import from_json
 from .densify import JBUParams, fill_default, jbu_densify, sparse_scale_map
 from .errors import (
+    AlignmentFailureError,
     ConfigError,
     DivergenceError,
     DomainError,
     EmptyEvaluationError,
     FormatError,
+    InsufficientPointsError,
     ShapeError,
     SpadeError,
 )
@@ -172,23 +174,30 @@ class SpadeModel(Module):
         return self.refine(eps_dense, z_tilde, self.pyramid(guide))
 
     def save(self, path):
-        save_checkpoint(path, self.state_dict(), meta={"config": asdict(self.cfg)})
+        save_checkpoint(path, dict(self.named_arrays()), meta={"config": asdict(self.cfg)})
 
     @staticmethod
     def load(path) -> "SpadeModel":
-        """The model an SPW1 checkpoint holds, built from its embedded config;
-        every fault in the file is a FormatError that names it."""
-        state, meta = load_checkpoint(path)
-        if "config" not in meta:
-            raise FormatError(f"checkpoint {path} has no embedded config")
-        try:
-            model = SpadeModel(from_json(RunConfig, meta["config"]))
-        except ConfigError as e:
-            raise FormatError(f"checkpoint {path} has a malformed config: {e}") from None
-        try:
-            model.load_state_dict(state)
-        except ConfigError as e:
-            raise FormatError(f"checkpoint {path} does not fit its embedded config: {e}") from None
+        """The model an SPW1 checkpoint holds, built from its embedded config
+        and filled in place; every fault in the file is a FormatError that
+        names it, raised before any tensor is read."""
+        model = None
+
+        def own_arrays(meta, entries):
+            nonlocal model
+            if "config" not in meta:
+                raise FormatError(f"checkpoint {path} has no embedded config")
+            try:
+                model = SpadeModel(from_json(RunConfig, meta["config"]))
+            except ConfigError as e:
+                raise FormatError(f"checkpoint {path} has a malformed config: {e}") from None
+            try:
+                model.check_state(dict(entries))
+            except ConfigError as e:
+                raise FormatError(f"checkpoint {path} does not fit its embedded config: {e}") from None
+            return dict(model.named_arrays())
+
+        load_checkpoint(path, own_arrays)
         return model
 
 
@@ -253,9 +262,14 @@ def prepare_frame(
     if laser is not None and len(pts) == 2:  # a laser pair never attempts the joint fit
         aligned, fit = align_with_laser(z_rel, pts, laser.intrinsics, laser.baseline_m)
     else:
-        aligned, fit = align_global(z_rel, pts)
-        if laser is not None:
-            why = f"laser rig needs 2 points, got {len(pts)}"
+        why = None if laser is None else f"laser rig needs 2 points, got {len(pts)}"
+        try:
+            aligned, fit = align_global(z_rel, pts)
+        except (InsufficientPointsError, AlignmentFailureError) as e:
+            if why is None:
+                raise
+            raise type(e)(f"{why}; {e}") from None
+        if why is not None:
             fit = replace(fit, fallback=why if fit.fallback is None else f"{why}; {fit.fallback}")
     usable = SparsePointSet([p for p in pts if aligned.valid[p.v_row, p.u]])
     if len(usable) == 0:

@@ -166,8 +166,12 @@ class TestAlignGlobal:
     def test_no_usable_points(self):
         vals = np.array([[0.5, 0.6]])
         z = DepthRaster(vals, np.array([[False, False]]), Space.AFFINE)
-        with pytest.raises(InsufficientPointsError):
+        with pytest.raises(InsufficientPointsError, match="no sparse points fall on valid pixels"):
             align_global(z, SparsePointSet([(0, 0, 2.0)]))
+
+    def test_no_points_says_none_were_given(self):
+        with pytest.raises(InsufficientPointsError, match="^no sparse points given$"):
+            align_global(affine_raster([[0.5, 0.6]]), SparsePointSet([]))
 
     def test_failed_fallback_names_the_joint_reason(self):
         z = affine_raster([[0.0, 0.0]])

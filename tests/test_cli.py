@@ -1,5 +1,6 @@
 
 import json
+import struct
 import warnings
 from dataclasses import asdict
 
@@ -211,6 +212,18 @@ def test_checkpoint_fault_is_one_line_format_error_naming_the_file(fault, comman
     assert run_cli(command, "--checkpoint", path, *inputs, "--out-dir", tmp_path / "out") == 4
     err = capsys.readouterr().err
     assert err.startswith(f"error: checkpoint {path} ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_checkpoint_declaring_a_huge_tensor_is_refused_before_allocating(command, scene_dir, tmp_path, capsys):
+    mbytes = json.dumps({"tensors": [{"name": "x", "shape": [10**12]}], "meta": {}}).encode()
+    path = tmp_path / "huge.spw1"
+    path.write_bytes(b"SPW1" + struct.pack("<I", len(mbytes)) + mbytes + bytes(8))
+    inputs = frame_args(scene_dir, tmp_path) if command == "run" else []
+    assert run_cli(command, "--checkpoint", path, *inputs, "--out-dir", tmp_path / "out") == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {path}: buffer for x truncated") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
 
 

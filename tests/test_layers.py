@@ -174,6 +174,13 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=message):
             load_checkpoint(p)
 
+    def test_huge_declared_tensor_is_refused_before_allocating(self, tmp_path):
+        mbytes = json.dumps({"tensors": [{"name": "x", "shape": [10**6, 10**6]}]}).encode()
+        p = tmp_path / "huge.spw1"
+        p.write_bytes(b"SPW1" + struct.pack("<I", len(mbytes)) + mbytes + b"\x00" * 24)
+        with pytest.raises(FormatError, match=f"checkpoint {p}: buffer for x truncated"):
+            load_checkpoint(p)
+
     def test_deeply_nested_manifest(self, tmp_path):
         mbytes = b"[" * 100_000 + b"]" * 100_000  # deeper than the JSON parser recurses
         p = tmp_path / "deep.spw1"
@@ -206,6 +213,14 @@ class TestCheckpoint:
         state["buffer.running_mean"] = rng.standard_normal(3)
         m.load_state_dict(state)
         assert np.array_equal(m.running_mean, state["buffer.running_mean"])
+
+    def test_load_copies_each_entry(self):
+        m = BatchNorm2d(3)
+        state = {k: np.full(v.shape, 2.0) for k, v in m.state_dict().items()}
+        m.load_state_dict(state)
+        for v in state.values():
+            v[...] = 5.0
+        assert all(np.all(v == 2.0) for v in m.state_dict().values())
 
     def test_load_shape_mismatch(self):
         rng = np.random.default_rng(12)

@@ -1,0 +1,106 @@
+"""Memory budgets: checkpoints stream, the conv tape keeps no padded copy, and
+the eval forward reuses its heap pages instead of faulting fresh ones in."""
+
+import ctypes
+import os
+import struct
+import subprocess
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import spade
+from spade.nn import Tensor, conv2d
+from spade.pipeline import RunConfig, SpadeModel
+
+
+def traced_peak(fn):
+    """(result, peak bytes fn allocated above what was live before it) under tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def desk_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "desk.spw1"
+    SpadeModel(RunConfig(), init="train").save(path)
+    return path
+
+
+def test_load_fills_the_new_model_in_place(desk_checkpoint):
+    model, peak = traced_peak(lambda: SpadeModel.load(desk_checkpoint))
+    model_bytes = sum(a.nbytes for _, a in model.named_arrays())
+    assert peak <= 1.1 * model_bytes, (peak, model_bytes)
+
+
+def test_save_writes_the_live_arrays(desk_checkpoint, tmp_path):
+    model = SpadeModel.load(desk_checkpoint)
+    path = tmp_path / "again.spw1"
+    _, peak = traced_peak(lambda: model.save(path))
+    (manifest_bytes,) = struct.unpack_from("<I", path.read_bytes(), 4)
+    largest = max(a.nbytes for _, a in model.named_arrays())
+    assert peak <= largest + manifest_bytes, (peak, largest, manifest_bytes)
+    assert path.read_bytes() == desk_checkpoint.read_bytes()
+
+
+def test_padded_conv_keeps_no_padded_copy_on_the_tape():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((1, 16, 32, 32)), requires_grad=True)
+    w = Tensor(rng.standard_normal((1, 16, 3, 3)), requires_grad=True)
+    padded_bytes = 16 * 34 * 34 * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = conv2d(x, w, padding=1)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the output and a few small objects; a padded copy would be 18x the output
+    assert kept - y.data.nbytes < padded_bytes // 10, (kept, y.data.nbytes)
+
+
+def has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# A fresh process: freeing a large mmapped block (a checkpoint's read buffer,
+# say) raises glibc's dynamic mmap threshold for good, so in a process that
+# has done so the forward would not fault even without the policy.
+FORWARD_FAULTS = """
+import resource
+import numpy as np
+from spade.nn import Tensor, no_grad
+from spade.pipeline import RunConfig, SpadeModel
+
+cfg = RunConfig()
+model = SpadeModel(cfg).eval()
+rng = np.random.default_rng(1)
+shape = (1, 1, *cfg.input_hw)
+inputs = [Tensor(np.ones(shape)), Tensor(rng.uniform(0.5, 1.0, shape)), Tensor(rng.uniform(0.0, 1.0, shape))]
+with no_grad():
+    for _ in range(2):
+        model(*inputs)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        model(*inputs)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+
+
+@pytest.mark.skipif(not has_mallopt(), reason="the malloc policy needs glibc's mallopt")
+def test_eval_forward_reuses_its_pages():
+    src = os.path.dirname(os.path.dirname(spade.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", FORWARD_FAULTS], env=env, capture_output=True, text=True, check=True)
+    faults = float(out.stdout)
+    assert faults < 100, faults

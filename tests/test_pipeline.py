@@ -1,3 +1,4 @@
+import logging
 import threading
 from dataclasses import asdict
 
@@ -311,6 +312,17 @@ class TestSweep:
         assert narrow["skipped_frames"] == two_caps.n_frames
         assert wide == sweep(model, cfg, one_cap)["cells"][0]
         assert wide["skipped_frames"] == 0
+
+    def test_laser_frame_without_points_is_skipped_with_both_reasons(self, caplog):
+        cfg = fast_config()
+        spec = SweepSpec(point_counts=(2,), patterns=("laser2",), range_caps=(10.0,), n_frames=9)
+        frames = build_corpus(cfg, "eval", n_frames=spec.n_frames)
+        assert len(_sweep_points(frames[8], "laser2", 2, cfg, 8)) == 0  # neither laser hits in range
+        with caplog.at_level(logging.WARNING, logger="spade.pipeline"):
+            (cell,) = sweep(SpadeModel(cfg), cfg, spec)["cells"]
+        skips = [r.getMessage() for r in caplog.records]
+        assert cell["skipped_frames"] == len(skips)
+        assert f"sweep frame {frames[8].name} (laser2, n=2) skipped: laser rig needs 2 points, got 0; no sparse points given" in skips
 
 
 class TestReportRendering:
