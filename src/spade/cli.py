@@ -80,17 +80,16 @@ def _parse_floats(text, n, what):
     return values
 
 
-def _laser_camera(text, n, z, pts):
-    """The n values of --laser (fx,cx,B, then u1,u2 for align) and the rig's
-    camera: fx for both focal lengths, the principal row at the middle of z.
-    A laser frame has exactly 2 points."""
-    values = _parse_floats(text, n, "--laser")
+def _laser_camera(text, z, pts):
+    """The baseline B of --laser fx,cx,B and the rig's camera: fx for both focal
+    lengths, the principal row at the middle of z. A laser frame has exactly 2
+    points, and the laser columns are theirs."""
+    fx, cx, baseline = _parse_floats(text, 3, "--laser")
     if len(pts) != 2:
         raise ConfigError(f"laser alignment expects exactly 2 points, file has {len(pts)}")
-    fx, cx, baseline = values[:3]
     if baseline <= 0:
         raise ConfigError(f"--laser baseline B must be > 0, got {baseline}")
-    return values, CameraIntrinsics(fx=fx, fy=fx, cx=cx, cy=(z.height - 1) / 2.0)
+    return baseline, CameraIntrinsics(fx=fx, fy=fx, cx=cx, cy=(z.height - 1) / 2.0)
 
 
 def _check_cap(cap):
@@ -139,10 +138,7 @@ def cmd_align(args) -> int:
     pts = read_points(args.points)
     pts.check_bounds(z)
     if args.laser:
-        (_, _, baseline, u1, u2), K = _laser_camera(args.laser, 5, z, pts)
-        us = sorted(p.u for p in pts)
-        if us != sorted([int(u1), int(u2)]):
-            raise ConfigError(f"--laser columns {sorted([int(u1), int(u2)])} do not match points {us}")
+        baseline, K = _laser_camera(args.laser, z, pts)
         aligned, fit = align_with_laser(z, pts, K, baseline)
     else:
         aligned, fit = align_global(z, pts)
@@ -198,7 +194,7 @@ def cmd_run(args) -> int:
     gt = read_raster(args.gt) if args.gt else None
     laser = None
     if args.laser:
-        (_, _, baseline), K = _laser_camera(args.laser, 3, z, pts)
+        baseline, K = _laser_camera(args.laser, z, pts)
         laser = LaserRig(K, baseline_m=baseline)
     result = run_frame(model, z, guide, pts, gt=gt, laser=laser, cap_m=args.cap)
     out = Path(args.out_dir)
@@ -344,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("align", cmd_align, "stage-1 global alignment")
     p.add_argument("--relative", required=True)
     p.add_argument("--points", required=True)
-    p.add_argument("--laser", help="fx,cx,B,u1,u2 for the two-point laser path")
+    p.add_argument("--laser", help="fx,cx,B for the two-point laser path")
     p.add_argument("--out", required=True)
     p.add_argument("--fit-report", help="JSON fit report path")
 

@@ -224,18 +224,25 @@ def from_inverse(r: DepthRaster) -> DepthRaster:
     return DepthRaster(out, r.valid, Space.METRIC)
 
 
+def bilinear_taps(raw: np.ndarray, size: int):
+    """Bilinear taps along one axis of length size, clamped to the border.
+
+    Returns the lower and upper indices, the fraction towards the upper one
+    and the mask of coordinates strictly inside, where the coordinate
+    gradient is non-zero.
+    """
+    c = np.clip(raw, 0.0, size - 1.0)
+    i0 = np.clip(np.floor(c).astype(int), 0, max(size - 2, 0))
+    return i0, np.minimum(i0 + 1, size - 1), c - i0, (raw > 0.0) & (raw < size - 1.0)
+
+
 def resize_matrix(in_size: int, out_size: int) -> np.ndarray:
     """Dense (out, in) bilinear interpolation matrix, half-pixel centers, border clamp."""
+    i0, i1, frac, _ = bilinear_taps((np.arange(out_size) + 0.5) * (in_size / out_size) - 0.5, in_size)
     R = np.zeros((out_size, in_size))
-    if in_size == 1:
-        R[:, 0] = 1.0
-        return R
-    src = (np.arange(out_size) + 0.5) * (in_size / out_size) - 0.5
-    src = np.clip(src, 0.0, in_size - 1.0)
-    i0 = np.clip(np.floor(src).astype(int), 0, in_size - 2)
-    frac = src - i0
-    R[np.arange(out_size), i0] += 1.0 - frac
-    R[np.arange(out_size), i0 + 1] += frac
+    rows = np.arange(out_size)
+    R[rows, i0] += 1.0 - frac
+    R[rows, i1] += frac
     return R
 
 

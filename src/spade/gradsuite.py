@@ -67,8 +67,8 @@ def _norm_op_cases(rng):
         r = rng.standard_normal(shape)
         yield lambda: scalarize(batch_norm(x, gamma, beta, 1e-5)[0], r), [x, gamma, beta]
     bn = BatchNorm2d(3).eval()
-    bn.register_buffer("running_mean", rng.standard_normal(3))
-    bn.register_buffer("running_var", rng.uniform(0.5, 2.0, 3))
+    bn.running_mean[...] = rng.standard_normal(3)
+    bn.running_var[...] = rng.uniform(0.5, 2.0, 3)
     x = Tensor(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)
     r = rng.standard_normal((2, 3, 4, 4))
     yield lambda: scalarize(bn(x), r), [x, bn.gamma, bn.beta]
@@ -131,9 +131,9 @@ def _deform_cases(rng):
             channels=c, heads=heads, feat_h=hw, feat_w=hw, grid_downsample=gd, offset_range=0.9
         )
         layer = DeformableAttention(cfg, rng)
-        layer.offset_proj.weight.data = rng.standard_normal(layer.offset_proj.weight.shape) * 0.2
-        layer.offset_proj.bias.data = rng.standard_normal(2) * 0.2
-        layer.rel_bias_table.data = rng.standard_normal(layer.rel_bias_table.shape) * 0.3
+        layer.offset_proj.weight.data[...] = rng.standard_normal(layer.offset_proj.weight.shape) * 0.2
+        layer.offset_proj.bias.data[...] = rng.standard_normal(2) * 0.2
+        layer.rel_bias_table.data[...] = rng.standard_normal(layer.rel_bias_table.shape) * 0.3
         x = Tensor(rng.standard_normal((1, c, hw, hw)), requires_grad=True)
         r = rng.standard_normal((1, c, hw, hw))
         wrt = [

@@ -5,7 +5,8 @@ Layout: magic "SPW1" | u32 LE manifest length | manifest JSON {"tensors": [{"nam
 
 Both directions stream: saving writes each array's own buffer, and loading
 checks the whole layout against the file size before it allocates anything,
-then reads each buffer straight into the array that keeps it.
+and every tensor name and shape against the arrays it fills, then reads each
+buffer straight into the array that keeps it.
 """
 
 from __future__ import annotations
@@ -69,21 +70,27 @@ def _entries(manifest) -> Entries:
 
 
 def load_checkpoint(
-    path, targets: Callable[[dict, Entries], dict[str, np.ndarray]] | None = None
+    path, targets: Callable[[dict], dict[str, np.ndarray]] | None = None
 ) -> tuple[dict[str, np.ndarray], dict]:
     """(state, meta) of an SPW1 file; a malformed file is a FormatError that names it.
 
     The header, the manifest and the buffer sizes it declares are checked
     against the file before any tensor is allocated. Each tensor is then read
-    into a new array, or, given `targets(meta, entries)`, into the C-contiguous
-    float64 arrays of those shapes it returns by name; its errors pass through.
+    into a new array or, given `targets(meta)`, into the C-contiguous float64
+    array of its name that this returns; the manifest must name each of those
+    arrays once, with its shape, before a buffer is read. Errors of `targets`
+    pass through.
     """
     with open(path, "rb") as f:
         try:
             entries, meta = _layout(f, os.fstat(f.fileno()).st_size)
         except FormatError as e:
             raise FormatError(f"checkpoint {path}: {e}") from None
-        state = targets(meta, entries) if targets else {name: np.empty(shape) for name, shape in entries}
+        if targets is None:
+            state = {name: np.empty(shape) for name, shape in entries}
+        else:
+            state = targets(meta)
+            _check_fit(path, entries, state)
         for name, _ in entries:
             buf = state[name]
             if f.readinto(buf) != buf.nbytes:  # the file shrank after its size was checked
@@ -91,6 +98,20 @@ def load_checkpoint(
             if sys.byteorder == "big":
                 buf.byteswap(inplace=True)
     return state, meta
+
+
+def _check_fit(path, entries: Entries, state: dict[str, np.ndarray]) -> None:
+    """FormatError unless the manifest entries are the arrays of `state`, each with its shape."""
+    shapes = dict(entries)
+    unexpected = [name for name in shapes if name not in state]
+    if unexpected:
+        raise FormatError(f"checkpoint {path} has unexpected tensors {unexpected[:5]}")
+    missing = [name for name in state if name not in shapes]
+    if missing:
+        raise FormatError(f"checkpoint {path} lacks tensors {missing[:5]}")
+    for name, shape in entries:
+        if state[name].shape != shape:
+            raise FormatError(f"checkpoint {path} has {name} of shape {shape}, expected {state[name].shape}")
 
 
 def _layout(f, size: int) -> tuple[Entries, dict]:

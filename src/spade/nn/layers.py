@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
 from .tensor import Tensor, batch_norm, conv2d, depthwise_conv2d, layer_norm
 
 
@@ -19,7 +18,11 @@ def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class Module:
-    """Minimal recursive container with named parameters and buffers."""
+    """Minimal recursive container with named parameters and buffers.
+
+    Each parameter and buffer array is made once, with its module: training,
+    saving and loading read and write those same arrays in place.
+    """
 
     def __init__(self):
         object.__setattr__(self, "_params", {})
@@ -38,23 +41,25 @@ class Module:
         object.__setattr__(self, name, value)
 
     def register_buffer(self, name, array):
-        """Add or replace a named float64 array that is saved but not trained."""
+        """Add a named float64 array that is saved but not trained."""
         self._buffers[name] = np.asarray(array, dtype=np.float64)
         object.__setattr__(self, name, self._buffers[name])
 
-    def named_parameters(self, prefix=""):
-        for k, p in self._params.items():
-            yield f"{prefix}{k}", p
-        for k, m in self._modules.items():
-            yield from m.named_parameters(prefix=f"{prefix}{k}.")
+    def _tree(self) -> list:
+        """This module and every module below it, parents first, children in
+        the order they were set: the one walk behind train, parameters and
+        named_arrays."""
+        tree = [self]
+        for m in self._modules.values():
+            tree += m._tree()
+        return tree
 
     def parameters(self):
-        return [p for _, p in self.named_parameters()]
+        return [p for m in self._tree() for p in m._params.values()]
 
     def train(self, mode=True):
-        object.__setattr__(self, "training", mode)
-        for m in self._modules.values():
-            m.train(mode)
+        for m in self._tree():
+            m.__dict__["training"] = mode
         return self
 
     def eval(self):
@@ -63,66 +68,33 @@ class Module:
     def param_count(self) -> int:
         return int(sum(p.data.size for p in self.parameters()))
 
-    def named_arrays(self):
+    def named_arrays(self) -> list:
         """("param.<name>" or "buffer.<name>", array) of every parameter and
         buffer, in checkpoint order; the arrays are the module's own, not copies."""
-        for k, p in self.named_parameters():
-            yield f"param.{k}", p.data
-        for _, k, b in self._walk_buffers():
-            yield f"buffer.{k}", b
-
-    def state_dict(self) -> dict:
-        return {k: v.copy() for k, v in self.named_arrays()}
-
-    def check_state(self, shapes: dict):
-        """Refuse a state, given as entry name -> shape, that this module could
-        not load: a missing, unexpected or mis-shaped entry is an error."""
-        own = {k: v.shape for k, v in self.named_arrays()}
-        unexpected = sorted(set(shapes) - set(own))
-        if unexpected:
-            raise ConfigError(f"checkpoint has unexpected entries: {unexpected[:5]}")
-        missing = [k for k in own if k not in shapes]
-        if missing:
-            raise ConfigError(f"checkpoint is missing entries: {missing[:5]}")
-        for key, shape in own.items():
-            if tuple(shapes[key]) != shape:
-                raise ShapeError(f"{key}: checkpoint shape {tuple(shapes[key])} != model {shape}")
-
-    def load_state_dict(self, state: dict):
-        """Load a copy of every parameter and buffer; nothing is loaded unless
-        `check_state` accepts the state's shapes."""
-        self.check_state({k: np.shape(v) for k, v in state.items()})
-        for k, p in self.named_parameters():
-            p.data = np.array(state[f"param.{k}"], dtype=np.float64)
-        for holder, k, _ in self._walk_buffers():
-            holder.register_buffer(k.split(".")[-1], np.array(state[f"buffer.{k}"], dtype=np.float64))
-
-    def _walk_buffers(self, prefix=""):
-        for k, b in self._buffers.items():
-            yield self, f"{prefix}{k}", b
-        for k, m in self._modules.items():
-            yield from m._walk_buffers(prefix=f"{prefix}{k}.")
+        prefix = {id(self): ""}
+        params, buffers = [], []
+        for m in self._tree():
+            at = prefix[id(m)]
+            prefix.update((id(c), f"{at}{k}.") for k, c in m._modules.items())
+            params += ((f"param.{at}{k}", p.data) for k, p in m._params.items())
+            buffers += ((f"buffer.{at}{k}", b) for k, b in m._buffers.items())
+        return params + buffers
 
 
 class ModuleList(Module):
     def __init__(self, modules=()):
         super().__init__()
-        self._list = []
         for m in modules:
             self.append(m)
 
     def append(self, module: Module):
-        self._modules[str(len(self._list))] = module
-        self._list.append(module)
+        self._modules[str(len(self._modules))] = module
 
     def __iter__(self):
-        return iter(self._list)
+        return iter(self._modules.values())
 
     def __len__(self):
-        return len(self._list)
-
-    def __getitem__(self, i):
-        return self._list[i]
+        return len(self._modules)
 
 
 class Conv2d(Module):
@@ -177,8 +149,8 @@ class BatchNorm2d(Module):
         out, mean, var = batch_norm(x, self.gamma, self.beta, self.eps)
         n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
         unbiased = var * (n / max(n - 1, 1))
-        self.register_buffer("running_mean", (1 - self.momentum) * self.running_mean + self.momentum * mean)
-        self.register_buffer("running_var", (1 - self.momentum) * self.running_var + self.momentum * unbiased)
+        self.running_mean[...] = (1 - self.momentum) * self.running_mean + self.momentum * mean
+        self.running_var[...] = (1 - self.momentum) * self.running_var + self.momentum * unbiased
         return out
 
 

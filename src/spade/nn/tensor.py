@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..core import resize_matrix
+from ..core import bilinear_taps, resize_matrix
 from ..errors import ShapeError, SpadeError
 
 
@@ -612,18 +612,6 @@ def interpolate_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     return Tensor._make(out_data, (x,), bw)
 
 
-def _taps(raw: np.ndarray, size: int):
-    """Bilinear taps along one axis of length size, clamped to the border.
-
-    Returns the lower and upper indices, the fraction towards the upper one
-    and the mask of coordinates strictly inside, where the coordinate
-    gradient is non-zero.
-    """
-    c = np.clip(raw, 0.0, size - 1.0)
-    i0 = np.clip(np.floor(c).astype(int), 0, max(size - 2, 0))
-    return i0, np.minimum(i0 + 1, size - 1), c - i0, (raw > 0.0) & (raw < size - 1.0)
-
-
 def bilinear_sample(x: Tensor, loc: Tensor) -> Tensor:
     """Sample x (B,C,H,W) at continuous (row, col) locations (B,P,2) -> (B,C,P).
 
@@ -635,8 +623,8 @@ def bilinear_sample(x: Tensor, loc: Tensor) -> Tensor:
     if loc.data.ndim != 3 or loc.data.shape[2] != 2 or loc.data.shape[0] != B:
         raise ShapeError(f"locations must be (B,P,2), got {loc.data.shape}")
     P = loc.data.shape[1]
-    r0, r1, fr, r_in = _taps(loc.data[..., 0], H)
-    c0, c1, fc, c_in = _taps(loc.data[..., 1], W)
+    r0, r1, fr, r_in = bilinear_taps(loc.data[..., 0], H)
+    c0, c1, fc, c_in = bilinear_taps(loc.data[..., 1], W)
     fr = fr[:, None, :]  # (B,1,P)
     fc = fc[:, None, :]
 
@@ -677,7 +665,7 @@ def _two_tap_weights(n: int, pos: np.ndarray, size: int, inv_g: float):
     per query row (or column), and a thunk for their derivative in the table
     coordinate (q - pos[b, k]) * inv_g + (size-1)/2."""
     raw = (np.arange(n, dtype=np.float64) - pos[:, :, None]) * inv_g + (size - 1) / 2.0
-    i0, i1, frac, inside = (a.ravel() for a in _taps(raw, size))
+    i0, i1, frac, inside = (a.ravel() for a in bilinear_taps(raw, size))
     rows = np.arange(0, i0.size * size, size)
 
     def written(*taps):

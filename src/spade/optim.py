@@ -34,4 +34,4 @@ class AdamW:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             update = (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-            p.data = p.data - self.lr * (update + self.weight_decay * p.data)
+            p.data -= self.lr * (update + self.weight_decay * p.data)

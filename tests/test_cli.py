@@ -166,7 +166,7 @@ def frame_args(scene_dir, tmp_path):
 def old_layout_state(cfg):
     """Tensors named as before the model was one module: "pyramid.param.conv1.weight" and so on."""
     state = {}
-    for key, value in SpadeModel(cfg).state_dict().items():
+    for key, value in SpadeModel(cfg).named_arrays():
         kind, root, rest = key.split(".", 2)
         state[f"{root}.{kind}.{rest}"] = value
     return state
@@ -196,9 +196,9 @@ def _misshaped(state):
 # tensors do not fit it, or that have no embedded config
 CHECKPOINT_FAULTS = {
     "old-layout-tensors": lambda cfg: (old_layout_state(cfg), {"config": asdict(cfg), "seed": cfg.seed}),
-    "missing-tensor": lambda cfg: (dict(list(SpadeModel(cfg).state_dict().items())[1:]), {"config": asdict(cfg)}),
-    "misshaped-tensor": lambda cfg: (_misshaped(SpadeModel(cfg).state_dict()), {"config": asdict(cfg)}),
-    "no-embedded-config": lambda cfg: (SpadeModel(cfg).state_dict(), {"seed": cfg.seed}),
+    "missing-tensor": lambda cfg: (dict(list(SpadeModel(cfg).named_arrays())[1:]), {"config": asdict(cfg)}),
+    "misshaped-tensor": lambda cfg: (_misshaped(dict(SpadeModel(cfg).named_arrays())), {"config": asdict(cfg)}),
+    "no-embedded-config": lambda cfg: (dict(SpadeModel(cfg).named_arrays()), {"seed": cfg.seed}),
 }
 
 
@@ -325,10 +325,9 @@ def laser_points(scene_dir):
 
 
 def test_align_laser_pair_takes_laser_path(scene_dir, laser_points, tmp_path):
-    u1, u2 = (p.u for p in read_points(laser_points))
     code = run_cli(
         "align", "--relative", scene_dir / "relative.fdr1", "--points", laser_points,
-        "--laser", f"64,31.5,0.1,{u1},{u2}", "--out", tmp_path / "a.fdr1", "--fit-report", tmp_path / "fit.json",
+        "--laser", "64,31.5,0.1", "--out", tmp_path / "a.fdr1", "--fit-report", tmp_path / "fit.json",
     )
     assert code == 0
     assert json.loads((tmp_path / "fit.json").read_text())["mode"] == "laser_baseline"
@@ -375,10 +374,9 @@ def test_nonpositive_laser_baseline_is_one_line_config_error(
             "--out-dir", out,
         ]
     else:
-        u1, u2 = (p.u for p in read_points(laser_points))
         argv = [
             "align", "--relative", scene_dir / "relative.fdr1", "--points", laser_points,
-            "--laser", f"64,31.5,{baseline},{u1},{u2}", "--out", out,
+            "--laser", f"64,31.5,{baseline}", "--out", out,
         ]
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err

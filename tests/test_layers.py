@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from spade.errors import ConfigError, FormatError, ShapeError
+from spade.errors import FormatError
 from spade.nn import (
     BatchNorm2d,
     CBAM,
@@ -188,43 +188,44 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="bad manifest"):
             load_checkpoint(p)
 
-    def test_module_state_dict_round_trip(self, tmp_path):
+    def test_module_round_trip_into_own_arrays(self, tmp_path):
         rng = np.random.default_rng(11)
         m1 = MLP(3, 5, rng)
         m2 = MLP(3, 5, np.random.default_rng(99))
         p = tmp_path / "m.spw1"
-        save_checkpoint(p, m1.state_dict())
-        state, _ = load_checkpoint(p)
-        m2.load_state_dict(state)
+        save_checkpoint(p, dict(m1.named_arrays()))
+        own = dict(m2.named_arrays())
+        state, _ = load_checkpoint(p, lambda meta: own)
+        assert all(state[k] is a for k, a in m2.named_arrays())
         x = Tensor(rng.standard_normal((2, 3)))
         assert np.array_equal(m1(x).data, m2(x).data)
 
-    def test_load_rejects_unexpected_entry(self):
-        rng = np.random.default_rng(13)
-        m = BatchNorm2d(3)
-        state = m.state_dict()
-        state["buffer.running_max"] = np.zeros(3)
-        before = m.state_dict()
-        with pytest.raises(ConfigError, match="unexpected.*running_max"):
-            m.load_state_dict(state)
-        # nothing was loaded
-        assert all(np.array_equal(v, before[k]) for k, v in m.state_dict().items())
-        del state["buffer.running_max"]
-        state["buffer.running_mean"] = rng.standard_normal(3)
-        m.load_state_dict(state)
-        assert np.array_equal(m.running_mean, state["buffer.running_mean"])
+    @staticmethod
+    def _load_into(tmp_path, saved, targets):
+        p = tmp_path / "m.spw1"
+        save_checkpoint(p, {k: v + 1.0 for k, v in saved.items()})
+        before = {k: v.copy() for k, v in targets.items()}
+        with pytest.raises(FormatError, match=f"^checkpoint {p} ") as e:
+            load_checkpoint(p, lambda meta: targets)
+        # nothing was read
+        assert all(np.array_equal(v, before[k]) for k, v in targets.items())
+        return str(e.value)
 
-    def test_load_copies_each_entry(self):
+    def test_load_rejects_unexpected_entry(self, tmp_path):
         m = BatchNorm2d(3)
-        state = {k: np.full(v.shape, 2.0) for k, v in m.state_dict().items()}
-        m.load_state_dict(state)
-        for v in state.values():
-            v[...] = 5.0
-        assert all(np.all(v == 2.0) for v in m.state_dict().values())
+        saved = {**dict(m.named_arrays()), "buffer.running_max": np.zeros(3)}
+        msg = self._load_into(tmp_path, saved, dict(m.named_arrays()))
+        assert "unexpected tensors ['buffer.running_max']" in msg
 
-    def test_load_shape_mismatch(self):
-        rng = np.random.default_rng(12)
-        m = MLP(3, 5, rng)
-        bad = {k: np.zeros((2, 2)) for k in m.state_dict()}
-        with pytest.raises(ShapeError):
-            m.load_state_dict(bad)
+    def test_load_rejects_missing_entry(self, tmp_path):
+        m = BatchNorm2d(3)
+        targets = dict(m.named_arrays())
+        saved = {k: v for k, v in targets.items() if k != "param.beta"}
+        assert "lacks tensors ['param.beta']" in self._load_into(tmp_path, saved, targets)
+
+    def test_load_shape_mismatch(self, tmp_path):
+        m = MLP(3, 5, np.random.default_rng(12))
+        targets = dict(m.named_arrays())
+        saved = {**targets, "param.fc1.weight": np.zeros((5, 3))}
+        msg = self._load_into(tmp_path, saved, targets)
+        assert "param.fc1.weight of shape (5, 3), expected (3, 5)" in msg

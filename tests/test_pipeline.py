@@ -8,9 +8,9 @@ import pytest
 from conftest import fast_config
 from spade.config import from_json
 from spade.core import SparsePointSet, from_inverse
-from spade.errors import ConfigError
+from spade.errors import ConfigError, FormatError
 from spade.metrics import aggregate_metrics, compute_metrics
-from spade.nn import RefinementNet, Tensor, no_grad
+from spade.nn import RefinementNet, Tensor, no_grad, save_checkpoint
 from spade.pipeline import (
     LaserRig,
     RunConfig,
@@ -160,7 +160,8 @@ class TestTraining:
     def test_learning_improves_over_ga(self, trained_fast_model):
         model, log, cfg = trained_fast_model
         assert log["history"][-1]["val_loss"] < log["history"][0]["val_loss"]
-        held_out = build_corpus(cfg, "eval", n_frames=6)
+        # 40 frames: on 6 the margin was within what rounding moves
+        held_out = build_corpus(cfg, "eval", n_frames=40)
         refined, ga = [], []
         neutral = SpadeModel(cfg)
         for f in held_out:
@@ -182,6 +183,26 @@ class TestTraining:
         assert (tmp_path / "a/checkpoint.spw1").read_bytes() == (
             tmp_path / "b/checkpoint.spw1"
         ).read_bytes()
+
+    def test_training_updates_the_arrays_it_was_built_with(self, monkeypatch, tmp_path):
+        import spade.pipeline
+
+        built = []
+
+        class Recorded(SpadeModel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append([(k, a, a.copy()) for k, a in self.named_arrays()])
+
+        monkeypatch.setattr(spade.pipeline, "SpadeModel", Recorded)
+        model, _ = train(fast_config(epochs=1, train_frames=4, val_frames=2), out_dir=tmp_path, quiet=True)
+        (before,) = built
+        after = model.named_arrays()
+        assert [k for k, _, _ in before] == [k for k, _ in after]
+        assert all(a is b for (_, a, _), (_, b) in zip(before, after))
+        # and training wrote to them: parameters and running statistics moved
+        moved = {k.split(".")[0] for k, a, copy in before if not np.array_equal(a, copy)}
+        assert moved == {"param", "buffer"}
 
     def test_validation_inputs_are_built_once(self, monkeypatch):
         import spade.pipeline
@@ -246,12 +267,13 @@ class TestTraining:
         r2 = run_frame(again, f.z_rel, f.guide, f.points)
         assert np.array_equal(r1.depth.values, r2.depth.values)
 
-    def test_load_rejects_unprefixed_entry(self, trained_fast_model):
-        model, _, _ = trained_fast_model
-        state = model.state_dict()
-        state["head.param.weight"] = np.zeros(3)
-        with pytest.raises(ConfigError, match="unexpected.*head.param.weight"):
-            SpadeModel(model.cfg).load_state_dict(state)
+    def test_load_rejects_unprefixed_entry(self, trained_fast_model, tmp_path):
+        model, _, cfg = trained_fast_model
+        path = tmp_path / "ck.spw1"
+        state = {**dict(model.named_arrays()), "head.param.weight": np.zeros(3)}
+        save_checkpoint(path, state, meta={"config": asdict(cfg)})
+        with pytest.raises(FormatError, match=r"unexpected tensors \['head.param.weight'\]"):
+            SpadeModel.load(path)
 
 
 class TestSweep:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spade.core import resize_matrix
+from spade.core import bilinear_taps, resize_matrix
 from spade.errors import ShapeError
 from spade.nn import (
     Tensor,
@@ -15,7 +15,7 @@ from spade.nn import (
     softmax,
 )
 from spade.nn.gradcheck import fd_gradcheck, scalarize
-from spade.nn.tensor import _resize_pair, _taps, _two_tap_weights
+from spade.nn.tensor import _resize_pair, _two_tap_weights
 from spade.pipeline import SpadeModel
 
 from conftest import fast_config
@@ -381,8 +381,8 @@ def bilinear_sample_four_gathers(x, loc):
     """bilinear_sample's forward with one broadcast gather per tap."""
     B, C, H, W = x.shape
     P = loc.shape[1]
-    r0, r1, fr, _ = _taps(loc[..., 0], H)
-    c0, c1, fc, _ = _taps(loc[..., 1], W)
+    r0, r1, fr, _ = bilinear_taps(loc[..., 0], H)
+    c0, c1, fc, _ = bilinear_taps(loc[..., 1], W)
     fr, fc = fr[:, None, :], fc[:, None, :]
     xf = x.reshape(B, C, H * W)
 
@@ -397,7 +397,7 @@ def bilinear_sample_four_gathers(x, loc):
 def two_tap_weights_one_hot(n, pos, size, inv_g):
     """rel_pos_bias's tap weights and their derivative from dense one-hot comparisons."""
     raw = (np.arange(n, dtype=np.float64) - pos[:, :, None]) * inv_g + (size - 1) / 2.0
-    i0, i1, frac, inside = (a[..., None] for a in _taps(raw, size))
+    i0, i1, frac, inside = (a[..., None] for a in bilinear_taps(raw, size))
     lo, hi = np.arange(size) == i0, np.arange(size) == i1
     return lo * (1.0 - frac) + hi * frac, (hi * 1.0 - lo) * inside
 
