@@ -7,8 +7,8 @@ conv/deformable-transformer network.
 """
 
 from .core import (
-    CameraIntrinsics,
     DepthRaster,
+    LaserRig,
     Point,
     ScaleMap,
     Space,
@@ -25,9 +25,9 @@ from .densify import JBUParams, fill_default, jbu_densify, sparse_scale_map
 
 __all__ = [
     "AffineFit",
-    "CameraIntrinsics",
     "DepthRaster",
     "JBUParams",
+    "LaserRig",
     "Point",
     "ScaleMap",
     "Space",

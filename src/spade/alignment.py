@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CameraIntrinsics, DepthRaster, Space, SparsePointSet
+from .core import DepthRaster, LaserRig, Space, SparsePointSet
 from .errors import (
     AlignmentFailureError,
     DegenerateDesignError,
@@ -145,8 +145,8 @@ def align_global(z: DepthRaster, pts: SparsePointSet) -> tuple[DepthRaster, Affi
 
 
 @_quiet
-def laser_scale(p1, p2, intrinsics: CameraIntrinsics, baseline_m: float) -> float:
-    """Global scale from two parallel-laser projections a fixed baseline apart.
+def laser_scale(p1, p2, rig: LaserRig) -> float:
+    """Global scale from the projections of the rig's two parallel lasers.
 
     p1, p2: (u, z_rel) pairs ordered left-to-right in u; z_rel is the
     relative (affine) depth sampled at each projection pixel. Returns s
@@ -156,22 +156,18 @@ def laser_scale(p1, p2, intrinsics: CameraIntrinsics, baseline_m: float) -> floa
     u2, z2 = p2
     if z1 <= 0 or z2 <= 0:
         raise DomainError(f"laser relative depths must be positive, got {z1}, {z2}")
-    if baseline_m <= 0:
-        raise DomainError(f"baseline must be positive, got {baseline_m}")
-    fx, cx = intrinsics.fx, intrinsics.cx
-    s = float((np.float64(u2 - cx) / (fx * z2) - np.float64(u1 - cx) / (fx * z1)) / baseline_m)
+    fx, cx = rig.fx, rig.cx
+    s = float((np.float64(u2 - cx) / (fx * z2) - np.float64(u1 - cx) / (fx * z1)) / rig.baseline_m)
     _finite("laser scale", s)
     if s <= 0:
         raise InconsistentMeasurementsError(
-            f"laser geometry produced s={s:.6g} <= 0; check point ordering and intrinsics"
+            f"laser geometry produced s={s:.6g} <= 0; check point ordering and the laser rig"
         )
     return float(s)
 
 
 @_quiet
-def align_with_laser(
-    z: DepthRaster, pts: SparsePointSet, intrinsics: CameraIntrinsics, baseline_m: float
-) -> tuple[DepthRaster, AffineFit]:
+def align_with_laser(z: DepthRaster, pts: SparsePointSet, rig: LaserRig) -> tuple[DepthRaster, AffineFit]:
     """Scale-only alignment driven by a two-point laser pair."""
     if len(pts) != 2:
         raise InsufficientPointsError(f"laser alignment needs exactly 2 points, got {len(pts)}")
@@ -182,7 +178,7 @@ def align_with_laser(
         if not z.valid[p.v_row, p.u]:
             raise DomainError(f"laser point at (u={p.u}, v={p.v_row}) falls on an invalid pixel")
         samples.append((p.u, float(z.values[p.v_row, p.u])))
-    s = laser_scale(samples[0], samples[1], intrinsics, baseline_m)
+    s = laser_scale(samples[0], samples[1], rig)
     z_samp = np.array([zz for _, zz in samples])
     v = 1.0 / np.array([p.depth_m for p in ordered])
     fit = AffineFit(s, 0.0, "laser_baseline", _residual_rms(z_samp, v, s, 0.0), 2)

@@ -3,7 +3,8 @@
 Subcommands: synth, simulate, align, densify, train, run, eval, sweep,
 gradcheck, report. Each accepts only the flags it reads; any other flag is
 a usage error. A checkpoint carries its config and seed, so `run
---checkpoint` refuses --config and --seed and `sweep` has neither. Exit
+--checkpoint` refuses --config and --seed and `sweep` has neither.
+`simulate`, `align` and `run` take one laser rig, `--laser fx,cx,B`. Exit
 codes: 0 ok, 2 config or usage error (and running out of memory, which a
 config asking for too large an input can cause), 3 numeric failure, 4 I/O
 or format error.
@@ -22,8 +23,8 @@ import numpy as np
 from . import __version__
 from .alignment import align_global, align_with_laser
 from .core import (
-    CameraIntrinsics,
     DepthRaster,
+    LaserRig,
     Space,
     raster_to_scale_map,
     read_points,
@@ -37,7 +38,6 @@ from .errors import ConfigError, SpadeError
 from .gradsuite import TOLERANCE, run_suite
 from .metrics import aggregate_metrics, compute_metrics
 from .pipeline import (
-    LaserRig,
     RunConfig,
     SpadeModel,
     SweepSpec,
@@ -80,16 +80,15 @@ def _parse_floats(text, n, what):
     return values
 
 
-def _laser_camera(text, z, pts):
-    """The baseline B of --laser fx,cx,B and the rig's camera: fx for both focal
-    lengths, the principal row at the middle of z. A laser frame has exactly 2
-    points, and the laser columns are theirs."""
-    fx, cx, baseline = _parse_floats(text, 3, "--laser")
-    if len(pts) != 2:
+def _laser_rig(args, pts=None) -> LaserRig | None:
+    """The rig of --laser fx,cx,B, or None without the flag. A laser frame
+    (`pts`, for align and run) has exactly 2 points, and the laser columns are theirs."""
+    if not args.laser:
+        return None
+    rig = LaserRig(*_parse_floats(args.laser, 3, "--laser"))
+    if pts is not None and len(pts) != 2:
         raise ConfigError(f"laser alignment expects exactly 2 points, file has {len(pts)}")
-    if baseline <= 0:
-        raise ConfigError(f"--laser baseline B must be > 0, got {baseline}")
-    return baseline, CameraIntrinsics(fx=fx, fy=fx, cx=cx, cy=(z.height - 1) / 2.0)
+    return rig
 
 
 def _check_cap(cap):
@@ -122,12 +121,8 @@ def cmd_simulate(args) -> int:
     gt = read_raster(args.gt)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    intrinsics = None
-    if args.intrinsics:
-        fx, fy, cx, cy = _parse_floats(args.intrinsics, 4, "--intrinsics")
-        intrinsics = CameraIntrinsics(fx, fy, cx, cy)
     guide = read_raster(args.guide) if args.guide else None
-    pts = sample_pattern(gt, spec, intrinsics=intrinsics, guide=guide)
+    pts = sample_pattern(gt, spec, laser=_laser_rig(args), guide=guide)
     write_points(pts, args.out)
     print(f"wrote {len(pts)} '{spec.kind}' points to {args.out}")
     return 0
@@ -137,9 +132,9 @@ def cmd_align(args) -> int:
     z = read_raster(args.relative)
     pts = read_points(args.points)
     pts.check_bounds(z)
-    if args.laser:
-        baseline, K = _laser_camera(args.laser, z, pts)
-        aligned, fit = align_with_laser(z, pts, K, baseline)
+    rig = _laser_rig(args, pts)
+    if rig is not None:
+        aligned, fit = align_with_laser(z, pts, rig)
     else:
         aligned, fit = align_global(z, pts)
     write_raster(aligned, args.out)
@@ -192,11 +187,7 @@ def cmd_run(args) -> int:
         model = SpadeModel(cfg)
     pts = read_points(args.points)
     gt = read_raster(args.gt) if args.gt else None
-    laser = None
-    if args.laser:
-        baseline, K = _laser_camera(args.laser, z, pts)
-        laser = LaserRig(K, baseline_m=baseline)
-    result = run_frame(model, z, guide, pts, gt=gt, laser=laser, cap_m=args.cap)
+    result = run_frame(model, z, guide, pts, gt=gt, laser=_laser_rig(args, pts), cap_m=args.cap)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_raster(result.depth, out / "depth.fdr1")
@@ -317,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--config": dict(help="RunConfig JSON file"),
         "--seed": dict(type=int, default=None, help="seed override"),
         "--out-dir": dict(default="out", help="output directory"),
+        "--laser": dict(help="fx,cx,B: laser rig (focal length, principal column in px; baseline in m)"),
     }
 
     def command(name, fn, summary, *flags):
@@ -330,17 +322,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("synth", cmd_synth, "generate a synthetic scene (+ optional oracle raster)", "--seed", "--out-dir")
     p.add_argument("--spec", required=True, help="scene (and optional oracle) spec JSON")
 
-    p = command("simulate", cmd_simulate, "sample sparse points from dense ground truth", "--seed")
+    p = command("simulate", cmd_simulate, "sample sparse points from dense ground truth", "--seed", "--laser")
     p.add_argument("--gt", required=True)
     p.add_argument("--pattern", required=True, help="pattern spec JSON")
     p.add_argument("--out", required=True, help="output CSV")
-    p.add_argument("--intrinsics", help="fx,fy,cx,cy (laser2 pattern)")
     p.add_argument("--guide", help="guide raster for feature_like sampling")
 
-    p = command("align", cmd_align, "stage-1 global alignment")
+    p = command("align", cmd_align, "stage-1 global alignment", "--laser")
     p.add_argument("--relative", required=True)
     p.add_argument("--points", required=True)
-    p.add_argument("--laser", help="fx,cx,B for the two-point laser path")
     p.add_argument("--out", required=True)
     p.add_argument("--fit-report", help="JSON fit report path")
 
@@ -354,13 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("train", cmd_train, "train the refinement network on synthetic scenes", "--config", "--seed", "--out-dir")
 
-    p = command("run", cmd_run, "full two-stage inference on one frame", "--config", "--seed", "--out-dir")
+    p = command("run", cmd_run, "full two-stage inference on one frame", "--config", "--seed", "--out-dir", "--laser")
     p.add_argument("--checkpoint", help="SPW1 checkpoint, which carries its config and seed (neutral model if omitted)")
     p.add_argument("--relative", required=True)
     p.add_argument("--guide", required=True)
     p.add_argument("--points", required=True)
     p.add_argument("--gt")
-    p.add_argument("--laser", help="fx,cx,B for the two-point laser path")
     p.add_argument("--cap", type=float, default=None, help="metric range cap (with --gt)")
 
     p = command("eval", cmd_eval, "metrics for prediction/ground-truth rasters")

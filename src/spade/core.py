@@ -1,5 +1,5 @@
 """Core domain types: dense depth rasters, sparse point sets, scale maps,
-camera intrinsics, plus inverse-depth conversions and file I/O.
+the laser rig, plus inverse-depth conversions and file I/O.
 
 Conventions fixed here and used everywhere else:
   * pixel coordinates are (u = column, v = row), origin at the top-left,
@@ -195,15 +195,20 @@ class ScaleMap:
 
 
 @dataclass(frozen=True)
-class CameraIntrinsics:
+class LaserRig:
+    """Two parallel lasers `baseline_m` apart, seen by a camera of focal length
+    `fx` and principal column `cx` (pixels): the one description of the laser
+    pair, read by the laser2 sampler and by the laser-baseline fit."""
+
     fx: float
-    fy: float
     cx: float
-    cy: float
+    baseline_m: float
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ConfigError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
+        if not self.fx > 0:  # also refuses nan
+            raise ConfigError(f"laser focal length fx must be > 0, got {self.fx}")
+        if not self.baseline_m > 0:
+            raise ConfigError(f"laser baseline B must be > 0, got {self.baseline_m}")
 
 
 def to_inverse(r: DepthRaster) -> DepthRaster:

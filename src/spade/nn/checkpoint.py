@@ -69,35 +69,30 @@ def _entries(manifest) -> Entries:
     return list(entries.items())
 
 
-def load_checkpoint(
-    path, targets: Callable[[dict], dict[str, np.ndarray]] | None = None
-) -> tuple[dict[str, np.ndarray], dict]:
-    """(state, meta) of an SPW1 file; a malformed file is a FormatError that names it.
+def load_checkpoint(path, targets: Callable[[dict], dict[str, np.ndarray]]) -> dict:
+    """Read an SPW1 file into the arrays `targets(meta)` returns and return its
+    meta; a malformed file is a FormatError that names it.
 
     The header, the manifest and the buffer sizes it declares are checked
-    against the file before any tensor is allocated. Each tensor is then read
-    into a new array or, given `targets(meta)`, into the C-contiguous float64
-    array of its name that this returns; the manifest must name each of those
-    arrays once, with its shape, before a buffer is read. Errors of `targets`
-    pass through.
+    against the file before `targets` is called. The manifest must then name
+    each array `targets` returned once, with its shape, before a buffer is
+    read; each tensor is read into its C-contiguous float64 array. Errors of
+    `targets` pass through.
     """
     with open(path, "rb") as f:
         try:
             entries, meta = _layout(f, os.fstat(f.fileno()).st_size)
         except FormatError as e:
             raise FormatError(f"checkpoint {path}: {e}") from None
-        if targets is None:
-            state = {name: np.empty(shape) for name, shape in entries}
-        else:
-            state = targets(meta)
-            _check_fit(path, entries, state)
+        state = targets(meta)
+        _check_fit(path, entries, state)
         for name, _ in entries:
             buf = state[name]
             if f.readinto(buf) != buf.nbytes:  # the file shrank after its size was checked
                 raise FormatError(f"checkpoint {path}: buffer for {name} truncated")
             if sys.byteorder == "big":
                 buf.byteswap(inplace=True)
-    return state, meta
+    return meta
 
 
 def _check_fit(path, entries: Entries, state: dict[str, np.ndarray]) -> None:

@@ -37,6 +37,10 @@ class CCDTConfig:
         lists = (self.widths, self.conv_counts, self.trans_counts, self.grid_downsamples)
         if any(len(x) != 4 for x in lists):
             raise ConfigError("encoder config requires exactly four stages")
+        if min(self.grid_downsamples) < 1:
+            raise ConfigError(f"grid_downsamples {list(self.grid_downsamples)} must all be >= 1")
+        if not self.offset_range > 0:
+            raise ConfigError(f"offset_range must be > 0, got {self.offset_range}")
         if self.heads < 1:
             raise ConfigError(f"heads must be positive, got {self.heads}")
         if any(w <= 0 for w in self.widths) or any(w % self.heads for w in self.widths):

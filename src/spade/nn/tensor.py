@@ -99,8 +99,8 @@ class Tensor:
         if p.requires_grad:
             p.grad = g if p.grad is None else p.grad + g
 
-    def backward(self, seed=None):
-        """Accumulate d(self)/d(leaf) into every leaf's `.grad`, once per graph.
+    def backward(self):
+        """Accumulate d(self)/d(leaf) of this scalar into every leaf's `.grad`, once per graph.
 
         The walk frees the graph behind it: each interior node (one made by
         an op) loses its closure, its parents and its gradient as soon as its
@@ -109,10 +109,8 @@ class Tensor:
         their `.grad`. The spent closure raises, so a second backward through
         any part of the graph fails instead of returning partial gradients.
         """
-        if seed is None:
-            if self.data.size != 1:
-                raise ShapeError(f"backward() without seed needs a scalar, got {self.data.shape}")
-            seed = np.ones_like(self.data)
+        if self.data.size != 1:
+            raise ShapeError(f"backward() needs a scalar, got {self.data.shape}")
         topo, seen, stack = [], set(), [(self, False)]
         while stack:
             node, expanded = stack.pop()
@@ -126,7 +124,7 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.asarray(seed, dtype=np.float64).reshape(self.data.shape)
+        self.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
             if node._backward is None:

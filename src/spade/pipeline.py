@@ -14,8 +14,8 @@ import numpy as np
 
 from .alignment import AffineFit, align_global, align_with_laser
 from .core import (
-    CameraIntrinsics,
     DepthRaster,
+    LaserRig,
     Space,
     SparsePointSet,
     from_inverse,
@@ -38,6 +38,7 @@ from .losses import loss_total
 from .metrics import MetricReport, aggregate_metrics, compute_metrics
 from .nn import CCDTConfig, FeaturePyramid, Module, RefinementNet, Tensor, no_grad
 from .nn.checkpoint import load_checkpoint, save_checkpoint
+from .nn.network import STRIDES
 from .optim import AdamW
 from .sensors import PATTERN_KINDS, PatternSpec, sample_pattern, subsample
 from .synth import OracleSpec, SceneSpec, generate_scene, oracle_relative
@@ -83,6 +84,12 @@ class RunConfig:
             raise ConfigError("batch size and frame counts must be positive")
         if self.points_min > self.points_max:
             raise ConfigError(f"points_min {self.points_min} exceeds points_max {self.points_max}")
+        for i, (stride, g) in enumerate(zip(np.cumprod(STRIDES), self.network.grid_downsamples)):
+            if (h // stride) % g or (w // stride) % g:
+                raise ConfigError(
+                    f"network.grid_downsamples[{i}]={g} does not divide the {h // stride}x{w // stride} "
+                    f"feature map of stage {i + 1} at input_hw {h}x{w}"
+                )
         if min(self.pyramid_channels, default=1) < 1:
             raise ConfigError(f"pyramid_channels {list(self.pyramid_channels)} must all be >= 1")
         if self.seed < 0:
@@ -113,12 +120,6 @@ class SweepSpec:
             raise ConfigError(f"range caps must be positive, got {list(self.range_caps)}")
 
 
-@dataclass(frozen=True)
-class LaserRig:
-    intrinsics: CameraIntrinsics
-    baseline_m: float
-
-
 @dataclass
 class FrameData:
     name: str
@@ -135,10 +136,6 @@ class FrameResult:
     fit: AffineFit
     eps_hat: np.ndarray
     metrics: MetricReport | None = None
-
-
-def default_intrinsics(h: int, w: int) -> CameraIntrinsics:
-    return CameraIntrinsics(fx=float(w), fy=float(w), cx=(w - 1) / 2.0, cy=(h - 1) / 2.0)
 
 
 class SpadeModel(Module):
@@ -256,7 +253,7 @@ def prepare_frame(
     JBU-densified corrections). A laser rig takes the laser path only with
     exactly 2 points; with any other count the fit's `fallback` says so."""
     if laser is not None and len(pts) == 2:  # a laser pair never attempts the joint fit
-        aligned, fit = align_with_laser(z_rel, pts, laser.intrinsics, laser.baseline_m)
+        aligned, fit = align_with_laser(z_rel, pts, laser)
     else:
         why = None if laser is None else f"laser rig needs 2 points, got {len(pts)}"
         try:
@@ -414,9 +411,10 @@ def train(cfg: RunConfig, out_dir=None, quiet=False):
 # ---------------------------------------------------------------------------
 
 _FIXED_COUNT_PATTERNS = {"dvl4": 4, "laser2": 2}
+SWEEP_LASER_BASELINE_M = 0.1  # laser2 in sweeps: this baseline, fx = w and cx at the center column
 
 
-def _sweep_points(frame: FrameData, pattern: str, count: int, cfg: RunConfig, frame_idx: int):
+def _sweep_points(frame: FrameData, pattern: str, count: int, cfg: RunConfig, frame_idx: int, laser=None):
     h, w = cfg.input_hw
     seed = (cfg.seed * 7 + frame_idx * 13) & 0x7FFFFFFF
     if pattern == "feature_like":
@@ -429,21 +427,20 @@ def _sweep_points(frame: FrameData, pattern: str, count: int, cfg: RunConfig, fr
     if pattern == "sonar_line":
         return sample_pattern(frame.gt, PatternSpec(kind="sonar_line", count=count, seed=seed))
     # dvl4 and laser2 (fixed counts; PatternSpec rejects any other kind)
-    return sample_pattern(frame.gt, PatternSpec(kind=pattern), intrinsics=default_intrinsics(h, w))
+    return sample_pattern(frame.gt, PatternSpec(kind=pattern), laser=laser)
 
 
 def _eval_cells(model, frames, pattern, count, caps, cfg) -> list[dict]:
     """Cells of one (pattern, count): each frame is refined once and scored at
     every cap, with the globally aligned map as the GA baseline."""
-    laser = None
-    if pattern == "laser2":  # the baseline _sweep_points samples laser2 with
-        laser = LaserRig(default_intrinsics(*cfg.input_hw), PatternSpec(kind=pattern).laser_baseline_m)
+    w = cfg.input_hw[1]
+    laser = LaserRig(float(w), (w - 1) / 2.0, SWEEP_LASER_BASELINE_M) if pattern == "laser2" else None
     refined = [[] for _ in caps]
     ga = [[] for _ in caps]
     skipped = [0] * len(caps)
     for idx, frame in enumerate(frames):
         try:
-            pts = _sweep_points(frame, pattern, count, cfg, idx)
+            pts = _sweep_points(frame, pattern, count, cfg, idx, laser)
             result = run_frame(model, frame.z_rel, frame.guide, pts, laser=laser)
         except SpadeError as e:
             log.warning("sweep frame %s (%s, n=%d) skipped: %s", frame.name, pattern, count, e)

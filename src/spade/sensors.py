@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CameraIntrinsics, DepthRaster, Point, Space, SparsePointSet
+from .core import DepthRaster, LaserRig, Point, Space, SparsePointSet
 from .errors import ConfigError, DomainError
 
 log = logging.getLogger(__name__)
@@ -30,7 +30,6 @@ class PatternSpec:
     sonar_row: int | None = None  # defaults to the middle row
     sonar_jitter: int = 5
     dvl_fraction: float = 0.2
-    laser_baseline_m: float = 0.1
     laser_max_range_m: float = 3.0
     laser_row: int | None = None
     seed: int = 0
@@ -42,8 +41,8 @@ class PatternSpec:
             raise ConfigError("pattern counts must be positive")
         if self.dvl_fraction <= 0 or self.dvl_fraction > 1:
             raise ConfigError(f"dvl_fraction must be in (0, 1], got {self.dvl_fraction}")
-        if self.laser_baseline_m <= 0 or self.laser_max_range_m <= 0:
-            raise ConfigError("laser baseline and max range must be positive")
+        if self.laser_max_range_m <= 0:
+            raise ConfigError(f"laser_max_range_m must be positive, got {self.laser_max_range_m}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -100,14 +99,15 @@ def _gradient_magnitude(img: np.ndarray) -> np.ndarray:
 def sample_pattern(
     gt: DepthRaster,
     spec: PatternSpec,
-    intrinsics: CameraIntrinsics | None = None,
+    laser: LaserRig | None = None,
     guide: DepthRaster | None = None,
 ) -> SparsePointSet:
     """Draw a sparse point set from dense ground truth under a sensing pattern.
 
     feature_like samples pixels with probability proportional to the local
     gradient magnitude of the guide image (ground truth if none given), a
-    proxy for tracked visual features clustering on texture.
+    proxy for tracked visual features clustering on texture; laser2 projects
+    the two lasers of the `laser` rig.
     """
     if gt.space is not Space.METRIC:
         raise DomainError(f"pattern sampling expects metric ground truth, got {gt.space.value}")
@@ -156,12 +156,12 @@ def sample_pattern(
         return _collect(gt, [(np.clip(u, 0, w - 1), np.clip(v, 0, h - 1)) for u, v in corners])
 
     if spec.kind == "laser2":
-        if intrinsics is None:
-            raise ConfigError("laser2 pattern requires camera intrinsics")
+        if laser is None:
+            raise ConfigError("laser2 pattern requires a laser rig")
         row = spec.laser_row if spec.laser_row is not None else h // 2
         pixels = []
-        for lateral in (-spec.laser_baseline_m / 2.0, spec.laser_baseline_m / 2.0):
-            u_star = _project_laser(gt, intrinsics, row, lateral)
+        for lateral in (-laser.baseline_m / 2.0, laser.baseline_m / 2.0):
+            u_star = _project_laser(gt, laser, row, lateral)
             if u_star is None:
                 continue
             depth = gt.values[row, u_star]
@@ -173,17 +173,17 @@ def sample_pattern(
     raise ConfigError(f"unhandled pattern kind {spec.kind!r}")
 
 
-def _project_laser(gt: DepthRaster, K: CameraIntrinsics, row: int, lateral_m: float) -> int | None:
+def _project_laser(gt: DepthRaster, rig: LaserRig, row: int, lateral_m: float) -> int | None:
     """Column where a forward-pointing laser at the given lateral offset hits
     the scene: the pixel whose back-projected lateral coordinate is closest."""
     h, w = gt.shape
     if not (0 <= row < h):
         raise DomainError(f"laser row {row} outside raster height {h}")
-    if not (0 <= K.cx < w):
-        raise DomainError(f"principal point cx={K.cx} outside raster width {w}")
+    if not (0 <= rig.cx < w):
+        raise DomainError(f"principal point cx={rig.cx} outside raster width {w}")
     cols = np.arange(w)
     valid = gt.valid[row]
-    lateral = gt.values[row] * (cols - K.cx) / K.fx
+    lateral = gt.values[row] * (cols - rig.cx) / rig.fx
     err = np.abs(lateral - lateral_m)
     err[~valid] = np.inf
     if not np.isfinite(err).any():

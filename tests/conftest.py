@@ -1,3 +1,8 @@
+import json
+import struct
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from spade.densify import JBUParams
@@ -35,6 +40,18 @@ def fast_config(**overrides) -> RunConfig:
     if "decay_after_epoch" not in overrides:
         base["decay_after_epoch"] = max(1, (6 * base["epochs"]) // 10)
     return RunConfig(**base)
+
+
+def manifest_arrays(path):
+    """A `load_checkpoint` targets callback: new arrays of the shapes that the
+    SPW1 file's own manifest declares."""
+
+    def targets(meta):
+        raw = Path(path).read_bytes()
+        (n,) = struct.unpack_from("<I", raw, 4)
+        return {t["name"]: np.empty(t["shape"]) for t in json.loads(raw[8 : 8 + n])["tensors"]}
+
+    return targets
 
 
 @pytest.fixture(scope="session")

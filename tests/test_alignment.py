@@ -8,7 +8,7 @@ from spade.alignment import (
     fit_scale_shift,
     laser_scale,
 )
-from spade.core import CameraIntrinsics, DepthRaster, Space, SparsePointSet
+from spade.core import DepthRaster, LaserRig, Space, SparsePointSet
 from spade.errors import (
     AlignmentFailureError,
     DegenerateDesignError,
@@ -180,36 +180,35 @@ class TestAlignGlobal:
 
 
 class TestLaserScale:
-    K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
+    rig = LaserRig(fx=500.0, cx=320.0, baseline_m=0.1)
 
     def test_direct_substitution(self):
-        s = laser_scale((300, 1.0), (340, 1.0), self.K, 0.1)
+        s = laser_scale((300, 1.0), (340, 1.0), self.rig)
         assert s == pytest.approx(0.8, abs=1e-15)
 
     def test_homogeneity(self):
-        s1 = laser_scale((300, 1.0), (340, 1.0), self.K, 0.1)
-        s2 = laser_scale((300, 2.0), (340, 2.0), self.K, 0.1)
+        s1 = laser_scale((300, 1.0), (340, 1.0), self.rig)
+        s2 = laser_scale((300, 2.0), (340, 2.0), self.rig)
         assert s2 == pytest.approx(s1 / 2.0, rel=1e-15)
 
     def test_principal_point_shift_invariance(self):
-        shifted = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0 + 17.0, cy=240.0)
-        s1 = laser_scale((300, 1.0), (340, 1.0), self.K, 0.1)
-        s2 = laser_scale((300 + 17, 1.0), (340 + 17, 1.0), shifted, 0.1)
+        shifted = LaserRig(fx=500.0, cx=320.0 + 17.0, baseline_m=0.1)
+        s1 = laser_scale((300, 1.0), (340, 1.0), self.rig)
+        s2 = laser_scale((300 + 17, 1.0), (340 + 17, 1.0), shifted)
         assert s2 == pytest.approx(s1, rel=1e-15)
 
     def test_inconsistent_geometry(self):
         with pytest.raises(InconsistentMeasurementsError):
-            laser_scale((340, 1.0), (300, 1.0), self.K, 0.1)
+            laser_scale((340, 1.0), (300, 1.0), self.rig)
 
     def test_align_with_laser_scales_raster(self):
         # plane at depth d, shift-free relative map v = s_true*z; geometry chosen
         # so both projections land exactly on integer pixels:
         # u = cx + fx*(+-B/2)/d = 20 +- 80*0.1/2 = 20 +- 4
         d, s_true, baseline = 2.0, 1.6, 0.2
-        K = CameraIntrinsics(fx=80.0, fy=80.0, cx=20.0, cy=4.5)
         z = affine_raster(np.full((10, 40), (1.0 / d) / s_true))
         pts = SparsePointSet([(16, 5, d), (24, 5, d)])
-        aligned, fit = align_with_laser(z, pts, K, baseline)
+        aligned, fit = align_with_laser(z, pts, LaserRig(fx=80.0, cx=20.0, baseline_m=baseline))
         assert fit.mode == "laser_baseline"
         assert fit.s == pytest.approx(s_true, abs=1e-6)
         assert np.allclose(aligned.values, 1.0 / d, atol=1e-9)

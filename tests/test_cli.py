@@ -1,15 +1,17 @@
 
 import json
+import shlex
 import struct
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import fast_config
-from spade import cli
-from spade.cli import main
+from spade import cli, pipeline
+from spade.cli import build_parser, main
 from spade.core import DepthRaster, read_points, read_raster, write_points, write_raster, Space
 from spade.core import SparsePointSet
 from spade.nn import save_checkpoint
@@ -107,6 +109,9 @@ CONFIG_FAULTS = {
     "sweep-zero-frames": ("sweep", {"n_frames": 0}),
     "sweep-zero-cap": ("sweep", {"range_caps": [0.0]}),
     "train-zero-conv-count": ("train", {"network": {"conv_counts": [1, 0, 1, 1]}}),
+    "train-zero-grid-downsample": ("train", {"network": {"grid_downsamples": [0, 2, 2, 1]}}),
+    "train-indivisible-grid-downsample": ("train", {"network": {"grid_downsamples": [2, 2, 2, 2]}}),
+    "train-negative-offset-range": ("train", {"network": {"offset_range": -1}}),
 }
 
 
@@ -127,6 +132,43 @@ def test_config_fault_is_one_line_config_error(command, payload, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+def test_train_refuses_a_grid_fault_before_building_the_corpus(tmp_path, monkeypatch, capsys):
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("the corpus was built")
+
+    monkeypatch.setattr(pipeline, "build_corpus", no_corpus)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"network": {"grid_downsamples": [2, 2, 2, 2]}}))
+    assert run_cli("train", "--config", path, "--out-dir", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {path}: network.grid_downsamples[3]=2 does not divide the 2x3 feature map of stage 4 "
+        "at input_hw 64x96\n"
+    ), err
+    assert not (tmp_path / "out").exists()
+
+
+def readme_walkthrough():
+    """The argv of each `spade ...` line in the README's CLI walkthrough, continuations joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI walkthrough", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("spade ")]
+
+
+WALKTHROUGH = readme_walkthrough()
+
+
+def test_readme_walkthrough_has_every_command():
+    commands = {"synth", "simulate", "align", "densify", "train", "run", "eval", "sweep", "gradcheck", "report"}
+    assert {argv[0] for argv in WALKTHROUGH} == commands
+
+
+@pytest.mark.parametrize("argv", WALKTHROUGH, ids=[f"{i}-{argv[0]}" for i, argv in enumerate(WALKTHROUGH)])
+def test_readme_walkthrough_line_parses(argv):
+    assert build_parser().parse_args(argv).command == argv[0]
 
 
 @pytest.mark.parametrize("command", ["train", "synth", "simulate", "gradcheck"])
@@ -312,22 +354,42 @@ def test_bad_cap_is_one_line_config_error(command, cap, scene_dir, tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+# the laser rig of the 64-pixel-wide scene: fx = 64, cx at its center column, B = 0.1 m
+LASER = "64,31.5,0.1"
+
+
+def simulate_laser(scene_dir, out, laser=LASER):
+    pattern = scene_dir / "laser.json"
+    pattern.write_text(json.dumps({"kind": "laser2"}))
+    return run_cli("simulate", "--gt", scene_dir / "gt.fdr1", "--pattern", pattern, "--laser", laser, "--out", out)
+
+
 @pytest.fixture(scope="module")
 def laser_points(scene_dir):
-    """A laser2 pair on the scene, sampled with the camera that `--laser 64,31.5,0.1` describes."""
-    pattern = scene_dir / "laser.json"
-    pattern.write_text(json.dumps({"kind": "laser2", "laser_baseline_m": 0.1}))
+    """A laser2 pair on the scene, sampled with the rig LASER."""
     out = scene_dir / "laser.csv"
-    assert run_cli("simulate", "--gt", scene_dir / "gt.fdr1", "--pattern", pattern,
-                   "--intrinsics", "64,64,31.5,15.5", "--out", out) == 0
+    assert simulate_laser(scene_dir, out) == 0
     assert len(read_points(out)) == 2
     return out
+
+
+def test_simulate_align_and_run_share_one_laser_string(scene_dir, tmp_path):
+    assert simulate_laser(scene_dir, tmp_path / "pair.csv") == 0
+    frame = ["--relative", scene_dir / "relative.fdr1", "--points", tmp_path / "pair.csv", "--laser", LASER]
+    assert run_cli("align", *frame, "--out", tmp_path / "a.fdr1", "--fit-report", tmp_path / "align.json") == 0
+    SpadeModel(fast_config()).save(tmp_path / "c.spw1")
+    argv = ["run", "--checkpoint", tmp_path / "c.spw1", "--guide", scene_dir / "guide.fdr1", *frame]
+    assert run_cli(*argv, "--out-dir", tmp_path / "out") == 0
+    align_fit = json.loads((tmp_path / "align.json").read_text())
+    run_fit = json.loads((tmp_path / "out" / "fit.json").read_text())
+    assert align_fit["mode"] == run_fit["mode"] == "laser_baseline"
+    assert align_fit == run_fit
 
 
 def test_align_laser_pair_takes_laser_path(scene_dir, laser_points, tmp_path):
     code = run_cli(
         "align", "--relative", scene_dir / "relative.fdr1", "--points", laser_points,
-        "--laser", "64,31.5,0.1", "--out", tmp_path / "a.fdr1", "--fit-report", tmp_path / "fit.json",
+        "--laser", LASER, "--out", tmp_path / "a.fdr1", "--fit-report", tmp_path / "fit.json",
     )
     assert code == 0
     assert json.loads((tmp_path / "fit.json").read_text())["mode"] == "laser_baseline"
@@ -337,7 +399,7 @@ def test_run_laser_pair_takes_laser_path(scene_dir, laser_points, tmp_path):
     SpadeModel(fast_config()).save(tmp_path / "c.spw1")
     code = run_cli(
         "run", "--checkpoint", tmp_path / "c.spw1", "--relative", scene_dir / "relative.fdr1",
-        "--guide", scene_dir / "guide.fdr1", "--points", laser_points, "--laser", "64,31.5,0.1",
+        "--guide", scene_dir / "guide.fdr1", "--points", laser_points, "--laser", LASER,
         "--out-dir", tmp_path / "out",
     )
     assert code == 0
@@ -351,7 +413,7 @@ def test_run_laser_needs_a_pair(scene_dir, tmp_path, capsys):
     SpadeModel(fast_config()).save(tmp_path / "c.spw1")
     code = run_cli(
         "run", "--checkpoint", tmp_path / "c.spw1", "--relative", scene_dir / "relative.fdr1",
-        "--guide", scene_dir / "guide.fdr1", "--points", tmp_path / "p.csv", "--laser", "64,31.5,0.1",
+        "--guide", scene_dir / "guide.fdr1", "--points", tmp_path / "p.csv", "--laser", LASER,
         "--out-dir", tmp_path / "out",
     )
     assert code == 2
@@ -360,28 +422,36 @@ def test_run_laser_needs_a_pair(scene_dir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def run_laser_command(command, laser, scene_dir, laser_points, tmp_path):
+    """Exit code of `command` with `--laser laser` on the scene's laser pair; its output is tmp_path/out."""
+    out = tmp_path / "out"
+    if command == "simulate":
+        return simulate_laser(scene_dir, out, laser)
+    frame = ["--relative", scene_dir / "relative.fdr1", "--points", laser_points, "--laser", laser]
+    if command == "align":
+        return run_cli("align", *frame, "--out", out)
+    SpadeModel(fast_config()).save(tmp_path / "c.spw1")
+    argv = ["run", "--checkpoint", tmp_path / "c.spw1", "--guide", scene_dir / "guide.fdr1", *frame]
+    return run_cli(*argv, "--out-dir", out)
+
+
 @pytest.mark.parametrize("baseline", ["0", "-0.1"])
-@pytest.mark.parametrize("command", ["run", "align"])
+@pytest.mark.parametrize("command", ["run", "align", "simulate"])
 def test_nonpositive_laser_baseline_is_one_line_config_error(
     command, baseline, scene_dir, laser_points, tmp_path, capsys
 ):
-    out = tmp_path / "out"
-    if command == "run":
-        SpadeModel(fast_config()).save(tmp_path / "c.spw1")
-        argv = [
-            "run", "--checkpoint", tmp_path / "c.spw1", "--relative", scene_dir / "relative.fdr1",
-            "--guide", scene_dir / "guide.fdr1", "--points", laser_points, "--laser", f"64,31.5,{baseline}",
-            "--out-dir", out,
-        ]
-    else:
-        argv = [
-            "align", "--relative", scene_dir / "relative.fdr1", "--points", laser_points,
-            "--laser", f"64,31.5,{baseline}", "--out", out,
-        ]
-    assert run_cli(*argv) == 2
+    assert run_laser_command(command, f"64,31.5,{baseline}", scene_dir, laser_points, tmp_path) == 2
     err = capsys.readouterr().err
-    assert err == f"error: --laser baseline B must be > 0, got {float(baseline)}\n", err
-    assert not out.exists()
+    assert err == f"error: laser baseline B must be > 0, got {float(baseline)}\n", err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "align", "simulate"])
+def test_zero_laser_focal_length_is_one_line_config_error(command, scene_dir, laser_points, tmp_path, capsys):
+    assert run_laser_command(command, "0,31.5,0.1", scene_dir, laser_points, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err == "error: laser focal length fx must be > 0, got 0.0\n", err
+    assert not (tmp_path / "out").exists()
 
 
 # each command with one flag it does not read, after all the flags it needs
@@ -390,6 +460,7 @@ UNREAD_FLAGS = {
     "densify --seed": ["densify", "--scale-map", "e.fdr1", "--guide", "g.fdr1", "--out", "d.fdr1", "--seed", "5"],
     "eval --out-dir": ["eval", "--pred", "p.fdr1", "--gt", "g.fdr1", "--out", "r.json", "--out-dir", "o"],
     "synth --config": ["synth", "--spec", "s.json", "--config", "c.json"],
+    "simulate --intrinsics": ["simulate", "--gt", "g.fdr1", "--pattern", "p.json", "--out", "p.csv", "--intrinsics", "1,1,0,0"],
     "simulate --out-dir": ["simulate", "--gt", "g.fdr1", "--pattern", "p.json", "--out", "p.csv", "--out-dir", "o"],
     "gradcheck --config": ["gradcheck", "--config", "c.json"],
     "report --seed": ["report", "--pred", "p", "--gt", "g", "--seed", "5"],

@@ -65,6 +65,18 @@ def test_integer_accepted_for_float_and_null_for_optional():
         (RunConfig, {"network": {"strides": [4, 2, 2, 2]}}, "unknown fields in network: ['strides']"),
         (RunConfig, {"jbu": {"sigma_range": 1e-200}}, "kernel sigmas must be positive"),
         (RunConfig, {"jbu": {"sigma_spatial": 1e200}}, "kernel sigmas must be positive"),
+        (RunConfig, {"network": {"grid_downsamples": [0, 2, 2, 1]}}, "grid_downsamples [0, 2, 2, 1] must all be >= 1"),
+        (RunConfig, {"network": {"offset_range": -1}}, "offset_range must be > 0, got -1.0"),
+        (
+            RunConfig,
+            {"network": {"grid_downsamples": [2, 2, 2, 2]}},
+            "network.grid_downsamples[3]=2 does not divide the 2x3 feature map of stage 4 at input_hw 64x96",
+        ),
+        (
+            RunConfig,
+            {"input_hw": [32, 64], "network": {"grid_downsamples": [3, 2, 2, 1]}},
+            "network.grid_downsamples[0]=3 does not divide the 8x16 feature map of stage 1 at input_hw 32x64",
+        ),
     ],
 )
 def test_rejection_names_the_field(cls, payload, message):

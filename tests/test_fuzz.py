@@ -17,12 +17,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import manifest_arrays
 from spade.alignment import align_global, align_with_laser, fit_scale_only, fit_scale_shift, laser_scale
 from spade.config import from_json
 from spade.densify import JBUParams, jbu_densify, sparse_scale_map
 from spade.core import (
-    CameraIntrinsics,
     DepthRaster,
+    LaserRig,
     Point,
     ScaleMap,
     Space,
@@ -58,6 +59,10 @@ manifests = json_values | st.fixed_dictionaries(
 )
 
 
+def load_into_manifest_shapes(path):
+    return load_checkpoint(path, manifest_arrays(path))
+
+
 def read_or_reject(reader, path, data: bytes):
     path.write_bytes(data)
     try:
@@ -66,7 +71,9 @@ def read_or_reject(reader, path, data: bytes):
         pass
 
 
-@pytest.mark.parametrize("reader", [read_raster, read_points, load_checkpoint])
+@pytest.mark.parametrize(
+    "reader", [read_raster, read_points, pytest.param(load_into_manifest_shapes, id="load_checkpoint")]
+)
 @FUZZ
 @given(data=st.binary(max_size=64))
 def test_any_bytes_give_only_format_error(tmp_path, reader, data):
@@ -77,7 +84,7 @@ def test_any_bytes_give_only_format_error(tmp_path, reader, data):
 @given(manifest=manifests, payload=st.binary(max_size=48))
 def test_spw1_any_manifest_gives_only_format_error(tmp_path, manifest, payload):
     mbytes = json.dumps(manifest).encode()
-    read_or_reject(load_checkpoint, tmp_path / "c.spw1", b"SPW1" + struct.pack("<I", len(mbytes)) + mbytes + payload)
+    read_or_reject(load_into_manifest_shapes, tmp_path / "c.spw1", b"SPW1" + struct.pack("<I", len(mbytes)) + mbytes + payload)
 
 
 @FUZZ
@@ -253,8 +260,8 @@ def test_fits_return_finite_values_or_raise(data, n):
         assert out is None or np.all(np.isfinite(out)), (fit.__name__, out)
     z1, z2 = mostly(data, ordinary_positive, any_positive, 2)
     u1, u2 = data.draw(st.integers(0, 63)), data.draw(st.integers(0, 63))
-    K = CameraIntrinsics(fx=data.draw(positive), fy=1.0, cx=data.draw(ordinary | any_finite), cy=0.0)
-    s = finite_or_spade_error(laser_scale, (u1, z1), (u2, z2), K, data.draw(positive))
+    rig = LaserRig(fx=data.draw(positive), cx=data.draw(ordinary | any_finite), baseline_m=data.draw(positive))
+    s = finite_or_spade_error(laser_scale, (u1, z1), (u2, z2), rig)
     assert s is None or np.isfinite(s)
 
 
@@ -270,11 +277,12 @@ def test_alignment_is_finite_or_raises(data):
     pixels = data.draw(st.lists(pixel, min_size=1, max_size=5, unique=True))
     depths = mostly(data, ordinary_positive, any_positive, len(pixels))
     pts = SparsePointSet([Point(u, v, d) for (u, v), d in zip(pixels, depths)])
-    K = CameraIntrinsics(fx=data.draw(positive), fy=1.0, cx=data.draw(ordinary | any_finite), cy=0.0)
+    fx, cx = data.draw(positive), data.draw(ordinary | any_finite)
     results = [finite_or_spade_error(align_global, z, pts)]
     if len(pts) >= 2:
         laser_pair = SparsePointSet(list(pts)[:2])
-        results.append(finite_or_spade_error(align_with_laser, z, laser_pair, K, data.draw(positive)))
+        rig = LaserRig(fx=fx, cx=cx, baseline_m=data.draw(positive))
+        results.append(finite_or_spade_error(align_with_laser, z, laser_pair, rig))
     for result in results:
         if result is not None:
             aligned, fit = result

@@ -7,12 +7,12 @@ import pytest
 
 from conftest import fast_config
 from spade.config import from_json
-from spade.core import SparsePointSet, from_inverse
+from spade.core import LaserRig, SparsePointSet, from_inverse
 from spade.errors import ConfigError, FormatError
 from spade.metrics import aggregate_metrics, compute_metrics
 from spade.nn import RefinementNet, Tensor, no_grad, save_checkpoint
 from spade.pipeline import (
-    LaserRig,
+    SWEEP_LASER_BASELINE_M,
     RunConfig,
     SpadeModel,
     SweepSpec,
@@ -20,7 +20,6 @@ from spade.pipeline import (
     _sweep_points,
     _training_sample,
     build_corpus,
-    default_intrinsics,
     error_map,
     render_report,
     run_frame,
@@ -59,18 +58,24 @@ class TestNeutralFixedPoint:
             assert np.max(np.abs(res.eps_hat - 1.0)) < 1e-14
 
 
+def sweep_rig(cfg):
+    """The laser rig a sweep samples and fits laser2 frames with at cfg's input size."""
+    w = cfg.input_hw[1]
+    return LaserRig(float(w), (w - 1) / 2.0, SWEEP_LASER_BASELINE_M)
+
+
 class TestLaserRouting:
     def test_two_point_frame_takes_laser_path(self):
         cfg = fast_config()
         model = SpadeModel(cfg)
         frames = build_corpus(cfg, "val", n_frames=6)
-        K, spec = default_intrinsics(*cfg.input_hw), PatternSpec(kind="laser2")
+        rig = sweep_rig(cfg)
         routed = 0
         for f in frames:
-            pts = sample_pattern(f.gt, spec, intrinsics=K)
+            pts = sample_pattern(f.gt, PatternSpec(kind="laser2"), laser=rig)
             if len(pts) != 2:
                 continue
-            res = run_frame(model, f.z_rel, f.guide, pts, gt=f.gt, laser=LaserRig(K, spec.laser_baseline_m))
+            res = run_frame(model, f.z_rel, f.guide, pts, gt=f.gt, laser=rig)
             assert res.fit.mode == "laser_baseline"
             assert res.fit.t == 0.0
             routed += 1
@@ -80,7 +85,7 @@ class TestLaserRouting:
         cfg = fast_config()
         model = SpadeModel(cfg)
         f = build_corpus(cfg, "val", n_frames=1)[0]
-        rig = LaserRig(default_intrinsics(*cfg.input_hw), PatternSpec(kind="laser2").laser_baseline_m)
+        rig = sweep_rig(cfg)
         one = run_frame(model, f.z_rel, f.guide, SparsePointSet(f.points.points[:1]), laser=rig)
         assert one.fit.mode == "scale_only"
         assert one.fit.fallback == "laser rig needs 2 points, got 1; scale/shift fit needs >= 2 points, got 1"
@@ -91,11 +96,11 @@ class TestLaserRouting:
 
 def laser_pair_frame(cfg):
     """A frame whose laser2 pattern has both points, with its pair and rig."""
-    K, spec = default_intrinsics(*cfg.input_hw), PatternSpec(kind="laser2")
+    rig = sweep_rig(cfg)
     for f in build_corpus(cfg, "val", n_frames=6):
-        pts = sample_pattern(f.gt, spec, intrinsics=K)
+        pts = sample_pattern(f.gt, PatternSpec(kind="laser2"), laser=rig)
         if len(pts) == 2:
-            return f, pts, LaserRig(K, spec.laser_baseline_m)
+            return f, pts, rig
     raise AssertionError("no frame with a laser pair")
 
 
@@ -339,7 +344,7 @@ class TestSweep:
         cfg = fast_config()
         spec = SweepSpec(point_counts=(2,), patterns=("laser2",), range_caps=(10.0,), n_frames=9)
         frames = build_corpus(cfg, "eval", n_frames=spec.n_frames)
-        assert len(_sweep_points(frames[8], "laser2", 2, cfg, 8)) == 0  # neither laser hits in range
+        assert len(_sweep_points(frames[8], "laser2", 2, cfg, 8, sweep_rig(cfg))) == 0  # neither laser hits in range
         with caplog.at_level(logging.WARNING, logger="spade.pipeline"):
             (cell,) = sweep(SpadeModel(cfg), cfg, spec)["cells"]
         skips = [r.getMessage() for r in caplog.records]

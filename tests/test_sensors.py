@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spade.config import from_json
-from spade.core import CameraIntrinsics, DepthRaster, Space, SparsePointSet
+from spade.core import DepthRaster, LaserRig, Space, SparsePointSet
 from spade.errors import ConfigError, DomainError
 from spade.sensors import PatternSpec, sample_pattern, subsample
 
@@ -93,18 +93,15 @@ class TestFeatureLike:
 
 
 class TestLaser2:
-    K = CameraIntrinsics(fx=80.0, fy=80.0, cx=20.0, cy=10.0)
-
     def test_plane_beyond_cutoff_gives_empty_set(self):
         gt = metric(np.full((21, 40), 4.0))
-        spec = PatternSpec(kind="laser2", laser_baseline_m=0.1, laser_max_range_m=3.0)
-        assert len(sample_pattern(gt, spec, intrinsics=self.K)) == 0
+        spec = PatternSpec(kind="laser2", laser_max_range_m=3.0)
+        assert len(sample_pattern(gt, spec, laser=LaserRig(fx=80.0, cx=20.0, baseline_m=0.1))) == 0
 
     def test_exact_projection_pixels(self):
         # plane at 2 m: u = cx + fx*(+-B/2)/d = 20 -+ 4
         gt = metric(np.full((21, 40), 2.0))
-        spec = PatternSpec(kind="laser2", laser_baseline_m=0.2)
-        pts = sample_pattern(gt, spec, intrinsics=self.K)
+        pts = sample_pattern(gt, PatternSpec(kind="laser2"), laser=LaserRig(fx=80.0, cx=20.0, baseline_m=0.2))
         got = sorted((p.u, p.v_row) for p in pts)
         assert got == [(16, 10), (24, 10)]
 

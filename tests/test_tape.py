@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spade.errors import SpadeError
-from spade.nn import BatchNorm2d, Conv2d, LayerNorm, Tensor, batch_norm, layer_norm
+from spade.nn import BatchNorm2d, Conv2d, LayerNorm, Tensor, batch_norm, layer_norm, scalarize
 
 
 def reference_backward(root: Tensor):
@@ -112,7 +112,7 @@ def values_and_grads(fn, leaves, seed):
         t.zero_grad()
     out = fn()
     value = out.data.copy()
-    out.backward(seed)
+    scalarize(out, seed).backward()
     return value, [t.grad for t in leaves]
 
 

@@ -94,6 +94,11 @@ class TestForwardValues:
         y.backward()
         assert np.allclose(x.grad, [7.0])
 
+    def test_backward_needs_a_scalar(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(ShapeError, match=r"backward\(\) needs a scalar, got \(3,\)"):
+            (x * 2).backward()
+
 
 class TestGradients:
     """Central finite differences against the tape, per op family."""
@@ -281,7 +286,7 @@ class TestKernelEquivalence:
             assert out.shape == ref.shape
             assert out.data.flags.c_contiguous
             np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
-            out.backward(seed)
+            scalarize(out, seed).backward()
             np.testing.assert_allclose(xt.grad, dx, rtol=1e-12, atol=1e-12)
             # weight gradient: each weight's output is a strided window of xp
             xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
@@ -309,7 +314,7 @@ class TestKernelEquivalence:
             ref, dx, dw, db = depthwise_loop(x, w, b, stride, padding, seed)
             assert out.shape == ref.shape
             np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
-            out.backward(seed)
+            scalarize(out, seed).backward()
             np.testing.assert_allclose(xt.grad, dx, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(wt.grad, dw, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(bt.grad, db, rtol=1e-12, atol=1e-12)
@@ -318,7 +323,7 @@ class TestKernelEquivalence:
         x = Tensor(np.array([-2.0, -0.0, 0.0, 1e-300, 3.0]), requires_grad=True)
         y = x.relu()
         assert y.data.tolist() == [0.0, 0.0, 0.0, 1e-300, 3.0]
-        y.backward(np.full(5, 4.0))
+        scalarize(y, np.full(5, 4.0)).backward()
         assert x.grad.tolist() == [0.0, 2.0, 2.0, 4.0, 4.0]
 
     def test_gelu_matches_cube_formula(self):
@@ -330,7 +335,7 @@ class TestKernelEquivalence:
         dref = 0.5 * (1.0 + t) + 0.5 * x0 * (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * x0**2)
         x = Tensor(x0, requires_grad=True)
         y = x.gelu()
-        y.backward(np.ones_like(x0))
+        scalarize(y, np.ones_like(x0)).backward()
         # relative, or absolute where the value is within 1 of zero (far on the
         # negative side 1 + tanh cancels, so relative error there says nothing)
         np.testing.assert_allclose(y.data, ref, rtol=1e-15, atol=1e-15)
@@ -353,7 +358,7 @@ class TestKernelEquivalence:
             table = Tensor(table0.copy(), requires_grad=True)
             ppos = Tensor(pos0.copy(), requires_grad=True)
             out = op(table, ppos, H, W, g)
-            out.backward(seed)
+            scalarize(out, seed).backward()
             results.append((out.data, table.grad, ppos.grad))
         (fast, d_table, d_pos), (slow, d_table_ref, d_pos_ref) = results
         assert fast.shape == slow.shape == (batch, heads, H * W, gh * gw)
@@ -448,7 +453,7 @@ class TestFrameKernels:
         x = Tensor(rng.standard_normal(shape), requires_grad=True)
         out = interpolate_bilinear(x, *out_hw)
         seed = rng.standard_normal(out.shape)
-        out.backward(seed)
+        scalarize(out, seed).backward()
         want, dx = interpolate_einsum(x.data, *out_hw, seed)
         np.testing.assert_allclose(out.data, want, rtol=1e-15, atol=1e-15)
         np.testing.assert_allclose(x.grad, dx, rtol=1e-15, atol=1e-15)
@@ -484,6 +489,6 @@ class TestFrameKernels:
         ref, dx = conv2d_loop(x, w, b, 1, 0, seed)
         assert out.data.flags.c_contiguous
         np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
-        out.backward(seed)
+        scalarize(out, seed).backward()
         np.testing.assert_allclose(xt.grad, dx, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(wt.grad[:, :, 0, 0], np.einsum("bfhw,bchw->fc", seed, x), rtol=1e-12, atol=1e-12)
