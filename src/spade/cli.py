@@ -80,12 +80,16 @@ def _parse_floats(text, n, what):
     return values
 
 
-def _laser_rig(args, pts=None) -> LaserRig | None:
-    """The rig of --laser fx,cx,B, or None without the flag. A laser frame
-    (`pts`, for align and run) has exactly 2 points, and the laser columns are theirs."""
+def _laser_rig(args, raster, pts=None) -> LaserRig | None:
+    """The rig of --laser fx,cx,B, or None without the flag. Its principal
+    column cx lies on the command's `raster`. A laser frame (`pts`, for align
+    and run) has exactly 2 points, and the laser columns are theirs."""
     if not args.laser:
         return None
     rig = LaserRig(*_parse_floats(args.laser, 3, "--laser"))
+    w = raster.shape[1]
+    if not 0 <= rig.cx < w:
+        raise ConfigError(f"laser principal column cx={rig.cx:g} lies outside the raster's width {w}")
     if pts is not None and len(pts) != 2:
         raise ConfigError(f"laser alignment expects exactly 2 points, file has {len(pts)}")
     return rig
@@ -118,11 +122,13 @@ def cmd_synth(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = read_config(PatternSpec, args.pattern)
+    if args.laser and spec.kind != "laser2":
+        raise ConfigError(f"--laser is read only by the laser2 pattern, not by {spec.kind}")
     gt = read_raster(args.gt)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     guide = read_raster(args.guide) if args.guide else None
-    pts = sample_pattern(gt, spec, laser=_laser_rig(args), guide=guide)
+    pts = sample_pattern(gt, spec, laser=_laser_rig(args, gt), guide=guide)
     write_points(pts, args.out)
     print(f"wrote {len(pts)} '{spec.kind}' points to {args.out}")
     return 0
@@ -132,7 +138,7 @@ def cmd_align(args) -> int:
     z = read_raster(args.relative)
     pts = read_points(args.points)
     pts.check_bounds(z)
-    rig = _laser_rig(args, pts)
+    rig = _laser_rig(args, z, pts)
     if rig is not None:
         aligned, fit = align_with_laser(z, pts, rig)
     else:
@@ -183,11 +189,12 @@ def cmd_run(args) -> int:
     z = read_raster(args.relative)
     guide = read_raster(args.guide)
     check_frame_shape(z, guide, cfg)  # before a model is built for a size the frame does not have
+    pts = read_points(args.points)
+    rig = _laser_rig(args, z, pts)
     if model is None:
         model = SpadeModel(cfg)
-    pts = read_points(args.points)
     gt = read_raster(args.gt) if args.gt else None
-    result = run_frame(model, z, guide, pts, gt=gt, laser=_laser_rig(args, pts), cap_m=args.cap)
+    result = run_frame(model, z, guide, pts, gt=gt, laser=rig, cap_m=args.cap)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_raster(result.depth, out / "depth.fdr1")

@@ -5,6 +5,9 @@ reference grid is shifted by query-conditioned offsets, features are
 bilinearly sampled at the shifted points, projected to keys/values, and
 attended with a bias interpolated from a relative-position table at the
 continuous query-to-key displacements.
+
+Every feature map stays (B, C, H, W): each channel mix is a 1x1 convolution
+and LayerNorm normalizes the channel axis.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
-from .layers import Conv2d, DepthwiseConv2d, Linear, LayerNorm, MLP, Module, Parameter
+from .layers import Conv2d, DepthwiseConv2d, LayerNorm, MLP, Module, Parameter, channel_mix
 from .tensor import Tensor, bilinear_sample, concat, rel_pos_bias, softmax
 
 
@@ -26,15 +29,14 @@ class ChannelAttention(Module):
     def __init__(self, channels, rng):
         super().__init__()
         hidden = max(channels // CBAM_REDUCTION, 4)
-        self.fc1 = Linear(channels, hidden, rng)
-        self.fc2 = Linear(hidden, channels, rng)
+        self.fc1 = channel_mix(channels, hidden, rng)
+        self.fc2 = channel_mix(hidden, channels, rng)
 
     def forward(self, x):
-        avg = x.mean(axis=(2, 3))
-        mx = x.max(axis=(2, 3))
+        avg = x.mean(axis=(2, 3), keepdims=True)
+        mx = x.max(axis=(2, 3), keepdims=True)
         att = self.fc2(self.fc1(avg).relu()) + self.fc2(self.fc1(mx).relu())
-        B, C = att.shape
-        return att.sigmoid().reshape(B, C, 1, 1)
+        return att.sigmoid()
 
 
 class SpatialAttention(Module):
@@ -111,10 +113,10 @@ class DeformableAttention(Module):
         super().__init__()
         self.cfg = cfg
         C = cfg.channels
-        self.wq = Linear(C, C, rng)
-        self.wk = Linear(C, C, rng)
-        self.wv = Linear(C, C, rng)
-        self.wo = Linear(C, C, rng)
+        self.wq = channel_mix(C, C, rng)
+        self.wk = channel_mix(C, C, rng)
+        self.wv = channel_mix(C, C, rng)
+        self.wo = channel_mix(C, C, rng)
         self.offset_depthwise = DepthwiseConv2d(C, 5, rng, stride=cfg.grid_downsample)
         self.offset_proj = Conv2d(C, 2, 1, rng)
         # zero-init so training starts from the undeformed reference grid
@@ -135,30 +137,24 @@ class DeformableAttention(Module):
             )
         N, Nk, hds, d = H * W, cfg.grid_h * cfg.grid_w, cfg.heads, cfg.head_dim
 
-        tokens = x.reshape(B, C, N).transpose(0, 2, 1)
-        q = self.wq(tokens)
-
-        q_spatial = q.transpose(0, 2, 1).reshape(B, C, H, W)
-        off = self.offset_proj(self.offset_depthwise(q_spatial).gelu()).tanh()
+        q = self.wq(x)
+        off = self.offset_proj(self.offset_depthwise(q).gelu()).tanh()
         off = off * (cfg.offset_range * cfg.grid_downsample)  # grid cells -> feature pixels
         dpos = off.reshape(B, 2, Nk).transpose(0, 2, 1)
         ppos = Tensor(self._ref[None]) + dpos  # (B, Nk, 2) continuous key positions
 
-        sampled = bilinear_sample(x, ppos).transpose(0, 2, 1)  # (B, Nk, C)
-        k = self.wk(sampled)
-        v = self.wv(sampled)
-
-        q4 = q.reshape(B, N, hds, d).transpose(0, 2, 1, 3)
-        k4 = k.reshape(B, Nk, hds, d).transpose(0, 2, 1, 3)
-        v4 = v.reshape(B, Nk, hds, d).transpose(0, 2, 1, 3)
-        logits = (q4 @ k4.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(d))
+        sampled = bilinear_sample(x, ppos).reshape(B, C, Nk, 1)
+        # head h owns channels h*d .. (h+1)*d - 1
+        q4 = q.reshape(B, hds, d, N)
+        k4 = self.wk(sampled).reshape(B, hds, d, Nk)
+        v4 = self.wv(sampled).reshape(B, hds, d, Nk)
+        logits = (q4.transpose(0, 1, 3, 2) @ k4) * (1.0 / np.sqrt(d))  # (B, heads, N, Nk)
 
         bias = rel_pos_bias(self.rel_bias_table, ppos, H, W, cfg.grid_downsample)
 
         attn = softmax(logits + bias, axis=-1)
-        heads_out = attn @ v4  # (B, heads, N, d)
-        merged = heads_out.transpose(0, 2, 1, 3).reshape(B, N, C)
-        return self.wo(merged).transpose(0, 2, 1).reshape(B, C, H, W)
+        heads_out = v4 @ attn.transpose(0, 1, 3, 2)  # (B, heads, d, N)
+        return self.wo(heads_out.reshape(B, C, H, W))
 
 
 class TransformerBlock(Module):
@@ -172,10 +168,5 @@ class TransformerBlock(Module):
         self.mlp = MLP(cfg.channels, mlp_ratio * cfg.channels, rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        B, C, H, W = x.shape
-        tokens = x.reshape(B, C, H * W).transpose(0, 2, 1)
-        n1 = self.norm1(tokens).transpose(0, 2, 1).reshape(B, C, H, W)
-        x = x + self.attn(n1)
-        tokens = x.reshape(B, C, H * W).transpose(0, 2, 1)
-        tokens = tokens + self.mlp(self.norm2(tokens))
-        return tokens.transpose(0, 2, 1).reshape(B, C, H, W)
+        x = x + self.attn(self.norm1(x))
+        return x + self.mlp(self.norm2(x))

@@ -111,6 +111,17 @@ class Conv2d(Module):
         return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
 
+def channel_mix(in_ch, out_ch, rng) -> Conv2d:
+    """A 1x1 Conv2d, each pixel's channels mixed, whose weight holds rng's
+    draws read as an (in_ch, out_ch) matrix: the order in which the
+    token-layout projections it replaced drew theirs, so a seeded model keeps
+    its weights."""
+    mix = Conv2d(in_ch, out_ch, 1, rng)
+    w = mix.weight.data
+    w[...] = w.reshape(in_ch, out_ch).T.reshape(w.shape)
+    return mix
+
+
 class DepthwiseConv2d(Module):
     def __init__(self, channels, kernel, rng, stride=1):
         super().__init__()
@@ -120,16 +131,6 @@ class DepthwiseConv2d(Module):
 
     def forward(self, x):
         return depthwise_conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
-
-
-class Linear(Module):
-    def __init__(self, in_dim, out_dim, rng):
-        super().__init__()
-        self.weight = Parameter(kaiming_uniform(rng, (in_dim, out_dim), in_dim))
-        self.bias = Parameter(np.zeros(out_dim))
-
-    def forward(self, x):
-        return x @ self.weight + self.bias
 
 
 class BatchNorm2d(Module):
@@ -155,6 +156,8 @@ class BatchNorm2d(Module):
 
 
 class LayerNorm(Module):
+    """Layer normalization over the channels of each pixel of (B, C, H, W)."""
+
     eps = 1e-6
 
     def __init__(self, dim):
@@ -169,8 +172,8 @@ class LayerNorm(Module):
 class MLP(Module):
     def __init__(self, dim, hidden, rng):
         super().__init__()
-        self.fc1 = Linear(dim, hidden, rng)
-        self.fc2 = Linear(hidden, dim, rng)
+        self.fc1 = channel_mix(dim, hidden, rng)
+        self.fc2 = channel_mix(hidden, dim, rng)
 
     def forward(self, x):
         return self.fc2(self.fc1(x).gelu())

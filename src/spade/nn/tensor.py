@@ -447,26 +447,28 @@ def _batch_norm_affine(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, mean:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
-    """Layer normalization over the last axis as one node; x may be a
-    non-contiguous view, such as tokens transposed out of a feature map."""
+    """Layer normalization over axis 1, the channels of each pixel of
+    x (B, C, ...), as one node; gamma and beta are (C,)."""
     x, gamma, beta = Tensor.as_tensor(x), Tensor.as_tensor(gamma), Tensor.as_tensor(beta)
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    per_channel = (-1,) + (1,) * (x.data.ndim - 2)
+    xhat = x.data - x.data.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=1, keepdims=True) + eps)
     xhat *= inv
-    out_data = xhat * gamma.data
-    out_data += beta.data
-    lead = tuple(range(x.data.ndim - 1))
+    g_c = gamma.data.reshape(per_channel)
+    out_data = xhat * g_c
+    out_data += beta.data.reshape(per_channel)
+    rest = (0,) + tuple(range(2, x.data.ndim))
 
     def bw(g):
         if gamma.requires_grad:
-            Tensor._accum(gamma, (g * xhat).sum(axis=lead))
+            Tensor._accum(gamma, (g * xhat).sum(axis=rest))
         if beta.requires_grad:
-            Tensor._accum(beta, g.sum(axis=lead))
+            Tensor._accum(beta, g.sum(axis=rest))
         if x.requires_grad:
-            gh = g * gamma.data
-            dx = xhat * -(gh * xhat).mean(axis=-1, keepdims=True)
+            gh = g * g_c
+            dx = xhat * -(gh * xhat).mean(axis=1, keepdims=True)
             dx += gh
-            dx -= gh.mean(axis=-1, keepdims=True)
+            dx -= gh.mean(axis=1, keepdims=True)
             dx *= inv
             Tensor._accum(x, dx)
 

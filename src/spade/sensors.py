@@ -179,8 +179,6 @@ def _project_laser(gt: DepthRaster, rig: LaserRig, row: int, lateral_m: float) -
     h, w = gt.shape
     if not (0 <= row < h):
         raise DomainError(f"laser row {row} outside raster height {h}")
-    if not (0 <= rig.cx < w):
-        raise DomainError(f"principal point cx={rig.cx} outside raster width {w}")
     cols = np.arange(w)
     valid = gt.valid[row]
     lateral = gt.values[row] * (cols - rig.cx) / rig.fx

@@ -113,8 +113,8 @@ def test_criterion_4_deformable_attention_oracle():
         heads, C, H, W = 2, 8, 5, 6
         cfg = DeformAttnConfig(channels=C, heads=heads, feat_h=H, feat_w=W, grid_downsample=1)
         layer = DeformableAttention(cfg, np.random.default_rng(4))
-        for lin in (layer.wq, layer.wk, layer.wv, layer.wo):
-            lin.weight.data, lin.bias.data = np.eye(C), np.zeros(C)
+        for mix in (layer.wq, layer.wk, layer.wv, layer.wo):
+            mix.weight.data, mix.bias.data = np.eye(C)[:, :, None, None], np.zeros(C)
         rng = np.random.default_rng(44)
         for _ in range(10):
             x = rng.standard_normal((2, C, H, W))

@@ -2,16 +2,10 @@ import numpy as np
 import pytest
 
 from spade.errors import ConfigError
-from spade.nn import (
-    DeformAttnConfig,
-    DeformableAttention,
-    Tensor,
-    TransformerBlock,
-    bilinear_sample,
-    rel_pos_bias,
-    softmax,
-)
+from spade.nn import DeformAttnConfig, DeformableAttention, Tensor, TransformerBlock
 from spade.nn.gradcheck import fd_gradcheck, scalarize
+
+from test_tensor import bilinear_sample_four_gathers, softmax_three_temporaries, two_tap_weights_one_hot
 
 RTOL = 1e-4
 
@@ -37,31 +31,61 @@ def make_identity_layer(C=8, heads=2, H=5, W=6, rng=None):
     zero, so the layer is attention over bilinearly sampled grid features."""
     cfg = DeformAttnConfig(channels=C, heads=heads, feat_h=H, feat_w=W, grid_downsample=1)
     layer = DeformableAttention(cfg, rng or np.random.default_rng(0))
-    for lin in (layer.wq, layer.wk, layer.wv, layer.wo):
-        lin.weight.data, lin.bias.data = np.eye(C), np.zeros(C)
+    for mix in (layer.wq, layer.wk, layer.wv, layer.wo):
+        mix.weight.data, mix.bias.data = np.eye(C)[:, :, None, None], np.zeros(C)
     return layer
 
 
-def forward_internals(layer: DeformableAttention, x: Tensor):
-    """The layer's forward recomputed step by step from its parameters:
-    its output and the intermediates the tests inspect."""
-    cfg = layer.cfg
+def depthwise_taps(x, w, b, stride, padding):
+    """Per-channel correlation of x (B,C,H,W) with w (C,k,k), summed tap by tap."""
     B, C, H, W = x.shape
-    N, Nk, hds, d = H * W, cfg.grid_h * cfg.grid_w, cfg.heads, cfg.head_dim
-    q = layer.wq(x.reshape(B, C, N).transpose(0, 2, 1))
-    off = layer.offset_proj(layer.offset_depthwise(q.transpose(0, 2, 1).reshape(B, C, H, W)).gelu()).tanh()
-    offsets = (off * (cfg.offset_range * cfg.grid_downsample)).reshape(B, 2, Nk).transpose(0, 2, 1)
-    ppos = Tensor(layer._ref[None]) + offsets
-    sampled = bilinear_sample(x, ppos).transpose(0, 2, 1)
-    q4 = q.reshape(B, N, hds, d).transpose(0, 2, 1, 3)
-    k4 = layer.wk(sampled).reshape(B, Nk, hds, d).transpose(0, 2, 1, 3)
-    v4 = layer.wv(sampled).reshape(B, Nk, hds, d).transpose(0, 2, 1, 3)
-    logits = (q4 @ k4.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(d))
-    attn = softmax(logits + rel_pos_bias(layer.rel_bias_table, ppos, H, W, cfg.grid_downsample), axis=-1)
-    heads_out = attn @ v4
-    out = layer.wo(heads_out.transpose(0, 2, 1, 3).reshape(B, N, C)).transpose(0, 2, 1).reshape(B, C, H, W)
-    internals = {"attn": attn.data, "values": v4.data, "head_outputs": heads_out.data, "offsets": offsets.data}
-    return out.data, internals
+    k = w.shape[-1]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    Ho, Wo = (H + 2 * padding - k) // stride + 1, (W + 2 * padding - k) // stride + 1
+    out = np.zeros((B, C, Ho, Wo)) + b[:, None, None]
+    for i in range(k):
+        for j in range(k):
+            out += w[:, i, j, None, None] * xp[:, :, i : i + stride * Ho : stride, j : j + stride * Wo : stride]
+    return out
+
+
+def gelu(x):
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+
+
+def forward_internals(layer: DeformableAttention, x: Tensor):
+    """The layer's forward recomputed in plain numpy in the token layout
+    (B, N, C): each projection an (in, out) matrix plus bias on the tokens,
+    heads split off each token's channels, the relative-position bias summed
+    from one-hot table weights. Returns its output and the intermediates the
+    tests inspect."""
+    cfg, x = layer.cfg, x.data
+    B, C, H, W = x.shape
+    N, Nk, hds, d, g = H * W, cfg.grid_h * cfg.grid_w, cfg.heads, cfg.head_dim, cfg.grid_downsample
+
+    def project(mix, tokens):
+        return tokens @ mix.weight.data[:, :, 0, 0].T + mix.bias.data
+
+    def split_heads(tokens):
+        return tokens.reshape(B, -1, hds, d).transpose(0, 2, 1, 3)
+
+    q = project(layer.wq, x.reshape(B, C, N).transpose(0, 2, 1))
+    dw, op = layer.offset_depthwise, layer.offset_proj
+    hidden = gelu(depthwise_taps(q.transpose(0, 2, 1).reshape(B, C, H, W), dw.weight.data, dw.bias.data, g, 2))
+    off = np.tanh(np.einsum("oc,bchw->bohw", op.weight.data[:, :, 0, 0], hidden) + op.bias.data[:, None, None])
+    offsets = (off * (cfg.offset_range * g)).reshape(B, 2, Nk).transpose(0, 2, 1)
+    ppos = layer._ref[None] + offsets
+    sampled = bilinear_sample_four_gathers(x, ppos).transpose(0, 2, 1)  # (B, Nk, C)
+    q4, k4, v4 = split_heads(q), split_heads(project(layer.wk, sampled)), split_heads(project(layer.wv, sampled))
+    table = layer.rel_bias_table.data
+    R, _ = two_tap_weights_one_hot(H, ppos[..., 0], table.shape[1], 1.0 / g)
+    Cw, _ = two_tap_weights_one_hot(W, ppos[..., 1], table.shape[2], 1.0 / g)
+    bias = np.einsum("bkri,hij,bkcj->bhrck", R, table, Cw).reshape(B, hds, N, Nk)
+    attn = softmax_three_temporaries(q4 @ k4.transpose(0, 1, 3, 2) / np.sqrt(d) + bias, axis=-1)
+    heads_out = attn @ v4  # (B, heads, N, d)
+    out = project(layer.wo, heads_out.transpose(0, 2, 1, 3).reshape(B, N, C))
+    internals = {"attn": attn, "values": v4, "head_outputs": heads_out, "offsets": offsets}
+    return out.transpose(0, 2, 1).reshape(B, C, H, W), internals
 
 
 class TestDeformableAttention:
@@ -84,12 +108,17 @@ class TestDeformableAttention:
         rng = np.random.default_rng(2)
         cfg = DeformAttnConfig(channels=8, heads=2, feat_h=6, feat_w=6, grid_downsample=2)
         layer = DeformableAttention(cfg, rng)
-        # deform the grid so sampled values are generic
+        # deform the grid so sampled values are generic, and give every
+        # projection and the relative-position table non-zero values
         layer.offset_proj.weight.data = rng.standard_normal(layer.offset_proj.weight.shape) * 0.3
         layer.offset_proj.bias.data = rng.standard_normal(2) * 0.3
+        layer.rel_bias_table.data = rng.standard_normal(layer.rel_bias_table.shape) * 0.5
+        for mix in (layer.wq, layer.wk, layer.wv, layer.wo):
+            mix.bias.data = rng.standard_normal(8) * 0.3
         x = Tensor(rng.standard_normal((2, 8, 6, 6)))
         out, internals = forward_internals(layer, x)
-        np.testing.assert_array_equal(out, layer(x).data)
+        assert np.all(internals["offsets"] != 0.0)
+        np.testing.assert_allclose(layer(x).data, out, rtol=1e-12, atol=1e-12)
         attn, values, heads_out = internals["attn"], internals["values"], internals["head_outputs"]
         assert np.all(attn >= 0)
         assert np.max(np.abs(attn.sum(-1) - 1.0)) < 1e-12
@@ -105,7 +134,7 @@ class TestDeformableAttention:
         )
         x = Tensor(np.random.default_rng(4).standard_normal((1, 8, 4, 4)))
         out, internals = forward_internals(layer, x)
-        np.testing.assert_array_equal(out, layer(x).data)
+        np.testing.assert_allclose(layer(x).data, out, rtol=1e-12, atol=1e-12)
         assert np.all(internals["offsets"] == 0.0)
 
     def test_grid_divisibility_validated(self):

@@ -454,6 +454,27 @@ def test_zero_laser_focal_length_is_one_line_config_error(command, scene_dir, la
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("cx", ["-0.5", "64", "200"])
+@pytest.mark.parametrize("command", ["run", "align", "simulate"])
+def test_laser_principal_column_off_the_raster_is_one_line_config_error(
+    command, cx, scene_dir, laser_points, tmp_path, capsys
+):
+    assert run_laser_command(command, f"64,{cx},0.1", scene_dir, laser_points, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: laser principal column cx={float(cx):g} lies outside the raster's width 64\n", err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_refuses_laser_for_a_pattern_that_does_not_read_it(scene_dir, tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"kind": "uniform_grid", "grid_rows": 8, "grid_cols": 12}))
+    argv = ["simulate", "--gt", scene_dir / "gt.fdr1", "--pattern", grid, "--laser", LASER, "--out", tmp_path / "p.csv"]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --laser is read only by the laser2 pattern, not by uniform_grid\n", err
+    assert not (tmp_path / "p.csv").exists()
+
+
 # each command with one flag it does not read, after all the flags it needs
 UNREAD_FLAGS = {
     "align --config": ["align", "--relative", "r.fdr1", "--points", "p.csv", "--out", "a.fdr1", "--config", "c.json"],

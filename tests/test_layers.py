@@ -11,13 +11,13 @@ from spade.nn import (
     CBAM,
     Conv2d,
     LayerNorm,
-    Linear,
     MLP,
     Tensor,
     load_checkpoint,
     save_checkpoint,
 )
 from spade.nn.gradcheck import fd_gradcheck, scalarize
+from spade.nn.layers import channel_mix, kaiming_uniform
 
 RTOL = 1e-4
 
@@ -28,12 +28,12 @@ def check(fn, wrt, seed=0, max_elems=40):
 
 
 class TestLinearConv:
-    def test_linear_grads(self):
-        rng = np.random.default_rng(0)
-        lin = Linear(5, 3, rng)
-        x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-        r = rng.standard_normal((4, 3))
-        check(lambda: scalarize(lin(x), r), [x, lin.weight, lin.bias])
+    def test_channel_mix_takes_draws_in_in_out_order(self):
+        # seeded models keep the weights the token-layout (in, out) projections drew
+        mix = channel_mix(3, 5, np.random.default_rng(0))
+        want = kaiming_uniform(np.random.default_rng(0), (3, 5), 3)
+        assert mix.weight.shape == (5, 3, 1, 1)
+        assert np.array_equal(mix.weight.data[:, :, 0, 0], want.T)
 
     def test_conv_module_grads(self):
         rng = np.random.default_rng(1)
@@ -74,15 +74,15 @@ class TestNorms:
     def test_layernorm_grads(self):
         rng = np.random.default_rng(5)
         ln = LayerNorm(6)
-        x = Tensor(rng.standard_normal((3, 4, 6)), requires_grad=True)
-        r = rng.standard_normal((3, 4, 6))
+        x = Tensor(rng.standard_normal((3, 6, 2, 2)), requires_grad=True)
+        r = rng.standard_normal((3, 6, 2, 2))
         check(lambda: scalarize(ln(x), r), [x, ln.gamma, ln.beta])
 
     def test_mlp_grads(self):
         rng = np.random.default_rng(6)
         mlp = MLP(4, 8, rng)
-        x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
-        r = rng.standard_normal((5, 4))
+        x = Tensor(rng.standard_normal((1, 4, 5, 1)), requires_grad=True)
+        r = rng.standard_normal((1, 4, 5, 1))
         check(lambda: scalarize(mlp(x), r), [x] + mlp.parameters())
 
 
@@ -197,7 +197,7 @@ class TestCheckpoint:
         save_checkpoint(p, dict(m1.named_arrays()))
         own = dict(m2.named_arrays())
         assert load_checkpoint(p, lambda meta: own) == {}
-        x = Tensor(rng.standard_normal((2, 3)))
+        x = Tensor(rng.standard_normal((2, 3, 1, 1)))
         assert np.array_equal(m1(x).data, m2(x).data)
 
     @staticmethod
@@ -226,6 +226,7 @@ class TestCheckpoint:
     def test_load_shape_mismatch(self, tmp_path):
         m = MLP(3, 5, np.random.default_rng(12))
         targets = dict(m.named_arrays())
-        saved = {**targets, "param.fc1.weight": np.zeros((5, 3))}
+        # the (in, out) matrix a channel mix was stored as before it became a 1x1 conv
+        saved = {**targets, "param.fc1.weight": np.zeros((3, 5))}
         msg = self._load_into(tmp_path, saved, targets)
-        assert "param.fc1.weight of shape (5, 3), expected (3, 5)" in msg
+        assert "param.fc1.weight of shape (3, 5), expected (5, 3, 1, 1)" in msg
