@@ -84,8 +84,8 @@ def loss_grad(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
             warnings.warn(f"gradient loss: scale {k} is {h}x{w}, skipping remaining scales")
             break
         res = Tensor(np.where(m, t, 0.0)) - p * Tensor(m.astype(np.float64))
-        dx = (res[..., :, 1:] - res[..., :, :-1]).abs()
-        dy = (res[..., 1:, :] - res[..., :-1, :]).abs()
+        dx = res.diff(axis=-1).abs()
+        dy = res.diff(axis=-2).abs()
         term = _frame_mean(dx, m[..., :, 1:] & m[..., :, :-1]) + _frame_mean(dy, m[..., 1:, :] & m[..., :-1, :])
         total = term if total is None else total + term
         used += 1

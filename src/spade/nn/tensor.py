@@ -1,8 +1,11 @@
 """Dense float64 tensor with reverse-mode differentiation.
 
-A thin tape: every op wires a backward closure onto its output; calling
-``backward()`` on a scalar walks the graph once in reverse topological
-order and frees it as it goes. Only the ops this project needs are
+A thin tape: every recorded op output gets a small node holding its
+gradient, the nodes of its inputs and a backward rule; calling
+``backward()`` on a scalar walks the nodes once in reverse topological
+order and frees them as it goes. The tape holds nodes, not tensors, and
+each rule keeps only the arrays it reads, so an activation lives while its
+caller holds it or a rule needs it. Only the ops this project needs are
 implemented, each with an analytic backward rule that the
 finite-difference suite checks.
 """
@@ -42,6 +45,11 @@ def _set_malloc_policy():
 
 _set_malloc_policy()
 
+# The most bytes one temporary of a batched kernel may take. Well under the
+# 32 MiB mmap threshold above, so each piece is served from the heap instead
+# of being mapped and faulted in afresh on every call.
+BYTE_BUDGET = 8 << 20
+
 # Per-thread (and per-context) switch: a no_grad block in one thread must not
 # stop another thread from recording its graph.
 _grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
@@ -73,45 +81,87 @@ def _spent(grad):
     raise SpadeError("the graph was already used by backward(), which frees it; run the forward again")
 
 
+class _Node:
+    """A recorded op output on the tape: the gradient reaching it, the nodes
+    of its inputs that need one, and the rule that sends it to them."""
+
+    __slots__ = ("grad", "_parents", "_backward")
+    requires_grad = True
+
+    def __init__(self, parents, backward):
+        self.grad = None
+        self._parents = parents
+        self._backward = backward
+
+
+def _node(t: "Tensor"):
+    """What a backward rule sends t's gradient to: the node of the op that
+    recorded t, t itself for a leaf that needs a gradient, or None. (A leaf
+    holding itself would be a reference cycle, and a dropped model's
+    parameters would then wait for the cycle collector.)"""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    """An array and, once an op has recorded it, its node on the tape. A leaf
+    is its own node: its gradient accumulates into `.grad`."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
+        self._node = None
 
     # -- graph bookkeeping -------------------------------------------------
 
     @staticmethod
     def _make(data, parents, backward):
         out = Tensor(data)
-        if _grad_enabled.get() and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
+        if _grad_enabled.get():
+            nodes = tuple(n for n in map(_node, parents) if n is not None)
+            if nodes:
+                out.requires_grad = True
+                out._node = _Node(nodes, backward)
         return out
 
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._node._backward = fn
+
     @staticmethod
-    def _accum(p: "Tensor", g: np.ndarray):
-        if p.requires_grad:
-            p.grad = g if p.grad is None else p.grad + g
+    def _accum(node, g: np.ndarray):
+        if node is not None and node.requires_grad:
+            node.grad = g if node.grad is None else node.grad + g
 
     def backward(self):
         """Accumulate d(self)/d(leaf) of this scalar into every leaf's `.grad`, once per graph.
 
-        The walk frees the graph behind it: each interior node (one made by
-        an op) loses its closure, its parents and its gradient as soon as its
-        closure has run, so every activation and interior gradient is
-        released once the last closure that needs it is done. Leaves keep
-        their `.grad`. The spent closure raises, so a second backward through
-        any part of the graph fails instead of returning partial gradients.
+        The walk frees the graph behind it: each node loses its rule, its
+        parents and its gradient as soon as its rule has run, so every array
+        a rule kept and every interior gradient is released once the last
+        rule that needs it is done. Leaves keep their `.grad`. The spent rule
+        raises, so a second backward through any part of the graph fails
+        instead of returning partial gradients.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar, got {self.data.shape}")
-        topo, seen, stack = [], set(), [(self, False)]
+        root = self._node
+        if root is None:
+            self.grad = np.ones_like(self.data)
+            return
+        topo, seen, stack = [], set(), [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -122,13 +172,11 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+                if type(p) is _Node and id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
-            if node._backward is None:
-                continue
             if node.grad is not None:
                 node._backward(node.grad)
             node.grad, node._parents, node._backward = None, (), _spent
@@ -165,19 +213,19 @@ class Tensor:
 
     def __add__(self, other):
         a, b = self, Tensor.as_tensor(other)
-        out_data = a.data + b.data
+        na, nb, sa, sb = _node(a), _node(b), a.data.shape, b.data.shape
 
         def bw(g):
-            Tensor._accum(a, _unbroadcast(g, a.data.shape))
-            Tensor._accum(b, _unbroadcast(g, b.data.shape))
+            Tensor._accum(na, _unbroadcast(g, sa))
+            Tensor._accum(nb, _unbroadcast(g, sb))
 
-        return Tensor._make(out_data, (a, b), bw)
+        return Tensor._make(a.data + b.data, (a, b), bw)
 
     __radd__ = __add__
 
     def __neg__(self):
-        a = self
-        return Tensor._make(-a.data, (a,), lambda g: Tensor._accum(a, -g))
+        na = _node(self)
+        return Tensor._make(-self.data, (self,), lambda g: Tensor._accum(na, -g))
 
     def __sub__(self, other):
         return self + (-Tensor.as_tensor(other))
@@ -187,112 +235,109 @@ class Tensor:
 
     def __mul__(self, other):
         a, b = self, Tensor.as_tensor(other)
-        out_data = a.data * b.data
+        na, nb, sa, sb = _node(a), _node(b), a.data.shape, b.data.shape
+        # each operand's gradient reads the other operand
+        ad = a.data if nb is not None else None
+        bd = b.data if na is not None else None
 
         def bw(g):
-            Tensor._accum(a, _unbroadcast(g * b.data, a.data.shape))
-            Tensor._accum(b, _unbroadcast(g * a.data, b.data.shape))
+            if na is not None:
+                Tensor._accum(na, _unbroadcast(g * bd, sa))
+            if nb is not None:
+                Tensor._accum(nb, _unbroadcast(g * ad, sb))
 
-        return Tensor._make(out_data, (a, b), bw)
+        return Tensor._make(a.data * b.data, (a, b), bw)
 
     __rmul__ = __mul__
 
     def __pow__(self, p):
         if not np.isscalar(p):
             raise ShapeError("only scalar exponents are supported")
-        a = self
-        out_data = a.data**p
-
-        def bw(g):
-            Tensor._accum(a, g * p * a.data ** (p - 1))
-
-        return Tensor._make(out_data, (a,), bw)
+        na, x = _node(self), self.data
+        return Tensor._make(x**p, (self,), lambda g: Tensor._accum(na, g * p * x ** (p - 1)))
 
     def __matmul__(self, other):
         a, b = self, Tensor.as_tensor(other)
-        out_data = a.data @ b.data
+        na, nb, sa, sb = _node(a), _node(b), a.data.shape, b.data.shape
+        ad = a.data if nb is not None else None
+        bd = b.data if na is not None else None
 
         def bw(g):
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            Tensor._accum(a, _unbroadcast(ga, a.data.shape))
-            Tensor._accum(b, _unbroadcast(gb, b.data.shape))
+            if na is not None:
+                Tensor._accum(na, _unbroadcast(g @ np.swapaxes(bd, -1, -2), sa))
+            if nb is not None:
+                Tensor._accum(nb, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, sb))
 
-        return Tensor._make(out_data, (a, b), bw)
+        return Tensor._make(a.data @ b.data, (a, b), bw)
 
     # -- elementwise functions -------------------------------------------------
 
     def log(self):
-        a = self
-        return Tensor._make(np.log(a.data), (a,), lambda g: Tensor._accum(a, g / a.data))
+        na, x = _node(self), self.data
+        return Tensor._make(np.log(x), (self,), lambda g: Tensor._accum(na, g / x))
 
     def sqrt(self):
-        a = self
-        out_data = np.sqrt(a.data)
-        return Tensor._make(out_data, (a,), lambda g: Tensor._accum(a, g * 0.5 / out_data))
+        na, out_data = _node(self), np.sqrt(self.data)
+        return Tensor._make(out_data, (self,), lambda g: Tensor._accum(na, g * 0.5 / out_data))
 
     def abs(self):
-        a = self
-        return Tensor._make(np.abs(a.data), (a,), lambda g: Tensor._accum(a, g * np.sign(a.data)))
+        na, x = _node(self), self.data
+        return Tensor._make(np.abs(x), (self,), lambda g: Tensor._accum(na, g * np.sign(x)))
 
     def tanh(self):
-        a = self
-        out_data = np.tanh(a.data)
-        return Tensor._make(out_data, (a,), lambda g: Tensor._accum(a, g * (1.0 - out_data**2)))
+        na, out_data = _node(self), np.tanh(self.data)
+        return Tensor._make(out_data, (self,), lambda g: Tensor._accum(na, g * (1.0 - out_data**2)))
 
     def sigmoid(self):
-        a = self
-        out_data = 0.5 * (1.0 + np.tanh(0.5 * a.data))
-        return Tensor._make(out_data, (a,), lambda g: Tensor._accum(a, g * out_data * (1.0 - out_data)))
+        na, out_data = _node(self), 0.5 * (1.0 + np.tanh(0.5 * self.data))
+        return Tensor._make(out_data, (self,), lambda g: Tensor._accum(na, g * out_data * (1.0 - out_data)))
 
     def relu(self):
         # slope 1/2 exactly at the kink: matches what a central difference
         # measures when a preactivation sits exactly on 0 (zero-init biases
         # behind fully-rectified receptive fields make that case systematic)
-        a = self
+        x, na, code = self.data, _node(self), None
+        if na is not None and _grad_enabled.get():
+            # one byte per element: 2 above the kink, 1 on it (+0 or -0), 0 below or NaN
+            code = np.add(x >= 0, x > 0, dtype=np.uint8)
 
         def bw(g):
-            Tensor._accum(a, g * ((a.data > 0) + 0.5 * (a.data == 0)))
+            Tensor._accum(na, g * (code * 0.5))
 
-        return Tensor._make(a.data * (a.data > 0), (a,), bw)
+        return Tensor._make(x * (x > 0), (self,), bw)
 
     def gelu(self):
         # tanh approximation, smooth everywhere; x2 * x, as x**3 is a slow float pow
-        a = self
+        na, x = _node(self), self.data
         c = np.sqrt(2.0 / np.pi)
-        x = a.data
         x2 = x * x
         t = np.tanh(c * (x + 0.044715 * (x2 * x)))
         out_data = 0.5 * x * (1.0 + t)
 
         def bw(g):
             du = c * (1.0 + 3 * 0.044715 * x2)
-            Tensor._accum(a, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du))
+            Tensor._accum(na, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du))
 
-        return Tensor._make(out_data, (a,), bw)
+        return Tensor._make(out_data, (self,), bw)
 
     def softplus(self):
-        a = self
-        out_data = np.logaddexp(0.0, a.data)
-
-        def bw(g):
-            Tensor._accum(a, g * 0.5 * (1.0 + np.tanh(0.5 * a.data)))
-
-        return Tensor._make(out_data, (a,), bw)
+        na, x = _node(self), self.data
+        return Tensor._make(
+            np.logaddexp(0.0, x), (self,), lambda g: Tensor._accum(na, g * 0.5 * (1.0 + np.tanh(0.5 * x)))
+        )
 
     # -- reductions --------------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        a = self
-        out_data = a.data.sum(axis=axis, keepdims=keepdims)
+        na, shape = _node(self), self.data.shape
 
         def bw(g):
             gg = g
             if not keepdims and axis is not None:
                 gg = np.expand_dims(g, axis)
-            Tensor._accum(a, np.broadcast_to(gg, a.data.shape).copy())
+            Tensor._accum(na, np.broadcast_to(gg, shape).copy())
 
-        return Tensor._make(out_data, (a,), bw)
+        return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), bw)
 
     def mean(self, axis=None, keepdims=False):
         n = self.data.size if axis is None else np.prod(
@@ -301,70 +346,83 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(n))
 
     def max(self, axis=None, keepdims=False):
-        a = self
-        out_data = a.data.max(axis=axis, keepdims=keepdims)
+        na, x = _node(self), self.data
+        out_data = x.max(axis=axis, keepdims=keepdims)
 
         def bw(g):
             gg, oo = g, out_data
             if not keepdims and axis is not None:
                 gg = np.expand_dims(g, axis)
                 oo = np.expand_dims(out_data, axis)
-            mask = a.data == oo
+            mask = x == oo
             count = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            Tensor._accum(a, mask * (gg / count))
+            Tensor._accum(na, mask * (gg / count))
 
-        return Tensor._make(out_data, (a,), bw)
+        return Tensor._make(out_data, (self,), bw)
 
     # -- shape ops ---------------------------------------------------------------
 
     def reshape(self, *shape):
-        a = self
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out_data = a.data.reshape(shape)
-        return Tensor._make(out_data, (a,), lambda g: Tensor._accum(a, g.reshape(a.data.shape)))
+        na, old = _node(self), self.data.shape
+        return Tensor._make(self.data.reshape(shape), (self,), lambda g: Tensor._accum(na, g.reshape(old)))
 
     def transpose(self, *axes):
-        a = self
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        inv = np.argsort(axes)
-        out_data = a.data.transpose(axes)
-        return Tensor._make(out_data, (a,), lambda g: Tensor._accum(a, g.transpose(inv)))
+        na, inv = _node(self), np.argsort(axes)
+        return Tensor._make(self.data.transpose(axes), (self,), lambda g: Tensor._accum(na, g.transpose(inv)))
 
     def __getitem__(self, idx):
         """Basic indexing only (ints, slices, `...`, None): its backward
         writes the gradient into the one place each element came from."""
-        a = self
         for i in idx if isinstance(idx, tuple) else (idx,):
             if isinstance(i, bool) or not isinstance(i, (int, np.integer, slice, type(Ellipsis), type(None))):
                 raise ShapeError(f"Tensor indexing takes ints, slices, ... and None, got {type(i).__name__}")
+        na, shape = _node(self), self.data.shape
 
         def bw(g):
-            dx = np.zeros_like(a.data)
+            dx = np.zeros(shape)
             dx[idx] = g
-            Tensor._accum(a, dx)
+            Tensor._accum(na, dx)
 
-        return Tensor._make(np.ascontiguousarray(a.data[idx]), (a,), bw)
+        return Tensor._make(np.ascontiguousarray(self.data[idx]), (self,), bw)
+
+    def diff(self, axis=-1):
+        """Forward differences x[i+1] - x[i] along `axis`, as `np.diff`: one
+        node whose backward writes g into the upper slice and -g into the lower."""
+        na, shape = _node(self), self.data.shape
+        upper, lower = [slice(None)] * self.data.ndim, [slice(None)] * self.data.ndim
+        upper[axis], lower[axis] = slice(1, None), slice(None, -1)
+        upper, lower = tuple(upper), tuple(lower)
+
+        def bw(g):
+            dx = np.zeros(shape)
+            dx[upper] = g
+            dx[lower] -= g
+            Tensor._accum(na, dx)
+
+        return Tensor._make(self.data[upper] - self.data[lower], (self,), bw)
 
 
 def concat(tensors, axis=0):
     tensors = [Tensor.as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    nodes = [_node(t) for t in tensors]
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
     def bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
-            Tensor._accum(t, g[tuple(sl)])
+            Tensor._accum(n, g[tuple(sl)])
 
-    return Tensor._make(out_data, tensors, bw)
+    return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
 
 
 def softmax(x: Tensor, axis=-1) -> Tensor:
     a = Tensor.as_tensor(x)
+    na = _node(a)
     # shift, exponentiate and normalize in one buffer
     out_data = a.data - a.data.max(axis=axis, keepdims=True)
     np.exp(out_data, out=out_data)
@@ -372,7 +430,7 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
 
     def bw(g):
         dot = (g * out_data).sum(axis=axis, keepdims=True)
-        Tensor._accum(a, out_data * (g - dot))
+        Tensor._accum(na, out_data * (g - dot))
 
     return Tensor._make(out_data, (a,), bw)
 
@@ -395,6 +453,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, stats=None):
     x, gamma, beta = Tensor.as_tensor(x), Tensor.as_tensor(gamma), Tensor.as_tensor(beta)
     if stats is not None:
         return _batch_norm_affine(x, gamma, beta, eps, *stats)
+    nx, ng, nbeta = _node(x), _node(gamma), _node(beta)
     B, C, H, W = x.data.shape
     axes, n = (0, 2, 3), B * H * W
     mean = x.data.mean(axis=axes, keepdims=True)
@@ -410,16 +469,14 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, stats=None):
         # gamma is constant over the reduced axes, so mean(gh) = gamma * mean(g)
         sg = g.sum(axis=axes, keepdims=True)
         sgx = (g * xhat).sum(axis=axes, keepdims=True)
-        if gamma.requires_grad:
-            Tensor._accum(gamma, sgx.reshape(C))
-        if beta.requires_grad:
-            Tensor._accum(beta, sg.reshape(C))
-        if x.requires_grad:
+        Tensor._accum(ng, sgx.reshape(C))
+        Tensor._accum(nbeta, sg.reshape(C))
+        if nx is not None:
             dx = xhat * (-sgx / n)
             dx += g
             dx -= sg / n
             dx *= g4 * inv
-            Tensor._accum(x, dx)
+            Tensor._accum(nx, dx)
 
     return Tensor._make(out_data, (x, gamma, beta), bw), mean.reshape(C), var.reshape(C)
 
@@ -427,21 +484,24 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, stats=None):
 def _batch_norm_affine(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, mean: np.ndarray, var: np.ndarray):
     """`batch_norm` with fixed statistics: scale and shift are computed here,
     not on the tape, and the backward reaches x, gamma and beta."""
+    nx, ng, nbeta = _node(x), _node(gamma), _node(beta)
     C = x.data.shape[1]
     inv = 1.0 / np.sqrt(var + eps)
     scale = gamma.data * inv
     shift = beta.data - mean * scale
     out_data = x.data * scale.reshape(1, C, 1, 1)
     out_data += shift.reshape(1, C, 1, 1)
+    xd = x.data if ng is not None else None  # read by gamma's gradient only
 
     def bw(g):
-        if x.requires_grad:
-            Tensor._accum(x, g * scale.reshape(1, C, 1, 1))
-        if gamma.requires_grad or beta.requires_grad:
+        if nx is not None:
+            Tensor._accum(nx, g * scale.reshape(1, C, 1, 1))
+        if ng is not None or nbeta is not None:
             d_shift = _unbroadcast(g, (1, C, 1, 1)).reshape(C)
-            Tensor._accum(beta, d_shift)
-            d_scale = _unbroadcast(g * x.data, (1, C, 1, 1)).reshape(C) + -d_shift * mean
-            Tensor._accum(gamma, d_scale * inv)
+            Tensor._accum(nbeta, d_shift)
+            if ng is not None:
+                d_scale = _unbroadcast(g * xd, (1, C, 1, 1)).reshape(C) + -d_shift * mean
+                Tensor._accum(ng, d_scale * inv)
 
     return Tensor._make(out_data, (x, gamma, beta), bw), mean, var
 
@@ -450,6 +510,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     """Layer normalization over axis 1, the channels of each pixel of
     x (B, C, ...), as one node; gamma and beta are (C,)."""
     x, gamma, beta = Tensor.as_tensor(x), Tensor.as_tensor(gamma), Tensor.as_tensor(beta)
+    nx, ng, nbeta = _node(x), _node(gamma), _node(beta)
     per_channel = (-1,) + (1,) * (x.data.ndim - 2)
     xhat = x.data - x.data.mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=1, keepdims=True) + eps)
@@ -460,32 +521,22 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     rest = (0,) + tuple(range(2, x.data.ndim))
 
     def bw(g):
-        if gamma.requires_grad:
-            Tensor._accum(gamma, (g * xhat).sum(axis=rest))
-        if beta.requires_grad:
-            Tensor._accum(beta, g.sum(axis=rest))
-        if x.requires_grad:
+        if ng is not None:
+            Tensor._accum(ng, (g * xhat).sum(axis=rest))
+        if nbeta is not None:
+            Tensor._accum(nbeta, g.sum(axis=rest))
+        if nx is not None:
             gh = g * g_c
             dx = xhat * -(gh * xhat).mean(axis=1, keepdims=True)
             dx += gh
             dx -= gh.mean(axis=1, keepdims=True)
             dx *= inv
-            Tensor._accum(x, dx)
+            Tensor._accum(nx, dx)
 
     return Tensor._make(out_data, (x, gamma, beta), bw)
 
 
 # -- convolution ------------------------------------------------------------------
-
-
-def _padded(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
-    """(B,C,H,W) zero-padded spatially (no copy for padding 0) and the kernel's output size."""
-    B, C, H, W = x.shape
-    xp = x
-    if padding:
-        xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
-        xp[:, :, padding : padding + H, padding : padding + W] = x
-    return xp, (xp.shape[2] - kh) // stride + 1, (xp.shape[3] - kw) // stride + 1
 
 
 def _windows(xp: np.ndarray, kh: int, kw: int, stride: int, Ho: int, Wo: int) -> np.ndarray:
@@ -496,9 +547,15 @@ def _windows(xp: np.ndarray, kh: int, kw: int, stride: int, Ho: int, Wo: int) ->
     return np.lib.stride_tricks.as_strided(xp, shape, strides)
 
 
-def _im2col(win: np.ndarray, groups: int) -> np.ndarray:
-    """Column matrices (groups, C/groups*kh*kw, B*Ho*Wo) of the windows (B,C,Ho,Wo,kh,kw), in one copy."""
-    B, C, Ho, Wo, kh, kw = win.shape
+def _cols(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, Ho: int, Wo: int, groups: int) -> np.ndarray:
+    """Column matrices (groups, C/groups*kh*kw, B*Ho*Wo) of the windows of
+    x (B,C,H,W) zero-padded spatially, in one copy of the window view."""
+    B, C, H, W = x.shape
+    if padding:
+        xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
+        xp[:, :, padding : padding + H, padding : padding + W] = x
+        x = xp
+    win = _windows(x, kh, kw, stride, Ho, Wo)
     return win.transpose(1, 4, 5, 0, 2, 3).reshape(groups, C // groups * kh * kw, B * Ho * Wo)
 
 
@@ -511,10 +568,12 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, gro
 
     The output and the weight gradient are each one GEMM per group on an
     im2col matrix (Chellapilla et al. 2006), copied from the window view
-    where it is used; neither it nor the padded input is kept on the tape.
+    where it is used; the tape keeps x, not the matrix or a padded copy.
     The input gradient is one GEMM per group and kernel row i, the group's
     w[:, :, i, :]^T (C/groups*kw, F/groups) @ grad (F/groups, B*Ho*Wo),
-    added tap by tap.
+    added tap by tap. A batch whose im2col matrix exceeds BYTE_BUDGET is
+    walked in chunks of samples whose matrix fits it, in the forward and in
+    both gradients.
 
     An ungrouped, unpadded 1x1 convolution at stride 1 is a channel mix of
     each sample, w (F,C) @ x (C,H*W) and its transposes, with no window,
@@ -522,45 +581,70 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, gro
     """
     B, C, H, W = x.data.shape
     F, kh, kw = w.data.shape[0], w.data.shape[-2], w.data.shape[-1]
-    G, Fg, Cg = groups, F // groups, C // groups
+    G, Fg, Cg, wshape = groups, F // groups, C // groups, w.data.shape
+    nx, nw = _node(x), _node(w)
+    nb = None if b is None else _node(b)
+    # the weight gradient reads the input, the input gradient the weight
+    xd = x.data if nw is not None else None
+    wd = w.data if nx is not None else None
     mix = kh == kw == stride == groups == 1 and padding == 0
     if mix:
-        x3 = x.data.reshape(B, C, H * W)
-        out_data = (w.data.reshape(F, C) @ x3).reshape(B, F, H, W)
+        out_data = (w.data.reshape(F, C) @ x.data.reshape(B, C, H * W)).reshape(B, F, H, W)
     else:
-        xp, Ho, Wo = _padded(x.data, kh, kw, stride, padding)
-        out_data = w.data.reshape(G, Fg, Cg * kh * kw) @ _im2col(_windows(xp, kh, kw, stride, Ho, Wo), G)
+        Ho, Wo = (H + 2 * padding - kh) // stride + 1, (W + 2 * padding - kw) // stride + 1
+        cols_bytes = 8 * C * kh * kw * B * Ho * Wo
+        step = min(B, max(1, BYTE_BUDGET // (cols_bytes // B)))
+        w2, n = w.data.reshape(G, Fg, Cg * kh * kw), Ho * Wo
+        out_data = np.empty((G, Fg, B * n))
+        for s in range(0, B, step):
+            cols = _cols(x.data[s : s + step], kh, kw, stride, padding, Ho, Wo, G)
+            np.matmul(w2, cols, out=out_data[:, :, s * n : (s + step) * n])
+        # a view at B=1, where the batch axis has size one
         out_data = np.ascontiguousarray(out_data.reshape(F, B, Ho, Wo).transpose(1, 0, 2, 3))
     if b is not None:
         out_data += b.data[None, :, None, None]
     parents = (x, w) if b is None else (x, w, b)
 
     def bw(g):
-        if b is not None and b.requires_grad:
-            Tensor._accum(b, g.sum(axis=(0, 2, 3)))
+        if nb is not None:
+            Tensor._accum(nb, g.sum(axis=(0, 2, 3)))
         if mix:
             g3 = g.reshape(B, F, H * W)
-            if w.requires_grad:
-                Tensor._accum(w, (g3 @ x3.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape))
-            if x.requires_grad:
-                Tensor._accum(x, (w.data.reshape(F, C).T @ g3).reshape(B, C, H, W))
+            if nw is not None:
+                dw = (g3 @ xd.reshape(B, C, H * W).transpose(0, 2, 1)).sum(axis=0)
+                Tensor._accum(nw, dw.reshape(wshape))
+            if nx is not None:
+                Tensor._accum(nx, (wd.reshape(F, C).T @ g3).reshape(B, C, H, W))
             return
-        g2 = g.transpose(1, 0, 2, 3).reshape(G, Fg, B * Ho * Wo)
-        if w.requires_grad:
-            # padded again: the tape keeps x, not the forward's padded copy
-            win = _windows(_padded(x.data, kh, kw, stride, padding)[0], kh, kw, stride, Ho, Wo)
-            Tensor._accum(w, (g2 @ _im2col(win, G).transpose(0, 2, 1)).reshape(w.data.shape))
-        if x.requires_grad:
-            dxp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
-            dwin = _windows(dxp, kh, kw, stride, Ho, Wo)
-            w5 = w.data.reshape(G, Fg, Cg, kh, kw)
-            for i in range(kh):
-                wi = w5[:, :, :, i, :].transpose(0, 2, 3, 1).reshape(G, Cg * kw, Fg)
-                rows = (wi @ g2).reshape(C, kw, B, Ho, Wo)
-                for j in range(kw):
-                    tap = dwin[..., i, j]
-                    tap += rows[:, j].transpose(1, 0, 2, 3)
-            Tensor._accum(x, dxp[:, :, padding : padding + H, padding : padding + W])
+        dw = None
+        dx = np.empty((B, C, H, W)) if nx is not None and step < B else None
+        if nx is not None:
+            w5 = wd.reshape(G, Fg, Cg, kh, kw)
+            wrows = [w5[:, :, :, i, :].transpose(0, 2, 3, 1).reshape(G, Cg * kw, Fg) for i in range(kh)]
+        for s in range(0, B, step):
+            gs = g[s : s + step]
+            n = gs.shape[0]
+            g2 = gs.transpose(1, 0, 2, 3).reshape(G, Fg, n * Ho * Wo)
+            if nw is not None:
+                part = g2 @ _cols(xd[s : s + step], kh, kw, stride, padding, Ho, Wo, G).transpose(0, 2, 1)
+                dw = part if dw is None else dw + part
+            if nx is not None:
+                dxp = np.zeros((n, C, H + 2 * padding, W + 2 * padding))
+                dwin = _windows(dxp, kh, kw, stride, Ho, Wo)
+                for i, wi in enumerate(wrows):
+                    rows = (wi @ g2).reshape(C, kw, n, Ho, Wo)
+                    for j in range(kw):
+                        tap = dwin[..., i, j]
+                        tap += rows[:, j].transpose(1, 0, 2, 3)
+                dxs = dxp[:, :, padding : padding + H, padding : padding + W]
+                if dx is None:
+                    dx = dxs
+                else:
+                    dx[s : s + n] = dxs
+        if nw is not None:
+            Tensor._accum(nw, dw.reshape(wshape))
+        if nx is not None:
+            Tensor._accum(nx, dx)
 
     return Tensor._make(out_data, parents, bw)
 
@@ -600,14 +684,15 @@ def interpolate_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Resize (B,C,H,W) -> (B,C,out_h,out_w) with separable bilinear weights:
     Rh @ x @ Rw^T for each map, as two matmuls."""
     x = Tensor.as_tensor(x)
+    nx = _node(x)
     B, C, H, W = x.data.shape
     Rh, RhT = _resize_pair(H, out_h)
     Rw, RwT = _resize_pair(W, out_w)
     out_data = Rh @ (x.data @ RwT)
 
     def bw(g):
-        if x.requires_grad:
-            Tensor._accum(x, RhT @ (g @ Rw))
+        if nx is not None:
+            Tensor._accum(nx, RhT @ (g @ Rw))
 
     return Tensor._make(out_data, (x,), bw)
 
@@ -619,6 +704,7 @@ def bilinear_sample(x: Tensor, loc: Tensor) -> Tensor:
     is zero in the clamped region.
     """
     x, loc = Tensor.as_tensor(x), Tensor.as_tensor(loc)
+    nx, nloc = _node(x), _node(loc)
     B, C, H, W = x.data.shape
     if loc.data.ndim != 3 or loc.data.shape[2] != 2 or loc.data.shape[0] != B:
         raise ShapeError(f"locations must be (B,P,2), got {loc.data.shape}")
@@ -636,9 +722,11 @@ def bilinear_sample(x: Tensor, loc: Tensor) -> Tensor:
     top = x00 * (1 - fc) + x01 * fc
     bot = x10 * (1 - fc) + x11 * fc
     out_data = top * (1 - fr) + bot * fr
+    if nloc is None:  # only the location gradient reads the gathered taps
+        x00 = x01 = x10 = x11 = top = bot = None
 
     def bw(g):
-        if x.requires_grad:
+        if nx is not None:
             # scatter-add via bincount on flat (batch, channel, pixel) indices
             base = (np.arange(B * C) * (H * W)).reshape(B, C, 1)
             size = B * C * H * W
@@ -651,11 +739,11 @@ def bilinear_sample(x: Tensor, loc: Tensor) -> Tensor:
             dxf += scatter(r0, c1, (1 - fr) * fc)
             dxf += scatter(r1, c0, fr * (1 - fc))
             dxf += scatter(r1, c1, fr * fc)
-            Tensor._accum(x, dxf.reshape(B, C, H, W))
-        if loc.requires_grad:
+            Tensor._accum(nx, dxf.reshape(B, C, H, W))
+        if nloc is not None:
             dr = ((bot - top) * g).sum(axis=1) * r_in
             dc = (((x01 - x00) * (1 - fr) + (x11 - x10) * fr) * g).sum(axis=1) * c_in
-            Tensor._accum(loc, np.stack([dr, dc], axis=-1))
+            Tensor._accum(nloc, np.stack([dr, dc], axis=-1))
 
     return Tensor._make(out_data, (x, loc), bw)
 
@@ -697,6 +785,7 @@ def rel_pos_bias(table: Tensor, ppos: Tensor, H: int, W: int, g: int) -> Tensor:
     each holding two taps per row.
     """
     table, ppos = Tensor.as_tensor(table), Tensor.as_tensor(ppos)
+    ntable, nppos = _node(table), _node(ppos)
     hds, Th, Tw = table.data.shape
     if ppos.data.ndim != 3 or ppos.data.shape[2] != 2:
         raise ShapeError(f"key positions must be (B,Nk,2), got {ppos.data.shape}")
@@ -716,16 +805,16 @@ def rel_pos_bias(table: Tensor, ppos: Tensor, H: int, W: int, g: int) -> Tensor:
         gk = grad.reshape(B, hds, H, W, Nk).transpose(0, 4, 2, 1, 3).reshape(B, Nk, H * hds, W)
         # grad summed over query columns against C and dC: (B*Nk*H, hds, 2, Tw)
         u = (gk @ np.stack([C, dC()], axis=3).reshape(B, Nk, W, 2 * Tw)).reshape(B * Nk * H, hds, 2, Tw)
-        if table.requires_grad:
+        if ntable is not None:
             dT = R.reshape(B * Nk * H, Th).T @ u[:, :, 0].reshape(B * Nk * H, hds * Tw)
-            Tensor._accum(table, dT.reshape(Th, hds, Tw).transpose(1, 0, 2))
-        if ppos.requires_grad:
+            Tensor._accum(ntable, dT.reshape(Th, hds, Tw).transpose(1, 0, 2))
+        if nppos is not None:
             # u mapped back through the table: index 0 meets dR (row gradient),
             # index 1 meets R (column gradient)
             s = u.transpose(0, 2, 1, 3).reshape(-1, hds * Tw) @ T.transpose(0, 2, 1).reshape(hds * Tw, Th)
             s = s.reshape(B, Nk, H, 2, Th)
             d_row = (dR() * s[:, :, :, 0]).sum(axis=(2, 3))
             d_col = (R * s[:, :, :, 1]).sum(axis=(2, 3))
-            Tensor._accum(ppos, np.stack([d_row, d_col], axis=-1) * -inv_g)
+            Tensor._accum(nppos, np.stack([d_row, d_col], axis=-1) * -inv_g)
 
     return Tensor._make(out_data, (table, ppos), bw)

@@ -275,3 +275,41 @@ class TestPooling:
             total.backward()
             results.append((total.data.tobytes(), x.grad.tobytes()))
         assert results[0] == results[1]
+
+
+def diff_as_slices(x: Tensor, axis=-1) -> Tensor:
+    """Tensor.diff as two slices and a subtraction, the form loss_grad used before."""
+    upper, lower = [slice(None)] * x.ndim, [slice(None)] * x.ndim
+    upper[axis], lower[axis] = slice(1, None), slice(None, -1)
+    return x[tuple(upper)] - x[tuple(lower)]
+
+
+class TestDifference:
+    @pytest.mark.parametrize("axis", [-1, -2, 0])
+    def test_diff_bitwise_equal_to_slices(self, axis):
+        rng = np.random.default_rng(26)
+        x0 = rng.standard_normal((3, 5, 7))
+        seed = rng.standard_normal(np.diff(x0, axis=axis).shape)
+        results = []
+        for op in (Tensor.diff, diff_as_slices):
+            x = Tensor(x0, requires_grad=True)
+            y = op(x, axis)
+            (y * Tensor(seed)).sum().backward()
+            results.append((y.data.tobytes(), x.grad.tobytes()))
+        assert results[0] == results[1]
+        np.testing.assert_array_equal(Tensor(x0).diff(axis).data, np.diff(x0, axis=axis))
+
+    @pytest.mark.parametrize("shape", [(64, 96), (7, 12), (8, 11)])
+    def test_loss_grad_same_value_and_gradient_as_slices(self, shape, monkeypatch):
+        p, t, m = batch_of_frames(27, shape=shape)
+        results = []
+        for diff in (Tensor.diff, diff_as_slices):
+            monkeypatch.setattr(Tensor, "diff", diff)
+            x = Tensor(p, requires_grad=True)
+            total = loss_total(x, t, m)
+            total.backward()
+            results.append((total.data, x.grad))
+        (value, grad), (want_value, want_grad) = results
+        assert value.tobytes() == want_value.tobytes()
+        # the residual's gradient now sums two terms per scale instead of four
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-15, atol=1e-15 * np.abs(want_grad).max())

@@ -1,5 +1,6 @@
-"""The tape frees itself during backward, and the fused normalization ops
-match the compositions of elementary ops they replaced."""
+"""The tape frees itself during backward and keeps only what each backward
+rule reads, and the fused normalization ops match the compositions of
+elementary ops they replaced."""
 
 import weakref
 
@@ -8,6 +9,9 @@ import pytest
 
 from spade.errors import SpadeError
 from spade.nn import BatchNorm2d, Conv2d, LayerNorm, Tensor, batch_norm, layer_norm, scalarize
+from spade.pipeline import SpadeModel, _batch_loss, _training_sample, build_corpus
+
+from conftest import fast_config
 
 
 def reference_backward(root: Tensor):
@@ -30,7 +34,8 @@ def reference_backward(root: Tensor):
 
 
 class Chain:
-    """conv -> BatchNorm2d -> relu -> LayerNorm over the channels of each pixel."""
+    """conv -> BatchNorm2d -> relu -> LayerNorm over the channels of each pixel,
+    and a second conv that can take the relu output instead."""
 
     def __init__(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -39,6 +44,7 @@ class Chain:
         self.ln = LayerNorm(4)
         self.x = Tensor(rng.standard_normal((2, 3, 5, 6)), requires_grad=True)
         self.r = Tensor(rng.standard_normal((2, 4, 5, 6)))
+        self.conv2 = Conv2d(4, 4, 3, rng)
 
     def leaves(self):
         return [self.x, self.conv.weight, self.conv.bias, self.bn.gamma, self.bn.beta, self.ln.gamma, self.ln.beta]
@@ -54,10 +60,23 @@ def test_backward_releases_interior_activations():
     h, a, loss = chain.forward()
     refs = [weakref.ref(h.data), weakref.ref(a.data)]
     del h, a
-    assert all(ref() is not None for ref in refs)  # the graph holds them until backward
+    # BatchNorm and LayerNorm keep their normalized input, relu a byte code:
+    # no rule reads the conv output or the relu output, so they go with the caller
+    assert all(ref() is None for ref in refs)
     loss.backward()
     assert all(ref() is None for ref in refs)
     assert np.isfinite(loss.item())
+
+
+def test_conv_input_lives_until_backward():
+    chain = Chain()
+    a = chain.bn(chain.conv(chain.x)).relu()
+    loss = (chain.conv2(a) * chain.r).sum()
+    ref = weakref.ref(a.data)
+    del a
+    assert ref() is not None  # the second conv's weight gradient reads it
+    loss.backward()
+    assert ref() is None
 
 
 def test_leaf_grads_match_the_walk_that_frees_nothing():
@@ -79,6 +98,48 @@ def test_second_backward_raises():
         loss.backward()
     with pytest.raises(SpadeError, match="already used by backward"):
         (h * 2.0).sum().backward()
+
+
+def closure_tensors(fn):
+    """(rule name, Tensor) for every Tensor a backward rule's closure reaches,
+    through nested functions, tuples and lists."""
+    found, stack, seen = [], [fn], set()
+    while stack:
+        v = stack.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        if isinstance(v, Tensor):
+            found.append((fn.__qualname__, v))
+        elif isinstance(v, (tuple, list)):
+            stack.extend(v)
+        elif callable(v) and getattr(v, "__closure__", None):
+            for cell in v.__closure__:
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # a name the op never bound on this path
+                    pass
+    return found
+
+
+def test_backward_rules_hold_no_tensor_made_by_an_op():
+    cfg = fast_config()
+    model = SpadeModel(cfg, init="train")
+    batch = [_training_sample(f, f.points, cfg) for f in build_corpus(cfg, "val", n_frames=2)]
+    loss = _batch_loss(model, batch)
+    rules, stack, seen = set(), [loss._node], set()
+    offenders = []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        rules.add(node._backward.__qualname__)
+        # a leaf that needs a gradient is its own node; any other Tensor pins an array
+        offenders += [(name, t) for name, t in closure_tensors(node._backward) if t._node or not t.requires_grad]
+        stack.extend(node._parents)
+    assert len(seen) > 100 and len(rules) > 10
+    assert not offenders, offenders[:5]
 
 
 # -- fused norms against the compositions they replaced ---------------------------

@@ -15,6 +15,7 @@ from spade.nn import (
     softmax,
 )
 from spade.nn.gradcheck import fd_gradcheck, scalarize
+from spade.nn import tensor
 from spade.nn.tensor import _resize_pair, _two_tap_weights
 from spade.pipeline import SpadeModel
 
@@ -320,11 +321,16 @@ class TestKernelEquivalence:
             np.testing.assert_allclose(bt.grad, db, rtol=1e-12, atol=1e-12)
 
     def test_relu_slope_half_at_exact_zero(self):
-        x = Tensor(np.array([-2.0, -0.0, 0.0, 1e-300, 3.0]), requires_grad=True)
+        x0 = np.array([-2.0, -0.0, 0.0, 1e-300, 3.0, np.nan])
+        x = Tensor(x0, requires_grad=True)
         y = x.relu()
-        assert y.data.tolist() == [0.0, 0.0, 0.0, 1e-300, 3.0]
-        scalarize(y, np.full(5, 4.0)).backward()
-        assert x.grad.tolist() == [0.0, 2.0, 2.0, 4.0, 4.0]
+        assert y.data[:5].tolist() == [0.0, 0.0, 0.0, 1e-300, 3.0]
+        g = np.array([4.0, 4.0, -4.0, 4.0, -4.0, 4.0])
+        scalarize(y, g).backward()
+        assert x.grad[:5].tolist() == [0.0, 2.0, -2.0, 4.0, -4.0]
+        # the factor is relu's one-byte code times 1/2: the same bits as the
+        # comparisons it replaced, -0.0 and NaN included
+        assert x.grad.tobytes() == (g * ((x0 > 0) + 0.5 * (x0 == 0))).tobytes()
 
     def test_gelu_matches_cube_formula(self):
         rng = np.random.default_rng(70)
@@ -492,3 +498,57 @@ class TestFrameKernels:
         scalarize(out, seed).backward()
         np.testing.assert_allclose(xt.grad, dx, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(wt.grad[:, :, 0, 0], np.einsum("bfhw,bchw->fc", seed, x), rtol=1e-12, atol=1e-12)
+
+
+class TestChunkedConv:
+    """A batch whose im2col matrix exceeds the byte budget is convolved in
+    sample chunks, with the same outputs and gradients as one matrix up to
+    rounding: whether a column's dot product comes out in the same bits
+    depends on how the BLAS blocks a call's columns, and the weight gradient
+    sums its chunks in a different order."""
+
+    CASES = {
+        "3x3 stride 1": (conv2d, (4, 3, 8, 12), (5, 3, 3, 3), 1, 1),
+        "5x5 stride 4": (conv2d, (4, 3, 32, 48), (4, 3, 5, 5), 4, 2),
+        "depthwise 5x5 stride 2": (depthwise_conv2d, (4, 6, 16, 24), (6, 5, 5), 2, 2),
+    }
+
+    @staticmethod
+    def setup(name, seed=90):
+        op, xs, ws, stride, pad = TestChunkedConv.CASES[name]
+        rng = np.random.default_rng(seed)
+        x, w, b = (Tensor(rng.standard_normal(s), requires_grad=True) for s in (xs, ws, ws[:1]))
+        kh, kw = ws[-2:]
+        Ho, Wo = (xs[2] + 2 * pad - kh) // stride + 1, (xs[3] + 2 * pad - kw) // stride + 1
+        sample_bytes = 8 * xs[1] * kh * kw * Ho * Wo
+        return (lambda: op(x, w, b, stride=stride, padding=pad)), [x, w, b], sample_bytes, rng
+
+    @pytest.mark.parametrize("name", list(CASES))
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    def test_chunks_match_one_matrix(self, monkeypatch, name, per_chunk):
+        fwd, leaves, sample_bytes, rng = self.setup(name)
+        seed = rng.standard_normal(fwd().shape)
+        calls = []
+        cols = tensor._cols
+        monkeypatch.setattr(tensor, "_cols", lambda x, *a: calls.append(x.shape[0]) or cols(x, *a))
+        results = []
+        for budget in (4 * sample_bytes, per_chunk * sample_bytes + 7):
+            monkeypatch.setattr(tensor, "BYTE_BUDGET", budget)
+            for t in leaves:
+                t.zero_grad()
+            calls.clear()
+            out = fwd()
+            scalarize(out, seed).backward()
+            results.append((out.data, calls[:], [t.grad for t in leaves]))
+        (whole, whole_calls, whole_grads), (chunked, chunk_calls, grads) = results
+        assert whole_calls == [4, 4]  # forward and weight gradient, one matrix each
+        assert chunk_calls == 2 * ([1, 1, 1, 1] if per_chunk == 1 else [3, 1])
+        for g, want in zip([chunked, *grads], [whole, *whole_grads]):
+            np.testing.assert_allclose(g, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_chunked_gradcheck(self, monkeypatch, name):
+        fwd, leaves, sample_bytes, rng = self.setup(name, seed=91)
+        monkeypatch.setattr(tensor, "BYTE_BUDGET", sample_bytes)
+        r = rng.standard_normal(fwd().shape)
+        check(lambda: scalarize(fwd(), r), leaves)
