@@ -38,10 +38,17 @@ def _conv_cases(rng):
         b = Tensor(rng.standard_normal(4) * 0.2, requires_grad=True)
         r = rng.standard_normal(conv2d(x, w, b, stride=stride, padding=pad).shape)
         yield lambda: scalarize(conv2d(x, w, b, stride=stride, padding=pad), r), [x, w, b]
-    x = Tensor(rng.standard_normal((1, 4, 6, 6)), requires_grad=True)
-    w = Tensor(rng.standard_normal((4, 3, 3)) * 0.4, requires_grad=True)
-    r = rng.standard_normal(depthwise_conv2d(x, w, stride=2, padding=1).shape)
-    yield lambda: scalarize(depthwise_conv2d(x, w, stride=2, padding=1), r), [x, w]
+    # B=2: col2im adds each sample's taps into its own part of one padded buffer
+    x = Tensor(rng.standard_normal((2, 3, 5, 6)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 3, 3, 3)) * 0.4, requires_grad=True)
+    r = rng.standard_normal((2, 4, 5, 6))
+    yield lambda: scalarize(conv2d(x, w, padding=1), r), [x, w]
+    # depthwise, and at B=2 the 5x5 kernel of stage 4's offset conv reaching past a 2x3 map
+    for shape, k, stride, pad in (((1, 4, 6, 6), 3, 2, 1), ((2, 4, 2, 3), 5, 1, 2)):
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, k, k)) * 0.4, requires_grad=True)
+        r = rng.standard_normal(depthwise_conv2d(x, w, stride=stride, padding=pad).shape)
+        yield lambda: scalarize(depthwise_conv2d(x, w, stride=stride, padding=pad), r), [x, w]
 
 
 def _norm_cases(rng):

@@ -129,10 +129,6 @@ class Tensor:
         return out
 
     @property
-    def _parents(self):
-        return () if self._node is None else self._node._parents
-
-    @property
     def _backward(self):
         return None if self._node is None else self._node._backward
 
@@ -436,9 +432,45 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
 
 
 # -- normalization ----------------------------------------------------------------
-# Closed-form backward of y = xhat * gamma + beta, xhat normalized over some
-# axes (Ioffe & Szegedy 2015): with gh = g * gamma,
-# dx = inv * (gh - mean(gh) - xhat * mean(gh * xhat)).
+
+
+def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, axes: tuple):
+    """y = xhat * gamma + beta as one node, with xhat = (x - mean) / sqrt(var + eps)
+    over `axes` and gamma, beta (C,) along axis 1: the one kernel of training
+    BatchNorm (axes (0, 2, 3)) and LayerNorm (axis 1).
+
+    Returns the output and the mean and biased variance, with `axes` kept as 1s.
+    The backward is the closed form (Ioffe & Szegedy 2015; Ba et al. 2016):
+    gamma's and beta's gradients are summed over every axis but 1, and with
+    gh = g * gamma, dx = inv * (gh - mean(gh) - xhat * mean(gh * xhat)).
+    """
+    x, gamma, beta = Tensor.as_tensor(x), Tensor.as_tensor(gamma), Tensor.as_tensor(beta)
+    nx, ng, nbeta = _node(x), _node(gamma), _node(beta)
+    per_channel = (-1,) + (1,) * (x.data.ndim - 2)
+    mean = x.data.mean(axis=axes, keepdims=True)
+    xhat = x.data - mean
+    var = (xhat * xhat).mean(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    g_c = gamma.data.reshape(per_channel)
+    out_data = xhat * g_c
+    out_data += beta.data.reshape(per_channel)
+    rest = (0,) + tuple(range(2, x.data.ndim))
+
+    def bw(g):
+        if ng is not None:
+            Tensor._accum(ng, (g * xhat).sum(axis=rest))
+        if nbeta is not None:
+            Tensor._accum(nbeta, g.sum(axis=rest))
+        if nx is not None:
+            gh = g * g_c
+            dx = xhat * -(gh * xhat).mean(axis=axes, keepdims=True)
+            dx += gh
+            dx -= gh.mean(axis=axes, keepdims=True)
+            dx *= inv
+            Tensor._accum(nx, dx)
+
+    return Tensor._make(out_data, (x, gamma, beta), bw), mean, var
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, stats=None):
@@ -453,32 +485,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, stats=None):
     x, gamma, beta = Tensor.as_tensor(x), Tensor.as_tensor(gamma), Tensor.as_tensor(beta)
     if stats is not None:
         return _batch_norm_affine(x, gamma, beta, eps, *stats)
-    nx, ng, nbeta = _node(x), _node(gamma), _node(beta)
-    B, C, H, W = x.data.shape
-    axes, n = (0, 2, 3), B * H * W
-    mean = x.data.mean(axis=axes, keepdims=True)
-    xhat = x.data - mean
-    var = (xhat * xhat).mean(axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
-    g4 = gamma.data.reshape(1, C, 1, 1)
-    out_data = xhat * g4
-    out_data += beta.data.reshape(1, C, 1, 1)
-
-    def bw(g):
-        # gamma is constant over the reduced axes, so mean(gh) = gamma * mean(g)
-        sg = g.sum(axis=axes, keepdims=True)
-        sgx = (g * xhat).sum(axis=axes, keepdims=True)
-        Tensor._accum(ng, sgx.reshape(C))
-        Tensor._accum(nbeta, sg.reshape(C))
-        if nx is not None:
-            dx = xhat * (-sgx / n)
-            dx += g
-            dx -= sg / n
-            dx *= g4 * inv
-            Tensor._accum(nx, dx)
-
-    return Tensor._make(out_data, (x, gamma, beta), bw), mean.reshape(C), var.reshape(C)
+    out, mean, var = _normalize(x, gamma, beta, eps, (0, 2, 3))
+    return out, mean.ravel(), var.ravel()
 
 
 def _batch_norm_affine(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, mean: np.ndarray, var: np.ndarray):
@@ -509,31 +517,7 @@ def _batch_norm_affine(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, mean:
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     """Layer normalization over axis 1, the channels of each pixel of
     x (B, C, ...), as one node; gamma and beta are (C,)."""
-    x, gamma, beta = Tensor.as_tensor(x), Tensor.as_tensor(gamma), Tensor.as_tensor(beta)
-    nx, ng, nbeta = _node(x), _node(gamma), _node(beta)
-    per_channel = (-1,) + (1,) * (x.data.ndim - 2)
-    xhat = x.data - x.data.mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=1, keepdims=True) + eps)
-    xhat *= inv
-    g_c = gamma.data.reshape(per_channel)
-    out_data = xhat * g_c
-    out_data += beta.data.reshape(per_channel)
-    rest = (0,) + tuple(range(2, x.data.ndim))
-
-    def bw(g):
-        if ng is not None:
-            Tensor._accum(ng, (g * xhat).sum(axis=rest))
-        if nbeta is not None:
-            Tensor._accum(nbeta, g.sum(axis=rest))
-        if nx is not None:
-            gh = g * g_c
-            dx = xhat * -(gh * xhat).mean(axis=1, keepdims=True)
-            dx += gh
-            dx -= gh.mean(axis=1, keepdims=True)
-            dx *= inv
-            Tensor._accum(nx, dx)
-
-    return Tensor._make(out_data, (x, gamma, beta), bw)
+    return _normalize(x, gamma, beta, eps, (1,))[0]
 
 
 # -- convolution ------------------------------------------------------------------
@@ -569,11 +553,13 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, gro
     The output and the weight gradient are each one GEMM per group on an
     im2col matrix (Chellapilla et al. 2006), copied from the window view
     where it is used; the tape keeps x, not the matrix or a padded copy.
-    The input gradient is one GEMM per group and kernel row i, the group's
-    w[:, :, i, :]^T (C/groups*kw, F/groups) @ grad (F/groups, B*Ho*Wo),
-    added tap by tap. A batch whose im2col matrix exceeds BYTE_BUDGET is
-    walked in chunks of samples whose matrix fits it, in the forward and in
-    both gradients.
+    The input gradient is the adjoint of that layout, col2im: one GEMM per
+    group, w^T (C/groups*kh*kw, F/groups) @ grad (F/groups, B*Ho*Wo), whose
+    rows are added tap by tap into the windows of one zero-padded input
+    buffer, whose interior is the gradient. A batch whose im2col matrix
+    exceeds BYTE_BUDGET is walked in chunks of samples whose matrix fits it,
+    in the forward and in both gradients; each chunk writes its own samples
+    of the padded buffer.
 
     An ungrouped, unpadded 1x1 convolution at stride 1 is a channel mix of
     each sample, w (F,C) @ x (C,H*W) and its transposes, with no window,
@@ -617,10 +603,10 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, gro
                 Tensor._accum(nx, (wd.reshape(F, C).T @ g3).reshape(B, C, H, W))
             return
         dw = None
-        dx = np.empty((B, C, H, W)) if nx is not None and step < B else None
         if nx is not None:
-            w5 = wd.reshape(G, Fg, Cg, kh, kw)
-            wrows = [w5[:, :, :, i, :].transpose(0, 2, 3, 1).reshape(G, Cg * kw, Fg) for i in range(kh)]
+            w2t = wd.reshape(G, Fg, Cg * kh * kw).transpose(0, 2, 1)
+            dxp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
+            dwin = _windows(dxp, kh, kw, stride, Ho, Wo)
         for s in range(0, B, step):
             gs = g[s : s + step]
             n = gs.shape[0]
@@ -629,22 +615,16 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, gro
                 part = g2 @ _cols(xd[s : s + step], kh, kw, stride, padding, Ho, Wo, G).transpose(0, 2, 1)
                 dw = part if dw is None else dw + part
             if nx is not None:
-                dxp = np.zeros((n, C, H + 2 * padding, W + 2 * padding))
-                dwin = _windows(dxp, kh, kw, stride, Ho, Wo)
-                for i, wi in enumerate(wrows):
-                    rows = (wi @ g2).reshape(C, kw, n, Ho, Wo)
+                # col2im: the adjoint of the forward's im2col, tap by tap into this chunk's samples
+                dcols = (w2t @ g2).reshape(C, kh, kw, n, Ho, Wo)
+                for i in range(kh):
                     for j in range(kw):
-                        tap = dwin[..., i, j]
-                        tap += rows[:, j].transpose(1, 0, 2, 3)
-                dxs = dxp[:, :, padding : padding + H, padding : padding + W]
-                if dx is None:
-                    dx = dxs
-                else:
-                    dx[s : s + n] = dxs
+                        tap = dwin[s : s + n, ..., i, j]
+                        tap += dcols[:, i, j].transpose(1, 0, 2, 3)
         if nw is not None:
             Tensor._accum(nw, dw.reshape(wshape))
         if nx is not None:
-            Tensor._accum(nx, dx)
+            Tensor._accum(nx, dxp[:, :, padding : padding + H, padding : padding + W])
 
     return Tensor._make(out_data, parents, bw)
 
@@ -727,18 +707,12 @@ def bilinear_sample(x: Tensor, loc: Tensor) -> Tensor:
 
     def bw(g):
         if nx is not None:
-            # scatter-add via bincount on flat (batch, channel, pixel) indices
-            base = (np.arange(B * C) * (H * W)).reshape(B, C, 1)
-            size = B * C * H * W
-
-            def scatter(ri, ci, wgt):
-                flat = (base + (ri * W + ci)[:, None, :]).ravel()
-                return np.bincount(flat, weights=(g * wgt).ravel(), minlength=size)
-
-            dxf = scatter(r0, c0, (1 - fr) * (1 - fc))
-            dxf += scatter(r0, c1, (1 - fr) * fc)
-            dxf += scatter(r1, c0, fr * (1 - fc))
-            dxf += scatter(r1, c1, fr * fc)
+            # one scatter-add over the forward's (B, C, 4P) tap indices, offset
+            # per (batch, channel), weighted in the same tap order
+            wts = np.concatenate([(1 - fr) * (1 - fc), (1 - fr) * fc, fr * (1 - fc), fr * fc], axis=2)
+            flat = idx + (np.arange(B * C) * (H * W)).reshape(B, C, 1)
+            gw = g[:, :, None, :] * wts.reshape(B, 1, 4, P)
+            dxf = np.bincount(flat.ravel(), weights=gw.ravel(), minlength=B * C * H * W)
             Tensor._accum(nx, dxf.reshape(B, C, H, W))
         if nloc is not None:
             dr = ((bot - top) * g).sum(axis=1) * r_in

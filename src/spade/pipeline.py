@@ -84,6 +84,10 @@ class RunConfig:
             raise ConfigError("batch size and frame counts must be positive")
         if self.points_min > self.points_max:
             raise ConfigError(f"points_min {self.points_min} exceeds points_max {self.points_max}")
+        if not 0 < self.subsample_fraction <= 1:
+            raise ConfigError(f"subsample_fraction must be in (0, 1], got {self.subsample_fraction}")
+        # the oracle fields every corpus frame shares, refused here and not by the first frame built
+        OracleSpec(bias_amplitude=self.bias_amplitude, bias_wavelength=self.bias_wavelength, noise_sigma=self.noise_sigma)
         for i, (stride, g) in enumerate(zip(np.cumprod(STRIDES), self.network.grid_downsamples)):
             if (h // stride) % g or (w // stride) % g:
                 raise ConfigError(

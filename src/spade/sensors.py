@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DepthRaster, LaserRig, Point, Space, SparsePointSet
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ShapeError
 
 log = logging.getLogger(__name__)
 
@@ -39,6 +39,8 @@ class PatternSpec:
             raise ConfigError(f"unknown pattern kind {self.kind!r}; expected one of {PATTERN_KINDS}")
         if self.count < 1 or self.grid_rows < 1 or self.grid_cols < 1:
             raise ConfigError("pattern counts must be positive")
+        if self.sonar_jitter < 0:
+            raise ConfigError(f"sonar_jitter must be >= 0, got {self.sonar_jitter}")
         if self.dvl_fraction <= 0 or self.dvl_fraction > 1:
             raise ConfigError(f"dvl_fraction must be in (0, 1], got {self.dvl_fraction}")
         if self.laser_max_range_m <= 0:
@@ -116,6 +118,12 @@ def sample_pattern(
         raise ConfigError(f"sonar_line count {spec.count} exceeds the {h}x{w} raster's {h * w} pixels")
     if spec.kind == "uniform_grid" and (spec.grid_rows > h or spec.grid_cols > w):
         raise ConfigError(f"uniform_grid {spec.grid_rows}x{spec.grid_cols} exceeds the {h}x{w} raster")
+    for name in ("sonar_row", "laser_row"):
+        row = getattr(spec, name)
+        if row is not None and not 0 <= row < h:
+            raise ConfigError(f"{name} {row} lies outside the {h}x{w} raster")
+    if guide is not None and guide.shape != gt.shape:
+        raise ShapeError(f"guide raster {guide.shape} does not match the ground truth {gt.shape}")
     rng = np.random.default_rng(spec.seed)
 
     if spec.kind == "feature_like":
@@ -176,10 +184,7 @@ def sample_pattern(
 def _project_laser(gt: DepthRaster, rig: LaserRig, row: int, lateral_m: float) -> int | None:
     """Column where a forward-pointing laser at the given lateral offset hits
     the scene: the pixel whose back-projected lateral coordinate is closest."""
-    h, w = gt.shape
-    if not (0 <= row < h):
-        raise DomainError(f"laser row {row} outside raster height {h}")
-    cols = np.arange(w)
+    cols = np.arange(gt.shape[1])
     valid = gt.valid[row]
     lateral = gt.values[row] * (cols - rig.cx) / rig.fx
     err = np.abs(lateral - lateral_m)

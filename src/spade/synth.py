@@ -48,6 +48,8 @@ class SceneSpec:
             raise ConfigError(f"depth_max {self.depth_max} exceeds far cap {self.far_cap}")
         if self.height < 8 or self.width < 8:
             raise ConfigError("scene must be at least 8x8")
+        if self.texture_scale < 1:
+            raise ConfigError(f"texture_scale must be >= 1 pixel, got {self.texture_scale}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -65,9 +67,11 @@ class OracleSpec:
         if self.s_true <= 0:
             raise ConfigError(f"s_true must be positive, got {self.s_true}")
         if not (0.0 <= self.bias_amplitude <= 0.5):
-            raise ConfigError(f"bias amplitude must be in [0, 0.5], got {self.bias_amplitude}")
+            raise ConfigError(f"bias_amplitude must be in [0, 0.5], got {self.bias_amplitude}")
+        if self.bias_wavelength < 1:
+            raise ConfigError(f"bias_wavelength must be >= 1 pixel, got {self.bias_wavelength}")
         if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
+            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

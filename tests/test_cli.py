@@ -112,20 +112,37 @@ CONFIG_FAULTS = {
     "train-zero-grid-downsample": ("train", {"network": {"grid_downsamples": [0, 2, 2, 1]}}),
     "train-indivisible-grid-downsample": ("train", {"network": {"grid_downsamples": [2, 2, 2, 2]}}),
     "train-negative-offset-range": ("train", {"network": {"offset_range": -1}}),
+    "train-zero-bias-wavelength": ("train", {"bias_wavelength": 0}),
+    "train-subsample-fraction-above-one": ("train", {"subsample_fraction": 1.5}),
+    "synth-zero-texture-scale": ("synth", {"scene": {"texture_scale": 0}}),
+    "synth-zero-bias-wavelength": ("synth", {"oracle": {"bias_wavelength": 0}}),
+    "simulate-negative-sonar-jitter": ("simulate", {"kind": "sonar_line", "count": 5, "sonar_jitter": -4}),
+    # read against the scene's 32x64 ground truth
+    "simulate-sonar-row-past-raster": ("simulate-scene", {"kind": "sonar_line", "count": 5, "sonar_row": 1000}),
+    "simulate-sonar-row-negative": ("simulate-scene", {"kind": "sonar_line", "count": 5, "sonar_row": -7}),
+    "simulate-laser-row-past-raster": ("simulate-laser", {"kind": "laser2", "laser_row": 1000}),
+    "simulate-guide-of-another-shape": ("simulate-guide", {"kind": "feature_like", "count": 20}),
 }
 
 
 @pytest.mark.parametrize("command, payload", CONFIG_FAULTS.values(), ids=CONFIG_FAULTS.keys())
-def test_config_fault_is_one_line_config_error(command, payload, tmp_path, capsys):
+def test_config_fault_is_one_line_config_error(command, payload, scene_dir, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
-    # the config is read before any input file, so the other paths need not exist;
-    # "out" is the output directory, or the CSV that simulate would write
+    # the config is read before any input file, so the other paths need not exist,
+    # except for the faults that only a raster shows; "out" is the output directory,
+    # or the CSV that simulate would write
     out = tmp_path / "out"
+    small_guide = tmp_path / "guide.fdr1"
+    write_raster(DepthRaster(np.ones((16, 32)), np.ones((16, 32), bool), Space.AFFINE), small_guide)
+    scene = ["simulate", "--gt", scene_dir / "gt.fdr1", "--pattern", path, "--out", out]
     argv = {
         "train": ["train", "--config", path, "--out-dir", out],
         "synth": ["synth", "--spec", path, "--out-dir", out],
         "simulate": ["simulate", "--gt", tmp_path / "gt.fdr1", "--pattern", path, "--out", out],
+        "simulate-scene": scene,
+        "simulate-laser": scene + ["--laser", "60,32,0.1"],
+        "simulate-guide": scene + ["--guide", small_guide],
         "sweep": ["sweep", "--checkpoint", tmp_path / "c.spw1", "--sweep", path, "--out-dir", out],
     }[command]
     assert run_cli(*argv) == 2

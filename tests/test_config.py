@@ -77,6 +77,14 @@ def test_integer_accepted_for_float_and_null_for_optional():
             {"input_hw": [32, 64], "network": {"grid_downsamples": [3, 2, 2, 1]}},
             "network.grid_downsamples[0]=3 does not divide the 8x16 feature map of stage 1 at input_hw 32x64",
         ),
+        (RunConfig, {"bias_wavelength": 0}, "bias_wavelength must be >= 1 pixel, got 0.0"),
+        (RunConfig, {"bias_amplitude": 0.9}, "bias_amplitude must be in [0, 0.5], got 0.9"),
+        (RunConfig, {"noise_sigma": -1}, "noise_sigma must be >= 0, got -1.0"),
+        (RunConfig, {"subsample_fraction": 1.5}, "subsample_fraction must be in (0, 1], got 1.5"),
+        (RunConfig, {"subsample_fraction": 0}, "subsample_fraction must be in (0, 1], got 0.0"),
+        (SynthSpec, {"scene": {"texture_scale": 0}}, "texture_scale must be >= 1 pixel, got 0.0"),
+        (SynthSpec, {"oracle": {"bias_wavelength": 1e-300}}, "bias_wavelength must be >= 1 pixel, got 1e-300"),
+        (PatternSpec, {"sonar_jitter": -4}, "sonar_jitter must be >= 0, got -4"),
     ],
 )
 def test_rejection_names_the_field(cls, payload, message):

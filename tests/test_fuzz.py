@@ -153,6 +153,68 @@ def test_config_reader_gives_config_or_config_error(cls, data):
     assert isinstance(config, cls)
 
 
+def near_fields(cls, prefix=""):
+    """{"field" or "outer.field": values near its type} for each field of
+    `cls`, with the fields of nested configs flattened."""
+    fields = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        nested = [a for a in (hint, *typing.get_args(hint)) if dataclasses.is_dataclass(a)]
+        if nested:
+            fields.update(near_fields(nested[0], f"{prefix}{name}."))
+        else:
+            fields[prefix + name] = near(hint)
+    return fields
+
+
+def with_fields(base, fields, data):
+    """A copy of the JSON object `base` with one or two of `fields` drawn."""
+    payload = json.loads(json.dumps(base))
+    for key in data.draw(st.lists(st.sampled_from(sorted(fields)), min_size=1, max_size=2, unique=True)):
+        *outer, name = key.split(".")
+        target = payload.setdefault(outer[0], {}) if outer else payload
+        target[name] = data.draw(fields[key], label=key)
+    return payload
+
+
+# a small valid pattern or scene spec, and values near the valid range for
+# one or two of its fields: every spec the reader accepts must sample (or
+# build) a small scene, or be rejected with ConfigError
+@pytest.fixture(scope="module")
+def small_scene():
+    gt, guide = generate_scene(SceneSpec(height=16, width=24, seed=1))
+    return gt, guide, DepthRaster(guide.values[:8], guide.valid[:8], guide.space)
+
+
+@FUZZ
+@given(data=st.data())
+def test_accepted_pattern_samples_a_small_scene(small_scene, data):
+    gt, guide, short_guide = small_scene
+    payload = with_fields({"count": 20}, near_fields(PatternSpec), data)
+    guide = data.draw(st.sampled_from([None, guide, short_guide]))
+    try:
+        spec = from_json(PatternSpec, payload)
+        pts = sample_pattern(gt, spec, laser=LaserRig(20.0, 12.0, 0.1), guide=guide)
+    except ConfigError:
+        return
+    assert all(0 <= p.u < gt.shape[1] and 0 <= p.v_row < gt.shape[0] for p in pts.points)
+
+
+@FUZZ
+@given(data=st.data())
+def test_accepted_synth_spec_generates_a_small_scene(data):
+    payload = with_fields({"scene": {"height": 16, "width": 24}, "oracle": {}}, near_fields(SynthSpec), data)
+    try:
+        spec = from_json(SynthSpec, payload)
+    except ConfigError:
+        return
+    if spec.scene.height > 64 or spec.scene.width > 96:
+        return
+    gt, guide = generate_scene(spec.scene)
+    assert gt.shape == guide.shape == (spec.scene.height, spec.scene.width)
+    if spec.oracle is not None:
+        assert oracle_relative(gt, spec.oracle).shape == gt.shape
+
+
 # a small valid run config, and values near the valid range for each field
 # that shapes the model or the frame: every config the reader accepts must
 # build a model that runs a frame, or be rejected with ConfigError
@@ -209,11 +271,7 @@ def small_frames():
 @settings(FUZZ, max_examples=150)
 @given(data=st.data())
 def test_accepted_run_config_builds_and_runs_a_frame(small_frames, data):
-    payload = json.loads(json.dumps(SMALL_RUN))
-    for key in data.draw(st.lists(st.sampled_from(sorted(NEAR_RUN)), min_size=1, max_size=2, unique=True)):
-        *outer, name = key.split(".")
-        target = payload.setdefault(outer[0], {}) if outer else payload
-        target[name] = data.draw(NEAR_RUN[key], label=key)
+    payload = with_fields(SMALL_RUN, NEAR_RUN, data)
     try:
         cfg = from_json(RunConfig, payload)
         model = SpadeModel(cfg)

@@ -11,6 +11,7 @@ from spade.core import LaserRig, SparsePointSet, from_inverse
 from spade.errors import ConfigError, FormatError
 from spade.metrics import aggregate_metrics, compute_metrics
 from spade.nn import RefinementNet, Tensor, no_grad, save_checkpoint
+from spade.nn.tensor import _Node
 from spade.pipeline import (
     SWEEP_LASER_BASELINE_M,
     RunConfig,
@@ -230,12 +231,13 @@ class TestTraining:
         samples = [_training_sample(f, f.points, cfg) for f in build_corpus(cfg, "val", n_frames=4)]
 
         def graph_nodes(batch):
-            seen, stack = set(), [_batch_loss(model, batch)]
+            seen, stack = set(), [_batch_loss(model, batch)._node]
             while stack:
                 node = stack.pop()
                 if id(node) not in seen:
                     seen.add(id(node))
-                    stack.extend(node._parents)
+                    if type(node) is _Node:  # anything else is a leaf
+                        stack.extend(node._parents)
             return len(seen)
 
         assert graph_nodes(samples[:1]) == graph_nodes(samples)
