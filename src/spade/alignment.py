@@ -168,7 +168,9 @@ def laser_scale(p1, p2, rig: LaserRig) -> float:
 
 @_quiet
 def align_with_laser(z: DepthRaster, pts: SparsePointSet, rig: LaserRig) -> tuple[DepthRaster, AffineFit]:
-    """Scale-only alignment driven by a two-point laser pair."""
+    """Scale-only alignment of an affine-invariant raster by a two-point laser pair."""
+    if z.space is not Space.AFFINE:
+        raise DomainError(f"align_with_laser expects an affine-invariant raster, got {z.space.value}")
     if len(pts) != 2:
         raise InsufficientPointsError(f"laser alignment needs exactly 2 points, got {len(pts)}")
     pts.check_bounds(z)

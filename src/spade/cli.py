@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .alignment import align_global, align_with_laser
 from .core import (
     DepthRaster,
     LaserRig,
@@ -41,6 +40,7 @@ from .pipeline import (
     RunConfig,
     SpadeModel,
     SweepSpec,
+    align_frame,
     check_frame_shape,
     config_hash,
     render_report,
@@ -138,11 +138,7 @@ def cmd_align(args) -> int:
     z = read_raster(args.relative)
     pts = read_points(args.points)
     pts.check_bounds(z)
-    rig = _laser_rig(args, z, pts)
-    if rig is not None:
-        aligned, fit = align_with_laser(z, pts, rig)
-    else:
-        aligned, fit = align_global(z, pts)
+    aligned, fit = align_frame(z, pts, _laser_rig(args, z, pts))
     write_raster(aligned, args.out)
     if args.fit_report:
         _write_json(args.fit_report, dataclasses.asdict(fit))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, batch_norm, conv2d, depthwise_conv2d, layer_norm
+from .tensor import Tensor, batch_norm, batch_norm_eval, conv2d, depthwise_conv2d, layer_norm
 
 
 class Parameter(Tensor):
@@ -146,7 +146,7 @@ class BatchNorm2d(Module):
 
     def forward(self, x):
         if not self.training:
-            return batch_norm(x, self.gamma, self.beta, self.eps, (self.running_mean, self.running_var))[0]
+            return batch_norm_eval(x, self.gamma, self.beta, self.eps, self.running_mean, self.running_var)
         out, mean, var = batch_norm(x, self.gamma, self.beta, self.eps)
         n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
         unbiased = var * (n / max(n - 1, 1))

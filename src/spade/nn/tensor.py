@@ -86,7 +86,6 @@ class _Node:
     of its inputs that need one, and the rule that sends it to them."""
 
     __slots__ = ("grad", "_parents", "_backward")
-    requires_grad = True
 
     def __init__(self, parents, backward):
         self.grad = None
@@ -98,7 +97,11 @@ def _node(t: "Tensor"):
     """What a backward rule sends t's gradient to: the node of the op that
     recorded t, t itself for a leaf that needs a gradient, or None. (A leaf
     holding itself would be a reference cycle, and a dropped model's
-    parameters would then wait for the cycle collector.)"""
+    parameters would then wait for the cycle collector.) Inside `no_grad`
+    it is None for every tensor, a recorded one too: the one reader of the
+    switch, checked first."""
+    if not _grad_enabled.get():
+        return None
     if t._node is not None:
         return t._node
     return t if t.requires_grad else None
@@ -120,12 +123,12 @@ class Tensor:
 
     @staticmethod
     def _make(data, parents, backward):
+        """An op's output, recorded iff one of `parents`, its inputs' `_node`s, is not None."""
         out = Tensor(data)
-        if _grad_enabled.get():
-            nodes = tuple(n for n in map(_node, parents) if n is not None)
-            if nodes:
-                out.requires_grad = True
-                out._node = _Node(nodes, backward)
+        nodes = tuple(n for n in parents if n is not None)
+        if nodes:
+            out.requires_grad = True
+            out._node = _Node(nodes, backward)
         return out
 
     @property
@@ -138,7 +141,7 @@ class Tensor:
 
     @staticmethod
     def _accum(node, g: np.ndarray):
-        if node is not None and node.requires_grad:
+        if node is not None:
             node.grad = g if node.grad is None else node.grad + g
 
     def backward(self):
@@ -215,13 +218,13 @@ class Tensor:
             Tensor._accum(na, _unbroadcast(g, sa))
             Tensor._accum(nb, _unbroadcast(g, sb))
 
-        return Tensor._make(a.data + b.data, (a, b), bw)
+        return Tensor._make(a.data + b.data, (na, nb), bw)
 
     __radd__ = __add__
 
     def __neg__(self):
         na = _node(self)
-        return Tensor._make(-self.data, (self,), lambda g: Tensor._accum(na, -g))
+        return Tensor._make(-self.data, (na,), lambda g: Tensor._accum(na, -g))
 
     def __sub__(self, other):
         return self + (-Tensor.as_tensor(other))
@@ -242,7 +245,7 @@ class Tensor:
             if nb is not None:
                 Tensor._accum(nb, _unbroadcast(g * ad, sb))
 
-        return Tensor._make(a.data * b.data, (a, b), bw)
+        return Tensor._make(a.data * b.data, (na, nb), bw)
 
     __rmul__ = __mul__
 
@@ -250,7 +253,7 @@ class Tensor:
         if not np.isscalar(p):
             raise ShapeError("only scalar exponents are supported")
         na, x = _node(self), self.data
-        return Tensor._make(x**p, (self,), lambda g: Tensor._accum(na, g * p * x ** (p - 1)))
+        return Tensor._make(x**p, (na,), lambda g: Tensor._accum(na, g * p * x ** (p - 1)))
 
     def __matmul__(self, other):
         a, b = self, Tensor.as_tensor(other)
@@ -264,43 +267,43 @@ class Tensor:
             if nb is not None:
                 Tensor._accum(nb, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, sb))
 
-        return Tensor._make(a.data @ b.data, (a, b), bw)
+        return Tensor._make(a.data @ b.data, (na, nb), bw)
 
     # -- elementwise functions -------------------------------------------------
 
     def log(self):
         na, x = _node(self), self.data
-        return Tensor._make(np.log(x), (self,), lambda g: Tensor._accum(na, g / x))
+        return Tensor._make(np.log(x), (na,), lambda g: Tensor._accum(na, g / x))
 
     def sqrt(self):
         na, out_data = _node(self), np.sqrt(self.data)
-        return Tensor._make(out_data, (self,), lambda g: Tensor._accum(na, g * 0.5 / out_data))
+        return Tensor._make(out_data, (na,), lambda g: Tensor._accum(na, g * 0.5 / out_data))
 
     def abs(self):
         na, x = _node(self), self.data
-        return Tensor._make(np.abs(x), (self,), lambda g: Tensor._accum(na, g * np.sign(x)))
+        return Tensor._make(np.abs(x), (na,), lambda g: Tensor._accum(na, g * np.sign(x)))
 
     def tanh(self):
         na, out_data = _node(self), np.tanh(self.data)
-        return Tensor._make(out_data, (self,), lambda g: Tensor._accum(na, g * (1.0 - out_data**2)))
+        return Tensor._make(out_data, (na,), lambda g: Tensor._accum(na, g * (1.0 - out_data**2)))
 
     def sigmoid(self):
         na, out_data = _node(self), 0.5 * (1.0 + np.tanh(0.5 * self.data))
-        return Tensor._make(out_data, (self,), lambda g: Tensor._accum(na, g * out_data * (1.0 - out_data)))
+        return Tensor._make(out_data, (na,), lambda g: Tensor._accum(na, g * out_data * (1.0 - out_data)))
 
     def relu(self):
         # slope 1/2 exactly at the kink: matches what a central difference
         # measures when a preactivation sits exactly on 0 (zero-init biases
         # behind fully-rectified receptive fields make that case systematic)
         x, na, code = self.data, _node(self), None
-        if na is not None and _grad_enabled.get():
+        if na is not None:
             # one byte per element: 2 above the kink, 1 on it (+0 or -0), 0 below or NaN
             code = np.add(x >= 0, x > 0, dtype=np.uint8)
 
         def bw(g):
             Tensor._accum(na, g * (code * 0.5))
 
-        return Tensor._make(x * (x > 0), (self,), bw)
+        return Tensor._make(x * (x > 0), (na,), bw)
 
     def gelu(self):
         # tanh approximation, smooth everywhere; x2 * x, as x**3 is a slow float pow
@@ -314,12 +317,12 @@ class Tensor:
             du = c * (1.0 + 3 * 0.044715 * x2)
             Tensor._accum(na, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du))
 
-        return Tensor._make(out_data, (self,), bw)
+        return Tensor._make(out_data, (na,), bw)
 
     def softplus(self):
         na, x = _node(self), self.data
         return Tensor._make(
-            np.logaddexp(0.0, x), (self,), lambda g: Tensor._accum(na, g * 0.5 * (1.0 + np.tanh(0.5 * x)))
+            np.logaddexp(0.0, x), (na,), lambda g: Tensor._accum(na, g * 0.5 * (1.0 + np.tanh(0.5 * x)))
         )
 
     # -- reductions --------------------------------------------------------------
@@ -333,7 +336,7 @@ class Tensor:
                 gg = np.expand_dims(g, axis)
             Tensor._accum(na, np.broadcast_to(gg, shape).copy())
 
-        return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), bw)
+        return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims), (na,), bw)
 
     def mean(self, axis=None, keepdims=False):
         n = self.data.size if axis is None else np.prod(
@@ -354,7 +357,7 @@ class Tensor:
             count = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
             Tensor._accum(na, mask * (gg / count))
 
-        return Tensor._make(out_data, (self,), bw)
+        return Tensor._make(out_data, (na,), bw)
 
     # -- shape ops ---------------------------------------------------------------
 
@@ -362,13 +365,13 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         na, old = _node(self), self.data.shape
-        return Tensor._make(self.data.reshape(shape), (self,), lambda g: Tensor._accum(na, g.reshape(old)))
+        return Tensor._make(self.data.reshape(shape), (na,), lambda g: Tensor._accum(na, g.reshape(old)))
 
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         na, inv = _node(self), np.argsort(axes)
-        return Tensor._make(self.data.transpose(axes), (self,), lambda g: Tensor._accum(na, g.transpose(inv)))
+        return Tensor._make(self.data.transpose(axes), (na,), lambda g: Tensor._accum(na, g.transpose(inv)))
 
     def __getitem__(self, idx):
         """Basic indexing only (ints, slices, `...`, None): its backward
@@ -383,7 +386,7 @@ class Tensor:
             dx[idx] = g
             Tensor._accum(na, dx)
 
-        return Tensor._make(np.ascontiguousarray(self.data[idx]), (self,), bw)
+        return Tensor._make(np.ascontiguousarray(self.data[idx]), (na,), bw)
 
     def diff(self, axis=-1):
         """Forward differences x[i+1] - x[i] along `axis`, as `np.diff`: one
@@ -399,11 +402,10 @@ class Tensor:
             dx[lower] -= g
             Tensor._accum(na, dx)
 
-        return Tensor._make(self.data[upper] - self.data[lower], (self,), bw)
+        return Tensor._make(self.data[upper] - self.data[lower], (na,), bw)
 
 
 def concat(tensors, axis=0):
-    tensors = [Tensor.as_tensor(t) for t in tensors]
     nodes = [_node(t) for t in tensors]
     offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
@@ -413,14 +415,13 @@ def concat(tensors, axis=0):
             sl[axis] = slice(lo, hi)
             Tensor._accum(n, g[tuple(sl)])
 
-    return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
+    return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), nodes, bw)
 
 
 def softmax(x: Tensor, axis=-1) -> Tensor:
-    a = Tensor.as_tensor(x)
-    na = _node(a)
+    na = _node(x)
     # shift, exponentiate and normalize in one buffer
-    out_data = a.data - a.data.max(axis=axis, keepdims=True)
+    out_data = x.data - x.data.max(axis=axis, keepdims=True)
     np.exp(out_data, out=out_data)
     out_data /= out_data.sum(axis=axis, keepdims=True)
 
@@ -428,7 +429,7 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
         dot = (g * out_data).sum(axis=axis, keepdims=True)
         Tensor._accum(na, out_data * (g - dot))
 
-    return Tensor._make(out_data, (a,), bw)
+    return Tensor._make(out_data, (na,), bw)
 
 
 # -- normalization ----------------------------------------------------------------
@@ -444,7 +445,6 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, axes: tuple):
     gamma's and beta's gradients are summed over every axis but 1, and with
     gh = g * gamma, dx = inv * (gh - mean(gh) - xhat * mean(gh * xhat)).
     """
-    x, gamma, beta = Tensor.as_tensor(x), Tensor.as_tensor(gamma), Tensor.as_tensor(beta)
     nx, ng, nbeta = _node(x), _node(gamma), _node(beta)
     per_channel = (-1,) + (1,) * (x.data.ndim - 2)
     mean = x.data.mean(axis=axes, keepdims=True)
@@ -470,28 +470,20 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, axes: tuple):
             dx *= inv
             Tensor._accum(nx, dx)
 
-    return Tensor._make(out_data, (x, gamma, beta), bw), mean, var
+    return Tensor._make(out_data, (nx, ng, nbeta), bw), mean, var
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, stats=None):
-    """Batch normalization of x (B,C,H,W) over (0, 2, 3) as one node.
-
-    Returns the output and the mean and biased variance it normalized with,
-    each (C,). Without `stats` these are the batch's (training mode); with
-    `stats` = (mean, var), constant arrays such as the running statistics
-    (eval mode), the output is the per-channel affine x * scale + shift with
-    scale = gamma / sqrt(var + eps) and shift = beta - mean * scale.
-    """
-    x, gamma, beta = Tensor.as_tensor(x), Tensor.as_tensor(gamma), Tensor.as_tensor(beta)
-    if stats is not None:
-        return _batch_norm_affine(x, gamma, beta, eps, *stats)
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
+    """Training batch normalization of x (B,C,H,W) over (0, 2, 3) as one node:
+    the output and the batch's mean and biased variance, each (C,)."""
     out, mean, var = _normalize(x, gamma, beta, eps, (0, 2, 3))
     return out, mean.ravel(), var.ravel()
 
 
-def _batch_norm_affine(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, mean: np.ndarray, var: np.ndarray):
-    """`batch_norm` with fixed statistics: scale and shift are computed here,
-    not on the tape, and the backward reaches x, gamma and beta."""
+def batch_norm_eval(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, mean: np.ndarray, var: np.ndarray) -> Tensor:
+    """Eval batch normalization of x (B,C,H,W) with fixed (C,) statistics as one
+    node, the per-channel affine x * scale + shift: scale = gamma / sqrt(var + eps)
+    and shift = beta - mean * scale are computed here, not on the tape."""
     nx, ng, nbeta = _node(x), _node(gamma), _node(beta)
     C = x.data.shape[1]
     inv = 1.0 / np.sqrt(var + eps)
@@ -511,7 +503,7 @@ def _batch_norm_affine(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, mean:
                 d_scale = _unbroadcast(g * xd, (1, C, 1, 1)).reshape(C) + -d_shift * mean
                 Tensor._accum(ng, d_scale * inv)
 
-    return Tensor._make(out_data, (x, gamma, beta), bw), mean, var
+    return Tensor._make(out_data, (nx, ng, nbeta), bw)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
@@ -589,7 +581,6 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, gro
         out_data = np.ascontiguousarray(out_data.reshape(F, B, Ho, Wo).transpose(1, 0, 2, 3))
     if b is not None:
         out_data += b.data[None, :, None, None]
-    parents = (x, w) if b is None else (x, w, b)
 
     def bw(g):
         if nb is not None:
@@ -626,13 +617,12 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, gro
         if nx is not None:
             Tensor._accum(nx, dxp[:, :, padding : padding + H, padding : padding + W])
 
-    return Tensor._make(out_data, parents, bw)
+    return Tensor._make(out_data, (nx, nw, nb), bw)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation: x (B,C,H,W) * w (F,C,kh,kw) -> (B,F,Ho,Wo); the
     one-group case of the grouped im2col kernel `_conv`."""
-    x, w = Tensor.as_tensor(x), Tensor.as_tensor(w)
     if w.data.shape[1] != x.data.shape[1]:
         raise ShapeError(f"conv2d channel mismatch: input {x.data.shape} vs weight {w.data.shape}")
     return _conv(x, w, b, stride, padding, groups=1)
@@ -641,7 +631,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
 def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
     """Per-channel convolution: x (B,C,H,W) * w (C,kh,kw) -> (B,C,Ho,Wo); the
     one-channel-per-group case (groups=C) of the grouped im2col kernel `_conv`."""
-    x, w = Tensor.as_tensor(x), Tensor.as_tensor(w)
     if w.data.shape[0] != x.data.shape[1]:
         raise ShapeError(f"depthwise channel mismatch: {x.data.shape} vs {w.data.shape}")
     return _conv(x, w, b, stride, padding, groups=x.data.shape[1])
@@ -663,7 +652,6 @@ def _resize_pair(in_size: int, out_size: int):
 def interpolate_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Resize (B,C,H,W) -> (B,C,out_h,out_w) with separable bilinear weights:
     Rh @ x @ Rw^T for each map, as two matmuls."""
-    x = Tensor.as_tensor(x)
     nx = _node(x)
     B, C, H, W = x.data.shape
     Rh, RhT = _resize_pair(H, out_h)
@@ -674,7 +662,7 @@ def interpolate_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
         if nx is not None:
             Tensor._accum(nx, RhT @ (g @ Rw))
 
-    return Tensor._make(out_data, (x,), bw)
+    return Tensor._make(out_data, (nx,), bw)
 
 
 def bilinear_sample(x: Tensor, loc: Tensor) -> Tensor:
@@ -683,7 +671,6 @@ def bilinear_sample(x: Tensor, loc: Tensor) -> Tensor:
     Out-of-bounds locations are clamped to the border; the location gradient
     is zero in the clamped region.
     """
-    x, loc = Tensor.as_tensor(x), Tensor.as_tensor(loc)
     nx, nloc = _node(x), _node(loc)
     B, C, H, W = x.data.shape
     if loc.data.ndim != 3 or loc.data.shape[2] != 2 or loc.data.shape[0] != B:
@@ -719,7 +706,7 @@ def bilinear_sample(x: Tensor, loc: Tensor) -> Tensor:
             dc = (((x01 - x00) * (1 - fr) + (x11 - x10) * fr) * g).sum(axis=1) * c_in
             Tensor._accum(nloc, np.stack([dr, dc], axis=-1))
 
-    return Tensor._make(out_data, (x, loc), bw)
+    return Tensor._make(out_data, (nx, nloc), bw)
 
 
 def _two_tap_weights(n: int, pos: np.ndarray, size: int, inv_g: float):
@@ -758,7 +745,6 @@ def rel_pos_bias(table: Tensor, ppos: Tensor, H: int, W: int, g: int) -> Tensor:
     bias = R T C^T with row weights R (H,Th) and column weights C (W,Tw),
     each holding two taps per row.
     """
-    table, ppos = Tensor.as_tensor(table), Tensor.as_tensor(ppos)
     ntable, nppos = _node(table), _node(ppos)
     hds, Th, Tw = table.data.shape
     if ppos.data.ndim != 3 or ppos.data.shape[2] != 2:
@@ -791,4 +777,4 @@ def rel_pos_bias(table: Tensor, ppos: Tensor, H: int, W: int, g: int) -> Tensor:
             d_col = (R * s[:, :, :, 1]).sum(axis=(2, 3))
             Tensor._accum(nppos, np.stack([d_row, d_col], axis=-1) * -inv_g)
 
-    return Tensor._make(out_data, (table, ppos), bw)
+    return Tensor._make(out_data, (ntable, nppos), bw)

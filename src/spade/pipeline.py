@@ -82,10 +82,17 @@ class RunConfig:
             )
         if self.batch_size < 1 or self.train_frames < 1 or self.val_frames < 1:
             raise ConfigError("batch size and frame counts must be positive")
+        for name, low in (("points_min", 1), ("lr", 0), ("lr_decayed", 0), ("weight_decay", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.points_min > self.points_max:
             raise ConfigError(f"points_min {self.points_min} exceeds points_max {self.points_max}")
         if not 0 < self.subsample_fraction <= 1:
             raise ConfigError(f"subsample_fraction must be in (0, 1], got {self.subsample_fraction}")
+        if not all(0 <= b < 1 for b in self.betas):  # AdamW divides by 1 - beta**t
+            raise ConfigError(f"betas must each be in [0, 1), got {list(self.betas)}")
+        if self.eval_cap_m <= 0:
+            raise ConfigError(f"eval_cap_m must be > 0, got {self.eval_cap_m}")
         # the oracle fields every corpus frame shares, refused here and not by the first frame built
         OracleSpec(bias_amplitude=self.bias_amplitude, bias_wavelength=self.bias_wavelength, noise_sigma=self.noise_sigma)
         for i, (stride, g) in enumerate(zip(np.cumprod(STRIDES), self.network.grid_downsamples)):
@@ -94,10 +101,10 @@ class RunConfig:
                     f"network.grid_downsamples[{i}]={g} does not divide the {h // stride}x{w // stride} "
                     f"feature map of stage {i + 1} at input_hw {h}x{w}"
                 )
-        if min(self.pyramid_channels, default=1) < 1:
+        if len(self.pyramid_channels) != 4:
+            raise ConfigError(f"pyramid_channels {list(self.pyramid_channels)} must have exactly 4 entries, one per level")
+        if min(self.pyramid_channels) < 1:
             raise ConfigError(f"pyramid_channels {list(self.pyramid_channels)} must all be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -250,24 +257,30 @@ def build_corpus(cfg: RunConfig, split: str, n_frames: int | None = None) -> lis
 # ---------------------------------------------------------------------------
 
 
+def align_frame(z_rel: DepthRaster, pts: SparsePointSet, laser: LaserRig | None = None) -> tuple[DepthRaster, AffineFit]:
+    """Stage 1's fit for `align`, `run`, training and sweeps: (aligned inverse depth, fit).
+    A laser rig takes the laser path only with exactly 2 points; with any
+    other count the global fit runs and its `fallback` says so."""
+    if laser is not None and len(pts) == 2:  # a laser pair never attempts the joint fit
+        return align_with_laser(z_rel, pts, laser)
+    why = None if laser is None else f"laser rig needs 2 points, got {len(pts)}"
+    try:
+        aligned, fit = align_global(z_rel, pts)
+    except (InsufficientPointsError, AlignmentFailureError) as e:
+        if why is None:
+            raise
+        raise type(e)(f"{why}; {e}") from None
+    if why is not None:
+        fit = replace(fit, fallback=why if fit.fallback is None else f"{why}; {fit.fallback}")
+    return aligned, fit
+
+
 def prepare_frame(
     z_rel: DepthRaster, pts: SparsePointSet, jbu: JBUParams, laser: LaserRig | None = None
 ) -> tuple[DepthRaster, AffineFit, np.ndarray]:
     """Stage 1 for `run`, training and sweeps: (aligned inverse depth, fit,
-    JBU-densified corrections). A laser rig takes the laser path only with
-    exactly 2 points; with any other count the fit's `fallback` says so."""
-    if laser is not None and len(pts) == 2:  # a laser pair never attempts the joint fit
-        aligned, fit = align_with_laser(z_rel, pts, laser)
-    else:
-        why = None if laser is None else f"laser rig needs 2 points, got {len(pts)}"
-        try:
-            aligned, fit = align_global(z_rel, pts)
-        except (InsufficientPointsError, AlignmentFailureError) as e:
-            if why is None:
-                raise
-            raise type(e)(f"{why}; {e}") from None
-        if why is not None:
-            fit = replace(fit, fallback=why if fit.fallback is None else f"{why}; {fit.fallback}")
+    JBU-densified corrections), aligned by `align_frame`."""
+    aligned, fit = align_frame(z_rel, pts, laser)
     usable = SparsePointSet([p for p in pts if aligned.valid[p.v_row, p.u]])
     if len(usable) == 0:
         raise EmptyEvaluationError("no sparse points survive alignment masking")

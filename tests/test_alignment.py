@@ -12,6 +12,7 @@ from spade.core import DepthRaster, LaserRig, Space, SparsePointSet
 from spade.errors import (
     AlignmentFailureError,
     DegenerateDesignError,
+    DomainError,
     InconsistentMeasurementsError,
     InsufficientPointsError,
 )
@@ -212,3 +213,15 @@ class TestLaserScale:
         assert fit.mode == "laser_baseline"
         assert fit.s == pytest.approx(s_true, abs=1e-6)
         assert np.allclose(aligned.values, 1.0 / d, atol=1e-9)
+
+
+@pytest.mark.parametrize("space", [Space.METRIC, Space.INVERSE])
+@pytest.mark.parametrize("fit", [align_global, align_with_laser], ids=lambda f: f.__name__)
+def test_fit_refuses_a_raster_that_is_not_affine_invariant(fit, space):
+    values = np.full((10, 40), 0.3)
+    z = DepthRaster(values, np.ones_like(values, dtype=bool), space)
+    args = (z, SparsePointSet([(16, 5, 2.0), (24, 5, 2.0)]))
+    if fit is align_with_laser:
+        args += (LaserRig(fx=80.0, cx=20.0, baseline_m=0.2),)
+    with pytest.raises(DomainError, match=f"^{fit.__name__} expects an affine-invariant raster, got {space.value}$"):
+        fit(*args)

@@ -114,6 +114,8 @@ CONFIG_FAULTS = {
     "train-negative-offset-range": ("train", {"network": {"offset_range": -1}}),
     "train-zero-bias-wavelength": ("train", {"bias_wavelength": 0}),
     "train-subsample-fraction-above-one": ("train", {"subsample_fraction": 1.5}),
+    "train-three-pyramid-channels": ("train", {"pyramid_channels": [8, 10, 12]}),
+    "train-beta-of-one": ("train", {"betas": [0.9, 1.0]}),
     "synth-zero-texture-scale": ("synth", {"scene": {"texture_scale": 0}}),
     "synth-zero-bias-wavelength": ("synth", {"oracle": {"bias_wavelength": 0}}),
     "simulate-negative-sonar-jitter": ("simulate", {"kind": "sonar_line", "count": 5, "sonar_jitter": -4}),
@@ -125,8 +127,13 @@ CONFIG_FAULTS = {
 }
 
 
+def no_corpus(*args, **kwargs):
+    raise AssertionError("the corpus was built")
+
+
 @pytest.mark.parametrize("command, payload", CONFIG_FAULTS.values(), ids=CONFIG_FAULTS.keys())
-def test_config_fault_is_one_line_config_error(command, payload, scene_dir, tmp_path, capsys):
+def test_config_fault_is_one_line_config_error(command, payload, scene_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "build_corpus", no_corpus)  # train refuses a fault before it builds anything
     path = tmp_path / "config.json"
     path.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
     # the config is read before any input file, so the other paths need not exist,
@@ -152,9 +159,6 @@ def test_config_fault_is_one_line_config_error(command, payload, scene_dir, tmp_
 
 
 def test_train_refuses_a_grid_fault_before_building_the_corpus(tmp_path, monkeypatch, capsys):
-    def no_corpus(*args, **kwargs):
-        raise AssertionError("the corpus was built")
-
     monkeypatch.setattr(pipeline, "build_corpus", no_corpus)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"network": {"grid_downsamples": [2, 2, 2, 2]}}))
@@ -439,12 +443,13 @@ def test_run_laser_needs_a_pair(scene_dir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def run_laser_command(command, laser, scene_dir, laser_points, tmp_path):
-    """Exit code of `command` with `--laser laser` on the scene's laser pair; its output is tmp_path/out."""
+def run_laser_command(command, laser, scene_dir, laser_points, tmp_path, relative="relative.fdr1"):
+    """Exit code of `command` with `--laser laser` on the scene's laser pair and
+    its raster `relative`; its output is tmp_path/out."""
     out = tmp_path / "out"
     if command == "simulate":
         return simulate_laser(scene_dir, out, laser)
-    frame = ["--relative", scene_dir / "relative.fdr1", "--points", laser_points, "--laser", laser]
+    frame = ["--relative", scene_dir / relative, "--points", laser_points, "--laser", laser]
     if command == "align":
         return run_cli("align", *frame, "--out", out)
     SpadeModel(fast_config()).save(tmp_path / "c.spw1")
@@ -479,6 +484,14 @@ def test_laser_principal_column_off_the_raster_is_one_line_config_error(
     assert run_laser_command(command, f"64,{cx},0.1", scene_dir, laser_points, tmp_path) == 2
     err = capsys.readouterr().err
     assert err == f"error: laser principal column cx={float(cx):g} lies outside the raster's width 64\n", err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "align"])
+def test_laser_fit_of_a_metric_raster_is_one_line_numeric_error(command, scene_dir, laser_points, tmp_path, capsys):
+    assert run_laser_command(command, LASER, scene_dir, laser_points, tmp_path, relative="gt.fdr1") == 3
+    err = capsys.readouterr().err
+    assert err == "error: align_with_laser expects an affine-invariant raster, got metric_depth_m\n", err
     assert not (tmp_path / "out").exists()
 
 

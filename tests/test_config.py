@@ -31,8 +31,8 @@ def test_round_trip(config):
 
 
 def test_integer_accepted_for_float_and_null_for_optional():
-    cfg = from_json(RunConfig, {"lr": 1, "betas": [0, 1]})
-    assert (cfg.lr, cfg.betas) == (1.0, (0.0, 1.0)) and type(cfg.lr) is float
+    cfg = from_json(RunConfig, {"lr": 1, "betas": [0, 0]})
+    assert (cfg.lr, cfg.betas) == (1.0, (0.0, 0.0)) and type(cfg.lr) is float and type(cfg.betas[1]) is float
     assert from_json(PatternSpec, {"sonar_row": None}).sonar_row is None
     assert from_json(SynthSpec, {"oracle": None}) == SynthSpec()
 
@@ -85,6 +85,18 @@ def test_integer_accepted_for_float_and_null_for_optional():
         (SynthSpec, {"scene": {"texture_scale": 0}}, "texture_scale must be >= 1 pixel, got 0.0"),
         (SynthSpec, {"oracle": {"bias_wavelength": 1e-300}}, "bias_wavelength must be >= 1 pixel, got 1e-300"),
         (PatternSpec, {"sonar_jitter": -4}, "sonar_jitter must be >= 0, got -4"),
+        (RunConfig, {"pyramid_channels": [8, 10, 12]}, "pyramid_channels [8, 10, 12] must have exactly 4 entries"),
+        (RunConfig, {"pyramid_channels": [6, 8, 10, 12, 14]}, "pyramid_channels [6, 8, 10, 12, 14] must have exactly 4"),
+        (RunConfig, {"points_min": 0}, "points_min must be >= 1, got 0"),
+        (RunConfig, {"points_min": -5, "points_max": -1}, "points_min must be >= 1, got -5"),
+        (RunConfig, {"lr": -1.0}, "lr must be >= 0, got -1.0"),
+        (RunConfig, {"lr_decayed": -1e-5}, "lr_decayed must be >= 0, got -1e-05"),
+        (RunConfig, {"weight_decay": -1}, "weight_decay must be >= 0, got -1.0"),
+        (RunConfig, {"betas": [0.9, 1.0]}, "betas must each be in [0, 1), got [0.9, 1.0]"),
+        (RunConfig, {"betas": [1.5, 2.0]}, "betas must each be in [0, 1), got [1.5, 2.0]"),
+        (RunConfig, {"betas": [-0.1, 0.999]}, "betas must each be in [0, 1), got [-0.1, 0.999]"),
+        (RunConfig, {"eval_cap_m": 0}, "eval_cap_m must be > 0, got 0.0"),
+        (RunConfig, {"eval_cap_m": -1.0}, "eval_cap_m must be > 0, got -1.0"),
     ],
 )
 def test_rejection_names_the_field(cls, payload, message):

@@ -89,6 +89,16 @@ class TestForwardValues:
             y = (x * 2).sum()
         assert not y.requires_grad
 
+    def test_no_grad_records_nothing_from_a_recorded_input(self):
+        x = Tensor(np.ones((1, 2, 3, 3)), requires_grad=True)
+        h = x * 2  # recorded outside no_grad: it keeps its node inside
+        with no_grad():
+            assert tensor._node(h) is None and tensor._node(x) is None
+            outs = [h.relu(), h + h, conv2d(h, Tensor(np.ones((1, 2, 1, 1)))), concat([h, x], axis=1), softmax(h)]
+        assert h._node is not None
+        for y in outs:
+            assert y._node is None and not y.requires_grad
+
     def test_backward_accumulates_through_reuse(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
         y = x * x + x
