@@ -41,7 +41,7 @@ from .pipeline import (
     SpadeModel,
     SweepSpec,
     align_frame,
-    check_frame_shape,
+    check_frame,
     config_hash,
     render_report,
     run_frame,
@@ -184,7 +184,7 @@ def cmd_run(args) -> int:
     cfg = _load_config(args) if model is None else model.cfg
     z = read_raster(args.relative)
     guide = read_raster(args.guide)
-    check_frame_shape(z, guide, cfg)  # before a model is built for a size the frame does not have
+    check_frame(z, guide, cfg)  # before a model is built for a size the frame does not have
     pts = read_points(args.points)
     rig = _laser_rig(args, z, pts)
     if model is None:
@@ -237,22 +237,6 @@ def cmd_eval(args) -> int:
         "skipped": skipped,
         "aggregate": dataclasses.asdict(aggregate_metrics(reports)) if reports else None,
     }
-    if args.points:
-        depths, counts = [], []
-        pp = Path(args.points)
-        files = sorted(pp.glob("*.csv")) if pp.is_dir() else [pp]
-        for f in files:
-            pts = read_points(f)
-            counts.append(len(pts))
-            depths.extend(p.depth_m for p in pts)
-        if depths:
-            report["prior_depth_stats"] = {
-                "mean_depth_m": float(np.mean(depths)),
-                "median_depth_m": float(np.median(depths)),
-                "max_depth_m": float(np.max(depths)),
-                "min_depth_m": float(np.min(depths)),
-                "mean_point_count": float(np.mean(counts)),
-            }
     _write_json(args.out, report)
     agg = report["aggregate"]
     if agg:
@@ -350,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("run", cmd_run, "full two-stage inference on one frame", "--config", "--seed", "--out-dir", "--laser")
     p.add_argument("--checkpoint", help="SPW1 checkpoint, which carries its config and seed (neutral model if omitted)")
     p.add_argument("--relative", required=True)
-    p.add_argument("--guide", required=True)
+    p.add_argument("--guide", required=True, help="unitless guide image")
     p.add_argument("--points", required=True)
     p.add_argument("--gt")
     p.add_argument("--cap", type=float, default=None, help="metric range cap (with --gt)")
@@ -359,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="raster file or directory")
     p.add_argument("--gt", required=True, help="raster file or directory")
     p.add_argument("--cap", type=float, default=10.0)
-    p.add_argument("--points", help="points CSV or directory (prior depth statistics)")
     p.add_argument("--out", required=True, help="JSON report path")
 
     p = command("sweep", cmd_sweep, "sparsity/pattern/range sweep with GA baseline", "--out-dir")

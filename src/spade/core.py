@@ -236,8 +236,11 @@ def bilinear_taps(raw: np.ndarray, size: int):
     and the mask of coordinates strictly inside, where the coordinate
     gradient is non-zero.
     """
-    c = np.clip(raw, 0.0, size - 1.0)
-    i0 = np.clip(np.floor(c).astype(int), 0, max(size - 2, 0))
+    # np.clip's bits from two ufuncs, without its Python wrapper: on a tie,
+    # minimum and maximum return their second operand, as clip keeps -0.0;
+    # the lower bound on i0 maps a NaN coordinate's cast to index 0
+    c = np.minimum(size - 1.0, np.maximum(0.0, raw))
+    i0 = np.minimum(max(size - 2, 0), np.maximum(0, np.floor(c).astype(int)))
     return i0, np.minimum(i0 + 1, size - 1), c - i0, (raw > 0.0) & (raw < size - 1.0)
 
 

@@ -83,6 +83,8 @@ def jbu_densify(eps: ScaleMap, z_tilde: DepthRaster, params: JBUParams = JBUPara
     its terms in the same order as one shifted full-image pass per offset
     would, and gets the same bits.
     """
+    if z_tilde.space is not Space.INVERSE:
+        raise DomainError(f"aligned map must be inverse depth, got {z_tilde.space.value}")
     if eps.shape != z_tilde.shape:
         raise ShapeError(f"scale map {eps.shape} vs guide {z_tilde.shape}")
     h, w = eps.shape

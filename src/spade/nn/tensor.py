@@ -13,9 +13,11 @@ finite-difference suite checks.
 from __future__ import annotations
 
 import ctypes
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -125,10 +127,10 @@ class Tensor:
     def _make(data, parents, backward):
         """An op's output, recorded iff one of `parents`, its inputs' `_node`s, is not None."""
         out = Tensor(data)
-        nodes = tuple(n for n in parents if n is not None)
-        if nodes:
-            out.requires_grad = True
-            out._node = _Node(nodes, backward)
+        if parents.count(None) == len(parents):  # every op under no_grad
+            return out
+        out.requires_grad = True
+        out._node = _Node(tuple(n for n in parents if n is not None), backward)
         return out
 
     @property
@@ -303,7 +305,7 @@ class Tensor:
         def bw(g):
             Tensor._accum(na, g * (code * 0.5))
 
-        return Tensor._make(x * (x > 0), (na,), bw)
+        return Tensor._make(np.maximum(x, 0.0), (na,), bw)
 
     def gelu(self):
         # tanh approximation, smooth everywhere; x2 * x, as x**3 is a slow float pow
@@ -339,8 +341,8 @@ class Tensor:
         return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims), (na,), bw)
 
     def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else np.prod(
-            [self.data.shape[i] for i in (axis if isinstance(axis, tuple) else (axis,))]
+        n = self.data.size if axis is None else math.prod(
+            self.data.shape[i] for i in (axis if isinstance(axis, tuple) else (axis,))
         )
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(n))
 
@@ -370,7 +372,7 @@ class Tensor:
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        na, inv = _node(self), np.argsort(axes)
+        na, inv = _node(self), tuple(sorted(range(len(axes)), key=axes.__getitem__))
         return Tensor._make(self.data.transpose(axes), (na,), lambda g: Tensor._accum(na, g.transpose(inv)))
 
     def __getitem__(self, idx):
@@ -407,7 +409,7 @@ class Tensor:
 
 def concat(tensors, axis=0):
     nodes = [_node(t) for t in tensors]
-    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+    offsets = list(accumulate((t.data.shape[axis] for t in tensors), initial=0))
 
     def bw(g):
         for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
@@ -447,9 +449,11 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, axes: tuple):
     """
     nx, ng, nbeta = _node(x), _node(gamma), _node(beta)
     per_channel = (-1,) + (1,) * (x.data.ndim - 2)
-    mean = x.data.mean(axis=axes, keepdims=True)
+    # sum / n is ndarray.mean's pairwise sum and true division, without its Python wrapper
+    n = math.prod(x.data.shape[a] for a in axes)
+    mean = x.data.sum(axis=axes, keepdims=True) / n
     xhat = x.data - mean
-    var = (xhat * xhat).mean(axis=axes, keepdims=True)
+    var = (xhat * xhat).sum(axis=axes, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     g_c = gamma.data.reshape(per_channel)
@@ -464,9 +468,9 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, axes: tuple):
             Tensor._accum(nbeta, g.sum(axis=rest))
         if nx is not None:
             gh = g * g_c
-            dx = xhat * -(gh * xhat).mean(axis=axes, keepdims=True)
+            dx = xhat * -((gh * xhat).sum(axis=axes, keepdims=True) / n)
             dx += gh
-            dx -= gh.mean(axis=axes, keepdims=True)
+            dx -= gh.sum(axis=axes, keepdims=True) / n
             dx *= inv
             Tensor._accum(nx, dx)
 
@@ -517,10 +521,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
 
 def _windows(xp: np.ndarray, kh: int, kw: int, stride: int, Ho: int, Wo: int) -> np.ndarray:
     """Strided view (B,C,Ho,Wo,kh,kw) of a padded map, no copy: (b, c, ho, wo, i, j) is
-    xp[b, c, stride*ho + i, stride*wo + j]. Taps [..., i, j] overlap: write one at a time."""
+    xp[b, c, stride*ho + i, stride*wo + j]. Taps [..., i, j] overlap: write one at a time.
+    It is built on xp's buffer, so xp must be C-contiguous; it is writable when xp is."""
     sB, sC, sH, sW = xp.strides
     shape, strides = xp.shape[:2] + (Ho, Wo, kh, kw), (sB, sC, stride * sH, stride * sW, sH, sW)
-    return np.lib.stride_tricks.as_strided(xp, shape, strides)
+    return np.ndarray(shape, xp.dtype, xp, 0, strides)
 
 
 def _cols(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, Ho: int, Wo: int, groups: int) -> np.ndarray:
@@ -530,8 +535,9 @@ def _cols(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, Ho: int, W
     if padding:
         xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
         xp[:, :, padding : padding + H, padding : padding + W] = x
-        x = xp
-    win = _windows(x, kh, kw, stride, Ho, Wo)
+    else:
+        xp = np.ascontiguousarray(x)  # no copy for the contiguous maps a network makes
+    win = _windows(xp, kh, kw, stride, Ho, Wo)
     return win.transpose(1, 4, 5, 0, 2, 3).reshape(groups, C // groups * kh * kw, B * Ho * Wo)
 
 
@@ -683,8 +689,8 @@ def bilinear_sample(x: Tensor, loc: Tensor) -> Tensor:
 
     # the four taps' flat pixel indices (B,4P), gathered for every channel at once
     taps = np.concatenate([r0 * W + c0, r0 * W + c1, r1 * W + c0, r1 * W + c1], axis=1)
-    idx = np.broadcast_to(taps[:, None, :], (B, C, 4 * P))
-    gathered = np.take_along_axis(x.data.reshape(B, C, H * W), idx, axis=2)
+    xf = x.data.reshape(B, C, H * W)
+    gathered = xf[np.arange(B)[:, None, None], np.arange(C)[None, :, None], taps[:, None, :]]
     x00, x01, x10, x11 = gathered.reshape(B, C, 4, P).transpose(2, 0, 1, 3)
     top = x00 * (1 - fc) + x01 * fc
     bot = x10 * (1 - fc) + x11 * fc
@@ -697,7 +703,7 @@ def bilinear_sample(x: Tensor, loc: Tensor) -> Tensor:
             # one scatter-add over the forward's (B, C, 4P) tap indices, offset
             # per (batch, channel), weighted in the same tap order
             wts = np.concatenate([(1 - fr) * (1 - fc), (1 - fr) * fc, fr * (1 - fc), fr * fc], axis=2)
-            flat = idx + (np.arange(B * C) * (H * W)).reshape(B, C, 1)
+            flat = taps[:, None, :] + (np.arange(B * C) * (H * W)).reshape(B, C, 1)
             gw = g[:, :, None, :] * wts.reshape(B, 1, 4, P)
             dxf = np.bincount(flat.ravel(), weights=gw.ravel(), minlength=B * C * H * W)
             Tensor._accum(nx, dxf.reshape(B, C, H, W))

@@ -287,13 +287,16 @@ def prepare_frame(
     return aligned, fit, fill_default(jbu_densify(sparse_scale_map(usable, aligned), aligned, jbu)).values
 
 
-def check_frame_shape(z_rel: DepthRaster, guide: DepthRaster, cfg: RunConfig):
-    """A frame must have the configured input size and a guide of its size;
-    this check needs no model."""
+def check_frame(z_rel: DepthRaster, guide: DepthRaster, cfg: RunConfig):
+    """A frame must have the configured input size and a guide of its size,
+    and the guide must be a unitless image, not a depth map; this check
+    needs no model."""
     if z_rel.shape != tuple(cfg.input_hw):
         raise ConfigError(f"frame {z_rel.shape} does not match configured input {cfg.input_hw}")
     if guide.shape != z_rel.shape:
         raise ShapeError(f"guide {guide.shape} does not match frame {z_rel.shape}")
+    if guide.space is not Space.AFFINE:
+        raise DomainError(f"guide must be a unitless image ({Space.AFFINE.value}), got {guide.space.value}")
 
 
 def run_frame(
@@ -307,7 +310,7 @@ def run_frame(
 ) -> FrameResult:
     """Full two-stage inference for one frame."""
     cfg = model.cfg
-    check_frame_shape(z_rel, guide, cfg)
+    check_frame(z_rel, guide, cfg)
     aligned, fit, eps_dense = prepare_frame(z_rel, pts, cfg.jbu, laser)
 
     model.eval()

@@ -340,6 +340,51 @@ def test_run_guide_size_mismatch_is_refused_before_anything_is_written(scene_dir
     assert not (tmp_path / "out").exists()
 
 
+def aligned_frame(scene_dir, tmp_path):
+    """Grid points on the scene, the aligned inverse-depth map and its sparse
+    scale map, built through the library (no command writes it), under tmp_path."""
+    pat = tmp_path / "grid.json"
+    pat.write_text(json.dumps({"kind": "uniform_grid", "grid_rows": 3, "grid_cols": 5}))
+    assert run_cli("simulate", "--gt", scene_dir / "gt.fdr1", "--pattern", pat, "--out", tmp_path / "p.csv") == 0
+    argv = ["align", "--relative", scene_dir / "relative.fdr1", "--points", tmp_path / "p.csv"]
+    assert run_cli(*argv, "--out", tmp_path / "aligned.fdr1") == 0
+    from spade.densify import sparse_scale_map
+
+    eps = sparse_scale_map(read_points(tmp_path / "p.csv"), read_raster(tmp_path / "aligned.fdr1"))
+    write_raster(DepthRaster(eps.values, eps.known, Space.AFFINE), tmp_path / "eps.fdr1")
+
+
+@pytest.mark.parametrize(
+    "command,guide,message",
+    [
+        ("densify", "gt", "aligned map must be inverse depth, got metric_depth_m"),
+        ("run", "gt", "guide must be a unitless image (affine_invariant_inverse), got metric_depth_m"),
+        ("run", "aligned", "guide must be a unitless image (affine_invariant_inverse), got inverse_depth_per_m"),
+    ],
+)
+def test_guide_in_the_wrong_space_is_one_line_numeric_error(
+    command, guide, message, scene_dir, tmp_path, monkeypatch, capsys
+):
+    aligned_frame(scene_dir, tmp_path)
+    guide = {"gt": scene_dir / "gt.fdr1", "aligned": tmp_path / "aligned.fdr1"}[guide]
+    capsys.readouterr()
+    if command == "densify":
+        code = run_cli("densify", "--scale-map", tmp_path / "eps.fdr1", "--guide", guide, "--out", tmp_path / "out")
+    else:
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr(cli, "SpadeModel", no_model)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"input_hw": [32, 64]}))
+        frame = ["--relative", scene_dir / "relative.fdr1", "--guide", guide, "--points", tmp_path / "p.csv"]
+        code = run_cli("run", "--config", cfg, *frame, "--out-dir", tmp_path / "out")
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("message", ["Unable to allocate 3.22 GiB for an array", ""])
 def test_out_of_memory_is_one_line_exit_2(message, monkeypatch, capsys):
     def out_of_memory(**kwargs):
@@ -595,21 +640,7 @@ class TestAlignDensify:
         assert code == 4
 
     def test_densify_pipeline(self, scene_dir, tmp_path):
-        pat = tmp_path / "p.json"
-        pat.write_text(json.dumps({"kind": "uniform_grid", "grid_rows": 3, "grid_cols": 5}))
-        pts = tmp_path / "pts.csv"
-        run_cli("simulate", "--gt", scene_dir / "gt.fdr1", "--pattern", pat, "--out", pts)
-        run_cli(
-            "align", "--relative", scene_dir / "relative.fdr1", "--points", pts,
-            "--out", tmp_path / "aligned.fdr1",
-        )
-        # build the sparse scale map through the library, then densify via CLI
-        from spade.core import DepthRaster
-        from spade.densify import sparse_scale_map
-
-        aligned = read_raster(tmp_path / "aligned.fdr1")
-        eps = sparse_scale_map(read_points(pts), aligned)
-        write_raster(DepthRaster(eps.values, eps.known, Space.AFFINE), tmp_path / "eps.fdr1")
+        aligned_frame(scene_dir, tmp_path)
         code = run_cli(
             "densify", "--scale-map", tmp_path / "eps.fdr1", "--guide", tmp_path / "aligned.fdr1",
             "--radius", 5, "--sigma-s", 2.5, "--sigma-r", 0.1, "--out", tmp_path / "dense.fdr1",
@@ -651,13 +682,11 @@ class TestTrainRunEvalSweep:
         assert metrics["mae"] >= 0
         code = run_cli(
             "eval", "--pred", tmp_path / "run" / "depth.fdr1", "--gt", tmp_path / "gt.fdr1",
-            "--cap", 10.0, "--points", tmp_path / "pts.csv", "--out", tmp_path / "report.json",
+            "--cap", 10.0, "--out", tmp_path / "report.json",
         )
         assert code == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["aggregate"]["mae"] == pytest.approx(metrics["mae"])
-        assert "prior_depth_stats" in report
-        assert report["prior_depth_stats"]["mean_point_count"] == len(frame.points)
 
     def test_sweep_and_report(self, trained_dir, tmp_path):
         sweep_spec = tmp_path / "sweep.json"

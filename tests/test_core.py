@@ -7,6 +7,7 @@ from spade.core import (
     ScaleMap,
     Space,
     SparsePointSet,
+    bilinear_taps,
     from_inverse,
     read_points,
     read_raster,
@@ -202,3 +203,17 @@ class TestScaleMap:
         pts = SparsePointSet([Point(2, 1, 2.0), Point(0, 0, 4.0)])
         assert len(pts) == 2
         assert [(p.u, p.v_row, p.depth_m) for p in pts] == [(2, 1, 2.0), (0, 0, 4.0)]
+
+
+class TestBilinearTaps:
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    def test_bitwise_equal_to_the_clip_form(self, size):
+        edges = [-3.0, -1e-300, -0.0, 0.0, 0.5, size - 1.0, size - 0.5, size + 2.0, np.inf, -np.inf, np.nan]
+        raw = np.array(edges * 3).reshape(3, -1)
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to int
+            c = np.clip(raw, 0.0, size - 1.0)
+            i0 = np.clip(np.floor(c).astype(int), 0, max(size - 2, 0))
+            got = bilinear_taps(raw, size)
+        want = (i0, np.minimum(i0 + 1, size - 1), c - i0, (raw > 0.0) & (raw < size - 1.0))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()

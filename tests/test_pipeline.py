@@ -22,6 +22,7 @@ from spade.pipeline import (
     _training_sample,
     build_corpus,
     error_map,
+    prepare_frame,
     render_report,
     run_frame,
     sweep,
@@ -57,6 +58,31 @@ class TestNeutralFixedPoint:
             diff = np.max(np.abs(res.depth.values[ga.valid] - ga.values[ga.valid]))
             assert diff <= 1e-12
             assert np.max(np.abs(res.eps_hat - 1.0)) < 1e-14
+
+
+# numpy functions whose Python-level wrappers cost 5-30 us per call; the B=1
+# forward reaches ufuncs, ndarray constructors and fancy indexing directly
+NUMPY_WRAPPERS = [(np.lib.stride_tricks, "as_strided"), (np, "clip"), (np, "take_along_axis"),
+                  (np, "broadcast_to"), (np, "prod"), (np, "argsort"), (np, "cumsum")]
+
+
+def test_eval_forward_calls_no_numpy_wrapper(monkeypatch):
+    cfg = RunConfig()
+    model = SpadeModel(cfg, seed=11, init="train").eval()
+    f = build_corpus(cfg, "val", n_frames=1)[0]
+    aligned, _, eps = prepare_frame(f.z_rel, f.points, cfg.jbu)
+    inputs = [Tensor(a[None, None]) for a in (eps, aligned.values, f.guide.values)]
+    with no_grad():
+        want = model(*inputs).data
+
+    def wrapper_called(*args, **kwargs):
+        raise AssertionError("the eval forward called a numpy wrapper")
+
+    for module, name in NUMPY_WRAPPERS:
+        monkeypatch.setattr(module, name, wrapper_called)
+    with no_grad():
+        got = model(*inputs).data
+    assert got.tobytes() == want.tobytes()
 
 
 def sweep_rig(cfg):

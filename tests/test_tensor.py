@@ -493,6 +493,69 @@ class TestFrameKernels:
         assert after.misses == before.misses
         assert after.hits == before.hits + 2 * 9  # nine resizes, two axes each
 
+    @pytest.mark.parametrize("padding", [0, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    def test_windows_match_as_strided_and_write_through(self, stride, padding):
+        x = np.random.default_rng(85).standard_normal((2, 3, 9, 13))
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        kh, kw = 3, 2
+        Ho, Wo = (xp.shape[2] - kh) // stride + 1, (xp.shape[3] - kw) // stride + 1
+        win = tensor._windows(xp, kh, kw, stride, Ho, Wo)
+        sB, sC, sH, sW = xp.strides
+        want = np.lib.stride_tricks.as_strided(
+            xp, xp.shape[:2] + (Ho, Wo, kh, kw), (sB, sC, stride * sH, stride * sW, sH, sW)
+        )
+        assert win.strides == want.strides
+        assert_same_bits(win, want)
+        # col2im adds its taps through the view: they land in the buffer
+        tap = win[..., 1, 1]
+        tap += 1.0
+        want_xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        want_xp[:, :, 1 : 1 + stride * Ho : stride, 1 : 1 + stride * Wo : stride] += 1.0
+        assert_same_bits(xp, want_xp)
+
+    def test_cols_of_a_transposed_input_match_as_strided(self):
+        # a (W, H) map transposed: not C-contiguous, so _cols copies it first
+        xt = np.random.default_rng(86).standard_normal((2, 4, 11, 7)).transpose(0, 1, 3, 2)
+        kh = kw = 3
+        Ho, Wo = (7 - kh) // 2 + 1, (11 - kw) // 2 + 1
+        sB, sC, sH, sW = xt.strides
+        win = np.lib.stride_tricks.as_strided(xt, (2, 4, Ho, Wo, kh, kw), (sB, sC, 2 * sH, 2 * sW, sH, sW))
+        want = win.transpose(1, 4, 5, 0, 2, 3).reshape(2, 2 * kh * kw, 2 * Ho * Wo)
+        assert_same_bits(tensor._cols(xt, kh, kw, 2, 0, Ho, Wo, 2), want)
+
+    def test_relu_maps_negatives_and_signed_zero_to_plus_zero(self):
+        x0 = np.array([-2.0, -1e-300, -0.0, 0.0, 1e-300, 3.0, np.nan])
+        y = Tensor(x0).relu().data
+        assert_same_bits(y, np.array([0.0, 0.0, 0.0, 0.0, 1e-300, 3.0, np.nan]))
+
+    @pytest.mark.parametrize("axes,shape", [((0, 2, 3), (4, 5, 6, 7)), ((1,), (2, 5, 6, 7))])
+    def test_normalize_bitwise_equal_to_mean_form(self, axes, shape):
+        rng = np.random.default_rng(87)
+        x, gamma, beta = (
+            Tensor(rng.standard_normal(s) * 3.0 + 1.0, requires_grad=True) for s in (shape, shape[1:2], shape[1:2])
+        )
+        out, mean, var = tensor._normalize(x, gamma, beta, 1e-5, axes)
+        g = rng.standard_normal(shape)
+        scalarize(out, g).backward()
+        # the kernel with ndarray.mean, as it was written before
+        per_channel = (-1, 1, 1)
+        want_mean = x.data.mean(axis=axes, keepdims=True)
+        xhat = x.data - want_mean
+        want_var = (xhat * xhat).mean(axis=axes, keepdims=True)
+        inv = 1.0 / np.sqrt(want_var + 1e-5)
+        xhat *= inv
+        want = xhat * gamma.data.reshape(per_channel)
+        want += beta.data.reshape(per_channel)
+        gh = g * gamma.data.reshape(per_channel)
+        dx = xhat * -(gh * xhat).mean(axis=axes, keepdims=True)
+        dx += gh
+        dx -= gh.mean(axis=axes, keepdims=True)
+        dx *= inv
+        for got, w in [(out.data, want), (mean, want_mean), (var, want_var), (x.grad, dx)]:
+            assert_same_bits(got, w)
+        assert_same_bits(gamma.grad, (g * xhat).sum(axis=(0, 2, 3)))
+
     @pytest.mark.parametrize("bias", [True, False])
     def test_1x1_conv_matches_direct_loop(self, bias):
         rng = np.random.default_rng(84)
