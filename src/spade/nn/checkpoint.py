@@ -6,7 +6,7 @@ Layout: magic "SPW1" | u32 LE manifest length | manifest JSON {"tensors": [{"nam
 Both directions stream: saving writes each array's own buffer, and loading
 checks the whole layout against the file size before it allocates anything,
 and every tensor name and shape against the arrays it fills, then reads each
-buffer straight into the array that keeps it.
+buffer straight into the array that keeps it and refuses it unless finite.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ def load_checkpoint(path, targets: Callable[[dict], dict[str, np.ndarray]]) -> d
     The header, the manifest and the buffer sizes it declares are checked
     against the file before `targets` is called. The manifest must then name
     each array `targets` returned once, with its shape, before a buffer is
-    read; each tensor is read into its C-contiguous float64 array. Errors of
-    `targets` pass through.
+    read; each tensor is read into its C-contiguous float64 array, and one that
+    holds NaN or inf is a FormatError naming it. Errors of `targets` pass through.
     """
     with open(path, "rb") as f:
         try:
@@ -92,6 +92,8 @@ def load_checkpoint(path, targets: Callable[[dict], dict[str, np.ndarray]]) -> d
                 raise FormatError(f"checkpoint {path}: buffer for {name} truncated")
             if sys.byteorder == "big":
                 buf.byteswap(inplace=True)
+            if not np.isfinite(buf).all():
+                raise FormatError(f"checkpoint {path} has non-finite values in {name}")
     return meta
 
 

@@ -7,6 +7,7 @@ import hashlib
 import json
 import logging
 import os
+from collections.abc import Sequence
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field, replace
 
@@ -16,6 +17,7 @@ from .alignment import AffineFit, align_global, align_with_laser
 from .core import (
     DepthRaster,
     LaserRig,
+    ScaleMap,
     Space,
     SparsePointSet,
     from_inverse,
@@ -131,7 +133,7 @@ class SweepSpec:
             raise ConfigError(f"range caps must be positive, got {list(self.range_caps)}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrameData:
     name: str
     gt: DepthRaster
@@ -275,28 +277,49 @@ def align_frame(z_rel: DepthRaster, pts: SparsePointSet, laser: LaserRig | None 
     return aligned, fit
 
 
+@dataclass(frozen=True)
+class PreparedFrame:
+    """Stage 1's output for one frame, and all stage 2 reads of it."""
+
+    aligned: DepthRaster  # aligned inverse depth
+    fit: AffineFit
+    corrections: ScaleMap  # JBU-densified, zeros filled with 1
+    guide: DepthRaster
+
+
 def prepare_frame(
-    z_rel: DepthRaster, pts: SparsePointSet, jbu: JBUParams, laser: LaserRig | None = None
-) -> tuple[DepthRaster, AffineFit, np.ndarray]:
-    """Stage 1 for `run`, training and sweeps: (aligned inverse depth, fit,
-    JBU-densified corrections), aligned by `align_frame`."""
+    z_rel: DepthRaster, guide: DepthRaster, pts: SparsePointSet, jbu: JBUParams, laser: LaserRig | None = None
+) -> PreparedFrame:
+    """Stage 1 for `run`, training and sweeps: the frame aligned by
+    `align_frame`, with its JBU-densified corrections."""
     aligned, fit = align_frame(z_rel, pts, laser)
     usable = SparsePointSet([p for p in pts if aligned.valid[p.v_row, p.u]])
     if len(usable) == 0:
         raise EmptyEvaluationError("no sparse points survive alignment masking")
-    return aligned, fit, fill_default(jbu_densify(sparse_scale_map(usable, aligned), aligned, jbu)).values
+    corrections = fill_default(jbu_densify(sparse_scale_map(usable, aligned), aligned, jbu))
+    return PreparedFrame(aligned, fit, corrections, guide)
+
+
+def network_inputs(frames: Sequence[PreparedFrame]) -> tuple[Tensor, Tensor, Tensor]:
+    """The network's (B, 1, H, W) inputs for B prepared frames: corrections,
+    aligned inverse depth and guide."""
+    fields = zip(*((f.corrections.values, f.aligned.values, f.guide.values) for f in frames))
+    return tuple(Tensor(np.stack(arrays)[:, None]) for arrays in fields)
 
 
 def check_frame(z_rel: DepthRaster, guide: DepthRaster, cfg: RunConfig):
     """A frame must have the configured input size and a guide of its size,
-    and the guide must be a unitless image, not a depth map; this check
-    needs no model."""
+    and the guide must be a unitless image, not a depth map, valid at every
+    pixel, since the feature pyramid reads them all; this check needs no model."""
     if z_rel.shape != tuple(cfg.input_hw):
         raise ConfigError(f"frame {z_rel.shape} does not match configured input {cfg.input_hw}")
     if guide.shape != z_rel.shape:
         raise ShapeError(f"guide {guide.shape} does not match frame {z_rel.shape}")
     if guide.space is not Space.AFFINE:
         raise DomainError(f"guide must be a unitless image ({Space.AFFINE.value}), got {guide.space.value}")
+    invalid = guide.valid.size - int(guide.valid.sum())
+    if invalid:
+        raise DomainError(f"guide has {invalid} invalid pixels of {guide.valid.size}; the network reads every guide pixel")
 
 
 def run_frame(
@@ -311,21 +334,19 @@ def run_frame(
     """Full two-stage inference for one frame."""
     cfg = model.cfg
     check_frame(z_rel, guide, cfg)
-    aligned, fit, eps_dense = prepare_frame(z_rel, pts, cfg.jbu, laser)
+    frame = prepare_frame(z_rel, guide, pts, cfg.jbu, laser)
+    aligned = frame.aligned
 
     model.eval()
     with no_grad():
-        eps_hat = model(
-            Tensor(eps_dense[None, None]), Tensor(aligned.values[None, None]), Tensor(guide.values[None, None])
-        )
-    eps_hat_map = eps_hat.data[0, 0]
+        eps_hat_map = model(*network_inputs([frame])).data[0, 0]
     refined_inv = np.where(aligned.valid, aligned.values * eps_hat_map, 0.0)
     refined = from_inverse(DepthRaster(refined_inv, aligned.valid, Space.INVERSE))
 
     report = None
     if gt is not None:
         report = compute_metrics(refined, gt, cap_m if cap_m is not None else cfg.eval_cap_m)
-    return FrameResult(depth=refined, aligned=aligned, fit=fit, eps_hat=eps_hat_map, metrics=report)
+    return FrameResult(depth=refined, aligned=aligned, fit=frame.fit, eps_hat=eps_hat_map, metrics=report)
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +359,15 @@ def _subsample_seed(cfg_seed: int, epoch: int, frame_idx: int) -> int:
 
 
 def _training_sample(frame: FrameData, pts: SparsePointSet, cfg: RunConfig):
-    """(densified corrections, aligned inverse depth, target inverse depth, loss mask, guide)"""
-    aligned, _, eps_dense = prepare_frame(frame.z_rel, pts, cfg.jbu)
-    mask = frame.gt.valid & aligned.valid
-    return eps_dense, aligned.values, to_inverse(frame.gt).values, mask, frame.guide.values
+    """(prepared frame, target inverse depth, loss mask)"""
+    prepared = prepare_frame(frame.z_rel, frame.guide, pts, cfg.jbu)
+    return prepared, to_inverse(frame.gt).values, frame.gt.valid & prepared.aligned.valid
 
 
 def _batch_loss(model: SpadeModel, batch: list) -> Tensor:
-    eps, z, targets, masks, guides = zip(*batch)
-    z_b = Tensor(np.stack(z)[:, None])
-    zhat = model(Tensor(np.stack(eps)[:, None]), z_b, Tensor(np.stack(guides)[:, None])) * z_b
+    frames, targets, masks = zip(*batch)
+    eps, z, guide = network_inputs(frames)
+    zhat = model(eps, z, guide) * z
     return loss_total(zhat[:, 0], np.stack(targets), np.stack(masks))
 
 
@@ -506,11 +526,8 @@ def sweep(model: SpadeModel, cfg: RunConfig, spec: SweepSpec) -> dict:
     need = max(spec.point_counts)
     for i, frame in enumerate(frames):
         if len(frame.points) < need:
-            frame.points = sample_pattern(
-                frame.gt,
-                PatternSpec(kind="feature_like", count=need, seed=(cfg.seed * 31 + i) & 0x7FFFFFFF),
-                guide=frame.guide,
-            )
+            pattern = PatternSpec(kind="feature_like", count=need, seed=(cfg.seed * 31 + i) & 0x7FFFFFFF)
+            frames[i] = replace(frame, points=sample_pattern(frame.gt, pattern, guide=frame.guide))
 
     cells = []
     for pattern in spec.patterns:

@@ -255,13 +255,19 @@ def _misshaped(state):
     return {**state, key: state[key].reshape(-1)[:-1]}
 
 
+def _with_nan(state):
+    key = "param.refine.stages.0.trans_blocks.0.attn.offset_proj.bias"
+    return {**state, key: np.where(np.arange(state[key].size) == 0, np.nan, state[key])}
+
+
 # (tensors, meta) of checkpoints whose embedded config is valid but whose
-# tensors do not fit it, or that have no embedded config
+# tensors do not fit it or hold a NaN, or that have no embedded config
 CHECKPOINT_FAULTS = {
     "old-layout-tensors": lambda cfg: (old_layout_state(cfg), {"config": asdict(cfg), "seed": cfg.seed}),
     "missing-tensor": lambda cfg: (dict(list(SpadeModel(cfg).named_arrays())[1:]), {"config": asdict(cfg)}),
     "misshaped-tensor": lambda cfg: (_misshaped(dict(SpadeModel(cfg).named_arrays())), {"config": asdict(cfg)}),
     "no-embedded-config": lambda cfg: (dict(SpadeModel(cfg).named_arrays()), {"seed": cfg.seed}),
+    "nan-tensor": lambda cfg: (_with_nan(dict(SpadeModel(cfg).named_arrays())), {"config": asdict(cfg)}),
 }
 
 
@@ -337,6 +343,30 @@ def test_run_guide_size_mismatch_is_refused_before_anything_is_written(scene_dir
     assert code == 2
     err = capsys.readouterr().err
     assert err == "error: guide (10, 10) does not match frame (32, 64)\n", err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fill", [0.0, np.nan])
+def test_run_guide_with_invalid_pixels_is_refused_before_the_model_is_built(
+    fill, scene_dir, tmp_path, monkeypatch, capsys
+):
+    # the pyramid reads every guide pixel, so the values under the mask would steer the output
+    guide = read_raster(scene_dir / "guide.fdr1")
+    valid = guide.valid.copy()
+    valid[:16] = False
+    write_raster(DepthRaster(np.where(valid, guide.values, fill), valid, guide.space), tmp_path / "holes.fdr1")
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(cli, "SpadeModel", no_model)
+    argv = frame_args(scene_dir, tmp_path)
+    argv[argv.index("--guide") + 1] = tmp_path / "holes.fdr1"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"input_hw": [32, 64]}))
+    assert run_cli("run", "--config", cfg, *argv, "--out-dir", tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert err == "error: guide has 1024 invalid pixels of 2048; the network reads every guide pixel\n", err
     assert not (tmp_path / "out").exists()
 
 

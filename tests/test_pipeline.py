@@ -7,8 +7,8 @@ import pytest
 
 from conftest import fast_config
 from spade.config import from_json
-from spade.core import LaserRig, SparsePointSet, from_inverse
-from spade.errors import ConfigError, FormatError
+from spade.core import DepthRaster, LaserRig, SparsePointSet, from_inverse
+from spade.errors import ConfigError, DomainError, FormatError
 from spade.metrics import aggregate_metrics, compute_metrics
 from spade.nn import RefinementNet, Tensor, no_grad, save_checkpoint
 from spade.nn.tensor import _Node
@@ -22,6 +22,7 @@ from spade.pipeline import (
     _training_sample,
     build_corpus,
     error_map,
+    network_inputs,
     prepare_frame,
     render_report,
     run_frame,
@@ -70,8 +71,7 @@ def test_eval_forward_calls_no_numpy_wrapper(monkeypatch):
     cfg = RunConfig()
     model = SpadeModel(cfg, seed=11, init="train").eval()
     f = build_corpus(cfg, "val", n_frames=1)[0]
-    aligned, _, eps = prepare_frame(f.z_rel, f.points, cfg.jbu)
-    inputs = [Tensor(a[None, None]) for a in (eps, aligned.values, f.guide.values)]
+    inputs = network_inputs([prepare_frame(f.z_rel, f.guide, f.points, cfg.jbu)])
     with no_grad():
         want = model(*inputs).data
 
@@ -150,9 +150,9 @@ class TestStageOne:
 
         model.forward = spy
         res = run_frame(model, f.z_rel, f.guide, pts)
-        eps, z, target, mask, _ = _training_sample(f, pts, cfg)
-        assert eps.tobytes() == seen["eps"].tobytes()
-        assert z.tobytes() == seen["z"].tobytes() == res.aligned.values.tobytes()
+        prepared, target, mask = _training_sample(f, pts, cfg)
+        assert prepared.corrections.values.tobytes() == seen["eps"].tobytes()
+        assert prepared.aligned.values.tobytes() == seen["z"].tobytes() == res.aligned.values.tobytes()
         by_hand = np.zeros(f.gt.shape)
         np.divide(1.0, f.gt.values, out=by_hand, where=f.gt.valid)
         assert target.tobytes() == by_hand.tobytes()
@@ -186,6 +186,30 @@ class TestStageOne:
         assert fired() == {"align_global": 1, "align_with_laser": 1, "sparse_scale_map": 2, "jbu_densify": 2}
         _training_sample(f, f.points, cfg)
         assert fired() == {"align_global": 2, "align_with_laser": 1, "sparse_scale_map": 3, "jbu_densify": 3}
+
+    def test_network_inputs_stack_each_frame_in_order(self):
+        cfg = fast_config()
+        frames = [prepare_frame(f.z_rel, f.guide, f.points, cfg.jbu) for f in build_corpus(cfg, "val", n_frames=2)]
+        inputs = network_inputs(frames)
+        assert all(x.data.shape == (2, 1, *cfg.input_hw) for x in inputs)
+        for b, f in enumerate(frames):
+            for x, want in zip(inputs, (f.corrections, f.aligned, f.guide)):
+                assert x.data[b, 0].tobytes() == want.values.tobytes()
+
+    def test_guide_with_invalid_pixels_is_refused_before_stage_one(self, monkeypatch):
+        import spade.pipeline
+
+        def no_stage_one(*args, **kwargs):
+            raise AssertionError("stage 1 ran")
+
+        monkeypatch.setattr(spade.pipeline, "align_frame", no_stage_one)
+        cfg = fast_config()
+        f = build_corpus(cfg, "val", n_frames=1)[0]
+        valid = f.guide.valid.copy()
+        valid[0, :5] = False
+        holes = DepthRaster(f.guide.values, valid, f.guide.space)
+        with pytest.raises(DomainError, match="^guide has 5 invalid pixels of 2048;"):
+            run_frame(SpadeModel(cfg), f.z_rel, holes, f.points)
 
 
 class TestTraining:
@@ -307,6 +331,19 @@ class TestTraining:
         save_checkpoint(path, state, meta={"config": asdict(cfg)})
         with pytest.raises(FormatError, match=r"unexpected tensors \['head.param.weight'\]"):
             SpadeModel.load(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_load_rejects_non_finite_tensor(self, value, trained_fast_model, tmp_path):
+        model, _, cfg = trained_fast_model
+        path = tmp_path / "ck.spw1"
+        name = "param.refine.stages.0.trans_blocks.0.attn.offset_proj.bias"
+        state = dict(model.named_arrays())
+        state[name] = state[name].copy()
+        state[name][0] = value
+        save_checkpoint(path, state, meta={"config": asdict(cfg)})
+        with pytest.raises(FormatError) as e:
+            SpadeModel.load(path)
+        assert str(e.value) == f"checkpoint {path} has non-finite values in {name}"
 
 
 class TestSweep:
