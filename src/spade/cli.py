@@ -35,7 +35,7 @@ from .config import read_config
 from .densify import JBUParams, fill_default, jbu_densify
 from .errors import ConfigError, SpadeError
 from .gradsuite import TOLERANCE, run_suite
-from .metrics import aggregate_metrics, compute_metrics
+from .metrics import aggregate_metrics, score_pairs
 from .pipeline import (
     RunConfig,
     SpadeModel,
@@ -222,25 +222,18 @@ def _match_rasters(pred_path, gt_path):
 
 def cmd_eval(args) -> int:
     _check_cap(args.cap)
-    pairs = _match_rasters(args.pred, args.gt)
-    reports, per_frame, skipped = [], [], []
-    for name, pf, gf in pairs:
-        try:
-            rep = compute_metrics(read_raster(pf), read_raster(gf), cap_m=args.cap)
-            reports.append(rep)
-            per_frame.append({"frame": name, **dataclasses.asdict(rep)})
-        except SpadeError as e:
-            skipped.append({"frame": name, "reason": str(e)})
+    pairs = ((name, read_raster(pf), read_raster(gf)) for name, pf, gf in _match_rasters(args.pred, args.gt))
+    scored, skipped = score_pairs(pairs, args.cap)
     report = {
         "range_cap_m": args.cap,
-        "frames": per_frame,
-        "skipped": skipped,
-        "aggregate": dataclasses.asdict(aggregate_metrics(reports)) if reports else None,
+        "frames": [{"frame": name, **dataclasses.asdict(rep)} for name, rep in scored],
+        "skipped": [{"frame": name, "reason": reason} for name, reason in skipped],
+        "aggregate": dataclasses.asdict(aggregate_metrics([rep for _, rep in scored])) if scored else None,
     }
     _write_json(args.out, report)
     agg = report["aggregate"]
     if agg:
-        print(f"evaluated {len(per_frame)} frames (cap {args.cap} m): MAE {agg['mae']:.4f} m")
+        print(f"evaluated {len(scored)} frames (cap {args.cap} m): MAE {agg['mae']:.4f} m")
     else:
         print("no frames evaluated")
     return 0

@@ -282,34 +282,37 @@ def write_raster(r: DepthRaster, path) -> None:
 def read_raster(path) -> DepthRaster:
     with open(path, "rb") as f:
         raw = f.read()
-    if len(raw) < _HEADER.size:
-        raise FormatError("truncated header", byte_offset=len(raw))
-    magic, width, height, tag = _HEADER.unpack_from(raw, 0)
-    if magic != _MAGIC:
-        raise FormatError(f"bad magic {magic!r}", byte_offset=0)
-    if width == 0 or height == 0 or width * height > MAX_PIXELS:
-        raise FormatError(f"dimension overflow: {width}x{height}", byte_offset=4)
-    if tag not in _TAG_SPACES:
-        raise FormatError(f"unknown space tag {tag}", byte_offset=12)
-    n = width * height
-    need = _HEADER.size + 4 * n + n
-    if len(raw) != need:
-        raise FormatError(
-            f"payload size mismatch: expected {need} bytes, file has {len(raw)}",
-            byte_offset=min(len(raw), need),
-        )
-    off = _HEADER.size
-    values = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(height, width)
-    off += 4 * n
-    mask_bytes = np.frombuffer(raw, dtype=np.uint8, count=n, offset=off)
-    if not np.all(mask_bytes <= 1):
-        bad = int(np.argmax(mask_bytes > 1))
-        raise FormatError(f"mask byte {mask_bytes[bad]} is not 0/1", byte_offset=off + bad)
-    mask = mask_bytes.astype(bool).reshape(height, width)
     try:
-        return DepthRaster(values.astype(np.float64), mask, _TAG_SPACES[tag])
-    except DomainError as e:
-        raise FormatError(f"{e} of a {_TAG_SPACES[tag].value} raster")
+        if len(raw) < _HEADER.size:
+            raise FormatError("truncated header", byte_offset=len(raw))
+        magic, width, height, tag = _HEADER.unpack_from(raw, 0)
+        if magic != _MAGIC:
+            raise FormatError(f"bad magic {magic!r}", byte_offset=0)
+        if width == 0 or height == 0 or width * height > MAX_PIXELS:
+            raise FormatError(f"dimension overflow: {width}x{height}", byte_offset=4)
+        if tag not in _TAG_SPACES:
+            raise FormatError(f"unknown space tag {tag}", byte_offset=12)
+        n = width * height
+        need = _HEADER.size + 4 * n + n
+        if len(raw) != need:
+            raise FormatError(
+                f"payload size mismatch: expected {need} bytes, file has {len(raw)}",
+                byte_offset=min(len(raw), need),
+            )
+        off = _HEADER.size
+        values = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(height, width)
+        off += 4 * n
+        mask_bytes = np.frombuffer(raw, dtype=np.uint8, count=n, offset=off)
+        if not np.all(mask_bytes <= 1):
+            bad = int(np.argmax(mask_bytes > 1))
+            raise FormatError(f"mask byte {mask_bytes[bad]} is not 0/1", byte_offset=off + bad)
+        mask = mask_bytes.astype(bool).reshape(height, width)
+        try:
+            return DepthRaster(values.astype(np.float64), mask, _TAG_SPACES[tag])
+        except DomainError as e:
+            raise FormatError(f"{e} of a {_TAG_SPACES[tag].value} raster")
+    except FormatError as e:
+        raise FormatError(f"{path}: {e}") from None
 
 
 def raster_to_scale_map(r: DepthRaster) -> ScaleMap:
@@ -337,22 +340,25 @@ def read_points(path) -> SparsePointSet:
         try:
             rows = list(csv.reader(f))
         except (UnicodeDecodeError, csv.Error) as e:
-            raise FormatError(f"unreadable points file: {e}")
-    if not rows:
-        raise FormatError("empty points file", byte_offset=0)
-    if [h.strip() for h in rows[0]] != ["u", "v", "depth_m"]:
-        raise FormatError(f"bad points header {rows[0]!r}", byte_offset=0)
-    pts = []
-    for i, row in enumerate(rows[1:]):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise FormatError(f"line {i + 2}: expected 3 fields, got {len(row)}")
-        try:
-            pts.append(Point(int(row[0]), int(row[1]), float(row[2])))
-        except ValueError as e:
-            raise FormatError(f"line {i + 2}: {e}")
+            raise FormatError(f"{path}: unreadable points file: {e}") from None
     try:
-        return SparsePointSet(pts)
-    except DomainError as e:
-        raise FormatError(str(e))
+        if not rows:
+            raise FormatError("empty points file", byte_offset=0)
+        if [h.strip() for h in rows[0]] != ["u", "v", "depth_m"]:
+            raise FormatError(f"bad points header {rows[0]!r}", byte_offset=0)
+        pts = []
+        for i, row in enumerate(rows[1:]):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise FormatError(f"line {i + 2}: expected 3 fields, got {len(row)}")
+            try:
+                pts.append(Point(int(row[0]), int(row[1]), float(row[2])))
+            except ValueError as e:
+                raise FormatError(f"line {i + 2}: {e}")
+        try:
+            return SparsePointSet(pts)
+        except DomainError as e:
+            raise FormatError(str(e))
+    except FormatError as e:
+        raise FormatError(f"{path}: {e}") from None

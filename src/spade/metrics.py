@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DepthRaster, Space
-from .errors import DomainError, EmptyEvaluationError, ShapeError
+from .errors import DomainError, EmptyEvaluationError, ShapeError, SpadeError
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ def compute_metrics(pred: DepthRaster, gt: DepthRaster, cap_m: float) -> MetricR
     """MAE/RMSE/AbsRel/SILog/iMAE at pixels where ground truth is valid,
     positive, and within the range cap (prediction validity intersected)."""
     if pred.space is not Space.METRIC or gt.space is not Space.METRIC:
-        raise DomainError("metrics expect metric-depth rasters on both sides")
+        raise DomainError(f"metrics need metric depth, got {pred.space.value} vs {gt.space.value}")
     if pred.shape != gt.shape:
         raise ShapeError(f"prediction {pred.shape} vs ground truth {gt.shape}")
     mask = gt.valid & (gt.values > 0) & (gt.values <= cap_m) & pred.valid
@@ -47,6 +47,20 @@ def compute_metrics(pred: DepthRaster, gt: DepthRaster, cap_m: float) -> MetricR
         range_cap_m=float(cap_m),
         valid_px=n,
     )
+
+
+def score_pairs(pairs, cap_m: float) -> tuple[list, list]:
+    """([(name, MetricReport)], [(name, reason)]) of (name, pred, gt) triples, read once: a frame
+    with no valid pixel under the cap is skipped with its reason, any other fault names the frame."""
+    scored, skipped = [], []
+    for name, pred, gt in pairs:
+        try:
+            scored.append((name, compute_metrics(pred, gt, cap_m)))
+        except EmptyEvaluationError as e:
+            skipped.append((name, str(e)))
+        except SpadeError as e:
+            raise type(e)(f"frame {name}: {e}") from None
+    return scored, skipped
 
 
 def aggregate_metrics(reports: list[MetricReport]) -> MetricReport:

@@ -34,21 +34,22 @@ class CCDTConfig:
     fused_channels: int = 32
 
     def __post_init__(self):
-        lists = (self.widths, self.conv_counts, self.trans_counts, self.grid_downsamples)
-        if any(len(x) != 4 for x in lists):
-            raise ConfigError("encoder config requires exactly four stages")
+        for name in ("widths", "conv_counts", "trans_counts", "grid_downsamples"):
+            if len(getattr(self, name)) != 4:
+                raise ConfigError(f"{name} {list(getattr(self, name))} must have exactly 4 entries, one per stage")
         if min(self.grid_downsamples) < 1:
             raise ConfigError(f"grid_downsamples {list(self.grid_downsamples)} must all be >= 1")
         if not self.offset_range > 0:
             raise ConfigError(f"offset_range must be > 0, got {self.offset_range}")
-        if self.heads < 1:
-            raise ConfigError(f"heads must be positive, got {self.heads}")
+        for name, low in (("heads", 1), ("mlp_ratio", 1), ("embed_channels", 1), ("fused_channels", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if any(w <= 0 for w in self.widths) or any(w % self.heads for w in self.widths):
             raise ConfigError(f"stage widths {self.widths} must be positive multiples of heads={self.heads}")
-        if any(c < 1 for c in self.conv_counts) or any(c < 0 for c in self.trans_counts):
-            raise ConfigError("conv_counts entries must be >= 1 and trans_counts entries >= 0")
-        if self.mlp_ratio < 1 or self.embed_channels < 1 or self.fused_channels < 1:
-            raise ConfigError("mlp_ratio, embed_channels and fused_channels must be >= 1")
+        if min(self.conv_counts) < 1:
+            raise ConfigError(f"conv_counts {list(self.conv_counts)} must all be >= 1")
+        if min(self.trans_counts) < 0:
+            raise ConfigError(f"trans_counts {list(self.trans_counts)} must all be >= 0")
         if self.decoder_width < 2:
             raise ConfigError(f"decoder_width must be >= 2 (the output head halves it), got {self.decoder_width}")
 

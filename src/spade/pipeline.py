@@ -8,7 +8,6 @@ import json
 import logging
 import os
 from collections.abc import Sequence
-from contextlib import suppress
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -37,7 +36,7 @@ from .errors import (
     SpadeError,
 )
 from .losses import loss_total
-from .metrics import MetricReport, aggregate_metrics, compute_metrics
+from .metrics import MetricReport, aggregate_metrics, compute_metrics, score_pairs
 from .nn import CCDTConfig, FeaturePyramid, Module, RefinementNet, Tensor, no_grad
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.network import STRIDES
@@ -82,9 +81,10 @@ class RunConfig:
             raise ConfigError(
                 f"decay epoch {self.decay_after_epoch} outside schedule of {self.epochs} epochs"
             )
-        if self.batch_size < 1 or self.train_frames < 1 or self.val_frames < 1:
-            raise ConfigError("batch size and frame counts must be positive")
-        for name, low in (("points_min", 1), ("lr", 0), ("lr_decayed", 0), ("weight_decay", 0), ("seed", 0)):
+        for name, low in (
+            ("batch_size", 1), ("train_frames", 1), ("val_frames", 1), ("points_min", 1),
+            ("lr", 0), ("lr_decayed", 0), ("weight_decay", 0), ("seed", 0),
+        ):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.points_min > self.points_max:
@@ -122,13 +122,16 @@ class SweepSpec:
     n_frames: int = 20
 
     def __post_init__(self):
-        if not self.point_counts or not self.patterns or not self.range_caps:
-            raise ConfigError("sweep lists must be non-empty")
+        for name in ("point_counts", "patterns", "range_caps"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must be non-empty")
         unknown = sorted(set(self.patterns) - set(PATTERN_KINDS))
         if unknown:
             raise ConfigError(f"unknown sweep patterns {unknown}; expected some of {PATTERN_KINDS}")
-        if min(self.point_counts) < 1 or self.n_frames < 1:
-            raise ConfigError("sweep point counts and n_frames must be positive")
+        if min(self.point_counts) < 1:
+            raise ConfigError(f"point_counts {list(self.point_counts)} must all be >= 1")
+        if self.n_frames < 1:
+            raise ConfigError(f"n_frames must be >= 1, got {self.n_frames}")
         if not all(cap > 0 for cap in self.range_caps):
             raise ConfigError(f"range caps must be positive, got {list(self.range_caps)}")
 
@@ -476,31 +479,27 @@ def _eval_cells(model, frames, pattern, count, caps, cfg) -> list[dict]:
     w = cfg.input_hw[1]
     laser = LaserRig(float(w), (w - 1) / 2.0, SWEEP_LASER_BASELINE_M) if pattern == "laser2" else None
     refined = [[] for _ in caps]
-    ga = [[] for _ in caps]
-    skipped = [0] * len(caps)
+    ga = [[] for _ in caps]  # scored exactly where refined is: both maps are valid on aligned.valid
     for idx, frame in enumerate(frames):
         try:
             pts = _sweep_points(frame, pattern, count, cfg, idx, laser)
             result = run_frame(model, frame.z_rel, frame.guide, pts, laser=laser)
         except SpadeError as e:
             log.warning("sweep frame %s (%s, n=%d) skipped: %s", frame.name, pattern, count, e)
-            skipped = [s + 1 for s in skipped]
             continue
         ga_depth = from_inverse(result.aligned)
         for i, cap in enumerate(caps):
             try:
                 refined[i].append(compute_metrics(result.depth, frame.gt, cap))
-            except SpadeError as e:
+            except EmptyEvaluationError as e:
                 log.warning(
                     "sweep frame %s (%s, n=%d, cap %g m) skipped: %s", frame.name, pattern, count, cap, e
                 )
-                skipped[i] += 1
                 continue
-            with suppress(SpadeError):
-                ga[i].append(compute_metrics(ga_depth, frame.gt, cap))
+            ga[i].append(compute_metrics(ga_depth, frame.gt, cap))
 
     cells = []
-    for cap, ref_reports, ga_reports, n_skipped in zip(caps, refined, ga, skipped):
+    for cap, ref_reports, ga_reports in zip(caps, refined, ga):
         ref = asdict(aggregate_metrics(ref_reports)) if ref_reports else None
         base = asdict(aggregate_metrics(ga_reports)) if ga_reports else None
         cells.append(
@@ -510,7 +509,7 @@ def _eval_cells(model, frames, pattern, count, caps, cfg) -> list[dict]:
                 "cap_m": cap,
                 "refined": ref,
                 "ga_baseline": base,
-                "skipped_frames": n_skipped,
+                "skipped_frames": len(frames) - len(ref_reports),
                 "delta_mae_vs_ga": (ref["mae"] - base["mae"]) if ref and base else None,
             }
         )
@@ -601,29 +600,18 @@ def sweep_table_markdown(report: dict) -> str:
 
 def render_report(pairs: list, out_dir) -> dict:
     """Emit per-frame error maps (PGM) and metric tables for (name, pred, gt)
-    raster triples; returns the written paths. Every pair is checked before
+    raster triples; returns the written paths. Every pair is scored before
     any file is written."""
-    for name, pred, gt in pairs:
-        if pred.shape != gt.shape:
-            raise ShapeError(f"frame {name}: prediction {pred.shape} vs ground truth {gt.shape}")
-        if pred.space is not Space.METRIC or gt.space is not Space.METRIC:
-            raise DomainError(f"frame {name}: report needs metric depth, got {pred.space.value} vs {gt.space.value}")
+    scored = dict(score_pairs(pairs, float(np.inf))[0])
     os.makedirs(out_dir, exist_ok=True)
     written = {"error_maps": [], "tables": []}
-    rows = []
-    for name, pred, gt in pairs:
-        emap = error_map(pred, gt)
-        path = os.path.join(out_dir, f"error_{name}.pgm")
-        write_pgm(path, emap)
-        written["error_maps"].append(path)
-        try:
-            rep = compute_metrics(pred, gt, cap_m=float(np.inf))
-            rows.append((name, rep))
-        except EmptyEvaluationError:
-            rows.append((name, None))
     csv_lines = ["frame," + ",".join(_METRIC_KEYS)]
     md_lines = ["| frame | " + " | ".join(k.upper() for k in _METRIC_KEYS) + " |", "|" + "---|" * 6]
-    for name, rep in rows:
+    for name, pred, gt in pairs:
+        path = os.path.join(out_dir, f"error_{name}.pgm")
+        write_pgm(path, error_map(pred, gt))
+        written["error_maps"].append(path)
+        rep = scored.get(name)
         if rep is None:
             csv_lines.append(f"{name},skipped,,,,")
             md_lines.append(f"| {name} | skipped | | | | |")

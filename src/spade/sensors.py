@@ -37,16 +37,13 @@ class PatternSpec:
     def __post_init__(self):
         if self.kind not in PATTERN_KINDS:
             raise ConfigError(f"unknown pattern kind {self.kind!r}; expected one of {PATTERN_KINDS}")
-        if self.count < 1 or self.grid_rows < 1 or self.grid_cols < 1:
-            raise ConfigError("pattern counts must be positive")
-        if self.sonar_jitter < 0:
-            raise ConfigError(f"sonar_jitter must be >= 0, got {self.sonar_jitter}")
+        for name, low in (("count", 1), ("grid_rows", 1), ("grid_cols", 1), ("sonar_jitter", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.dvl_fraction <= 0 or self.dvl_fraction > 1:
             raise ConfigError(f"dvl_fraction must be in (0, 1], got {self.dvl_fraction}")
         if self.laser_max_range_m <= 0:
             raise ConfigError(f"laser_max_range_m must be positive, got {self.laser_max_range_m}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _centered_positions(size: int, n: int) -> np.ndarray:
@@ -54,23 +51,20 @@ def _centered_positions(size: int, n: int) -> np.ndarray:
     return np.floor((np.arange(n) + 0.5) * size / n).astype(int)
 
 
+# (du, dv) offsets in search order: Chebyshev ring, then squared distance, then row, then column
+_SNAP_ORDER = sorted(
+    ((du, dv) for dv in range(-SNAP_RADIUS, SNAP_RADIUS + 1) for du in range(-SNAP_RADIUS, SNAP_RADIUS + 1)),
+    key=lambda o: (max(abs(o[0]), abs(o[1])), o[0] ** 2 + o[1] ** 2, o[1], o[0]),
+)
+
+
 def _snap_to_valid(gt: DepthRaster, u: int, v: int) -> tuple[int, int] | None:
-    if gt.valid[v, u]:
-        return u, v
+    """The first valid pixel in `_SNAP_ORDER` around (u, v), or None within SNAP_RADIUS rings."""
     h, w = gt.shape
-    for r in range(1, SNAP_RADIUS + 1):
-        best = None
-        for dv in range(-r, r + 1):
-            for du in range(-r, r + 1):
-                if max(abs(du), abs(dv)) != r:
-                    continue
-                uu, vv = u + du, v + dv
-                if 0 <= uu < w and 0 <= vv < h and gt.valid[vv, uu]:
-                    d2 = du * du + dv * dv
-                    if best is None or d2 < best[0]:
-                        best = (d2, uu, vv)
-        if best is not None:
-            return best[1], best[2]
+    for du, dv in _SNAP_ORDER:
+        uu, vv = u + du, v + dv
+        if 0 <= uu < w and 0 <= vv < h and gt.valid[vv, uu]:
+            return uu, vv
     return None
 
 

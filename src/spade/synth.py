@@ -46,12 +46,11 @@ class SceneSpec:
             raise ConfigError(f"bad depth range [{self.depth_min}, {self.depth_max}]")
         if self.depth_max > self.far_cap:
             raise ConfigError(f"depth_max {self.depth_max} exceeds far cap {self.far_cap}")
-        if self.height < 8 or self.width < 8:
-            raise ConfigError("scene must be at least 8x8")
+        for name, low in (("height", 8), ("width", 8), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.texture_scale < 1:
             raise ConfigError(f"texture_scale must be >= 1 pixel, got {self.texture_scale}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

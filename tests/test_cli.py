@@ -346,6 +346,20 @@ def test_run_guide_size_mismatch_is_refused_before_anything_is_written(scene_dir
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag", ["--relative", "--guide", "--gt", "--points"])
+def test_run_input_fault_is_one_line_format_error_naming_the_file(flag, scene_dir, tmp_path, capsys):
+    argv = [*frame_args(scene_dir, tmp_path), "--gt", scene_dir / "gt.fdr1"]
+    bad = tmp_path / ("bad.csv" if flag == "--points" else "bad.fdr1")
+    bad.write_bytes(b"u,v\n" if flag == "--points" else Path(argv[argv.index(flag) + 1]).read_bytes()[:30])
+    argv[argv.index(flag) + 1] = bad
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"input_hw": [32, 64]}))
+    assert run_cli("run", "--config", cfg, *argv, "--out-dir", tmp_path / "out") == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("fill", [0.0, np.nan])
 def test_run_guide_with_invalid_pixels_is_refused_before_the_model_is_built(
     fill, scene_dir, tmp_path, monkeypatch, capsys
@@ -762,24 +776,58 @@ def depth(shape, space=Space.METRIC):
     return DepthRaster(np.full(shape, 2.0), np.ones(shape, bool), space)
 
 
-@pytest.mark.parametrize(
+# (pred, gt) of frame d, exit code and stderr: a pair of two shapes, and one not in metric depth
+MISMATCHED_PAIRS = pytest.mark.parametrize(
     "bad, code, message",
     [
         ((depth((8, 8)), depth((8, 10))), 2, "error: frame d: prediction (8, 8) vs ground truth (8, 10)\n"),
         (
             (depth((8, 8), Space.INVERSE), depth((8, 8))),
             3,
-            "error: frame d: report needs metric depth, got inverse_depth_per_m vs metric_depth_m\n",
+            "error: frame d: metrics need metric depth, got inverse_depth_per_m vs metric_depth_m\n",
         ),
     ],
     ids=["shape", "space"],
 )
+
+
+@MISMATCHED_PAIRS
 def test_report_refuses_a_mismatched_pair_before_writing(bad, code, message, tmp_path, capsys):
     # the good pair "c" sorts first, so a check inside the per-pair loop would have written its map
     pred_dir, gt_dir = report_dirs(tmp_path, {"c": (depth((8, 8)), depth((8, 8))), "d": bad})
     assert run_cli("report", "--pred", pred_dir, "--gt", gt_dir, "--out-dir", tmp_path / "rep") == code
     assert capsys.readouterr().err == message
     assert not (tmp_path / "rep").exists()
+
+
+@MISMATCHED_PAIRS
+def test_eval_refuses_a_mismatched_pair(bad, code, message, tmp_path, capsys):
+    pred_dir, gt_dir = report_dirs(tmp_path, {"c": (depth((8, 8)), depth((8, 8))), "d": bad})
+    assert run_cli("eval", "--pred", pred_dir, "--gt", gt_dir, "--out", tmp_path / "eval.json") == code
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "eval.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "report"])
+@pytest.mark.parametrize("side", ["pred", "gt"])
+def test_truncated_raster_is_one_line_format_error_naming_the_file(command, side, tmp_path, capsys):
+    pred_dir, gt_dir = report_dirs(tmp_path, {"c": (depth((8, 8)), depth((8, 8))), "d": (depth((8, 8)), depth((8, 8)))})
+    bad = (pred_dir if side == "pred" else gt_dir) / "d.fdr1"
+    bad.write_bytes(bad.read_bytes()[:30])
+    out = ["--out", tmp_path / "eval.json"] if command == "eval" else ["--out-dir", tmp_path / "rep"]
+    assert run_cli(command, "--pred", pred_dir, "--gt", gt_dir, *out) == 4
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: payload size mismatch: expected 333 bytes, file has 30 (at byte offset 30)\n"
+    assert not (tmp_path / "eval.json").exists() and not (tmp_path / "rep").exists()
+
+
+def test_eval_keeps_a_frame_with_no_pixel_under_the_cap_as_skipped(tmp_path, capsys):
+    pred_dir, gt_dir = report_dirs(tmp_path, {"c": (depth((8, 8)), depth((8, 8)))})
+    assert run_cli("eval", "--pred", pred_dir, "--gt", gt_dir, "--cap", 1.0, "--out", tmp_path / "eval.json") == 0
+    report = json.loads((tmp_path / "eval.json").read_text())
+    assert report["skipped"] == [{"frame": "c", "reason": "no pixels under the 1.0 m cap"}]
+    assert report["frames"] == [] and report["aggregate"] is None
+    assert capsys.readouterr().out == "no frames evaluated\n"
 
 
 class TestGradcheckCommand:

@@ -58,9 +58,9 @@ def test_integer_accepted_for_float_and_null_for_optional():
         (PatternSpec, {"seed": -1}, "seed must be >= 0, got -1"),
         (RunConfig, {"pyramid_channels": [0, 8, 10, 12]}, "pyramid_channels [0, 8, 10, 12] must all be >= 1"),
         (RunConfig, {"pyramid_channels": [16, 32, 48, 0]}, "pyramid_channels [16, 32, 48, 0] must all be >= 1"),
-        (RunConfig, {"network": {"mlp_ratio": 0}}, "mlp_ratio, embed_channels and fused_channels must be >= 1"),
-        (RunConfig, {"network": {"embed_channels": 0}}, "mlp_ratio, embed_channels and fused_channels must be >= 1"),
-        (RunConfig, {"network": {"fused_channels": 0}}, "mlp_ratio, embed_channels and fused_channels must be >= 1"),
+        (RunConfig, {"network": {"mlp_ratio": 0}}, "mlp_ratio must be >= 1, got 0"),
+        (RunConfig, {"network": {"embed_channels": 0}}, "embed_channels must be >= 1, got 0"),
+        (RunConfig, {"network": {"fused_channels": -2}}, "fused_channels must be >= 1, got -2"),
         (RunConfig, {"network": {"decoder_width": 1}}, "decoder_width must be >= 2"),
         (RunConfig, {"network": {"strides": [4, 2, 2, 2]}}, "unknown fields in network: ['strides']"),
         (RunConfig, {"jbu": {"sigma_range": 1e-200}}, "kernel sigmas must be positive"),
@@ -97,6 +97,27 @@ def test_integer_accepted_for_float_and_null_for_optional():
         (RunConfig, {"betas": [-0.1, 0.999]}, "betas must each be in [0, 1), got [-0.1, 0.999]"),
         (RunConfig, {"eval_cap_m": 0}, "eval_cap_m must be > 0, got 0.0"),
         (RunConfig, {"eval_cap_m": -1.0}, "eval_cap_m must be > 0, got -1.0"),
+        # one field and its value per message
+        (RunConfig, {"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        (RunConfig, {"train_frames": 0}, "train_frames must be >= 1, got 0"),
+        (RunConfig, {"val_frames": -3}, "val_frames must be >= 1, got -3"),
+        (SweepSpec, {"point_counts": []}, "point_counts must be non-empty"),
+        (SweepSpec, {"patterns": []}, "patterns must be non-empty"),
+        (SweepSpec, {"range_caps": []}, "range_caps must be non-empty"),
+        (SweepSpec, {"point_counts": [30, 0]}, "point_counts [30, 0] must all be >= 1"),
+        (SweepSpec, {"n_frames": 0}, "n_frames must be >= 1, got 0"),
+        (RunConfig, {"network": {"widths": [8, 16, 24]}}, "widths [8, 16, 24] must have exactly 4 entries, one per stage"),
+        (RunConfig, {"network": {"conv_counts": [1, 1, 2]}}, "conv_counts [1, 1, 2] must have exactly 4 entries"),
+        (RunConfig, {"network": {"trans_counts": [1, 1, 2, 2, 1]}}, "trans_counts [1, 1, 2, 2, 1] must have exactly 4"),
+        (RunConfig, {"network": {"grid_downsamples": [2]}}, "grid_downsamples [2] must have exactly 4 entries"),
+        (RunConfig, {"network": {"conv_counts": [1, 0, 2, 2]}}, "conv_counts [1, 0, 2, 2] must all be >= 1"),
+        (RunConfig, {"network": {"trans_counts": [1, 1, -1, 2]}}, "trans_counts [1, 1, -1, 2] must all be >= 0"),
+        (RunConfig, {"network": {"heads": 0}}, "heads must be >= 1, got 0"),
+        (PatternSpec, {"count": 0}, "count must be >= 1, got 0"),
+        (PatternSpec, {"grid_rows": 0}, "grid_rows must be >= 1, got 0"),
+        (PatternSpec, {"grid_cols": -1}, "grid_cols must be >= 1, got -1"),
+        (SynthSpec, {"scene": {"height": 7}}, "height must be >= 8, got 7"),
+        (SynthSpec, {"scene": {"width": 4}}, "width must be >= 8, got 4"),
     ],
 )
 def test_rejection_names_the_field(cls, payload, message):

@@ -135,6 +135,14 @@ class TestRasterIO:
         with pytest.raises(FormatError, match="overflow"):
             read_raster(p)
 
+    def test_fault_names_the_file(self, tmp_path):
+        p = tmp_path / "t.fdr1"
+        write_raster(metric([[1.0, 2.0]]), p)
+        p.write_bytes(p.read_bytes()[:-3])
+        with pytest.raises(FormatError) as err:
+            read_raster(p)
+        assert str(err.value) == f"{p}: payload size mismatch: expected 23 bytes, file has 20 (at byte offset 20)"
+
 
 class TestSparsePoints:
     def test_duplicate_pixel_rejected(self):
@@ -167,6 +175,19 @@ class TestSparsePoints:
         p.write_text("x,y,z\n1,2,3\n")
         with pytest.raises(FormatError, match="header"):
             read_points(p)
+
+    @pytest.mark.parametrize(
+        "data, tail",
+        [(b"", "empty points file (at byte offset 0)"), (b"u,v,depth_m\n1,2\n", "line 2: expected 3 fields, got 2"),
+         (b"u,v,depth_m\n\xff,1,2\n", "unreadable points file: 'utf-8' codec")],
+        ids=["empty", "short-line", "not-utf8"],
+    )
+    def test_csv_fault_names_the_file(self, tmp_path, data, tail):
+        p = tmp_path / "pts.csv"
+        p.write_bytes(data)
+        with pytest.raises(FormatError) as err:
+            read_points(p)
+        assert str(err.value).startswith(f"{p}: {tail}")
 
     def test_csv_not_utf8(self, tmp_path):
         p = tmp_path / "latin1.csv"

@@ -2,15 +2,19 @@
 value or raise FormatError, never another exception; whatever JSON value the
 config reader gets, it returns a config or raises ConfigError; whatever finite
 inputs the alignment fits and the scale-map densification get, they return
-finite values or raise SpadeError."""
+finite values or raise SpadeError; whatever single fault a pred/gt raster pair
+has, `spade eval` and `spade report` exit with its documented code."""
 
+import csv
 import dataclasses
 import json
 import math
 import re
 import struct
+import tempfile
 import typing
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +34,9 @@ from spade.core import (
     SparsePointSet,
     read_points,
     read_raster,
+    write_raster,
 )
+from spade.cli import main
 from spade.errors import ConfigError, FormatError, SpadeError
 from spade.nn import load_checkpoint
 from spade.pipeline import RunConfig, SpadeModel, SweepSpec, run_frame
@@ -442,3 +448,100 @@ def test_jbu_is_finite_and_positive_or_raises(data):
             return
     filled = dense.values[dense.filled]
     assert np.all(np.isfinite(filled)) and np.all(filled > 0)
+
+
+# ---------------------------------------------------------------------------
+# `spade eval` and `spade report` over a pred/gt directory pair with one
+# mutated raster: each exits 0, 2, 3 or 4, and only exit 0 writes a file
+# ---------------------------------------------------------------------------
+
+PAIR_MUTATIONS = ("truncate", "garble", "shape", "space", "all_invalid", "low_cap")
+
+
+def write_pair_dirs(root, data):
+    """pred/ and gt/ holding frames a and b; b's raster on one side carries one mutation."""
+    shape = (4, 6)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    rasters = {}
+    for name in ("a", "b"):
+        gt = rng.uniform(0.5, 5.0, shape)
+        rasters[name] = {
+            "pred": DepthRaster(gt * rng.uniform(0.8, 1.2, shape), np.ones(shape, bool), Space.METRIC),
+            "gt": DepthRaster(gt, rng.random(shape) < 0.8, Space.METRIC),
+        }
+    mutation = data.draw(st.sampled_from(PAIR_MUTATIONS), label="mutation")
+    side = data.draw(st.sampled_from(("pred", "gt")), label="side")
+    r = rasters["b"][side]
+    if mutation == "shape":
+        rasters["b"][side] = DepthRaster(np.full((4, 5), 2.0), np.ones((4, 5), bool), Space.METRIC)
+    elif mutation == "space":
+        rasters["b"][side] = DepthRaster(r.values, r.valid, data.draw(st.sampled_from([Space.INVERSE, Space.AFFINE])))
+    elif mutation == "all_invalid":
+        rasters["b"][side] = DepthRaster(r.values, np.zeros(shape, bool), Space.METRIC)
+    for name, sides in rasters.items():
+        for s, raster in sides.items():
+            (root / s).mkdir(exist_ok=True)
+            write_raster(raster, root / s / f"{name}.fdr1")
+    path = root / side / "b.fdr1"
+    raw = bytearray(path.read_bytes())
+    if mutation == "truncate":
+        path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="cut")])
+    elif mutation == "garble":
+        raw[data.draw(st.integers(0, len(raw) - 1), label="at")] = data.draw(st.integers(0, 255), label="byte")
+        path.write_bytes(bytes(raw))
+    return mutation, path
+
+
+def expected_exit(root):
+    """4 if a raster does not read, else 3 for a pair in two spaces, 2 for two shapes, else 0."""
+    pairs = []
+    for name in ("a", "b"):
+        try:
+            pairs.append((read_raster(root / "pred" / f"{name}.fdr1"), read_raster(root / "gt" / f"{name}.fdr1")))
+        except FormatError:
+            return 4
+    if any(pred.space is not Space.METRIC or gt.space is not Space.METRIC for pred, gt in pairs):
+        return 3
+    return 2 if any(pred.shape != gt.shape for pred, gt in pairs) else 0
+
+
+def finite_numbers(value):
+    if isinstance(value, dict):
+        return all(finite_numbers(v) for v in value.values())
+    if isinstance(value, list):
+        return all(finite_numbers(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+@FUZZ
+@given(data=st.data(), command=st.sampled_from(["eval", "report"]))
+def test_eval_and_report_score_or_refuse_every_mutated_pair(tmp_path, capsys, data, command):
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    mutation, path = write_pair_dirs(root, data)
+    out = root / ("eval.json" if command == "eval" else "rep")
+    argv = [command, "--pred", root / "pred", "--gt", root / "gt"]
+    if command == "eval":
+        argv += ["--cap", 0.1 if mutation == "low_cap" else 10.0, "--out", out]
+    else:
+        argv += ["--out-dir", out]
+    capsys.readouterr()
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert code == expected_exit(root), (code, err)
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+        if code == 4:
+            assert str(path) in err, err
+        return
+    if command == "eval":
+        report = json.loads(out.read_text())
+        assert finite_numbers(report)
+        assert len(report["frames"]) + len(report["skipped"]) == 2
+        assert report["frames"] or mutation == "low_cap"
+    else:
+        with open(out / "metrics.csv", newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        assert [row[0] for row in rows] == ["a", "b"]
+        cells = [v for row in rows if row[1] != "skipped" for v in row[1:]]
+        assert all(math.isfinite(float(v)) for v in cells)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from spade.core import DepthRaster, Space
-from spade.errors import DomainError, EmptyEvaluationError
-from spade.metrics import aggregate_metrics, compute_metrics
+from spade.errors import DomainError, EmptyEvaluationError, ShapeError
+from spade.metrics import aggregate_metrics, compute_metrics, score_pairs
 
 
 def metric_raster(values, valid=None):
@@ -110,3 +110,31 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(EmptyEvaluationError):
             aggregate_metrics([])
+
+
+class TestScorePairs:
+    def test_frame_with_no_pixel_under_the_cap_is_skipped_with_the_reason(self):
+        near, far = random_pair(1), (metric_raster([[20.0]]), metric_raster([[30.0]]))
+        scored, skipped = score_pairs([("a", *near), ("b", *far)], cap_m=10.0)
+        assert scored == [("a", compute_metrics(*near, cap_m=10.0))]
+        with pytest.raises(EmptyEvaluationError) as err:
+            compute_metrics(*far, cap_m=10.0)
+        assert skipped == [("b", str(err.value))]
+
+    @pytest.mark.parametrize(
+        "pred, error, message",
+        [
+            (metric_raster([[1.0, 2.0]]), ShapeError, "frame b: prediction (1, 2) vs ground truth (1, 1)"),
+            (
+                DepthRaster(np.array([[1.0]]), np.ones((1, 1), bool), Space.INVERSE),
+                DomainError,
+                "frame b: metrics need metric depth, got inverse_depth_per_m vs metric_depth_m",
+            ),
+        ],
+        ids=["shape", "space"],
+    )
+    def test_other_faults_are_raised_naming_the_frame(self, pred, error, message):
+        pairs = [("a", *random_pair(1)), ("b", pred, metric_raster([[1.0]]))]
+        with pytest.raises(error) as err:
+            score_pairs(pairs, cap_m=10.0)
+        assert str(err.value) == message

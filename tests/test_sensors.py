@@ -4,7 +4,7 @@ import pytest
 from spade.config import from_json
 from spade.core import DepthRaster, LaserRig, Space, SparsePointSet
 from spade.errors import ConfigError, DomainError
-from spade.sensors import PatternSpec, sample_pattern, subsample
+from spade.sensors import SNAP_RADIUS, PatternSpec, _snap_to_valid, sample_pattern, subsample
 
 
 def metric(values, valid=None):
@@ -122,6 +122,31 @@ class TestSnapping:
         assert (2, 2) not in coords
         assert len(pts) == 4
         assert any(max(abs(u - 2), abs(v - 2)) <= 3 for u, v in coords)
+
+    @staticmethod
+    def snap_reference(valid, u, v):
+        """Ring by ring outward; within a ring the least squared distance, ties to the first in row-major order."""
+        h, w = valid.shape
+        for r in range(SNAP_RADIUS + 1):
+            ring = [
+                (du * du + dv * dv, u + du, v + dv)
+                for dv in range(-r, r + 1)
+                for du in range(-r, r + 1)
+                if max(abs(du), abs(dv)) == r and 0 <= u + du < w and 0 <= v + dv < h and valid[v + dv, u + du]
+            ]
+            if ring:
+                best = min(d2 for d2, _, _ in ring)
+                return next((uu, vv) for d2, uu, vv in ring if d2 == best)
+        return None
+
+    def test_snap_matches_the_ring_by_ring_reference(self):
+        rng = np.random.default_rng(3)
+        for _ in range(3000):
+            h, w = rng.integers(1, 12, size=2)
+            valid = rng.random((h, w)) < rng.choice([0.02, 0.1, 0.3, 0.7])
+            gt = metric(np.full((h, w), 2.0), valid)
+            u, v = int(rng.integers(w)), int(rng.integers(h))
+            assert _snap_to_valid(gt, u, v) == self.snap_reference(valid, u, v)
 
     def test_unreachable_point_dropped(self):
         valid = np.zeros((10, 10), dtype=bool)
