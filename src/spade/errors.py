@@ -54,7 +54,7 @@ class DivergenceError(NumericError):
 
 
 class FormatError(SpadeError):
-    """Malformed file; carries the byte offset where parsing failed."""
+    """Malformed file; the message ends with the byte offset where parsing failed, when one is known."""
 
     exit_code = 4
 
@@ -62,4 +62,3 @@ class FormatError(SpadeError):
         if byte_offset is not None:
             message = f"{message} (at byte offset {byte_offset})"
         super().__init__(message)
-        self.byte_offset = byte_offset

@@ -61,12 +61,12 @@ def test_summary_of_canned_pairs():
     assert rss["change_wins"] == 1  # lower is better; an equal pair is no win
     assert rss["parent"] == {"median": 76.5, "q1": 76.5, "q3": pytest.approx(79.8 - 0.25 * 3.3)}
     assert rss["median_change_vs_parent"] == pytest.approx(((76.5 + 79.8) / 2) / 76.5 - 1)
-    assert rss["within_bound"]  # +2.2% against a 10% bound
+    assert rss["verdict"] == "within bound"  # +2.2% against a 10% bound
 
     rate = cell["frames_per_s"]
     assert rate["change_wins"] == 3  # higher is better
     assert rate["parent"]["median"] == 102.5 and rate["change"]["median"] == 110.0
-    assert rate["within_bound"]
+    assert rate["verdict"] == "within bound"  # parent spread 16% of its median, under the 25% bound
 
 
 def test_a_change_worse_than_its_bound_is_flagged():
@@ -76,6 +76,22 @@ def test_a_change_worse_than_its_bound_is_flagged():
         runs.append(tool.run_record("sweep", i, i, "parent", result(70.0, 100.0)))
         runs.append(tool.run_record("sweep", i, i, "change", result(80.0, 70.0)))
     cell = tool.summarize(runs, END_TO_END)["sweep"]
-    assert not cell["peak_rss_mb"]["within_bound"]  # +14% with lower better
-    assert not cell["frames_per_s"]["within_bound"]  # -30% with higher better
+    assert cell["peak_rss_mb"]["verdict"] == "worse than bound"  # +14% with lower better
+    assert cell["frames_per_s"]["verdict"] == "worse than bound"  # -30% with higher better
     assert cell["frames_per_s"]["change_wins"] == 0
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    tool = load_tool()
+    parent_rates = [60.0, 100.0, 140.0, 100.0]  # quartiles 70-130: 60% of the median, over the 25% bound
+
+    def cell(change_rates):
+        runs = []
+        for i, (a, c) in enumerate(zip(parent_rates, change_rates)):
+            runs.append(tool.run_record("frame", i, i, "parent", result(70.0, a)))
+            runs.append(tool.run_record("frame", i, i, "change", result(70.0, c)))
+        return tool.summarize(runs, END_TO_END)["frame"]["frames_per_s"]
+
+    assert cell([100.0, 101.0, 99.0, 100.0])["verdict"] == "unresolved"  # same median, yet not resolved
+    assert cell([40.0, 50.0, 45.0, 42.0])["verdict"] == "unresolved"  # even a worse median is not judged
+    assert cell([141.0, 150.0, 145.0, 142.0])["verdict"] == "within bound"  # every change run beats every parent run

@@ -3,17 +3,18 @@
 Run from anywhere, with two spade checkouts (the parent commit and the change):
 
     python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_<n>.json \
-        [--pairs 10] [--first-seed 1] [--seconds 30] [workload ...]
+        [--first-seed 1] [workload ...]
 
-For each workload, pair i runs `perfbench/run.py --seed <first-seed + i>
---trace 0` once in each checkout, each from its own root; even pairs run the
-parent first and odd pairs the change first, so a drift of the host over the
-session falls on both sides. The file lists every run (its end-to-end values,
-`correct` and `failed`), each side's median and quartiles per metric, the
-change/parent ratio of every pair and how many pairs the change won, plus the
-seeds, both commits and each side's `env` lines. Every run is kept because some
-metrics are not unimodal: `frame` `peak_rss_mb` reads one of two levels, and
-`sweep` `setup_s` drifts from process to process.
+For each workload, pair i of 10 runs `perfbench/run.py --seed <first-seed + i>
+--trace 0` for BENCHMARK.json's `run_seconds` once in each checkout, each from
+its own root; even pairs run the parent first and odd pairs the change first, so
+a drift of the host over the session falls on both sides. The file lists every
+run (its end-to-end values, `correct` and `failed`), each side's median and
+quartiles per metric, the change/parent ratio of every pair and how many pairs
+the change won, a verdict against the metric's bound, plus the seeds, both
+commits and each side's `env` lines. Every run is kept because some metrics are
+not unimodal: `frame` `peak_rss_mb` reads one of two levels, and `sweep`
+`setup_s` drifts from process to process.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def load_bench_run():
@@ -66,9 +68,22 @@ def quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def verdict(values: dict, parent: dict, worse: float, m: dict) -> str:
+    """Unresolved where the parent's quartile spread over its median is wider
+    than the bound, unless every change run beats every parent run; otherwise
+    whether the change's median is worse than the parent's by more than the bound."""
+    if m["better"] == "lower":
+        clear_win = max(values["change"]) < min(values["parent"])
+    else:
+        clear_win = min(values["change"]) > max(values["parent"])
+    if (parent["q3"] - parent["q1"]) / parent["median"] > m["bound"] and not clear_win:
+        return "unresolved"
+    return "within bound" if worse <= m["bound"] else "worse than bound"
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per workload and end-to-end metric: each side's median and quartiles, and
-    per pair the change/parent ratio and whether the change was better."""
+    """Per workload and end-to-end metric: each side's median and quartiles, per
+    pair the change/parent ratio and whether the change was better, and the verdict."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_pair = {}
@@ -97,7 +112,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 "pair_ratios": ratios,
                 "change_wins": wins,
                 "median_change_vs_parent": change_vs_parent,
-                "within_bound": worse <= m["bound"],
+                "verdict": verdict(values, side_stats["parent"], worse, m),
             }
         summary[workload] = cell
     return summary
@@ -121,9 +136,7 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, type=Path, help="checkout of the change")
     ap.add_argument("--out", required=True, type=Path, help="BENCH_<n>.json to write")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
     ap.add_argument("workloads", nargs="*", default=[w["name"] for w in bench["workloads"]])
     args = ap.parse_args(argv)
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -132,11 +145,11 @@ def main(argv=None) -> int:
 
     runs, envs = [], {side: {} for side in SIDES}
     for workload in args.workloads:
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             seed = args.first_seed + i
             for side in pair_order(i):
                 os.chdir(dirs[side])
-                result, lines = bench_run(workload, seed, args.seconds, 0)
+                result, lines = bench_run(workload, seed, bench["run_seconds"], 0)
                 runs.append(run_record(workload, i, seed, side, result))
                 env = env_line(lines)
                 envs[side][json.dumps(env, sort_keys=True)] = env
@@ -144,8 +157,8 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {i} seed {seed} {side}: correct={result['correct']} {values}", flush=True)
     payload = {
         "command": "python3 perfbench/run.py --workload <w> --seed <seed> --seconds <s> --trace 0",
-        "seconds": args.seconds,
-        "seeds": list(range(args.first_seed, args.first_seed + args.pairs)),
+        "seconds": bench["run_seconds"],
+        "seeds": list(range(args.first_seed, args.first_seed + PAIRS)),
         "order": "even pairs run the parent first, odd pairs the change first",
         "commits": {side: checkout_commit(d) for side, d in dirs.items()},
         "env": {side: list(envs[side].values()) for side in SIDES},  # each distinct env line of the side
@@ -160,7 +173,7 @@ def main(argv=None) -> int:
             s = cell[m["name"]]
             print(f"{workload:6s} {m['name']:13s} parent {s['parent']['median']:10.5g} change {s['change']['median']:10.5g} "
                   f"({s['median_change_vs_parent']:+.3f}, change won {s['change_wins']}/{cell['pairs']}) "
-                  f"{'ok' if s['within_bound'] else 'WORSE THAN BOUND'}")
+                  f"{s['verdict']}")
     return 0
 
 
