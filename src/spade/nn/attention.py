@@ -148,11 +148,10 @@ class DeformableAttention(Module):
         q4 = q.reshape(B, hds, d, N)
         k4 = self.wk(sampled).reshape(B, hds, d, Nk)
         v4 = self.wv(sampled).reshape(B, hds, d, Nk)
-        logits = (q4.transpose(0, 1, 3, 2) @ k4) * (1.0 / np.sqrt(d))  # (B, heads, N, Nk)
-
-        bias = rel_pos_bias(self.rel_bias_table, ppos, H, W, cfg.grid_downsample)
-
-        attn = softmax(logits + bias, axis=-1)
+        # the bias first, so its temporaries are freed before the logits exist
+        scores = rel_pos_bias(self.rel_bias_table, ppos, H, W, cfg.grid_downsample)
+        scores = (q4.transpose(0, 1, 3, 2) @ k4) * (1.0 / np.sqrt(d)) + scores  # (B, heads, N, Nk)
+        attn = softmax(scores, axis=-1)
         heads_out = v4 @ attn.transpose(0, 1, 3, 2)  # (B, heads, d, N)
         return self.wo(heads_out.reshape(B, C, H, W))
 

@@ -257,9 +257,11 @@ class RefinementNet(Module):
             )
         eps_in = (eps_dense - EPS_EMBED_CENTER) * EPS_EMBED_SCALE
         z_in = (z_tilde - Z_EMBED_CENTER) * Z_EMBED_SCALE
-        fused = self.fusion(feats)
-        fused_full = interpolate_bilinear(fused, H, W)
-        x = concat([self.embed_eps(eps_in).relu(), self.embed_z(z_in).relu(), fused_full], axis=1)
+        # built in the call, so no local keeps the full-size fused map alive through the stages
+        x = concat(
+            [self.embed_eps(eps_in).relu(), self.embed_z(z_in).relu(), interpolate_bilinear(self.fusion(feats), H, W)],
+            axis=1,
+        )
         skips = []
         for stage in self.stages:
             x = stage(x)

@@ -580,9 +580,9 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, gro
         step = min(B, max(1, BYTE_BUDGET // (cols_bytes // B)))
         w2, n = w.data.reshape(G, Fg, Cg * kh * kw), Ho * Wo
         out_data = np.empty((G, Fg, B * n))
-        for s in range(0, B, step):
-            cols = _cols(x.data[s : s + step], kh, kw, stride, padding, Ho, Wo, G)
-            np.matmul(w2, cols, out=out_data[:, :, s * n : (s + step) * n])
+        for s in range(0, B, step):  # each chunk's matrix is freed before the next is built
+            chunk = out_data[:, :, s * n : (s + step) * n]
+            np.matmul(w2, _cols(x.data[s : s + step], kh, kw, stride, padding, Ho, Wo, G), out=chunk)
         # a view at B=1, where the batch axis has size one
         out_data = np.ascontiguousarray(out_data.reshape(F, B, Ho, Wo).transpose(1, 0, 2, 3))
     if b is not None:
@@ -762,8 +762,9 @@ def rel_pos_bias(table: Tensor, ppos: Tensor, H: int, W: int, g: int) -> Tensor:
     C, dC = _two_tap_weights(W, ppos.data[..., 1], Tw, inv_g)
     T = table.data
     # along table rows for all keys in one GEMM, then along columns per key
-    RT = R.reshape(B * Nk * H, Th) @ T.transpose(1, 0, 2).reshape(Th, hds * Tw)
-    RTC = RT.reshape(B, Nk, H * hds, Tw) @ C.transpose(0, 1, 3, 2)  # (B,Nk,H*hds,W)
+    # RT is freed at the rebind, so only one product is alive with the output copy
+    RTC = (R.reshape(B * Nk * H, Th) @ T.transpose(1, 0, 2).reshape(Th, hds * Tw)).reshape(B, Nk, H * hds, Tw)
+    RTC = RTC @ C.transpose(0, 1, 3, 2)  # (B,Nk,H*hds,W)
     out_data = np.ascontiguousarray(RTC.reshape(B, Nk, H, hds, W).transpose(0, 3, 2, 4, 1))
     out_data = out_data.reshape(B, hds, H * W, Nk)
 

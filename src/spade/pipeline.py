@@ -38,6 +38,7 @@ from .errors import (
 from .losses import loss_total
 from .metrics import MetricReport, aggregate_metrics, compute_metrics, score_pairs
 from .nn import CCDTConfig, FeaturePyramid, Module, RefinementNet, Tensor, no_grad
+from .nn import tensor as nn_tensor
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.network import STRIDES
 from .optim import AdamW
@@ -310,6 +311,20 @@ def network_inputs(frames: Sequence[PreparedFrame]) -> tuple[Tensor, Tensor, Ten
     return tuple(Tensor(np.stack(arrays)[:, None]) for arrays in fields)
 
 
+def refine_frames(model: SpadeModel, frames: Sequence[PreparedFrame]) -> list[tuple[DepthRaster, np.ndarray]]:
+    """Stage 2 for B prepared frames in one eval forward: each frame's refined
+    depth and its predicted correction map eps_hat."""
+    model.eval()
+    with no_grad():
+        eps_hat = model(*network_inputs(frames)).data[:, 0]
+    refined = []
+    for frame, eps in zip(frames, eps_hat):
+        aligned = frame.aligned
+        inv = np.where(aligned.valid, aligned.values * eps, 0.0)
+        refined.append((from_inverse(DepthRaster(inv, aligned.valid, Space.INVERSE)), eps))
+    return refined
+
+
 def check_frame(z_rel: DepthRaster, guide: DepthRaster, cfg: RunConfig):
     """A frame must have the configured input size and a guide of its size,
     and the guide must be a unitless image, not a depth map, valid at every
@@ -338,18 +353,11 @@ def run_frame(
     cfg = model.cfg
     check_frame(z_rel, guide, cfg)
     frame = prepare_frame(z_rel, guide, pts, cfg.jbu, laser)
-    aligned = frame.aligned
-
-    model.eval()
-    with no_grad():
-        eps_hat_map = model(*network_inputs([frame])).data[0, 0]
-    refined_inv = np.where(aligned.valid, aligned.values * eps_hat_map, 0.0)
-    refined = from_inverse(DepthRaster(refined_inv, aligned.valid, Space.INVERSE))
-
+    ((refined, eps_hat),) = refine_frames(model, [frame])
     report = None
     if gt is not None:
         report = compute_metrics(refined, gt, cap_m if cap_m is not None else cfg.eval_cap_m)
-    return FrameResult(depth=refined, aligned=aligned, fit=frame.fit, eps_hat=eps_hat_map, metrics=report)
+    return FrameResult(depth=refined, aligned=frame.aligned, fit=frame.fit, eps_hat=eps_hat, metrics=report)
 
 
 # ---------------------------------------------------------------------------
@@ -473,68 +481,83 @@ def _sweep_points(frame: FrameData, pattern: str, count: int, cfg: RunConfig, fr
     return sample_pattern(frame.gt, PatternSpec(kind=pattern), laser=laser)
 
 
-def _eval_cells(model, frames, pattern, count, caps, cfg) -> list[dict]:
-    """Cells of one (pattern, count): each frame is refined once and scored at
-    every cap, with the globally aligned map as the GA baseline."""
-    w = cfg.input_hw[1]
-    laser = LaserRig(float(w), (w - 1) / 2.0, SWEEP_LASER_BASELINE_M) if pattern == "laser2" else None
-    refined = [[] for _ in caps]
-    ga = [[] for _ in caps]  # scored exactly where refined is: both maps are valid on aligned.valid
-    for idx, frame in enumerate(frames):
-        try:
-            pts = _sweep_points(frame, pattern, count, cfg, idx, laser)
-            result = run_frame(model, frame.z_rel, frame.guide, pts, laser=laser)
-        except SpadeError as e:
-            log.warning("sweep frame %s (%s, n=%d) skipped: %s", frame.name, pattern, count, e)
-            continue
-        ga_depth = from_inverse(result.aligned)
-        for i, cap in enumerate(caps):
-            try:
-                refined[i].append(compute_metrics(result.depth, frame.gt, cap))
-            except EmptyEvaluationError as e:
-                log.warning(
-                    "sweep frame %s (%s, n=%d, cap %g m) skipped: %s", frame.name, pattern, count, cap, e
-                )
-                continue
-            ga[i].append(compute_metrics(ga_depth, frame.gt, cap))
-
-    cells = []
-    for cap, ref_reports, ga_reports in zip(caps, refined, ga):
-        ref = asdict(aggregate_metrics(ref_reports)) if ref_reports else None
-        base = asdict(aggregate_metrics(ga_reports)) if ga_reports else None
-        cells.append(
-            {
-                "pattern": pattern,
-                "count": count,
-                "cap_m": cap,
-                "refined": ref,
-                "ga_baseline": base,
-                "skipped_frames": len(frames) - len(ref_reports),
-                "delta_mae_vs_ga": (ref["mae"] - base["mae"]) if ref and base else None,
-            }
-        )
-    return cells
+def sweep_batch(cfg: RunConfig) -> int:
+    """How many passes a sweep refines in one forward: as many samples as fit
+    BYTE_BUDGET with the bytes of one sample's stage-1 input, the
+    (2 * embed + fused)-channel full-size map the first stage reads, and at least one."""
+    net, (h, w) = cfg.network, cfg.input_hw
+    return max(1, nn_tensor.BYTE_BUDGET // (8 * (2 * net.embed_channels + net.fused_channels) * h * w))
 
 
 def sweep(model: SpadeModel, cfg: RunConfig, spec: SweepSpec) -> dict:
     """Grid of (pattern, point count, range cap) cells with a global-alignment
     baseline column: the aligned map of the same frames and points, before
-    refinement."""
+    refinement.
+
+    Frame by frame, every (pattern, count) pass is prepared by stage 1 (a
+    pass whose stage 1 fails is logged and skipped), the passes are refined
+    in batches of `sweep_batch(model.cfg)` samples, one eval forward each,
+    and each refined pass is scored at every cap into its cell."""
     frames = build_corpus(cfg, "eval", n_frames=spec.n_frames)
-    # make sure enough feature points exist per frame for the largest count
-    need = max(spec.point_counts)
-    for i, frame in enumerate(frames):
-        if len(frame.points) < need:
-            pattern = PatternSpec(kind="feature_like", count=need, seed=(cfg.seed * 31 + i) & 0x7FFFFFFF)
-            frames[i] = replace(frame, points=sample_pattern(frame.gt, pattern, guide=frame.guide))
+    if "feature_like" in spec.patterns:  # the one pattern that reads the frame's feature points
+        # make sure enough feature points exist per frame for the largest count
+        need = max(spec.point_counts)
+        for i, frame in enumerate(frames):
+            if len(frame.points) < need:
+                pattern = PatternSpec(kind="feature_like", count=need, seed=(cfg.seed * 31 + i) & 0x7FFFFFFF)
+                frames[i] = replace(frame, points=sample_pattern(frame.gt, pattern, guide=frame.guide))
+
+    w = cfg.input_hw[1]
+    rig = LaserRig(float(w), (w - 1) / 2.0, SWEEP_LASER_BASELINE_M)
+    passes = [
+        (pattern, count)
+        for pattern in spec.patterns
+        for count in ([_FIXED_COUNT_PATTERNS[pattern]] if pattern in _FIXED_COUNT_PATTERNS else spec.point_counts)
+    ]
+    caps = spec.range_caps
+    refined = {key: [[] for _ in caps] for key in passes}
+    ga = {key: [[] for _ in caps] for key in passes}  # scored exactly where refined is: both are valid on aligned.valid
+    batch = sweep_batch(model.cfg)
+    for idx, frame in enumerate(frames):
+        ready = []
+        for pattern, count in passes:
+            laser = rig if pattern == "laser2" else None
+            try:
+                check_frame(frame.z_rel, frame.guide, model.cfg)
+                pts = _sweep_points(frame, pattern, count, cfg, idx, laser)
+                ready.append(((pattern, count), prepare_frame(frame.z_rel, frame.guide, pts, model.cfg.jbu, laser)))
+            except SpadeError as e:
+                log.warning("sweep frame %s (%s, n=%d) skipped: %s", frame.name, pattern, count, e)
+        for start in range(0, len(ready), batch):
+            chunk = ready[start : start + batch]
+            for ((pattern, count), prepared), (depth, _) in zip(chunk, refine_frames(model, [p for _, p in chunk])):
+                ga_depth = from_inverse(prepared.aligned)
+                for i, cap in enumerate(caps):
+                    try:
+                        refined[pattern, count][i].append(compute_metrics(depth, frame.gt, cap))
+                    except EmptyEvaluationError as e:
+                        log.warning(
+                            "sweep frame %s (%s, n=%d, cap %g m) skipped: %s", frame.name, pattern, count, cap, e
+                        )
+                        continue
+                    ga[pattern, count][i].append(compute_metrics(ga_depth, frame.gt, cap))
 
     cells = []
-    for pattern in spec.patterns:
-        counts = [_FIXED_COUNT_PATTERNS[pattern]] if pattern in _FIXED_COUNT_PATTERNS else list(
-            spec.point_counts
-        )
-        for count in counts:
-            cells += _eval_cells(model, frames, pattern, count, spec.range_caps, cfg)
+    for pattern, count in passes:
+        for cap, ref_reports, ga_reports in zip(caps, refined[pattern, count], ga[pattern, count]):
+            ref = asdict(aggregate_metrics(ref_reports)) if ref_reports else None
+            base = asdict(aggregate_metrics(ga_reports)) if ga_reports else None
+            cells.append(
+                {
+                    "pattern": pattern,
+                    "count": count,
+                    "cap_m": cap,
+                    "refined": ref,
+                    "ga_baseline": base,
+                    "skipped_frames": len(frames) - len(ref_reports),
+                    "delta_mae_vs_ga": (ref["mae"] - base["mae"]) if ref and base else None,
+                }
+            )
     return {
         "n_frames": spec.n_frames,
         "seed": cfg.seed,

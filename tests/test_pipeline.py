@@ -8,7 +8,7 @@ import pytest
 from conftest import fast_config
 from spade.config import from_json
 from spade.core import DepthRaster, LaserRig, SparsePointSet, from_inverse
-from spade.errors import ConfigError, DomainError, FormatError
+from spade.errors import ConfigError, DomainError, FormatError, SpadeError
 from spade.metrics import aggregate_metrics, compute_metrics
 from spade.nn import RefinementNet, Tensor, no_grad, save_checkpoint
 from spade.nn.tensor import _Node
@@ -27,6 +27,7 @@ from spade.pipeline import (
     render_report,
     run_frame,
     sweep,
+    sweep_batch,
     train,
     write_pgm,
 )
@@ -83,6 +84,19 @@ def test_eval_forward_calls_no_numpy_wrapper(monkeypatch):
     with no_grad():
         got = model(*inputs).data
     assert got.tobytes() == want.tobytes()
+
+
+def forward_batch_sizes(monkeypatch) -> list:
+    """The batch size of every RefinementNet forward from here on."""
+    sizes = []
+    forward = RefinementNet.__call__
+
+    def counted(self, eps_dense, *args, **kwargs):
+        sizes.append(eps_dense.shape[0])
+        return forward(self, eps_dense, *args, **kwargs)
+
+    monkeypatch.setattr(RefinementNet, "__call__", counted)
+    return sizes
 
 
 def sweep_rig(cfg):
@@ -365,20 +379,65 @@ class TestSweep:
         spec = SweepSpec(point_counts=(30,), patterns=("feature_like",), range_caps=(10.0,), n_frames=2)
         assert sweep(model, cfg, spec) == sweep(model, cfg, spec)
 
-    def test_one_network_pass_per_frame_and_count(self, monkeypatch):
+    def test_one_network_pass_per_frame(self, monkeypatch):
         cfg = fast_config()
-        calls = []
-        forward = RefinementNet.__call__
-
-        def counted(self, *args, **kwargs):
-            calls.append(1)
-            return forward(self, *args, **kwargs)
-
-        monkeypatch.setattr(RefinementNet, "__call__", counted)
+        assert sweep_batch(cfg) == 21
+        sizes = forward_batch_sizes(monkeypatch)
         spec = SweepSpec(point_counts=(30, 10), patterns=("feature_like",), range_caps=(10.0, 5.0, 2.0), n_frames=2)
         report = sweep(SpadeModel(cfg), cfg, spec)
         assert len(report["cells"]) == 6
-        assert len(calls) == 4
+        # 4 samples, one per (frame, count); each frame's 2 passes share one forward
+        assert sizes == [2, 2]
+
+    def test_a_budget_below_one_sample_makes_one_pass_per_sample(self, monkeypatch):
+        cfg = fast_config()
+        net, (h, w) = cfg.network, cfg.input_hw
+        one_sample = 8 * (2 * net.embed_channels + net.fused_channels) * h * w  # its stage-1 input's bytes
+        monkeypatch.setattr("spade.nn.tensor.BYTE_BUDGET", one_sample - 1)
+        assert sweep_batch(cfg) == 1
+        sizes = forward_batch_sizes(monkeypatch)
+        spec = SweepSpec(point_counts=(30, 10), patterns=("feature_like",), range_caps=(10.0,), n_frames=2)
+        sweep(SpadeModel(cfg), cfg, spec)
+        assert sizes == [1, 1, 1, 1]
+
+    def test_refined_cells_are_the_aggregate_of_run_frame(self, trained_fast_model):
+        model, _, cfg = trained_fast_model
+        spec = SweepSpec(
+            point_counts=(30, 10), patterns=("feature_like", "dvl4", "laser2"), range_caps=(10.0, 2.0), n_frames=3
+        )
+        frames = build_corpus(cfg, "eval", n_frames=spec.n_frames)
+        assert min(len(f.points) for f in frames) >= max(spec.point_counts)  # no feature points were topped up
+        for cell in sweep(model, cfg, spec)["cells"]:
+            laser = sweep_rig(cfg) if cell["pattern"] == "laser2" else None
+            reports = []
+            for idx, f in enumerate(frames):
+                try:
+                    pts = _sweep_points(f, cell["pattern"], cell["count"], cfg, idx, laser)
+                    depth = run_frame(model, f.z_rel, f.guide, pts, laser=laser).depth
+                    reports.append(compute_metrics(depth, f.gt, cell["cap_m"]))
+                except SpadeError:
+                    continue
+            assert cell["skipped_frames"] == len(frames) - len(reports)
+            if not reports:
+                assert cell["refined"] is None
+                continue
+            want = asdict(aggregate_metrics(reports))
+            assert list(cell["refined"]) == list(want)
+            np.testing.assert_allclose(list(cell["refined"].values()), list(want.values()), rtol=1e-12, atol=0)
+
+    def test_feature_points_are_topped_up_only_for_feature_like(self, monkeypatch):
+        cfg = fast_config()
+        kinds = []
+
+        def counted(gt, spec, *args, **kwargs):
+            kinds.append(spec.kind)
+            return sample_pattern(gt, spec, *args, **kwargs)
+
+        monkeypatch.setattr("spade.pipeline.sample_pattern", counted)
+        # more points than any corpus frame has, which feature_like would top up
+        spec = SweepSpec(point_counts=(cfg.points_max + 1,), patterns=("dvl4",), range_caps=(10.0,), n_frames=2)
+        sweep(SpadeModel(cfg), cfg, spec)
+        assert kinds == ["feature_like", "feature_like", "dvl4", "dvl4"]  # the corpus's points, then the pattern's
 
     def test_ga_baseline_is_the_aligned_map(self, trained_fast_model):
         model, _, cfg = trained_fast_model
