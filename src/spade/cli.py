@@ -33,7 +33,7 @@ from .core import (
 )
 from .config import read_config
 from .densify import JBUParams, fill_default, jbu_densify
-from .errors import ConfigError, SpadeError
+from .errors import ConfigError, InsufficientPointsError, SpadeError
 from .gradsuite import TOLERANCE, run_suite
 from .metrics import aggregate_metrics, score_pairs
 from .pipeline import (
@@ -152,7 +152,13 @@ def cmd_densify(args) -> int:
     params = JBUParams(
         window_radius=args.radius, sigma_spatial=args.sigma_s, sigma_range=args.sigma_r
     )
-    dense = fill_default(jbu_densify(eps, guide, params))
+    dense = jbu_densify(eps, guide, params)  # checks the guide's shape and space first
+    if not (eps.known & guide.valid).any():
+        raise InsufficientPointsError(
+            f"no known factor lies on a valid guide pixel "
+            f"({int(eps.known.sum())} known factors, {int(guide.valid.sum())} valid guide pixels)"
+        )
+    dense = fill_default(dense)
     # densified rasters carry the coverage mask, not the measured-point mask
     write_raster(DepthRaster(dense.values, dense.filled, Space.AFFINE), args.out)
     print(

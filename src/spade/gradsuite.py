@@ -38,7 +38,7 @@ def _conv_cases(rng):
         b = Tensor(rng.standard_normal(4) * 0.2, requires_grad=True)
         r = rng.standard_normal(conv2d(x, w, b, stride=stride, padding=pad).shape)
         yield lambda: scalarize(conv2d(x, w, b, stride=stride, padding=pad), r), [x, w, b]
-    # B=2: col2im adds each sample's taps into its own part of one padded buffer
+    # B=2: the stride-1 backward's one im2col matrix of the output gradient spans both samples
     x = Tensor(rng.standard_normal((2, 3, 5, 6)), requires_grad=True)
     w = Tensor(rng.standard_normal((4, 3, 3, 3)) * 0.4, requires_grad=True)
     r = rng.standard_normal((2, 4, 5, 6))

@@ -530,11 +530,13 @@ def _windows(xp: np.ndarray, kh: int, kw: int, stride: int, Ho: int, Wo: int) ->
 
 def _cols(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, Ho: int, Wo: int, groups: int) -> np.ndarray:
     """Column matrices (groups, C/groups*kh*kw, B*Ho*Wo) of the windows of
-    x (B,C,H,W) zero-padded spatially, in one copy of the window view."""
+    x (B,C,H,W) zero-padded spatially, by `padding` or a (rows, columns)
+    pair of pads, in one copy of the window view."""
     B, C, H, W = x.shape
-    if padding:
-        xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
-        xp[:, :, padding : padding + H, padding : padding + W] = x
+    ph, pw = (padding, padding) if isinstance(padding, int) else padding
+    if ph or pw:
+        xp = np.zeros((B, C, H + 2 * ph, W + 2 * pw))
+        xp[:, :, ph : ph + H, pw : pw + W] = x
     else:
         xp = np.ascontiguousarray(x)  # no copy for the contiguous maps a network makes
     win = _windows(xp, kh, kw, stride, Ho, Wo)
@@ -548,16 +550,26 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, gro
     f // (F/groups). With one input channel per group, w may also be
     (F,kh,kw): it is reshaped here, so no extra tape node appears.
 
-    The output and the weight gradient are each one GEMM per group on an
-    im2col matrix (Chellapilla et al. 2006), copied from the window view
-    where it is used; the tape keeps x, not the matrix or a padded copy.
-    The input gradient is the adjoint of that layout, col2im: one GEMM per
-    group, w^T (C/groups*kh*kw, F/groups) @ grad (F/groups, B*Ho*Wo), whose
-    rows are added tap by tap into the windows of one zero-padded input
-    buffer, whose interior is the gradient. A batch whose im2col matrix
-    exceeds BYTE_BUDGET is walked in chunks of samples whose matrix fits it,
-    in the forward and in both gradients; each chunk writes its own samples
-    of the padded buffer.
+    The output is one GEMM per group on an im2col matrix of x (Chellapilla
+    et al. 2006), copied from the window view where it is used; the tape
+    keeps x, not the matrix or a padded copy.
+
+    At stride 1, when x needs a gradient, the backward builds one im2col
+    matrix of the output gradient g padded by k-1-p (cropped where p > k-1).
+    The input gradient is a stride-1 correlation of g with the kernel
+    flipped and its channel axes swapped (the transposed convolution of
+    Dumoulin & Visin 2016): one GEMM per group, w' (C/groups, F/groups*kh*kw)
+    @ that matrix. The weight gradient is the same matrix times x laid out
+    as (C/groups, B*H*W), whose (kh-1-i, kw-1-j) rows are tap (i, j).
+
+    Otherwise (strided, or x needs no gradient) the weight gradient is one
+    GEMM per group on x's im2col matrix, and a strided input gradient is its
+    adjoint, col2im: w^T (C/groups*kh*kw, F/groups) @ grad (F/groups,
+    B*Ho*Wo), whose rows are added tap by tap into the windows of one
+    zero-padded input buffer, whose interior is the gradient.
+
+    Every im2col matrix that would exceed BYTE_BUDGET is walked in chunks of
+    samples whose matrix fits it; g's matrix has F/C times the rows of x's.
 
     An ungrouped, unpadded 1x1 convolution at stride 1 is a channel mix of
     each sample, w (F,C) @ x (C,H*W) and its transposes, with no window,
@@ -600,6 +612,25 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, gro
                 Tensor._accum(nx, (wd.reshape(F, C).T @ g3).reshape(B, C, H, W))
             return
         dw = None
+        if stride == 1 and nx is not None:
+            ph, pw = kh - 1 - padding, kw - 1 - padding
+            gv = g[:, :, max(-ph, 0) : Ho - max(-ph, 0), max(-pw, 0) : Wo - max(-pw, 0)]
+            wf = wd.reshape(G, Fg, Cg, kh, kw)[..., ::-1, ::-1].transpose(0, 2, 1, 3, 4).reshape(G, Cg, -1)
+            gstep = min(B, max(1, BYTE_BUDGET // (8 * F * kh * kw * H * W)))
+            dx, n = np.empty((G, Cg, B * H * W)), H * W
+            for s in range(0, B, gstep):
+                gcols = _cols(gv[s : s + gstep], kh, kw, 1, (max(ph, 0), max(pw, 0)), H, W, G)
+                np.matmul(wf, gcols, out=dx[:, :, s * n : (s + gstep) * n])
+                if nw is not None:
+                    part = gcols @ xd[s : s + gstep].transpose(1, 0, 2, 3).reshape(G, Cg, -1).transpose(0, 2, 1)
+                    dw = part if dw is None else dw + part
+                del gcols  # freed before the next chunk's is built
+            if nw is not None:
+                dw = dw.reshape(G, Fg, kh, kw, Cg)[:, :, ::-1, ::-1].transpose(0, 1, 4, 2, 3)
+                Tensor._accum(nw, dw.reshape(wshape))
+            # a view at B=1, where the batch axis has size one
+            Tensor._accum(nx, np.ascontiguousarray(dx.reshape(C, B, H, W).transpose(1, 0, 2, 3)))
+            return
         if nx is not None:
             w2t = wd.reshape(G, Fg, Cg * kh * kw).transpose(0, 2, 1)
             dxp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
@@ -618,6 +649,7 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, gro
                     for j in range(kw):
                         tap = dwin[s : s + n, ..., i, j]
                         tap += dcols[:, i, j].transpose(1, 0, 2, 3)
+                del dcols  # freed before the next chunk's is built
         if nw is not None:
             Tensor._accum(nw, dw.reshape(wshape))
         if nx is not None:

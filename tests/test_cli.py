@@ -693,6 +693,20 @@ class TestAlignDensify:
         dense = read_raster(tmp_path / "dense.fdr1")
         assert np.all(dense.values > 0)
 
+    def test_densify_refuses_when_no_known_factor_lies_on_a_valid_guide_pixel(self, scene_dir, tmp_path, capsys):
+        aligned_frame(scene_dir, tmp_path)
+        eps, aligned = read_raster(tmp_path / "eps.fdr1"), read_raster(tmp_path / "aligned.fdr1")
+        guide = DepthRaster(aligned.values, aligned.valid & ~eps.valid, Space.INVERSE)
+        write_raster(guide, tmp_path / "holes.fdr1")
+        capsys.readouterr()
+        code = run_cli("densify", "--scale-map", tmp_path / "eps.fdr1", "--guide", tmp_path / "holes.fdr1",
+                       "--out", tmp_path / "dense.fdr1")
+        assert code == 3
+        known, valid = int(eps.valid.sum()), int(guide.valid.sum())
+        want = f"error: no known factor lies on a valid guide pixel ({known} known factors, {valid} valid guide pixels)\n"
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "dense.fdr1").exists()
+
 
 @pytest.fixture(scope="module")
 def trained_dir(cfg_file, tmp_path_factory):

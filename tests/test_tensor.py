@@ -17,7 +17,7 @@ from spade.nn import (
 from spade.nn.gradcheck import fd_gradcheck, scalarize
 from spade.nn import tensor
 from spade.nn.tensor import _resize_pair, _two_tap_weights
-from spade.pipeline import SpadeModel
+from spade.pipeline import SpadeModel, _batch_loss, _training_sample, build_corpus
 
 from conftest import fast_config
 
@@ -573,6 +573,9 @@ class TestFrameKernels:
         np.testing.assert_allclose(wt.grad[:, :, 0, 0], np.einsum("bfhw,bchw->fc", seed, x), rtol=1e-12, atol=1e-12)
 
 
+BYTE_BUDGET_WHOLE = 1 << 30  # a budget every test batch fits whole
+
+
 class TestChunkedConv:
     """A batch whose im2col matrix exceeds the byte budget is convolved in
     sample chunks, with the same outputs and gradients as one matrix up to
@@ -596,14 +599,24 @@ class TestChunkedConv:
         sample_bytes = 8 * xs[1] * kh * kw * Ho * Wo
         return (lambda: op(x, w, b, stride=stride, padding=pad)), [x, w, b], sample_bytes, rng
 
+    @staticmethod
+    def record_cols(monkeypatch):
+        """The (samples, bytes) of every im2col matrix built from here on."""
+        calls, cols = [], tensor._cols
+
+        def traced(x, kh, kw, stride, padding, Ho, Wo, groups):
+            calls.append((x.shape[0], 8 * x.shape[0] * x.shape[1] * kh * kw * Ho * Wo))
+            return cols(x, kh, kw, stride, padding, Ho, Wo, groups)
+
+        monkeypatch.setattr(tensor, "_cols", traced)
+        return calls
+
     @pytest.mark.parametrize("name", list(CASES))
     @pytest.mark.parametrize("per_chunk", [1, 3])
     def test_chunks_match_one_matrix(self, monkeypatch, name, per_chunk):
         fwd, leaves, sample_bytes, rng = self.setup(name)
         seed = rng.standard_normal(fwd().shape)
-        calls = []
-        cols = tensor._cols
-        monkeypatch.setattr(tensor, "_cols", lambda x, *a: calls.append(x.shape[0]) or cols(x, *a))
+        calls = self.record_cols(monkeypatch)
         results = []
         for budget in (4 * sample_bytes, per_chunk * sample_bytes + 7):
             monkeypatch.setattr(tensor, "BYTE_BUDGET", budget)
@@ -612,12 +625,58 @@ class TestChunkedConv:
             calls.clear()
             out = fwd()
             scalarize(out, seed).backward()
-            results.append((out.data, calls[:], [t.grad for t in leaves]))
+            # the forward's matrices (of x) and the backward's (of x, or of g at
+            # stride 1) each cover the batch once; each fits the budget or holds
+            # the one sample that is never split
+            assert sum(n for n, _ in calls) == 8
+            assert all(nbytes <= budget or n == 1 for n, nbytes in calls), (budget, calls)
+            results.append((out.data, [n for n, _ in calls], [t.grad for t in leaves]))
         (whole, whole_calls, whole_grads), (chunked, chunk_calls, grads) = results
-        assert whole_calls == [4, 4]  # forward and weight gradient, one matrix each
-        assert chunk_calls == 2 * ([1, 1, 1, 1] if per_chunk == 1 else [3, 1])
+        assert whole_calls[0] == 4  # the forward's matrix of x is whole
+        forward = [1, 1, 1, 1] if per_chunk == 1 else [3, 1]
+        assert chunk_calls[: len(forward)] == forward
         for g, want in zip([chunked, *grads], [whole, *whole_grads]):
             np.testing.assert_allclose(g, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize(
+        "channels, budget_samples, want_calls",
+        [
+            # a sample of g's matrix is three of x's, so the backward takes one per chunk
+            pytest.param((2, 6), 4, [4, 1, 1, 1, 1], id="F=3C"),
+            # three samples of g's matrix fit where one of x's does
+            pytest.param((6, 2), 1, [1, 1, 1, 1, 3, 1], id="C=3F"),
+        ],
+    )
+    def test_gradient_matrix_takes_its_own_chunks(self, monkeypatch, channels, budget_samples, want_calls):
+        (C, F), rng = channels, np.random.default_rng(92)
+        x, w = (Tensor(rng.standard_normal(s), requires_grad=True) for s in ((4, C, 8, 12), (F, C, 3, 3)))
+        seed = rng.standard_normal((4, F, 8, 12))
+        calls = self.record_cols(monkeypatch)
+        results = []
+        for budget in (BYTE_BUDGET_WHOLE, budget_samples * 8 * C * 9 * 8 * 12 + 7):
+            monkeypatch.setattr(tensor, "BYTE_BUDGET", budget)
+            x.zero_grad(), w.zero_grad(), calls.clear()
+            scalarize(conv2d(x, w, padding=1), seed).backward()
+            assert all(nbytes <= budget for _, nbytes in calls), (budget, calls)
+            results.append(([n for n, _ in calls], x.grad, w.grad))
+        (whole_calls, *whole), (chunk_calls, *chunked) = results
+        assert whole_calls == [4, 4] and chunk_calls == want_calls
+        for g, want in zip(chunked, whole):
+            np.testing.assert_allclose(g, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("x_needs_grad", [True, False])
+    def test_stride_one_backward_builds_its_matrix_from_g(self, monkeypatch, x_needs_grad):
+        fwd, (x, w, b), _, rng = self.setup("3x3 stride 1")
+        x.requires_grad = x_needs_grad
+        out = fwd()
+        seen, cols = [], tensor._cols
+        monkeypatch.setattr(tensor, "_cols", lambda a, *rest: seen.append(a) or cols(a, *rest))
+        scalarize(out, rng.standard_normal(out.shape)).backward()
+        (matrix_of,) = seen
+        if x_needs_grad:  # one matrix of g serves dx and dw
+            assert matrix_of.shape == out.shape and not np.shares_memory(matrix_of, x.data)
+        else:  # dw alone keeps x's matrix
+            assert matrix_of.shape == x.shape and np.shares_memory(matrix_of, x.data)
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_chunked_gradcheck(self, monkeypatch, name):
@@ -625,3 +684,37 @@ class TestChunkedConv:
         monkeypatch.setattr(tensor, "BYTE_BUDGET", sample_bytes)
         r = rng.standard_normal(fwd().shape)
         check(lambda: scalarize(fwd(), r), leaves)
+
+
+def test_no_stride_one_conv_of_a_training_step_builds_a_col2im_buffer(monkeypatch):
+    """col2im's padded buffer is the one window view built outside `_cols`:
+    over a whole training step only the strided convs build one."""
+    cfg = fast_config()
+    batch = [_training_sample(f, f.points, cfg) for f in build_corpus(cfg, "train", n_frames=2)]
+    model = SpadeModel(cfg, init="train")
+    convs, col2im, in_cols = [], [], []
+    conv, cols, windows = tensor._conv, tensor._cols, tensor._windows
+
+    def traced_conv(x, w, b, stride, padding, groups):
+        convs.append((stride, tensor._node(x) is not None))
+        return conv(x, w, b, stride, padding, groups)
+
+    def traced_cols(*args):
+        in_cols.append(True)
+        try:
+            return cols(*args)
+        finally:
+            in_cols.pop()
+
+    def traced_windows(xp, kh, kw, stride, Ho, Wo):
+        if not in_cols:
+            col2im.append(stride)
+        return windows(xp, kh, kw, stride, Ho, Wo)
+
+    monkeypatch.setattr(tensor, "_conv", traced_conv)
+    monkeypatch.setattr(tensor, "_cols", traced_cols)
+    monkeypatch.setattr(tensor, "_windows", traced_windows)
+    _batch_loss(model, batch).backward()
+    strided_dx = sum(stride > 1 and needs_dx for stride, needs_dx in convs)
+    assert sum(stride == 1 and needs_dx for stride, needs_dx in convs) > strided_dx > 0
+    assert sorted(col2im) == sorted(stride for stride, needs_dx in convs if stride > 1 and needs_dx)
