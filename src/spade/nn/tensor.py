@@ -559,14 +559,15 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, gro
     The input gradient is a stride-1 correlation of g with the kernel
     flipped and its channel axes swapped (the transposed convolution of
     Dumoulin & Visin 2016): one GEMM per group, w' (C/groups, F/groups*kh*kw)
-    @ that matrix. The weight gradient is the same matrix times x laid out
-    as (C/groups, B*H*W), whose (kh-1-i, kw-1-j) rows are tap (i, j).
+    @ that matrix. The weight gradient is that matrix times x laid out as
+    (C/groups, B*H*W); the product's (kh-1-i, kw-1-j) rows are tap (i, j).
 
-    Otherwise (strided, or x needs no gradient) the weight gradient is one
-    GEMM per group on x's im2col matrix, and a strided input gradient is its
-    adjoint, col2im: w^T (C/groups*kh*kw, F/groups) @ grad (F/groups,
-    B*Ho*Wo), whose rows are added tap by tap into the windows of one
-    zero-padded input buffer, whose interior is the gradient.
+    Otherwise (strided, or x needs no gradient, as where one input channel
+    feeds many outputs and g's matrix would be the larger) the weight
+    gradient is one GEMM per group on x's im2col matrix, and a strided
+    input gradient is its adjoint, col2im: w^T (C/groups*kh*kw, F/groups)
+    @ grad (F/groups, B*Ho*Wo), whose rows are added tap by tap into the
+    windows of one zero-padded input buffer, whose interior is the gradient.
 
     Every im2col matrix that would exceed BYTE_BUDGET is walked in chunks of
     samples whose matrix fits it; g's matrix has F/C times the rows of x's.

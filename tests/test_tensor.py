@@ -311,6 +311,27 @@ class TestKernelEquivalence:
         no_bias = conv2d(Tensor(x), Tensor(w), stride=stride, padding=1).data
         np.testing.assert_allclose(no_bias, conv2d_loop(x, w, np.zeros(4), stride, 1), rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("padding", [0, 1, 2, 3])
+    def test_stride_one_3x2_kernel_matches_direct_loop(self, padding):
+        # g is padded by 2-p rows and 1-p columns, so padding 2 crops the
+        # columns and pads no row, and padding 3 crops both
+        rng = np.random.default_rng(80 + padding)
+        x, w, b = rng.standard_normal((2, 3, 7, 9)), rng.standard_normal((4, 3, 3, 2)), rng.standard_normal(4)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = conv2d(xt, wt, Tensor(b), padding=padding)
+        seed = rng.standard_normal(out.shape)
+        ref, dx = conv2d_loop(x, w, b, 1, padding, seed)
+        np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+        scalarize(out, seed).backward()
+        np.testing.assert_allclose(xt.grad, dx, rtol=1e-12, atol=1e-12)
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        Ho, Wo = ref.shape[2:]
+        dw = np.zeros_like(w)
+        for i in range(3):
+            for j in range(2):
+                dw[:, :, i, j] = np.einsum("bfhw,bchw->fc", seed, xp[:, :, i : i + Ho, j : j + Wo])
+        np.testing.assert_allclose(wt.grad, dw, rtol=1e-12, atol=1e-12)
+
     @pytest.mark.parametrize("kernel", [3, 5])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_depthwise_conv2d_matches_direct_loop(self, stride, kernel):
@@ -573,9 +594,6 @@ class TestFrameKernels:
         np.testing.assert_allclose(wt.grad[:, :, 0, 0], np.einsum("bfhw,bchw->fc", seed, x), rtol=1e-12, atol=1e-12)
 
 
-BYTE_BUDGET_WHOLE = 1 << 30  # a budget every test batch fits whole
-
-
 class TestChunkedConv:
     """A batch whose im2col matrix exceeds the byte budget is convolved in
     sample chunks, with the same outputs and gradients as one matrix up to
@@ -653,9 +671,11 @@ class TestChunkedConv:
         seed = rng.standard_normal((4, F, 8, 12))
         calls = self.record_cols(monkeypatch)
         results = []
-        for budget in (BYTE_BUDGET_WHOLE, budget_samples * 8 * C * 9 * 8 * 12 + 7):
+        for budget in (1 << 30, budget_samples * 8 * C * 9 * 8 * 12 + 7):  # the batch whole, then in chunks
             monkeypatch.setattr(tensor, "BYTE_BUDGET", budget)
-            x.zero_grad(), w.zero_grad(), calls.clear()
+            x.zero_grad()
+            w.zero_grad()
+            calls.clear()
             scalarize(conv2d(x, w, padding=1), seed).backward()
             assert all(nbytes <= budget for _, nbytes in calls), (budget, calls)
             results.append(([n for n, _ in calls], x.grad, w.grad))
