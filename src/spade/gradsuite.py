@@ -31,18 +31,16 @@ MAX_ELEMS = 20  # elements checked per tensor
 
 
 def _conv_cases(rng):
-    # (1, 1, 0) is the channel-mix branch every projection runs on
-    for stride, k, pad in ((1, 3, 1), (2, 3, 1), (4, 5, 2), (1, 1, 0)):
-        x = Tensor(rng.standard_normal((1, 3, 8, 8)), requires_grad=True)
+    # (1, 1, 0) is the channel-mix branch every projection runs on, and (2, 1, 0)
+    # the skip conv, whose input gradient has taps at one stride phase of four
+    cases = [((1, 3, 8, 8), *c) for c in ((1, 3, 1), (2, 3, 1), (4, 5, 2), (1, 1, 0), (2, 1, 0))]
+    # B=2: one matrix of g spans both samples; on a 7x9 map, stride-2 phases have unequal rows
+    for shape, stride, k, pad in cases + [((2, 3, 5, 6), 1, 3, 1), ((2, 3, 7, 9), 2, 3, 1)]:
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 3, k, k)) * 0.4, requires_grad=True)
         b = Tensor(rng.standard_normal(4) * 0.2, requires_grad=True)
         r = rng.standard_normal(conv2d(x, w, b, stride=stride, padding=pad).shape)
         yield lambda: scalarize(conv2d(x, w, b, stride=stride, padding=pad), r), [x, w, b]
-    # B=2: the stride-1 backward's one im2col matrix of the output gradient spans both samples
-    x = Tensor(rng.standard_normal((2, 3, 5, 6)), requires_grad=True)
-    w = Tensor(rng.standard_normal((4, 3, 3, 3)) * 0.4, requires_grad=True)
-    r = rng.standard_normal((2, 4, 5, 6))
-    yield lambda: scalarize(conv2d(x, w, padding=1), r), [x, w]
     # depthwise, and at B=2 the 5x5 kernel of stage 4's offset conv reaching past a 2x3 map
     for shape, k, stride, pad in (((1, 4, 6, 6), 3, 2, 1), ((2, 4, 2, 3), 5, 1, 2)):
         x = Tensor(rng.standard_normal(shape), requires_grad=True)

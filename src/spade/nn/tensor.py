@@ -519,28 +519,45 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
 # -- convolution ------------------------------------------------------------------
 
 
-def _windows(xp: np.ndarray, kh: int, kw: int, stride: int, Ho: int, Wo: int) -> np.ndarray:
-    """Strided view (B,C,Ho,Wo,kh,kw) of a padded map, no copy: (b, c, ho, wo, i, j) is
-    xp[b, c, stride*ho + i, stride*wo + j]. Taps [..., i, j] overlap: write one at a time.
-    It is built on xp's buffer, so xp must be C-contiguous; it is writable when xp is."""
+def _windows(xp: np.ndarray, kh: int, kw: int, stride: int, Ho: int, Wo: int, start=(0, 0)) -> np.ndarray:
+    """Strided view (B,C,Ho,Wo,kh,kw) of a padded map from row and column `start`,
+    no copy: (b, c, ho, wo, i, j) is xp[b, c, start[0] + stride*ho + i, start[1] + stride*wo + j].
+    It is built on xp's buffer, so xp must be C-contiguous."""
     sB, sC, sH, sW = xp.strides
     shape, strides = xp.shape[:2] + (Ho, Wo, kh, kw), (sB, sC, stride * sH, stride * sW, sH, sW)
-    return np.ndarray(shape, xp.dtype, xp, 0, strides)
+    return np.ndarray(shape, xp.dtype, xp, start[0] * sH + start[1] * sW, strides)
 
 
-def _cols(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, Ho: int, Wo: int, groups: int) -> np.ndarray:
+def _cols(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, Ho: int, Wo: int, groups: int, start=(0, 0)):
     """Column matrices (groups, C/groups*kh*kw, B*Ho*Wo) of the windows of
-    x (B,C,H,W) zero-padded spatially, by `padding` or a (rows, columns)
-    pair of pads, in one copy of the window view."""
+    x (B,C,H,W) zero-padded spatially by `padding`, from row and column
+    `start` of the padded map, in one copy of the window view."""
     B, C, H, W = x.shape
-    ph, pw = (padding, padding) if isinstance(padding, int) else padding
-    if ph or pw:
-        xp = np.zeros((B, C, H + 2 * ph, W + 2 * pw))
-        xp[:, :, ph : ph + H, pw : pw + W] = x
+    if padding:
+        xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
+        xp[:, :, padding : padding + H, padding : padding + W] = x
     else:
         xp = np.ascontiguousarray(x)  # no copy for the contiguous maps a network makes
-    win = _windows(xp, kh, kw, stride, Ho, Wo)
+    win = _windows(xp, kh, kw, stride, Ho, Wo, start)
     return win.transpose(1, 4, 5, 0, 2, 3).reshape(groups, C // groups * kh * kw, B * Ho * Wo)
+
+
+def _phases(n: int, n_out: int, k: int, stride: int, padding: int):
+    """One axis of a conv's input gradient, split by stride phase: the inputs
+    rho, rho+stride, ... (`rows` of them) read only the taps r, r+stride, ...
+    (`taps` of them), r = (rho+padding) % stride. Returns, per phase with a
+    tap and an input, (the slice of its inputs, the slice of its taps, taps,
+    rows, lo), lo being g's row under the first window of the flipped taps,
+    and g's pads (before, after) that hold every phase's windows."""
+    phases = []
+    for rho in range(stride):
+        q, r = divmod(rho + padding, stride)
+        taps, rows = len(range(r, k, stride)), len(range(rho, n, stride))
+        if taps and rows:  # tap r+stride*m of input rho+stride*t pairs with g's row t+q-m
+            phases.append((slice(rho, None, stride), slice(r, None, stride), taps, rows, q - taps + 1))
+    before = max([0, *(-lo for *_, lo in phases)])
+    after = max([0, *(lo + taps + rows - 1 - n_out for _, _, taps, rows, lo in phases)])
+    return phases, (before, after)
 
 
 def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, groups: int) -> Tensor:
@@ -554,23 +571,19 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, gro
     et al. 2006), copied from the window view where it is used; the tape
     keeps x, not the matrix or a padded copy.
 
-    At stride 1, when x needs a gradient, the backward builds one im2col
-    matrix of the output gradient g padded by k-1-p (cropped where p > k-1).
-    The input gradient is a stride-1 correlation of g with the kernel
-    flipped and its channel axes swapped (the transposed convolution of
-    Dumoulin & Visin 2016): one GEMM per group, w' (C/groups, F/groups*kh*kw)
-    @ that matrix. The weight gradient is that matrix times x laid out as
-    (C/groups, B*H*W); the product's (kh-1-i, kw-1-j) rows are tap (i, j).
-
-    Otherwise (strided, or x needs no gradient, as where one input channel
-    feeds many outputs and g's matrix would be the larger) the weight
-    gradient is one GEMM per group on x's im2col matrix, and a strided
-    input gradient is its adjoint, col2im: w^T (C/groups*kh*kw, F/groups)
-    @ grad (F/groups, B*Ho*Wo), whose rows are added tap by tap into the
-    windows of one zero-padded input buffer, whose interior is the gradient.
+    When x needs a gradient, the backward pads the output gradient g once per
+    sample chunk. The inputs of one stride phase read only every stride-th
+    kernel tap (`_phases`; the sub-pixel split of Shi et al. 2016), so their
+    gradient is a stride-1 correlation of g with those taps flipped and the
+    channel axes swapped (the transposed convolution of Dumoulin & Visin
+    2016). Per phase, one im2col matrix of the padded g gives dx there, one
+    GEMM per group, and dw at those taps, the matrix times x's phase inputs
+    as (C/groups, B*rows*columns). Stride 1 is one phase. When x needs no
+    gradient (as where one input channel feeds many outputs and g's matrix
+    would be the larger), dw is one GEMM per group on x's im2col matrix.
 
     Every im2col matrix that would exceed BYTE_BUDGET is walked in chunks of
-    samples whose matrix fits it; g's matrix has F/C times the rows of x's.
+    samples whose matrix fits it; g's matrices take their own chunks.
 
     An ungrouped, unpadded 1x1 convolution at stride 1 is a channel mix of
     each sample, w (F,C) @ x (C,H*W) and its transposes, with no window,
@@ -589,8 +602,7 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, gro
         out_data = (w.data.reshape(F, C) @ x.data.reshape(B, C, H * W)).reshape(B, F, H, W)
     else:
         Ho, Wo = (H + 2 * padding - kh) // stride + 1, (W + 2 * padding - kw) // stride + 1
-        cols_bytes = 8 * C * kh * kw * B * Ho * Wo
-        step = min(B, max(1, BYTE_BUDGET // (cols_bytes // B)))
+        step = min(B, max(1, BYTE_BUDGET // (8 * C * kh * kw * Ho * Wo)))  # chunks whose matrix of x fits
         w2, n = w.data.reshape(G, Fg, Cg * kh * kw), Ho * Wo
         out_data = np.empty((G, Fg, B * n))
         for s in range(0, B, step):  # each chunk's matrix is freed before the next is built
@@ -604,6 +616,8 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, gro
     def bw(g):
         if nb is not None:
             Tensor._accum(nb, g.sum(axis=(0, 2, 3)))
+        if nx is None and nw is None:  # only the bias needs a gradient
+            return
         if mix:
             g3 = g.reshape(B, F, H * W)
             if nw is not None:
@@ -612,49 +626,36 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, gro
             if nx is not None:
                 Tensor._accum(nx, (wd.reshape(F, C).T @ g3).reshape(B, C, H, W))
             return
-        dw = None
-        if stride == 1 and nx is not None:
-            ph, pw = kh - 1 - padding, kw - 1 - padding
-            gv = g[:, :, max(-ph, 0) : Ho - max(-ph, 0), max(-pw, 0) : Wo - max(-pw, 0)]
-            wf = wd.reshape(G, Fg, Cg, kh, kw)[..., ::-1, ::-1].transpose(0, 2, 1, 3, 4).reshape(G, Cg, -1)
-            gstep = min(B, max(1, BYTE_BUDGET // (8 * F * kh * kw * H * W)))
-            dx, n = np.empty((G, Cg, B * H * W)), H * W
-            for s in range(0, B, gstep):
-                gcols = _cols(gv[s : s + gstep], kh, kw, 1, (max(ph, 0), max(pw, 0)), H, W, G)
-                np.matmul(wf, gcols, out=dx[:, :, s * n : (s + gstep) * n])
-                if nw is not None:
-                    part = gcols @ xd[s : s + gstep].transpose(1, 0, 2, 3).reshape(G, Cg, -1).transpose(0, 2, 1)
-                    dw = part if dw is None else dw + part
-                del gcols  # freed before the next chunk's is built
-            if nw is not None:
-                dw = dw.reshape(G, Fg, kh, kw, Cg)[:, :, ::-1, ::-1].transpose(0, 1, 4, 2, 3)
-                Tensor._accum(nw, dw.reshape(wshape))
-            # a view at B=1, where the batch axis has size one
-            Tensor._accum(nx, np.ascontiguousarray(dx.reshape(C, B, H, W).transpose(1, 0, 2, 3)))
-            return
-        if nx is not None:
-            w2t = wd.reshape(G, Fg, Cg * kh * kw).transpose(0, 2, 1)
-            dxp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
-            dwin = _windows(dxp, kh, kw, stride, Ho, Wo)
-        for s in range(0, B, step):
-            gs = g[s : s + step]
-            n = gs.shape[0]
-            g2 = gs.transpose(1, 0, 2, 3).reshape(G, Fg, n * Ho * Wo)
-            if nw is not None:
-                part = g2 @ _cols(xd[s : s + step], kh, kw, stride, padding, Ho, Wo, G).transpose(0, 2, 1)
-                dw = part if dw is None else dw + part
-            if nx is not None:
-                # col2im: the adjoint of the forward's im2col, tap by tap into this chunk's samples
-                dcols = (w2t @ g2).reshape(C, kh, kw, n, Ho, Wo)
-                for i in range(kh):
-                    for j in range(kw):
-                        tap = dwin[s : s + n, ..., i, j]
-                        tap += dcols[:, i, j].transpose(1, 0, 2, 3)
-                del dcols  # freed before the next chunk's is built
-        if nw is not None:
+        if nx is None:
+            dw = 0
+            for s in range(0, B, step):
+                g2 = g[s : s + step].transpose(1, 0, 2, 3).reshape(G, Fg, -1)
+                dw = dw + g2 @ _cols(xd[s : s + step], kh, kw, stride, padding, Ho, Wo, G).transpose(0, 2, 1)
             Tensor._accum(nw, dw.reshape(wshape))
-        if nx is not None:
-            Tensor._accum(nx, dxp[:, :, padding : padding + H, padding : padding + W])
+            return
+        rows, (top, bottom) = _phases(H, Ho, kh, stride, padding)
+        cols, (left, right) = _phases(W, Wo, kw, stride, padding)
+        wf = wd.reshape(G, Fg, Cg, kh, kw).transpose(0, 2, 1, 3, 4)  # channel axes swapped
+        # the phases write every input pixel, unless one has inputs but no tap (k < stride)
+        dx = (np.empty if len(rows) == len(cols) == stride else np.zeros)((B, C, H, W))
+        dw = np.zeros((G, Fg, kh, kw, Cg))  # in the layout of g's matrix @ x
+        sample_bytes = 8 * F * -(-kh // stride) * -(-kw // stride) * -(-H // stride) * -(-W // stride)
+        gstep = min(B, max(1, BYTE_BUDGET // sample_bytes))  # chunks whose largest phase matrix fits
+        for s in range(0, B, gstep):
+            gp = np.zeros((min(gstep, B - s), F, top + Ho + bottom, left + Wo + right))
+            gp[:, :, top : top + Ho, left : left + Wo] = g[s : s + gstep]
+            for py, ky, th, hr, oy in rows:  # (inputs, taps, tap count, rows, g's first row) of each axis
+                for px, kx, tw, wr, ox in cols:
+                    gcols = _cols(gp, th, tw, 1, 0, hr, wr, G, (top + oy, left + ox))
+                    wk = wf[..., ky, kx][..., ::-1, ::-1].reshape(G, Cg, -1)
+                    dx[s : s + gstep, :, py, px] = (wk @ gcols).reshape(C, -1, hr, wr).transpose(1, 0, 2, 3)
+                    if nw is not None:
+                        xr = xd[s : s + gstep, :, py, px].transpose(1, 0, 2, 3).reshape(G, Cg, -1)
+                        part = (gcols @ xr.transpose(0, 2, 1)).reshape(G, Fg, th, tw, Cg)
+                        dw[:, :, ky, kx] += part[:, :, ::-1, ::-1]  # the matrix's taps run flipped
+                    del gcols  # freed before the next phase's is built
+        Tensor._accum(nw, dw.transpose(0, 1, 4, 2, 3).reshape(wshape))
+        Tensor._accum(nx, dx)
 
     return Tensor._make(out_data, (nx, nw, nb), bw)
 

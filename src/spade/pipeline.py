@@ -498,6 +498,8 @@ def sweep(model: SpadeModel, cfg: RunConfig, spec: SweepSpec) -> dict:
     pass whose stage 1 fails is logged and skipped), the passes are refined
     in batches of `sweep_batch(model.cfg)` samples, one eval forward each,
     and each refined pass is scored at every cap into its cell."""
+    if tuple(cfg.input_hw) != tuple(model.cfg.input_hw):
+        raise ConfigError(f"sweep input {tuple(cfg.input_hw)} does not match the model's {tuple(model.cfg.input_hw)}")
     frames = build_corpus(cfg, "eval", n_frames=spec.n_frames)
     if "feature_like" in spec.patterns:  # the one pattern that reads the frame's feature points
         # make sure enough feature points exist per frame for the largest count
@@ -523,7 +525,6 @@ def sweep(model: SpadeModel, cfg: RunConfig, spec: SweepSpec) -> dict:
         for pattern, count in passes:
             laser = rig if pattern == "laser2" else None
             try:
-                check_frame(frame.z_rel, frame.guide, model.cfg)
                 pts = _sweep_points(frame, pattern, count, cfg, idx, laser)
                 ready.append(((pattern, count), prepare_frame(frame.z_rel, frame.guide, pts, model.cfg.jbu, laser)))
             except SpadeError as e:

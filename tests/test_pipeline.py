@@ -425,6 +425,17 @@ class TestSweep:
             assert list(cell["refined"]) == list(want)
             np.testing.assert_allclose(list(cell["refined"].values()), list(want.values()), rtol=1e-12, atol=0)
 
+    def test_a_config_of_another_input_size_is_refused_before_any_work(self, monkeypatch, caplog):
+        # a 32x64 model over the default 64x96 corpus once skipped every pass
+        # with a warning and returned cells with no refined column
+        model = SpadeModel(fast_config())
+        monkeypatch.setattr("spade.pipeline.build_corpus", lambda *args, **kwargs: pytest.fail("corpus built"))
+        spec = SweepSpec(point_counts=(30,), patterns=("feature_like",), range_caps=(10.0,), n_frames=1)
+        with caplog.at_level(logging.WARNING), pytest.raises(ConfigError) as err:
+            sweep(model, RunConfig(seed=0), spec)
+        assert str(err.value) == "sweep input (64, 96) does not match the model's (32, 64)"
+        assert caplog.records == []
+
     def test_feature_points_are_topped_up_only_for_feature_like(self, monkeypatch):
         cfg = fast_config()
         kinds = []

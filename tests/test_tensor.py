@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spade.core import bilinear_taps, resize_matrix
 from spade.errors import ShapeError
@@ -224,14 +226,15 @@ class TestGradients:
 
 def conv2d_loop(x, w, b, stride, padding, seed=None):
     """Direct cross-correlation, one output pixel at a time; with an output
-    gradient seed, also the input gradient, spread back window by window."""
+    gradient seed, also the input and weight gradients, spread back window
+    by window: returns out, or out, dx, dw."""
     B, C, H, W = x.shape
     F, _, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     Ho = (H + 2 * padding - kh) // stride + 1
     Wo = (W + 2 * padding - kw) // stride + 1
     out = np.zeros((B, F, Ho, Wo))
-    dxp = np.zeros_like(xp)
+    dxp, dw = np.zeros_like(xp), np.zeros_like(w)
     for n in range(B):
         for i in range(Ho):
             for j in range(Wo):
@@ -240,9 +243,10 @@ def conv2d_loop(x, w, b, stride, padding, seed=None):
                     out[n, f, i, j] = np.sum(xp[win] * w[f]) + b[f]
                     if seed is not None:
                         dxp[win] += seed[n, f, i, j] * w[f]
+                        dw[f] += seed[n, f, i, j] * xp[win]
     if seed is None:
         return out
-    return out, dxp[:, :, padding : padding + H, padding : padding + W]
+    return out, dxp[:, :, padding : padding + H, padding : padding + W], dw
 
 
 def depthwise_loop(x, w, b, stride, padding, seed):
@@ -293,20 +297,12 @@ class TestKernelEquivalence:
             xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
             out = conv2d(xt, wt, Tensor(b), stride=stride, padding=padding)
             seed = rng.standard_normal(out.shape)
-            ref, dx = conv2d_loop(x, w, b, stride, padding, seed)
+            ref, dx, dw = conv2d_loop(x, w, b, stride, padding, seed)
             assert out.shape == ref.shape
             assert out.data.flags.c_contiguous
             np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
             scalarize(out, seed).backward()
             np.testing.assert_allclose(xt.grad, dx, rtol=1e-12, atol=1e-12)
-            # weight gradient: each weight's output is a strided window of xp
-            xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-            Ho, Wo = ref.shape[2:]
-            dw = np.zeros_like(w)
-            for i in range(kernel):
-                for j in range(kernel):
-                    patch = xp[:, :, i : i + stride * Ho : stride, j : j + stride * Wo : stride]
-                    dw[:, :, i, j] = np.einsum("bfhw,bchw->fc", seed, patch)
             np.testing.assert_allclose(wt.grad, dw, rtol=1e-12, atol=1e-12)
         no_bias = conv2d(Tensor(x), Tensor(w), stride=stride, padding=1).data
         np.testing.assert_allclose(no_bias, conv2d_loop(x, w, np.zeros(4), stride, 1), rtol=1e-12, atol=1e-12)
@@ -320,16 +316,10 @@ class TestKernelEquivalence:
         xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
         out = conv2d(xt, wt, Tensor(b), padding=padding)
         seed = rng.standard_normal(out.shape)
-        ref, dx = conv2d_loop(x, w, b, 1, padding, seed)
+        ref, dx, dw = conv2d_loop(x, w, b, 1, padding, seed)
         np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
         scalarize(out, seed).backward()
         np.testing.assert_allclose(xt.grad, dx, rtol=1e-12, atol=1e-12)
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        Ho, Wo = ref.shape[2:]
-        dw = np.zeros_like(w)
-        for i in range(3):
-            for j in range(2):
-                dw[:, :, i, j] = np.einsum("bfhw,bchw->fc", seed, xp[:, :, i : i + Ho, j : j + Wo])
         np.testing.assert_allclose(wt.grad, dw, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("kernel", [3, 5])
@@ -350,6 +340,35 @@ class TestKernelEquivalence:
             np.testing.assert_allclose(xt.grad, dx, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(wt.grad, dw, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(bt.grad, db, rtol=1e-12, atol=1e-12)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_conv_kernels_match_direct_loops(self, data):
+        # every stride phase case: kernels narrower than the stride, phases
+        # with no tap, pads past k-1, ragged maps and a sample chunk of two;
+        # and every set of operands that need a gradient, the bias alone too
+        draw = data.draw
+        kh, kw, stride = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+        padding = draw(st.integers(0, max(kh, kw)))
+        H, W = draw(st.integers(max(1, kh - 2 * padding), 11)), draw(st.integers(max(1, kw - 2 * padding), 11))
+        B, C, depthwise = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.booleans())
+        x_grad, w_grad = draw(st.booleans()), draw(st.booleans())
+        F = C if depthwise else draw(st.integers(1, 3))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        x, b = rng.standard_normal((B, C, H, W)), rng.standard_normal(F)
+        w = rng.standard_normal((C, kh, kw) if depthwise else (F, C, kh, kw))
+        xt, wt, bt = Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=w_grad), Tensor(b, requires_grad=True)
+        out = (depthwise_conv2d if depthwise else conv2d)(xt, wt, bt, stride=stride, padding=padding)
+        seed = rng.standard_normal(out.shape)
+        if depthwise:
+            ref, dx, dw, _ = depthwise_loop(x, w, b, stride, padding, seed)
+        else:
+            ref, dx, dw = conv2d_loop(x, w, b, stride, padding, seed)
+        scalarize(out, seed).backward()
+        assert (xt.grad is not None, wt.grad is not None) == (x_grad, w_grad)
+        for got, want in [(out.data, ref), (xt.grad, dx), (wt.grad, dw), (bt.grad, seed.sum(axis=(0, 2, 3)))]:
+            if got is not None:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_relu_slope_half_at_exact_zero(self):
         x0 = np.array([-2.0, -0.0, 0.0, 1e-300, 3.0, np.nan])
@@ -528,11 +547,16 @@ class TestFrameKernels:
         )
         assert win.strides == want.strides
         assert_same_bits(win, want)
-        # col2im adds its taps through the view: they land in the buffer
+        # from a start offset, the view is the one of the map cropped there, on
+        # the same buffer: a write through one tap lands at its offset pixels
+        top, left = 2, 1
+        Ho, Wo = (xp.shape[2] - top - kh) // stride + 1, (xp.shape[3] - left - kw) // stride + 1
+        win = tensor._windows(xp, kh, kw, stride, Ho, Wo, (top, left))
+        assert_same_bits(win, tensor._windows(np.ascontiguousarray(xp[:, :, top:, left:]), kh, kw, stride, Ho, Wo))
         tap = win[..., 1, 1]
         tap += 1.0
         want_xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        want_xp[:, :, 1 : 1 + stride * Ho : stride, 1 : 1 + stride * Wo : stride] += 1.0
+        want_xp[:, :, top + 1 : top + 1 + stride * Ho : stride, left + 1 : left + 1 + stride * Wo : stride] += 1.0
         assert_same_bits(xp, want_xp)
 
     def test_cols_of_a_transposed_input_match_as_strided(self):
@@ -586,12 +610,12 @@ class TestFrameKernels:
         xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
         out = conv2d(xt, wt, Tensor(b) if bias else None)
         seed = rng.standard_normal(out.shape)
-        ref, dx = conv2d_loop(x, w, b, 1, 0, seed)
+        ref, dx, dw = conv2d_loop(x, w, b, 1, 0, seed)
         assert out.data.flags.c_contiguous
         np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
         scalarize(out, seed).backward()
         np.testing.assert_allclose(xt.grad, dx, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(wt.grad[:, :, 0, 0], np.einsum("bfhw,bchw->fc", seed, x), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(wt.grad, dw, rtol=1e-12, atol=1e-12)
 
 
 class TestChunkedConv:
@@ -605,7 +629,11 @@ class TestChunkedConv:
         "3x3 stride 1": (conv2d, (4, 3, 8, 12), (5, 3, 3, 3), 1, 1),
         "5x5 stride 4": (conv2d, (4, 3, 32, 48), (4, 3, 5, 5), 4, 2),
         "depthwise 5x5 stride 2": (depthwise_conv2d, (4, 6, 16, 24), (6, 5, 5), 2, 2),
+        "1x1 stride 2": (conv2d, (4, 3, 8, 12), (5, 3, 1, 1), 2, 0),
     }
+    # stride phases with a tap: 4 of 4 rows and columns at stride 4, but only
+    # the even rows and columns of a 1x1 stride-2 conv
+    PHASES = {"3x3 stride 1": 1, "5x5 stride 4": 16, "depthwise 5x5 stride 2": 4, "1x1 stride 2": 1}
 
     @staticmethod
     def setup(name, seed=90):
@@ -622,9 +650,9 @@ class TestChunkedConv:
         """The (samples, bytes) of every im2col matrix built from here on."""
         calls, cols = [], tensor._cols
 
-        def traced(x, kh, kw, stride, padding, Ho, Wo, groups):
+        def traced(x, kh, kw, stride, padding, Ho, Wo, *args):
             calls.append((x.shape[0], 8 * x.shape[0] * x.shape[1] * kh * kw * Ho * Wo))
-            return cols(x, kh, kw, stride, padding, Ho, Wo, groups)
+            return cols(x, kh, kw, stride, padding, Ho, Wo, *args)
 
         monkeypatch.setattr(tensor, "_cols", traced)
         return calls
@@ -643,10 +671,10 @@ class TestChunkedConv:
             calls.clear()
             out = fwd()
             scalarize(out, seed).backward()
-            # the forward's matrices (of x) and the backward's (of x, or of g at
-            # stride 1) each cover the batch once; each fits the budget or holds
-            # the one sample that is never split
-            assert sum(n for n, _ in calls) == 8
+            # the forward's matrices (of x) and the backward's (of g, one per
+            # stride phase) each cover the batch once; each fits the budget or
+            # holds the one sample that is never split
+            assert sum(n for n, _ in calls) == 4 * (1 + self.PHASES[name])
             assert all(nbytes <= budget or n == 1 for n, nbytes in calls), (budget, calls)
             results.append((out.data, [n for n, _ in calls], [t.grad for t in leaves]))
         (whole, whole_calls, whole_grads), (chunked, chunk_calls, grads) = results
@@ -685,17 +713,24 @@ class TestChunkedConv:
             np.testing.assert_allclose(g, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
     @pytest.mark.parametrize("x_needs_grad", [True, False])
-    def test_stride_one_backward_builds_its_matrix_from_g(self, monkeypatch, x_needs_grad):
-        fwd, (x, w, b), _, rng = self.setup("3x3 stride 1")
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_backward_builds_its_matrices_from_one_padded_g(self, monkeypatch, name, x_needs_grad):
+        fwd, (x, w, b), _, rng = self.setup(name)
         x.requires_grad = x_needs_grad
         out = fwd()
+        seed = rng.standard_normal(out.shape)
         seen, cols = [], tensor._cols
         monkeypatch.setattr(tensor, "_cols", lambda a, *rest: seen.append(a) or cols(a, *rest))
-        scalarize(out, rng.standard_normal(out.shape)).backward()
-        (matrix_of,) = seen
-        if x_needs_grad:  # one matrix of g serves dx and dw
-            assert matrix_of.shape == out.shape and not np.shares_memory(matrix_of, x.data)
+        scalarize(out, seed).backward()
+        if x_needs_grad:  # one matrix per phase, all of the one padded copy of g, serve dx and dw
+            assert len(seen) == self.PHASES[name] and all(a is seen[0] for a in seen)
+            _, _, _, stride, pad = self.CASES[name]
+            (_, (top, bottom)), (_, (left, right)) = (
+                tensor._phases(n, n_out, k, stride, pad) for n, n_out, k in zip(x.shape[2:], out.shape[2:], w.shape[-2:])
+            )
+            assert_same_bits(seen[0], np.pad(seed, ((0, 0), (0, 0), (top, bottom), (left, right))))
         else:  # dw alone keeps x's matrix
+            (matrix_of,) = seen
             assert matrix_of.shape == x.shape and np.shares_memory(matrix_of, x.data)
 
     @pytest.mark.parametrize("name", list(CASES))
@@ -706,13 +741,14 @@ class TestChunkedConv:
         check(lambda: scalarize(fwd(), r), leaves)
 
 
-def test_no_stride_one_conv_of_a_training_step_builds_a_col2im_buffer(monkeypatch):
-    """col2im's padded buffer is the one window view built outside `_cols`:
-    over a whole training step only the strided convs build one."""
+def test_no_conv_of_a_training_step_builds_a_window_view_outside_cols(monkeypatch):
+    """Over a whole training step, every window view is built by `_cols`: the
+    input gradient of every conv, strided or not, is a correlation of g, with
+    no view over a buffer that taps are added into."""
     cfg = fast_config()
     batch = [_training_sample(f, f.points, cfg) for f in build_corpus(cfg, "train", n_frames=2)]
     model = SpadeModel(cfg, init="train")
-    convs, col2im, in_cols = [], [], []
+    convs, outside, in_cols = [], [], []
     conv, cols, windows = tensor._conv, tensor._cols, tensor._windows
 
     def traced_conv(x, w, b, stride, padding, groups):
@@ -726,10 +762,10 @@ def test_no_stride_one_conv_of_a_training_step_builds_a_col2im_buffer(monkeypatc
         finally:
             in_cols.pop()
 
-    def traced_windows(xp, kh, kw, stride, Ho, Wo):
+    def traced_windows(xp, kh, kw, stride, *args):
         if not in_cols:
-            col2im.append(stride)
-        return windows(xp, kh, kw, stride, Ho, Wo)
+            outside.append(stride)
+        return windows(xp, kh, kw, stride, *args)
 
     monkeypatch.setattr(tensor, "_conv", traced_conv)
     monkeypatch.setattr(tensor, "_cols", traced_cols)
@@ -737,4 +773,4 @@ def test_no_stride_one_conv_of_a_training_step_builds_a_col2im_buffer(monkeypatc
     _batch_loss(model, batch).backward()
     strided_dx = sum(stride > 1 and needs_dx for stride, needs_dx in convs)
     assert sum(stride == 1 and needs_dx for stride, needs_dx in convs) > strided_dx > 0
-    assert sorted(col2im) == sorted(stride for stride, needs_dx in convs if stride > 1 and needs_dx)
+    assert outside == []
