@@ -713,8 +713,15 @@ class TestChunkedConv:
             np.testing.assert_allclose(g, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
     @pytest.mark.parametrize("x_needs_grad", [True, False])
-    @pytest.mark.parametrize("name", list(CASES))
-    def test_backward_builds_its_matrices_from_one_padded_g(self, monkeypatch, name, x_needs_grad):
+    def test_stride_one_backward_builds_its_matrix_from_g(self, monkeypatch, x_needs_grad):
+        self.check_backward_matrices(monkeypatch, "3x3 stride 1", x_needs_grad)
+
+    @pytest.mark.parametrize("x_needs_grad", [True, False])
+    @pytest.mark.parametrize("name", [name for name, case in CASES.items() if case[3] > 1])
+    def test_strided_backward_builds_its_matrices_from_one_padded_g(self, monkeypatch, name, x_needs_grad):
+        self.check_backward_matrices(monkeypatch, name, x_needs_grad)
+
+    def check_backward_matrices(self, monkeypatch, name, x_needs_grad):
         fwd, (x, w, b), _, rng = self.setup(name)
         x.requires_grad = x_needs_grad
         out = fwd()
