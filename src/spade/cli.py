@@ -216,13 +216,13 @@ def _match_rasters(pred_path, gt_path):
         raise ConfigError("--pred and --gt must both be files or both be directories")
     if not pred_p.is_dir():
         return [(pred_p.stem, pred_p, gt_p)]
-    pairs = []
-    for pf in sorted(pred_p.glob("*.fdr1")):
-        gf = gt_p / pf.name
-        if gf.exists():
-            pairs.append((pf.stem, pf, gf))
+    pairs = [(pf.stem, pf, gt_p / pf.name) for pf in sorted(pred_p.glob("*.fdr1"))]
+    unmatched = [pf.name for _, pf, gf in pairs if not gf.exists()]
+    if unmatched:
+        more = f" and {len(unmatched) - 5} more" if len(unmatched) > 5 else ""
+        raise ConfigError(f"no --gt raster for {len(unmatched)} --pred raster(s): {', '.join(unmatched[:5])}{more}")
     if not pairs:
-        raise ConfigError(f"no matching raster names between {pred_p} and {gt_p}")
+        raise ConfigError(f"no .fdr1 raster in {pred_p}")
     return pairs
 
 

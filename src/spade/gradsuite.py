@@ -108,7 +108,8 @@ def _rel_pos_bias_cases(rng):
         table = Tensor(rng.standard_normal((heads, 2 * (h // g) - 1, 2 * (w // g) - 1)), requires_grad=True)
         base = rng.integers(-3, max(h, w) + 3, size=(b, nk, 2)) + rng.uniform(0.2, 0.8, (b, nk, 2))
         ppos = Tensor(base, requires_grad=True)
-        r = rng.standard_normal((b, heads, h * w, nk))
+        # drawn query by key, then laid out key-major like the bias
+        r = rng.standard_normal((b, heads, h * w, nk)).transpose(0, 1, 3, 2)
         yield lambda: scalarize(rel_pos_bias(table, ppos, h, w, g), r), [table, ppos]
 
 
@@ -121,16 +122,16 @@ def _cbam_cases(rng):
 
 
 def _deform_cases(rng):
-    for (c, heads, hw, gd) in ((6, 2, 4, 2), (4, 2, 4, 1), (8, 4, 4, 2)):
-        cfg = DeformAttnConfig(
-            channels=c, heads=heads, feat_h=hw, feat_w=hw, grid_downsample=gd, offset_range=0.9
-        )
+    # the last case is B=2 on a 4x6 map, so a swap of the batch and head axes,
+    # or of the map's rows and columns, shows
+    for (b, c, heads, h, w, gd) in ((1, 6, 2, 4, 4, 2), (1, 4, 2, 4, 4, 1), (1, 8, 4, 4, 4, 2), (2, 6, 3, 4, 6, 2)):
+        cfg = DeformAttnConfig(channels=c, heads=heads, feat_h=h, feat_w=w, grid_downsample=gd, offset_range=0.9)
         layer = DeformableAttention(cfg, rng)
         layer.offset_proj.weight.data[...] = rng.standard_normal(layer.offset_proj.weight.shape) * 0.2
         layer.offset_proj.bias.data[...] = rng.standard_normal(2) * 0.2
         layer.rel_bias_table.data[...] = rng.standard_normal(layer.rel_bias_table.shape) * 0.3
-        x = Tensor(rng.standard_normal((1, c, hw, hw)), requires_grad=True)
-        r = rng.standard_normal((1, c, hw, hw))
+        x = Tensor(rng.standard_normal((b, c, h, w)), requires_grad=True)
+        r = rng.standard_normal((b, c, h, w))
         wrt = [
             x,
             layer.rel_bias_table,

@@ -150,9 +150,9 @@ class DeformableAttention(Module):
         v4 = self.wv(sampled).reshape(B, hds, d, Nk)
         # the bias first, so its temporaries are freed before the logits exist
         scores = rel_pos_bias(self.rel_bias_table, ppos, H, W, cfg.grid_downsample)
-        scores = (q4.transpose(0, 1, 3, 2) @ k4) * (1.0 / np.sqrt(d)) + scores  # (B, heads, N, Nk)
-        attn = softmax(scores, axis=-1)
-        heads_out = v4 @ attn.transpose(0, 1, 3, 2)  # (B, heads, d, N)
+        scores = (k4 * (1.0 / np.sqrt(d))).transpose(0, 1, 3, 2) @ q4 + scores  # (B, heads, Nk, N)
+        attn = softmax(scores, axis=-2)
+        heads_out = v4 @ attn  # (B, heads, d, N)
         return self.wo(heads_out.reshape(B, C, H, W))
 
 

@@ -770,7 +770,7 @@ def _two_tap_weights(n: int, pos: np.ndarray, size: int, inv_g: float):
 
 
 def rel_pos_bias(table: Tensor, ppos: Tensor, H: int, W: int, g: int) -> Tensor:
-    """Relative-position bias of every query pixel to every key -> (B,heads,H*W,Nk).
+    """Key-major relative-position bias of every key to every query pixel -> (B,heads,Nk,H*W).
 
     table (heads,Th,Tw) is indexed by query-to-key displacement in grid
     cells, with zero displacement at its centre; ppos (B,Nk,2) holds the
@@ -795,15 +795,14 @@ def rel_pos_bias(table: Tensor, ppos: Tensor, H: int, W: int, g: int) -> Tensor:
     R, dR = _two_tap_weights(H, ppos.data[..., 0], Th, inv_g)
     C, dC = _two_tap_weights(W, ppos.data[..., 1], Tw, inv_g)
     T = table.data
-    # along table rows for all keys in one GEMM, then along columns per key
-    # RT is freed at the rebind, so only one product is alive with the output copy
-    RTC = (R.reshape(B * Nk * H, Th) @ T.transpose(1, 0, 2).reshape(Th, hds * Tw)).reshape(B, Nk, H * hds, Tw)
-    RTC = RTC @ C.transpose(0, 1, 3, 2)  # (B,Nk,H*hds,W)
-    out_data = np.ascontiguousarray(RTC.reshape(B, Nk, H, hds, W).transpose(0, 3, 2, 4, 1))
-    out_data = out_data.reshape(B, hds, H * W, Nk)
+    # along table columns for all heads and keys in one GEMM per sample, then
+    # along rows per (head, key), which writes the key-major layout itself
+    TC = T.reshape(hds * Th, Tw) @ C.reshape(B, Nk * W, Tw).transpose(0, 2, 1)  # (B,hds*Th,Nk*W)
+    out_data = R[:, None] @ TC.reshape(B, hds, Th, Nk, W).transpose(0, 1, 3, 2, 4)  # (B,hds,Nk,H,W)
+    out_data = out_data.reshape(B, hds, Nk, H * W)
 
     def bw(grad):
-        gk = grad.reshape(B, hds, H, W, Nk).transpose(0, 4, 2, 1, 3).reshape(B, Nk, H * hds, W)
+        gk = grad.reshape(B, hds, Nk, H, W).transpose(0, 2, 3, 1, 4).reshape(B, Nk, H * hds, W)
         # grad summed over query columns against C and dC: (B*Nk*H, hds, 2, Tw)
         u = (gk @ np.stack([C, dC()], axis=3).reshape(B, Nk, W, 2 * Tw)).reshape(B * Nk * H, hds, 2, Tw)
         if ntable is not None:

@@ -84,12 +84,13 @@ def _collect(gt: DepthRaster, pixels) -> SparsePointSet:
     return SparsePointSet(points)
 
 
-def _gradient_magnitude(img: np.ndarray) -> np.ndarray:
+def _gradient_magnitude(img: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    # a difference counts only where both its pixels are valid, so no hole's fill value enters
     gx = np.zeros_like(img)
     gy = np.zeros_like(img)
-    gx[:, :-1] = np.abs(np.diff(img, axis=1))
-    gy[:-1, :] = np.abs(np.diff(img, axis=0))
-    return gx + gy
+    np.subtract(img[:, 1:], img[:, :-1], out=gx[:, :-1], where=valid[:, 1:] & valid[:, :-1])
+    np.subtract(img[1:], img[:-1], out=gy[:-1], where=valid[1:] & valid[:-1])
+    return np.abs(gx) + np.abs(gy)
 
 
 def sample_pattern(
@@ -124,8 +125,8 @@ def sample_pattern(
         n_valid = int(gt.valid.sum())
         if spec.count > n_valid:
             raise ConfigError(f"requested {spec.count} points but only {n_valid} valid pixels")
-        src = guide.values if guide is not None else gt.values
-        weights = _gradient_magnitude(src) * gt.valid
+        texture = guide if guide is not None else gt
+        weights = _gradient_magnitude(texture.values, texture.valid) * gt.valid
         if (weights > 0).sum() < spec.count:
             weights = weights + 1e-9 * gt.valid
         p = (weights / weights.sum()).ravel()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spade.errors import ConfigError
-from spade.nn import DeformAttnConfig, DeformableAttention, Tensor, TransformerBlock
+from spade.nn import DeformAttnConfig, DeformableAttention, Tensor, TransformerBlock, attention, softmax
 from spade.nn.gradcheck import fd_gradcheck, scalarize
 
 from test_tensor import bilinear_sample_four_gathers, softmax_three_temporaries, two_tap_weights_one_hot
@@ -126,6 +126,37 @@ class TestDeformableAttention:
         hi = values.max(axis=2, keepdims=True)
         assert np.all(heads_out >= lo - 1e-12)
         assert np.all(heads_out <= hi + 1e-12)
+
+    def test_scores_stay_key_major(self, monkeypatch):
+        # B, heads, d, Nk and N all differ, so each recorded shape names its array
+        B, C, heads, H, W = 3, 8, 2, 4, 6
+        cfg = DeformAttnConfig(channels=C, heads=heads, feat_h=H, feat_w=W, grid_downsample=2)
+        layer = DeformableAttention(cfg, np.random.default_rng(10))
+        d, Nk, N = C // heads, cfg.grid_h * cfg.grid_w, H * W
+        softmaxes, transposed, scaled = [], [], []
+
+        def recording_softmax(x, axis=-1):
+            softmaxes.append((x.shape, axis))
+            return softmax(x, axis=axis)
+
+        def recording_transpose(self, *axes):
+            transposed.append(self.shape)
+            return original_transpose(self, *axes)
+
+        def recording_mul(self, other):
+            if isinstance(other, float):
+                scaled.append((self.shape, other))
+            return original_mul(self, other)
+
+        original_transpose, original_mul = Tensor.transpose, Tensor.__mul__
+        monkeypatch.setattr(attention, "softmax", recording_softmax)
+        monkeypatch.setattr(Tensor, "transpose", recording_transpose)
+        monkeypatch.setattr(Tensor, "__mul__", recording_mul)
+        layer(Tensor(np.random.default_rng(11).standard_normal((B, C, H, W))))
+        assert softmaxes == [((B, heads, Nk, N), -2)]
+        assert all(shape[-2:] not in ((Nk, N), (N, Nk)) for shape in transposed)
+        assert ((B, heads, d, Nk), 1.0 / np.sqrt(d)) in scaled
+        assert all(shape[-2:] != (Nk, N) for shape, _ in scaled)
 
     def test_offsets_zero_at_init(self):
         layer = DeformableAttention(

@@ -835,6 +835,31 @@ def test_truncated_raster_is_one_line_format_error_naming_the_file(command, side
     assert not (tmp_path / "eval.json").exists() and not (tmp_path / "rep").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "report"])
+@pytest.mark.parametrize(
+    "unmatched, listed",
+    [(["b"], "1 --pred raster(s): b.fdr1"), (list("bcdefgh"), "7 --pred raster(s): b.fdr1, c.fdr1, d.fdr1, "
+                                                             "e.fdr1, f.fdr1 and 2 more")],
+    ids=["one", "seven"],
+)
+def test_prediction_with_no_ground_truth_is_refused_before_reading(command, unmatched, listed, tmp_path, capsys):
+    pred_dir, gt_dir = report_dirs(tmp_path, {"a": (depth((8, 8)), depth((8, 8)))})
+    for name in unmatched:
+        (pred_dir / f"{name}.fdr1").write_bytes(b"not read")
+    out = ["--out", tmp_path / "eval.json"] if command == "eval" else ["--out-dir", tmp_path / "rep"]
+    assert run_cli(command, "--pred", pred_dir, "--gt", gt_dir, *out) == 2
+    assert capsys.readouterr().err == f"error: no --gt raster for {listed}\n"
+    assert not (tmp_path / "eval.json").exists() and not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "report"])
+def test_ground_truth_with_no_prediction_is_left_out(command, tmp_path):
+    pred_dir, gt_dir = report_dirs(tmp_path, {"a": (depth((8, 8)), depth((8, 8)))})
+    write_raster(depth((8, 8)), gt_dir / "b.fdr1")
+    out = ["--out", tmp_path / "eval.json"] if command == "eval" else ["--out-dir", tmp_path / "rep"]
+    assert run_cli(command, "--pred", pred_dir, "--gt", gt_dir, *out) == 0
+
+
 def test_eval_keeps_a_frame_with_no_pixel_under_the_cap_as_skipped(tmp_path, capsys):
     pred_dir, gt_dir = report_dirs(tmp_path, {"c": (depth((8, 8)), depth((8, 8)))})
     assert run_cli("eval", "--pred", pred_dir, "--gt", gt_dir, "--cap", 1.0, "--out", tmp_path / "eval.json") == 0

@@ -91,6 +91,24 @@ class TestFeatureLike:
         near_edge = sum(1 for p in pts if 13 <= p.u <= 16)
         assert near_edge >= 20
 
+    @pytest.mark.parametrize("texture", ["gt", "guide"])
+    def test_hole_fill_values_never_reach_the_weights(self, texture):
+        # an invalid block is legal whatever it holds, NaN included; the points
+        # drawn must not depend on what it holds
+        rng = np.random.default_rng(4)
+        values, guide_values = rng.uniform(1.0, 4.0, (2, 30, 40))
+        valid = np.ones((30, 40), dtype=bool)
+        valid[10:20, 10:20] = False
+        drawn = []
+        for fill in (np.nan, 0.0, 1e6):
+            holed = np.where(valid, values if texture == "gt" else guide_values, fill)
+            gt = metric(holed, valid) if texture == "gt" else metric(values)
+            guide = metric(holed, valid) if texture == "guide" else None
+            pts = sample_pattern(gt, PatternSpec(kind="feature_like", count=60, seed=2), guide=guide)
+            assert all(gt.valid[p.v_row, p.u] and np.isfinite(p.depth_m) for p in pts)
+            drawn.append([(p.u, p.v_row) for p in pts])
+        assert len(drawn[0]) == 60 and drawn[0] == drawn[1] == drawn[2]
+
 
 class TestLaser2:
     def test_plane_beyond_cutoff_gives_empty_set(self):

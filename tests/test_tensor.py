@@ -280,7 +280,7 @@ def rel_pos_bias_via_sampling(table, ppos, H, W, g):
     disp = (Tensor(qpos[None, :, None, :]) - ppos.reshape(B, 1, Nk, 2)) * (1.0 / g)
     coords = (disp + Tensor(np.array([(Th - 1) / 2, (Tw - 1) / 2]))).reshape(B, H * W * Nk, 2)
     table_b = concat([table.reshape(1, hds, Th, Tw)] * B, axis=0)
-    return bilinear_sample(table_b, coords).reshape(B, hds, H * W, Nk)
+    return bilinear_sample(table_b, coords).reshape(B, hds, H * W, Nk).transpose(0, 1, 3, 2)
 
 
 class TestKernelEquivalence:
@@ -408,7 +408,8 @@ class TestKernelEquivalence:
         ref = np.stack(np.meshgrid(rr, cc, indexing="ij"), axis=-1).reshape(1, -1, 2)
         # offsets up to 1.5x the map size reach the table's border clamp
         pos0 = ref + rng.uniform(-1.5, 1.5, (batch, gh * gw, 2)) * np.array([H, W])
-        seed = rng.standard_normal((batch, heads, H * W, gh * gw))
+        # drawn query by key, then laid out key-major like the bias
+        seed = rng.standard_normal((batch, heads, H * W, gh * gw)).transpose(0, 1, 3, 2)
         results = []
         for op in (rel_pos_bias, rel_pos_bias_via_sampling):
             table = Tensor(table0.copy(), requires_grad=True)
@@ -417,11 +418,39 @@ class TestKernelEquivalence:
             scalarize(out, seed).backward()
             results.append((out.data, table.grad, ppos.grad))
         (fast, d_table, d_pos), (slow, d_table_ref, d_pos_ref) = results
-        assert fast.shape == slow.shape == (batch, heads, H * W, gh * gw)
+        assert fast.shape == slow.shape == (batch, heads, gh * gw, H * W) and fast.flags.c_contiguous
         np.testing.assert_allclose(fast, slow, rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(d_table, d_table_ref, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(d_pos, d_pos_ref, rtol=1e-12, atol=1e-12)
         assert np.any(d_pos == 0.0)  # some keys are clamped in a whole axis
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rel_pos_bias_matches_sampling_on_any_layout(self, data):
+        # ragged maps down to one grid cell per axis (a one-entry table axis),
+        # any key count, and a first key past the table's clamp in a whole axis
+        draw = data.draw
+        heads, g, B = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2, 3])), draw(st.integers(1, 2))
+        H, W, Nk = g * draw(st.integers(1, 4)), g * draw(st.integers(1, 4)), draw(st.integers(1, 5))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        table0 = rng.standard_normal((heads, 2 * (H // g) - 1, 2 * (W // g) - 1))
+        pos0 = rng.uniform(-1.5, 2.5, (B, Nk, 2)) * np.array([H, W])
+        axis = draw(st.integers(0, 1))
+        pos0[:, 0, axis] = draw(st.sampled_from([-1.0, 2.0])) * (H, W)[axis] + rng.uniform(0.2, 0.8)
+        seed = rng.standard_normal((B, heads, Nk, H * W))
+        results = []
+        for op in (rel_pos_bias, rel_pos_bias_via_sampling):
+            table = Tensor(table0.copy(), requires_grad=True)
+            ppos = Tensor(pos0.copy(), requires_grad=True)
+            out = op(table, ppos, H, W, g)
+            scalarize(out, seed).backward()
+            results.append((out.data, table.grad, ppos.grad))
+        (fast, d_table, d_pos), (slow, d_table_ref, d_pos_ref) = results
+        assert fast.shape == (B, heads, Nk, H * W) and fast.flags.c_contiguous
+        np.testing.assert_allclose(fast, slow, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(d_table, d_table_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(d_pos, d_pos_ref, rtol=1e-12, atol=1e-12)
+        assert np.all(d_pos[:, 0, axis] == 0.0)
 
 
 # -- the frame kernels against the formulations they replaced -----------------
