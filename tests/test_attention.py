@@ -134,6 +134,7 @@ class TestDeformableAttention:
         layer = DeformableAttention(cfg, np.random.default_rng(10))
         d, Nk, N = C // heads, cfg.grid_h * cfg.grid_w, H * W
         softmaxes, transposed, scaled = [], [], []
+        original_transpose, original_mul = Tensor.transpose, Tensor.__mul__
 
         def recording_softmax(x, axis=-1):
             softmaxes.append((x.shape, axis))
@@ -148,7 +149,6 @@ class TestDeformableAttention:
                 scaled.append((self.shape, other))
             return original_mul(self, other)
 
-        original_transpose, original_mul = Tensor.transpose, Tensor.__mul__
         monkeypatch.setattr(attention, "softmax", recording_softmax)
         monkeypatch.setattr(Tensor, "transpose", recording_transpose)
         monkeypatch.setattr(Tensor, "__mul__", recording_mul)

@@ -838,8 +838,10 @@ def test_truncated_raster_is_one_line_format_error_naming_the_file(command, side
 @pytest.mark.parametrize("command", ["eval", "report"])
 @pytest.mark.parametrize(
     "unmatched, listed",
-    [(["b"], "1 --pred raster(s): b.fdr1"), (list("bcdefgh"), "7 --pred raster(s): b.fdr1, c.fdr1, d.fdr1, "
-                                                             "e.fdr1, f.fdr1 and 2 more")],
+    [
+        (["b"], "1 --pred raster(s): b.fdr1"),
+        (list("bcdefgh"), "7 --pred raster(s): b.fdr1, c.fdr1, d.fdr1, e.fdr1, f.fdr1 and 2 more"),
+    ],
     ids=["one", "seven"],
 )
 def test_prediction_with_no_ground_truth_is_refused_before_reading(command, unmatched, listed, tmp_path, capsys):
