@@ -24,6 +24,17 @@ from .errors import ConfigError, DomainError, FormatError, ShapeError
 
 MAX_PIXELS = 100_000_000  # dimension-overflow guard for file headers
 
+# The most bytes one temporary of a batched kernel may take: well under the
+# 32 MiB mmap threshold `spade.nn` sets, so each piece comes from the heap.
+BYTE_BUDGET = 8 << 20
+
+
+def budget_slices(n: int, item_bytes: int) -> list[slice]:
+    """Consecutive slices of range(n), each with as many items of item_bytes
+    as fit BYTE_BUDGET, and at least one; the one reader of the budget."""
+    step = max(1, BYTE_BUDGET // item_bytes if item_bytes else n)
+    return [slice(s, min(s + step, n)) for s in range(0, n, step)]
+
 
 class Space(enum.Enum):
     """Value space of a depth raster."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DepthRaster, ScaleMap, Space, SparsePointSet
+from .core import DepthRaster, ScaleMap, Space, SparsePointSet, budget_slices
 from .errors import ConfigError, DomainError, NumericError, ShapeError
 
 K_UNDERFLOW = 1e-300  # below this the normalizer is treated as "no neighbours"
@@ -81,7 +81,8 @@ def jbu_densify(eps: ScaleMap, z_tilde: DepthRaster, params: JBUParams = JBUPara
     `np.bincount` accumulates them per target. Contributions are ordered
     offset-major (offsets row by row, then the points), so each pixel adds
     its terms in the same order as one shifted full-image pass per offset
-    would, and gets the same bits.
+    would, and gets the same bits. The offsets run in blocks under the byte
+    budget, whose sums add up: more than one block moves them by rounding.
     """
     if z_tilde.space is not Space.INVERSE:
         raise DomainError(f"aligned map must be inverse depth, got {z_tilde.space.value}")
@@ -102,15 +103,19 @@ def jbu_densify(eps: ScaleMap, z_tilde: DepthRaster, params: JBUParams = JBUPara
     # (offsets, points) grids, row-major: offset-major, then point order
     dy, dx = np.meshgrid(np.arange(-ry, ry + 1), np.arange(-rx, rx + 1), indexing="ij")
     dy, dx = dy.reshape(-1, 1), dx.reshape(-1, 1)
-    inside = (qy >= dy) & (qy < h + dy) & (qx >= dx) & (qx < w + dx)
-    target = (q - (dy * w + dx))[inside]
-    dz = guide[target] - np.broadcast_to(guide[q], inside.shape)[inside]
-    with np.errstate(over="ignore"):  # an exponent past float64 is a weight of 0 either way
-        f = np.broadcast_to(np.exp(-(dy * dy + dx * dx) * inv2ss), inside.shape)[inside]
-        wgt = f * np.exp(-(dz * dz) * inv2sr)
-    vals = np.broadcast_to(eps.values.ravel()[q], inside.shape)[inside]
-    num = np.bincount(target, weights=wgt * vals, minlength=h * w).reshape(h, w)
-    den = np.bincount(target, weights=wgt, minlength=h * w).reshape(h, w)
+    num = den = 0.0
+    # blocks of offsets whose (offsets, points) temporaries, about 7 alive at once, fit the budget
+    for blk in budget_slices(len(dy), 7 * 8 * len(q)):
+        by, bx = dy[blk], dx[blk]
+        inside = (qy >= by) & (qy < h + by) & (qx >= bx) & (qx < w + bx)
+        target = (q - (by * w + bx))[inside]
+        dz = guide[target] - np.broadcast_to(guide[q], inside.shape)[inside]
+        with np.errstate(over="ignore"):  # an exponent past float64 is a weight of 0 either way
+            f = np.broadcast_to(np.exp(-(by * by + bx * bx) * inv2ss), inside.shape)[inside]
+            wgt = f * np.exp(-(dz * dz) * inv2sr)
+        vals = np.broadcast_to(eps.values.ravel()[q], inside.shape)[inside]
+        num = num + np.bincount(target, weights=wgt * vals, minlength=h * w).reshape(h, w)
+        den = den + np.bincount(target, weights=wgt, minlength=h * w).reshape(h, w)
 
     ok = (den >= K_UNDERFLOW) & z_tilde.valid
     out = np.zeros((h, w), dtype=np.float64)

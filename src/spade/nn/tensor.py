@@ -21,7 +21,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ..core import bilinear_taps, resize_matrix
+from ..core import bilinear_taps, budget_slices, resize_matrix
 from ..errors import ShapeError, SpadeError
 
 
@@ -46,11 +46,6 @@ def _set_malloc_policy():
 
 
 _set_malloc_policy()
-
-# The most bytes one temporary of a batched kernel may take. Well under the
-# 32 MiB mmap threshold above, so each piece is served from the heap instead
-# of being mapped and faulted in afresh on every call.
-BYTE_BUDGET = 8 << 20
 
 # Per-thread (and per-context) switch: a no_grad block in one thread must not
 # stop another thread from recording its graph.
@@ -582,8 +577,9 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, gro
     gradient (as where one input channel feeds many outputs and g's matrix
     would be the larger), dw is one GEMM per group on x's im2col matrix.
 
-    Every im2col matrix that would exceed BYTE_BUDGET is walked in chunks of
-    samples whose matrix fits it; g's matrices take their own chunks.
+    Every im2col matrix that would exceed the byte budget is walked in chunks
+    of samples whose matrix fits it (`budget_slices`); g's matrices take their
+    own chunks.
 
     An ungrouped, unpadded 1x1 convolution at stride 1 is a channel mix of
     each sample, w (F,C) @ x (C,H*W) and its transposes, with no window,
@@ -602,12 +598,12 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, gro
         out_data = (w.data.reshape(F, C) @ x.data.reshape(B, C, H * W)).reshape(B, F, H, W)
     else:
         Ho, Wo = (H + 2 * padding - kh) // stride + 1, (W + 2 * padding - kw) // stride + 1
-        step = min(B, max(1, BYTE_BUDGET // (8 * C * kh * kw * Ho * Wo)))  # chunks whose matrix of x fits
         w2, n = w.data.reshape(G, Fg, Cg * kh * kw), Ho * Wo
+        xchunks = budget_slices(B, 8 * C * kh * kw * n)  # chunks whose matrix of x fits
         out_data = np.empty((G, Fg, B * n))
-        for s in range(0, B, step):  # each chunk's matrix is freed before the next is built
-            chunk = out_data[:, :, s * n : (s + step) * n]
-            np.matmul(w2, _cols(x.data[s : s + step], kh, kw, stride, padding, Ho, Wo, G), out=chunk)
+        for c in xchunks:  # each chunk's matrix is freed before the next is built
+            chunk = out_data[:, :, c.start * n : c.stop * n]
+            np.matmul(w2, _cols(x.data[c], kh, kw, stride, padding, Ho, Wo, G), out=chunk)
         # a view at B=1, where the batch axis has size one
         out_data = np.ascontiguousarray(out_data.reshape(F, B, Ho, Wo).transpose(1, 0, 2, 3))
     if b is not None:
@@ -628,9 +624,9 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, gro
             return
         if nx is None:
             dw = 0
-            for s in range(0, B, step):
-                g2 = g[s : s + step].transpose(1, 0, 2, 3).reshape(G, Fg, -1)
-                dw = dw + g2 @ _cols(xd[s : s + step], kh, kw, stride, padding, Ho, Wo, G).transpose(0, 2, 1)
+            for c in xchunks:
+                g2 = g[c].transpose(1, 0, 2, 3).reshape(G, Fg, -1)
+                dw = dw + g2 @ _cols(xd[c], kh, kw, stride, padding, Ho, Wo, G).transpose(0, 2, 1)
             Tensor._accum(nw, dw.reshape(wshape))
             return
         rows, (top, bottom) = _phases(H, Ho, kh, stride, padding)
@@ -640,17 +636,16 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int, gro
         dx = (np.empty if len(rows) == len(cols) == stride else np.zeros)((B, C, H, W))
         dw = np.zeros((G, Fg, kh, kw, Cg))  # in the layout of g's matrix @ x
         sample_bytes = 8 * F * -(-kh // stride) * -(-kw // stride) * -(-H // stride) * -(-W // stride)
-        gstep = min(B, max(1, BYTE_BUDGET // sample_bytes))  # chunks whose largest phase matrix fits
-        for s in range(0, B, gstep):
-            gp = np.zeros((min(gstep, B - s), F, top + Ho + bottom, left + Wo + right))
-            gp[:, :, top : top + Ho, left : left + Wo] = g[s : s + gstep]
+        for c in budget_slices(B, sample_bytes):  # chunks whose largest phase matrix fits
+            gp = np.zeros((c.stop - c.start, F, top + Ho + bottom, left + Wo + right))
+            gp[:, :, top : top + Ho, left : left + Wo] = g[c]
             for py, ky, th, hr, oy in rows:  # (inputs, taps, tap count, rows, g's first row) of each axis
                 for px, kx, tw, wr, ox in cols:
                     gcols = _cols(gp, th, tw, 1, 0, hr, wr, G, (top + oy, left + ox))
                     wk = wf[..., ky, kx][..., ::-1, ::-1].reshape(G, Cg, -1)
-                    dx[s : s + gstep, :, py, px] = (wk @ gcols).reshape(C, -1, hr, wr).transpose(1, 0, 2, 3)
+                    dx[c, :, py, px] = (wk @ gcols).reshape(C, -1, hr, wr).transpose(1, 0, 2, 3)
                     if nw is not None:
-                        xr = xd[s : s + gstep, :, py, px].transpose(1, 0, 2, 3).reshape(G, Cg, -1)
+                        xr = xd[c, :, py, px].transpose(1, 0, 2, 3).reshape(G, Cg, -1)
                         part = (gcols @ xr.transpose(0, 2, 1)).reshape(G, Fg, th, tw, Cg)
                         dw[:, :, ky, kx] += part[:, :, ::-1, ::-1]  # the matrix's taps run flipped
                     del gcols  # freed before the next phase's is built

@@ -19,6 +19,7 @@ from .core import (
     ScaleMap,
     Space,
     SparsePointSet,
+    budget_slices,
     from_inverse,
     to_inverse,
 )
@@ -38,7 +39,6 @@ from .errors import (
 from .losses import loss_total
 from .metrics import MetricReport, aggregate_metrics, compute_metrics, score_pairs
 from .nn import CCDTConfig, FeaturePyramid, Module, RefinementNet, Tensor, no_grad
-from .nn import tensor as nn_tensor
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.network import STRIDES
 from .optim import AdamW
@@ -312,16 +312,20 @@ def network_inputs(frames: Sequence[PreparedFrame]) -> tuple[Tensor, Tensor, Ten
 
 
 def refine_frames(model: SpadeModel, frames: Sequence[PreparedFrame]) -> list[tuple[DepthRaster, np.ndarray]]:
-    """Stage 2 for B prepared frames in one eval forward: each frame's refined
-    depth and its predicted correction map eps_hat."""
+    """Stage 2 for any number of prepared frames, in frame order: each one's
+    refined depth and predicted correction map eps_hat. One eval forward per
+    batch of as many frames as fit the byte budget with one sample's stage-1
+    input, the (2 * embed + fused)-channel full-size map the first stage reads."""
+    net, (h, w) = model.cfg.network, model.cfg.input_hw
     model.eval()
-    with no_grad():
-        eps_hat = model(*network_inputs(frames)).data[:, 0]
     refined = []
-    for frame, eps in zip(frames, eps_hat):
-        aligned = frame.aligned
-        inv = np.where(aligned.valid, aligned.values * eps, 0.0)
-        refined.append((from_inverse(DepthRaster(inv, aligned.valid, Space.INVERSE)), eps))
+    for batch in budget_slices(len(frames), 8 * (2 * net.embed_channels + net.fused_channels) * h * w):
+        with no_grad():
+            eps_hat = model(*network_inputs(frames[batch])).data[:, 0]
+        for frame, eps in zip(frames[batch], eps_hat):
+            aligned = frame.aligned
+            inv = np.where(aligned.valid, aligned.values * eps, 0.0)
+            refined.append((from_inverse(DepthRaster(inv, aligned.valid, Space.INVERSE)), eps))
     return refined
 
 
@@ -481,14 +485,6 @@ def _sweep_points(frame: FrameData, pattern: str, count: int, cfg: RunConfig, fr
     return sample_pattern(frame.gt, PatternSpec(kind=pattern), laser=laser)
 
 
-def sweep_batch(cfg: RunConfig) -> int:
-    """How many passes a sweep refines in one forward: as many samples as fit
-    BYTE_BUDGET with the bytes of one sample's stage-1 input, the
-    (2 * embed + fused)-channel full-size map the first stage reads, and at least one."""
-    net, (h, w) = cfg.network, cfg.input_hw
-    return max(1, nn_tensor.BYTE_BUDGET // (8 * (2 * net.embed_channels + net.fused_channels) * h * w))
-
-
 def sweep(model: SpadeModel, cfg: RunConfig, spec: SweepSpec) -> dict:
     """Grid of (pattern, point count, range cap) cells with a global-alignment
     baseline column: the aligned map of the same frames and points, before
@@ -496,8 +492,8 @@ def sweep(model: SpadeModel, cfg: RunConfig, spec: SweepSpec) -> dict:
 
     Frame by frame, every (pattern, count) pass is prepared by stage 1 (a
     pass whose stage 1 fails is logged and skipped), the passes are refined
-    in batches of `sweep_batch(model.cfg)` samples, one eval forward each,
-    and each refined pass is scored at every cap into its cell."""
+    by one `refine_frames` call, and each refined pass is scored at every cap
+    into its cell."""
     if tuple(cfg.input_hw) != tuple(model.cfg.input_hw):
         raise ConfigError(f"sweep input {tuple(cfg.input_hw)} does not match the model's {tuple(model.cfg.input_hw)}")
     frames = build_corpus(cfg, "eval", n_frames=spec.n_frames)
@@ -519,7 +515,6 @@ def sweep(model: SpadeModel, cfg: RunConfig, spec: SweepSpec) -> dict:
     caps = spec.range_caps
     refined = {key: [[] for _ in caps] for key in passes}
     ga = {key: [[] for _ in caps] for key in passes}  # scored exactly where refined is: both are valid on aligned.valid
-    batch = sweep_batch(model.cfg)
     for idx, frame in enumerate(frames):
         ready = []
         for pattern, count in passes:
@@ -529,19 +524,15 @@ def sweep(model: SpadeModel, cfg: RunConfig, spec: SweepSpec) -> dict:
                 ready.append(((pattern, count), prepare_frame(frame.z_rel, frame.guide, pts, model.cfg.jbu, laser)))
             except SpadeError as e:
                 log.warning("sweep frame %s (%s, n=%d) skipped: %s", frame.name, pattern, count, e)
-        for start in range(0, len(ready), batch):
-            chunk = ready[start : start + batch]
-            for ((pattern, count), prepared), (depth, _) in zip(chunk, refine_frames(model, [p for _, p in chunk])):
-                ga_depth = from_inverse(prepared.aligned)
-                for i, cap in enumerate(caps):
-                    try:
-                        refined[pattern, count][i].append(compute_metrics(depth, frame.gt, cap))
-                    except EmptyEvaluationError as e:
-                        log.warning(
-                            "sweep frame %s (%s, n=%d, cap %g m) skipped: %s", frame.name, pattern, count, cap, e
-                        )
-                        continue
-                    ga[pattern, count][i].append(compute_metrics(ga_depth, frame.gt, cap))
+        for ((pattern, count), prepared), (depth, _) in zip(ready, refine_frames(model, [p for _, p in ready])):
+            ga_depth = from_inverse(prepared.aligned)
+            for i, cap in enumerate(caps):
+                try:
+                    refined[pattern, count][i].append(compute_metrics(depth, frame.gt, cap))
+                except EmptyEvaluationError as e:
+                    log.warning("sweep frame %s (%s, n=%d, cap %g m) skipped: %s", frame.name, pattern, count, cap, e)
+                    continue
+                ga[pattern, count][i].append(compute_metrics(ga_depth, frame.gt, cap))
 
     cells = []
     for pattern, count in passes:

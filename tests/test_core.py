@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import spade
 from spade.core import (
     DepthRaster,
     Point,
@@ -238,3 +242,31 @@ class TestBilinearTaps:
         want = (i0, np.minimum(i0 + 1, size - 1), c - i0, (raw > 0.0) & (raw < size - 1.0))
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def budget_reads(node, scope="<module>"):
+    """(scope, line) of every read, import or attribute of BYTE_BUDGET under
+    node, a module-level one under "<module>"."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    if (
+        (isinstance(node, ast.Name) and node.id == "BYTE_BUDGET" and isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.Attribute) and node.attr == "BYTE_BUDGET")
+        or (isinstance(node, ast.ImportFrom) and any(a.name == "BYTE_BUDGET" for a in node.names))
+        or (isinstance(node, ast.Constant) and node.value == "BYTE_BUDGET")
+    ):
+        yield scope, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from budget_reads(child, scope)
+
+
+def test_only_budget_slices_reads_the_byte_budget():
+    """Every batched temporary takes its block size from `budget_slices`, so
+    no kernel grows a formula of its own around BYTE_BUDGET."""
+    package = Path(spade.__file__).parent
+    readers = {
+        (str(path.relative_to(package)), scope, line)
+        for path in sorted(package.rglob("*.py"))
+        for scope, line in budget_reads(ast.parse(path.read_text(), str(path)))
+    }
+    assert {(path, scope) for path, scope, _ in readers} == {("core.py", "budget_slices")}, sorted(readers)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from spade import core, densify
 from spade.core import DepthRaster, ScaleMap, Space, SparsePointSet
 from spade.densify import JBUParams, fill_default, jbu_densify, sparse_scale_map
 from spade.errors import ConfigError, DomainError, NumericError
@@ -258,6 +259,25 @@ class TestJBU:
         extent = jbu_densify(eps, guide, JBUParams(max(h, w), 3.0, 0.2))
         assert huge.values.tobytes() == extent.values.tobytes()
         assert np.array_equal(huge.filled, extent.filled) and np.array_equal(huge.known, extent.known)
+
+    @pytest.mark.parametrize("budget", [4 << 10, 64 << 10])
+    def test_offset_blocks_match_one_block(self, monkeypatch, budget):
+        # blocks sum each pixel's terms in another order, so only rounding moves
+        rng = np.random.default_rng(34)
+        h, w = 24, 32
+        known = rng.random((h, w)) < 0.08
+        valid = rng.random((h, w)) > 0.1
+        eps = ScaleMap(np.where(known, rng.uniform(0.5, 2.0, (h, w)), 0.0), known)
+        guide = inverse_raster(np.where(valid, rng.uniform(0.2, 1.5, (h, w)), 0.0), valid)
+        params = JBUParams(6, 2.5, 0.3)
+        walks, walk = [], densify.budget_slices
+        monkeypatch.setattr(densify, "budget_slices", lambda n, item_bytes: walks.append(walk(n, item_bytes)) or walks[-1])
+        whole = jbu_densify(eps, guide, params)
+        monkeypatch.setattr(core, "BYTE_BUDGET", budget)
+        blocks = jbu_densify(eps, guide, params)
+        assert len(walks[0]) == 1 and len(walks[1]) > 1, [len(s) for s in walks]
+        assert np.array_equal(blocks.filled, whole.filled) and np.array_equal(blocks.known, whole.known)
+        np.testing.assert_allclose(blocks.values, whole.values, rtol=1e-13, atol=0)
 
     def test_param_validation(self):
         with pytest.raises(ConfigError):

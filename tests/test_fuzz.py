@@ -3,7 +3,9 @@ value or raise FormatError, never another exception; whatever JSON value the
 config reader gets, it returns a config or raises ConfigError; whatever finite
 inputs the alignment fits and the scale-map densification get, they return
 finite values or raise SpadeError; whatever single fault a pred/gt raster pair
-has, `spade eval` and `spade report` exit with its documented code."""
+has, `spade eval` and `spade report` exit with its documented code, and so
+does `spade densify` for a faulty scale map or guide; the byte-budget walk
+covers its items once, in slices that fit."""
 
 import csv
 import dataclasses
@@ -25,6 +27,7 @@ from conftest import manifest_arrays
 from spade.alignment import align_global, align_with_laser, fit_scale_only, fit_scale_shift, laser_scale
 from spade.config import from_json
 from spade.densify import JBUParams, jbu_densify, sparse_scale_map
+from spade import core
 from spade.core import (
     DepthRaster,
     LaserRig,
@@ -32,6 +35,7 @@ from spade.core import (
     ScaleMap,
     Space,
     SparsePointSet,
+    budget_slices,
     read_points,
     read_raster,
     write_raster,
@@ -448,6 +452,90 @@ def test_jbu_is_finite_and_positive_or_raises(data):
             return
     filled = dense.values[dense.filled]
     assert np.all(np.isfinite(filled)) and np.all(filled > 0)
+
+
+@FUZZ
+@given(
+    n=st.integers(0, 300),
+    item_bytes=st.integers(0, 3 * core.BYTE_BUDGET) | st.integers(1, 400).map(lambda k: core.BYTE_BUDGET // k),
+)
+def test_budget_slices_cover_the_items_once_in_slices_that_fit(n, item_bytes):
+    slices = budget_slices(n, item_bytes)
+    assert [i for s in slices for i in range(s.start, s.stop)] == list(range(n))
+    sizes = [s.stop - s.start for s in slices]
+    assert all(size >= 1 for size in sizes)
+    assert all(size * item_bytes <= core.BYTE_BUDGET for size in sizes if size > 1)
+    # each slice but the last holds as many items as fit
+    assert all((size + 1) * item_bytes > core.BYTE_BUDGET for size in sizes[:-1])
+    assert bool(slices) == (n > 0)
+
+
+# ---------------------------------------------------------------------------
+# `spade densify` over a small scene with one mutated input: it exits 0, 2, 3
+# or 4, and only exit 0 writes a raster, finite and positive on its mask
+# ---------------------------------------------------------------------------
+
+DENSIFY_MUTATIONS = (
+    "none", "holes", "empty_mask", "all_known", "map_shape", "guide_shape", "map_space", "guide_space", "invalid_guide"
+)
+
+
+def write_densify_inputs(root, data):
+    """A scale map and its aligned guide, 5x7, one of them carrying one mutation."""
+    shape = (5, 7)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    known = rng.random(shape) < 0.3
+    known[2, 3] = True
+    factors = np.where(known, rng.uniform(0.5, 2.0, shape), 0.0)
+    scale_map = DepthRaster(factors, known, Space.AFFINE)
+    guide = DepthRaster(rng.uniform(0.2, 1.5, shape), np.ones(shape, bool), Space.INVERSE)
+    mutation = data.draw(st.sampled_from(DENSIFY_MUTATIONS), label="mutation")
+    if mutation == "holes":  # unknown pixels hold NaN, not 0
+        scale_map = DepthRaster(np.where(known, factors, np.nan), known, Space.AFFINE)
+    elif mutation == "empty_mask":
+        scale_map = DepthRaster(factors, np.zeros(shape, bool), Space.AFFINE)
+    elif mutation == "all_known":
+        scale_map = DepthRaster(rng.uniform(0.5, 2.0, shape), np.ones(shape, bool), Space.AFFINE)
+    elif mutation in ("map_shape", "guide_shape"):
+        other = (shape[0] + 1, shape[1] - 2)
+        if mutation == "map_shape":
+            scale_map = DepthRaster(np.ones(other), np.ones(other, bool), Space.AFFINE)
+        else:
+            guide = DepthRaster(np.full(other, 0.5), np.ones(other, bool), Space.INVERSE)
+    elif mutation == "map_space":
+        scale_map = DepthRaster(factors, known, data.draw(st.sampled_from([Space.METRIC, Space.INVERSE])))
+    elif mutation == "guide_space":
+        guide = DepthRaster(guide.values, guide.valid, data.draw(st.sampled_from([Space.METRIC, Space.AFFINE])))
+    elif mutation == "invalid_guide":
+        valid = rng.random(shape) < data.draw(st.sampled_from([0.0, 0.5, 0.9]), label="valid share")
+        guide = DepthRaster(np.where(valid, guide.values, np.nan), valid, Space.INVERSE)
+    write_raster(scale_map, root / "map.fdr1")
+    write_raster(guide, root / "guide.fdr1")
+    return max(shape)
+
+
+@FUZZ
+@given(data=st.data())
+def test_densify_writes_a_positive_map_or_refuses(tmp_path, capsys, data):
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    extent = write_densify_inputs(root, data)
+    out = root / "dense.fdr1"
+    # the sigmas of test_jbu_is_finite_and_positive_or_raises, near either end of float64
+    sigma_s = data.draw(st.floats(0.3, 5.0) | st.sampled_from([1.5e-154, 1e154]), label="sigma_s")
+    sigma_r = data.draw(st.floats(0.01, 1.0) | st.sampled_from([1.5e-154, 1e154]), label="sigma_r")
+    argv = ["densify", "--scale-map", root / "map.fdr1", "--guide", root / "guide.fdr1", "--out", out]
+    argv += ["--radius", data.draw(st.integers(1, extent + 3), label="radius"), "--sigma-s", sigma_s, "--sigma-r", sigma_r]
+    capsys.readouterr()
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), (code, err)
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+        return
+    dense = read_raster(out)
+    values = dense.values[dense.valid]
+    assert values.size and np.all(np.isfinite(values)) and np.all(values > 0)
 
 
 # ---------------------------------------------------------------------------

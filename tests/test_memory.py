@@ -138,3 +138,29 @@ def test_eval_forward_reuses_its_pages():
     out = subprocess.run([sys.executable, "-c", FORWARD_FAULTS], env=env, capture_output=True, text=True, check=True)
     faults = float(out.stdout)
     assert faults < 100, faults
+
+
+# A dense 64x96 scale map at radius 30: (61*61 offsets) x 6,144 points, 693 MiB
+# while JBU built its (offsets x points) arrays at once.
+JBU_PEAK = """
+import tracemalloc
+import numpy as np
+from spade.core import DepthRaster, ScaleMap, Space
+from spade.densify import JBUParams, jbu_densify
+
+rng = np.random.default_rng(0)
+shape = (64, 96)
+guide = DepthRaster(rng.uniform(0.2, 1.5, shape), np.ones(shape, bool), Space.INVERSE)
+eps = ScaleMap(rng.uniform(0.5, 2.0, shape), np.ones(shape, bool))
+tracemalloc.start()
+jbu_densify(eps, guide, JBUParams(window_radius=30))
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_jbu_walks_offset_blocks_under_the_budget():
+    src = os.path.dirname(os.path.dirname(spade.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", JBU_PEAK], env=env, capture_output=True, text=True, check=True)
+    peak = int(out.stdout)
+    assert peak <= 64 << 20, peak / 2**20

@@ -24,10 +24,10 @@ from spade.pipeline import (
     error_map,
     network_inputs,
     prepare_frame,
+    refine_frames,
     render_report,
     run_frame,
     sweep,
-    sweep_batch,
     train,
     write_pgm,
 )
@@ -381,7 +381,6 @@ class TestSweep:
 
     def test_one_network_pass_per_frame(self, monkeypatch):
         cfg = fast_config()
-        assert sweep_batch(cfg) == 21
         sizes = forward_batch_sizes(monkeypatch)
         spec = SweepSpec(point_counts=(30, 10), patterns=("feature_like",), range_caps=(10.0, 5.0, 2.0), n_frames=2)
         report = sweep(SpadeModel(cfg), cfg, spec)
@@ -393,12 +392,29 @@ class TestSweep:
         cfg = fast_config()
         net, (h, w) = cfg.network, cfg.input_hw
         one_sample = 8 * (2 * net.embed_channels + net.fused_channels) * h * w  # its stage-1 input's bytes
-        monkeypatch.setattr("spade.nn.tensor.BYTE_BUDGET", one_sample - 1)
-        assert sweep_batch(cfg) == 1
+        monkeypatch.setattr("spade.core.BYTE_BUDGET", one_sample - 1)
         sizes = forward_batch_sizes(monkeypatch)
         spec = SweepSpec(point_counts=(30, 10), patterns=("feature_like",), range_caps=(10.0,), n_frames=2)
         sweep(SpadeModel(cfg), cfg, spec)
         assert sizes == [1, 1, 1, 1]
+
+    def test_refine_frames_walks_any_number_of_frames_in_budget_batches(self, monkeypatch):
+        cfg = fast_config()
+        net, (h, w) = cfg.network, cfg.input_hw
+        model = SpadeModel(cfg, seed=11, init="train")
+        frames = [prepare_frame(f.z_rel, f.guide, f.points, cfg.jbu) for f in build_corpus(cfg, "val", n_frames=5)]
+        two_samples = 2 * 8 * (2 * net.embed_channels + net.fused_channels) * h * w  # their stage-1 inputs' bytes
+        monkeypatch.setattr("spade.core.BYTE_BUDGET", two_samples)
+        sizes = forward_batch_sizes(monkeypatch)
+        got = refine_frames(model, frames)
+        assert sizes == [2, 2, 1]
+        want = [r for part in (frames[:2], frames[2:4], frames[4:]) for r in refine_frames(model, part)]
+        assert len(got) == len(want) == 5
+        for (depth, eps), (want_depth, want_eps) in zip(got, want):
+            assert depth.values.tobytes() == want_depth.values.tobytes() and np.array_equal(depth.valid, want_depth.valid)
+            assert eps.tobytes() == want_eps.tobytes()
+        sizes.clear()
+        assert refine_frames(model, []) == [] and sizes == []
 
     def test_refined_cells_are_the_aggregate_of_run_frame(self, trained_fast_model):
         model, _, cfg = trained_fast_model

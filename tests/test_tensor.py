@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spade import core
 from spade.core import bilinear_taps, resize_matrix
 from spade.errors import ShapeError
 from spade.nn import (
@@ -694,7 +695,7 @@ class TestChunkedConv:
         calls = self.record_cols(monkeypatch)
         results = []
         for budget in (4 * sample_bytes, per_chunk * sample_bytes + 7):
-            monkeypatch.setattr(tensor, "BYTE_BUDGET", budget)
+            monkeypatch.setattr(core, "BYTE_BUDGET", budget)
             for t in leaves:
                 t.zero_grad()
             calls.clear()
@@ -729,7 +730,7 @@ class TestChunkedConv:
         calls = self.record_cols(monkeypatch)
         results = []
         for budget in (1 << 30, budget_samples * 8 * C * 9 * 8 * 12 + 7):  # the batch whole, then in chunks
-            monkeypatch.setattr(tensor, "BYTE_BUDGET", budget)
+            monkeypatch.setattr(core, "BYTE_BUDGET", budget)
             x.zero_grad()
             w.zero_grad()
             calls.clear()
@@ -772,7 +773,7 @@ class TestChunkedConv:
     @pytest.mark.parametrize("name", list(CASES))
     def test_chunked_gradcheck(self, monkeypatch, name):
         fwd, leaves, sample_bytes, rng = self.setup(name, seed=91)
-        monkeypatch.setattr(tensor, "BYTE_BUDGET", sample_bytes)
+        monkeypatch.setattr(core, "BYTE_BUDGET", sample_bytes)
         r = rng.standard_normal(fwd().shape)
         check(lambda: scalarize(fwd(), r), leaves)
 
