@@ -67,26 +67,22 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _parse_floats(text, n, what):
-    parts = text.split(",")
-    if len(parts) != n:
-        raise ConfigError(f"{what} expects {n} comma-separated values, got {text!r}")
-    try:
-        values = [float(p) for p in parts]
-    except ValueError:
-        raise ConfigError(f"{what}: could not parse {text!r}")
-    if not all(np.isfinite(values)):
-        raise ConfigError(f"{what} values must be finite, got {text!r}")
-    return values
-
-
 def _laser_rig(args, raster, pts=None) -> LaserRig | None:
     """The rig of --laser fx,cx,B, or None without the flag. Its principal
     column cx lies on the command's `raster`. A laser frame (`pts`, for align
     and run) has exactly 2 points, and the laser columns are theirs."""
     if not args.laser:
         return None
-    rig = LaserRig(*_parse_floats(args.laser, 3, "--laser"))
+    parts = args.laser.split(",")
+    if len(parts) != 3:
+        raise ConfigError(f"--laser expects 3 comma-separated values, got {args.laser!r}")
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise ConfigError(f"--laser: could not parse {args.laser!r}")
+    if not all(np.isfinite(values)):
+        raise ConfigError(f"--laser values must be finite, got {args.laser!r}")
+    rig = LaserRig(*values)
     w = raster.shape[1]
     if not 0 <= rig.cx < w:
         raise ConfigError(f"laser principal column cx={rig.cx:g} lies outside the raster's width {w}")

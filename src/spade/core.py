@@ -190,19 +190,12 @@ class ScaleMap:
             a.flags.writeable = False
 
     @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
     def __repr__(self) -> str:
-        return f"ScaleMap({self.width}x{self.height}, {int(self.known.sum())} known)"
+        h, w = self.shape
+        return f"ScaleMap({w}x{h}, {int(self.known.sum())} known)"
 
 
 @dataclass(frozen=True)

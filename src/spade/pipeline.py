@@ -124,8 +124,11 @@ class SweepSpec:
 
     def __post_init__(self):
         for name in ("point_counts", "patterns", "range_caps"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ConfigError(f"{name} must be non-empty")
+            if len(set(values)) != len(values):  # each (pattern, count, cap) names one cell
+                raise ConfigError(f"{name} {list(values)} repeats an entry")
         unknown = sorted(set(self.patterns) - set(PATTERN_KINDS))
         if unknown:
             raise ConfigError(f"unknown sweep patterns {unknown}; expected some of {PATTERN_KINDS}")
@@ -416,7 +419,7 @@ def train(cfg: RunConfig, out_dir=None, quiet=False):
             for fi in order[start : start + cfg.batch_size]:
                 frame = train_frames[fi]
                 seed = _subsample_seed(cfg.seed, epoch, int(fi))
-                pts = subsample(frame.points, cfg.subsample_fraction, seed=seed)
+                pts = subsample(frame.points, round(len(frame.points) * cfg.subsample_fraction), seed=seed)
                 batch.append(_training_sample(frame, pts, cfg))
             loss = _batch_loss(model, batch)
             if not np.isfinite(loss.data):
@@ -512,9 +515,9 @@ def sweep(model: SpadeModel, cfg: RunConfig, spec: SweepSpec) -> dict:
         for pattern in spec.patterns
         for count in ([_FIXED_COUNT_PATTERNS[pattern]] if pattern in _FIXED_COUNT_PATTERNS else spec.point_counts)
     ]
-    caps = spec.range_caps
-    refined = {key: [[] for _ in caps] for key in passes}
-    ga = {key: [[] for _ in caps] for key in passes}  # scored exactly where refined is: both are valid on aligned.valid
+    # one list of (refined, GA) reports per cell, keys in cell order; both maps
+    # are valid on aligned.valid, so a cap leaves both or neither empty
+    scored = {(pattern, count, cap): [] for pattern, count in passes for cap in spec.range_caps}
     for idx, frame in enumerate(frames):
         ready = []
         for pattern, count in passes:
@@ -526,30 +529,28 @@ def sweep(model: SpadeModel, cfg: RunConfig, spec: SweepSpec) -> dict:
                 log.warning("sweep frame %s (%s, n=%d) skipped: %s", frame.name, pattern, count, e)
         for ((pattern, count), prepared), (depth, _) in zip(ready, refine_frames(model, [p for _, p in ready])):
             ga_depth = from_inverse(prepared.aligned)
-            for i, cap in enumerate(caps):
+            for cap in spec.range_caps:
                 try:
-                    refined[pattern, count][i].append(compute_metrics(depth, frame.gt, cap))
+                    ref = compute_metrics(depth, frame.gt, cap)
                 except EmptyEvaluationError as e:
                     log.warning("sweep frame %s (%s, n=%d, cap %g m) skipped: %s", frame.name, pattern, count, cap, e)
                     continue
-                ga[pattern, count][i].append(compute_metrics(ga_depth, frame.gt, cap))
+                scored[pattern, count, cap].append((ref, compute_metrics(ga_depth, frame.gt, cap)))
 
     cells = []
-    for pattern, count in passes:
-        for cap, ref_reports, ga_reports in zip(caps, refined[pattern, count], ga[pattern, count]):
-            ref = asdict(aggregate_metrics(ref_reports)) if ref_reports else None
-            base = asdict(aggregate_metrics(ga_reports)) if ga_reports else None
-            cells.append(
-                {
-                    "pattern": pattern,
-                    "count": count,
-                    "cap_m": cap,
-                    "refined": ref,
-                    "ga_baseline": base,
-                    "skipped_frames": len(frames) - len(ref_reports),
-                    "delta_mae_vs_ga": (ref["mae"] - base["mae"]) if ref and base else None,
-                }
-            )
+    for (pattern, count, cap), pairs in scored.items():
+        ref, base = (asdict(aggregate_metrics(reports)) for reports in zip(*pairs)) if pairs else (None, None)
+        cells.append(
+            {
+                "pattern": pattern,
+                "count": count,
+                "cap_m": cap,
+                "refined": ref,
+                "ga_baseline": base,
+                "skipped_frames": len(frames) - len(pairs),
+                "delta_mae_vs_ga": ref["mae"] - base["mae"] if pairs else None,
+            }
+        )
     return {
         "n_frames": spec.n_frames,
         "seed": cfg.seed,
@@ -584,17 +585,20 @@ def error_map(pred: DepthRaster, gt: DepthRaster) -> np.ndarray:
     return np.where(mask, np.abs(pred.values - gt.values), 0.0)
 
 
+def _sweep_columns(cell: dict, digits: int) -> list:
+    """The columns both sweep tables write: pattern, count, cap, the refined
+    metrics and the GA MAE, `nan` where the cell is empty."""
+    ref = cell["refined"] or {}
+    values = [ref.get(k, float("nan")) for k in _METRIC_KEYS]
+    values.append((cell["ga_baseline"] or {}).get("mae", float("nan")))
+    return [cell["pattern"], str(cell["count"]), str(cell["cap_m"])] + [f"{v:.{digits}f}" for v in values]
+
+
 def sweep_table_csv(report: dict) -> str:
     lines = ["pattern,count,cap_m," + ",".join(_METRIC_KEYS) + ",ga_mae,delta_mae_vs_ga,skipped"]
     for cell in report["cells"]:
-        ref = cell["refined"] or {}
-        ga = cell["ga_baseline"] or {}
-        row = [cell["pattern"], str(cell["count"]), str(cell["cap_m"])]
-        row += [f"{ref.get(k, float('nan')):.6f}" for k in _METRIC_KEYS]
-        row.append(f"{ga.get('mae', float('nan')):.6f}")
         delta = cell["delta_mae_vs_ga"]
-        row.append("" if delta is None else f"{delta:.6f}")
-        row.append(str(cell["skipped_frames"]))
+        row = _sweep_columns(cell, 6) + ["" if delta is None else f"{delta:.6f}", str(cell["skipped_frames"])]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -602,14 +606,7 @@ def sweep_table_csv(report: dict) -> str:
 def sweep_table_markdown(report: dict) -> str:
     head = "| pattern | count | cap (m) | " + " | ".join(k.upper() for k in _METRIC_KEYS) + " | GA MAE |"
     sep = "|" + "---|" * (len(_METRIC_KEYS) + 4)
-    lines = [head, sep]
-    for cell in report["cells"]:
-        ref = cell["refined"] or {}
-        ga = cell["ga_baseline"] or {}
-        cols = [cell["pattern"], str(cell["count"]), str(cell["cap_m"])]
-        cols += [f"{ref.get(k, float('nan')):.4f}" for k in _METRIC_KEYS]
-        cols.append(f"{ga.get('mae', float('nan')):.4f}")
-        lines.append("| " + " | ".join(cols) + " |")
+    lines = [head, sep] + ["| " + " | ".join(_sweep_columns(cell, 4)) + " |" for cell in report["cells"]]
     return "\n".join(lines) + "\n"
 
 

@@ -189,21 +189,16 @@ def _project_laser(gt: DepthRaster, rig: LaserRig, row: int, lateral_m: float) -
     return int(np.argmin(err))
 
 
-def subsample(pts: SparsePointSet, keep, seed: int) -> SparsePointSet:
-    """Seeded uniform subset without replacement.
+def subsample(pts: SparsePointSet, keep: int, seed: int) -> SparsePointSet:
+    """Seeded uniform subset of `keep` points, without replacement.
 
-    keep may be a count or a fraction in (0, 1]. Implemented as a seeded
-    permutation followed by a prefix take, so subsets with the same seed are
-    nested across decreasing keep counts.
+    Implemented as a seeded permutation followed by a prefix take, so subsets
+    with the same seed are nested across decreasing keep counts.
     """
     n = len(pts)
-    if isinstance(keep, float) and 0 < keep <= 1:
-        k = int(round(n * keep))
-    else:
-        k = int(keep)
-    if k > n:
-        raise DomainError(f"cannot keep {k} of {n} points")
-    if k < 1:
+    if keep > n:
+        raise DomainError(f"cannot keep {keep} of {n} points")
+    if keep < 1:
         raise DomainError("keep must select at least one point")
-    order = np.random.default_rng(seed).permutation(n)[:k]
+    order = np.random.default_rng(seed).permutation(n)[:keep]
     return SparsePointSet([pts.points[i] for i in order])

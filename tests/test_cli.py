@@ -108,6 +108,9 @@ CONFIG_FAULTS = {
     "sweep-zero-count": ("sweep", {"point_counts": [0]}),
     "sweep-zero-frames": ("sweep", {"n_frames": 0}),
     "sweep-zero-cap": ("sweep", {"range_caps": [0.0]}),
+    "sweep-repeated-count": ("sweep", {"point_counts": [10, 10]}),
+    "sweep-repeated-pattern": ("sweep", {"patterns": ["feature_like", "dvl4", "dvl4"]}),
+    "sweep-repeated-cap": ("sweep", {"range_caps": [10.0, 10]}),
     "train-zero-conv-count": ("train", {"network": {"conv_counts": [1, 0, 1, 1]}}),
     "train-zero-grid-downsample": ("train", {"network": {"grid_downsamples": [0, 2, 2, 1]}}),
     "train-indivisible-grid-downsample": ("train", {"network": {"grid_downsamples": [2, 2, 2, 2]}}),

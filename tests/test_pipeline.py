@@ -28,6 +28,8 @@ from spade.pipeline import (
     render_report,
     run_frame,
     sweep,
+    sweep_table_csv,
+    sweep_table_markdown,
     train,
     write_pgm,
 )
@@ -154,7 +156,7 @@ class TestStageOne:
         cfg = fast_config()
         model = SpadeModel(cfg, init="train")
         f = build_corpus(cfg, "val", n_frames=1)[0]
-        pts = subsample(f.points, 0.9, seed=3)
+        pts = subsample(f.points, round(len(f.points) * 0.9), seed=3)
         seen = {}
         forward = model.forward
 
@@ -253,6 +255,20 @@ class TestTraining:
         assert (tmp_path / "a/checkpoint.spw1").read_bytes() == (
             tmp_path / "b/checkpoint.spw1"
         ).read_bytes()
+
+    @pytest.mark.parametrize("fraction, kept", [(0.9, 225), (1, 250)], ids=["fraction", "int-one"])
+    def test_each_epoch_trains_on_the_fraction_of_every_frames_points(self, monkeypatch, fraction, kept):
+        # an int 1 once reached subsample as a count and kept one point per frame
+        seen = []
+
+        def spy(pts, keep, seed):
+            seen.append((len(pts), keep))
+            return subsample(pts, keep, seed)
+
+        monkeypatch.setattr("spade.pipeline.subsample", spy)
+        cfg = fast_config(points_min=250, points_max=250, subsample_fraction=fraction, epochs=1, train_frames=4, val_frames=1)
+        train(cfg, quiet=True)
+        assert seen and set(seen) == {(250, kept)}
 
     def test_training_updates_the_arrays_it_was_built_with(self, monkeypatch, tmp_path):
         import spade.pipeline
@@ -504,6 +520,42 @@ class TestSweep:
 
 
 class TestReportRendering:
+    def test_sweep_tables_pin_every_column(self):
+        metrics = dict(mae=0.125, rmse=0.25, absrel=0.0625, silog=1.5, imae=0.03, range_cap_m=10.0, frame_count=2)
+        report = {
+            "cells": [
+                {
+                    "pattern": "dvl4",
+                    "count": 4,
+                    "cap_m": 10.0,
+                    "refined": metrics,
+                    "ga_baseline": dict(metrics, mae=0.2),
+                    "skipped_frames": 1,
+                    "delta_mae_vs_ga": -0.075,
+                },
+                {
+                    "pattern": "feature_like",
+                    "count": 30,
+                    "cap_m": 0.5,
+                    "refined": None,
+                    "ga_baseline": None,
+                    "skipped_frames": 3,
+                    "delta_mae_vs_ga": None,
+                },
+            ]
+        }
+        assert sweep_table_csv(report) == (
+            "pattern,count,cap_m,mae,rmse,absrel,silog,imae,ga_mae,delta_mae_vs_ga,skipped\n"
+            "dvl4,4,10.0,0.125000,0.250000,0.062500,1.500000,0.030000,0.200000,-0.075000,1\n"
+            "feature_like,30,0.5,nan,nan,nan,nan,nan,nan,,3\n"
+        )
+        assert sweep_table_markdown(report) == (
+            "| pattern | count | cap (m) | MAE | RMSE | ABSREL | SILOG | IMAE | GA MAE |\n"
+            "|---|---|---|---|---|---|---|---|---|\n"
+            "| dvl4 | 4 | 10.0 | 0.1250 | 0.2500 | 0.0625 | 1.5000 | 0.0300 | 0.2000 |\n"
+            "| feature_like | 30 | 0.5 | nan | nan | nan | nan | nan | nan |\n"
+        )
+
     def test_pgm_monotone_colormap(self, tmp_path):
         arr = np.array([[0.0, 1.0], [2.0, 4.0]])
         path = tmp_path / "m.pgm"

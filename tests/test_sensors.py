@@ -185,9 +185,6 @@ class TestSubsample:
         out = subsample(pts, 50, seed=3)
         assert {(p.u, p.v_row) for p in out} == {(p.u, p.v_row) for p in pts}
 
-    def test_fraction_of_250_is_225(self):
-        assert len(subsample(self.make(250), 0.9, seed=1)) == 225
-
     def test_same_seed_identical(self):
         pts = self.make(100)
         a = subsample(pts, 40, seed=7)
