@@ -106,9 +106,6 @@ def test_integer_accepted_for_float_and_null_for_optional():
         (SweepSpec, {"range_caps": []}, "range_caps must be non-empty"),
         (SweepSpec, {"point_counts": [30, 0]}, "point_counts [30, 0] must all be >= 1"),
         (SweepSpec, {"n_frames": 0}, "n_frames must be >= 1, got 0"),
-        (SweepSpec, {"point_counts": [10, 10]}, "point_counts [10, 10] repeats an entry"),
-        (SweepSpec, {"patterns": ["feature_like", "dvl4", "dvl4"]}, "patterns ['feature_like', 'dvl4', 'dvl4'] repeats"),
-        (SweepSpec, {"range_caps": [10, 2.0, 10.0]}, "range_caps [10.0, 2.0, 10.0] repeats an entry"),
         (RunConfig, {"network": {"widths": [8, 16, 24]}}, "widths [8, 16, 24] must have exactly 4 entries, one per stage"),
         (RunConfig, {"network": {"conv_counts": [1, 1, 2]}}, "conv_counts [1, 1, 2] must have exactly 4 entries"),
         (RunConfig, {"network": {"trans_counts": [1, 1, 2, 2, 1]}}, "trans_counts [1, 1, 2, 2, 1] must have exactly 4"),
@@ -121,6 +118,9 @@ def test_integer_accepted_for_float_and_null_for_optional():
         (PatternSpec, {"grid_cols": -1}, "grid_cols must be >= 1, got -1"),
         (SynthSpec, {"scene": {"height": 7}}, "height must be >= 8, got 7"),
         (SynthSpec, {"scene": {"width": 4}}, "width must be >= 8, got 4"),
+        (SweepSpec, {"point_counts": [10, 10]}, "point_counts [10, 10] repeats an entry"),
+        (SweepSpec, {"patterns": ["feature_like", "dvl4", "dvl4"]}, "patterns ['feature_like', 'dvl4', 'dvl4'] repeats"),
+        (SweepSpec, {"range_caps": [10, 2.0, 10.0]}, "range_caps [10.0, 2.0, 10.0] repeats an entry"),
     ],
 )
 def test_rejection_names_the_field(cls, payload, message):
