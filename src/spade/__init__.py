@@ -9,7 +9,6 @@ conv/deformable-transformer network.
 from .core import (
     DepthRaster,
     LaserRig,
-    Point,
     ScaleMap,
     Space,
     SparsePointSet,
@@ -28,7 +27,6 @@ __all__ = [
     "DepthRaster",
     "JBUParams",
     "LaserRig",
-    "Point",
     "ScaleMap",
     "Space",
     "SparsePointSet",

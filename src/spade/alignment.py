@@ -121,11 +121,10 @@ def align_global(z: DepthRaster, pts: SparsePointSet) -> tuple[DepthRaster, Affi
     pts.check_bounds(z)
     if len(pts) == 0:
         raise InsufficientPointsError("no sparse points given")
-    usable = [p for p in pts if z.valid[p.v_row, p.u]]
-    if not usable:
+    on = pts.at(z.valid)
+    z_samp, v = pts.at(z.values)[on], 1.0 / pts.depth_m[on]
+    if len(v) == 0:
         raise InsufficientPointsError("no sparse points fall on valid pixels")
-    z_samp = np.array([z.values[p.v_row, p.u] for p in usable], dtype=np.float64)
-    v = 1.0 / np.array([p.depth_m for p in usable], dtype=np.float64)
 
     try:
         s, t = fit_scale_shift(z_samp, v)
@@ -133,13 +132,13 @@ def align_global(z: DepthRaster, pts: SparsePointSet) -> tuple[DepthRaster, Affi
     except (InsufficientPointsError, DegenerateDesignError) as e:
         why = str(e)
     if why is None:
-        fit = AffineFit(s, t, "scale_shift", _residual_rms(z_samp, v, s, t), len(usable))
+        fit = AffineFit(s, t, "scale_shift", _residual_rms(z_samp, v, s, t), len(v))
     else:
         try:
             s = fit_scale_only(z_samp, v)
         except (DegenerateDesignError, InconsistentMeasurementsError) as e:
             raise AlignmentFailureError(f"joint fit unusable ({why}) and scale-only fallback failed: {e}")
-        fit = AffineFit(s, 0.0, "scale_only", _residual_rms(z_samp, v, s, 0.0), len(usable), why)
+        fit = AffineFit(s, 0.0, "scale_only", _residual_rms(z_samp, v, s, 0.0), len(v), why)
 
     return _aligned_raster(z, fit.s, fit.t), fit
 
@@ -174,14 +173,12 @@ def align_with_laser(z: DepthRaster, pts: SparsePointSet, rig: LaserRig) -> tupl
     if len(pts) != 2:
         raise InsufficientPointsError(f"laser alignment needs exactly 2 points, got {len(pts)}")
     pts.check_bounds(z)
-    ordered = sorted(pts, key=lambda p: p.u)
-    samples = []
-    for p in ordered:
-        if not z.valid[p.v_row, p.u]:
-            raise DomainError(f"laser point at (u={p.u}, v={p.v_row}) falls on an invalid pixel")
-        samples.append((p.u, float(z.values[p.v_row, p.u])))
-    s = laser_scale(samples[0], samples[1], rig)
-    z_samp = np.array([zz for _, zz in samples])
-    v = 1.0 / np.array([p.depth_m for p in ordered])
+    ordered = pts.subset(pts.u.argsort(kind="stable"))
+    for i in (~ordered.at(z.valid)).nonzero()[0][:1]:
+        u, v, _ = ordered[i]
+        raise DomainError(f"laser point at (u={u}, v={v}) falls on an invalid pixel")
+    z_samp = ordered.at(z.values)
+    s = laser_scale(*zip(ordered.u.tolist(), z_samp.tolist()), rig)
+    v = 1.0 / ordered.depth_m
     fit = AffineFit(s, 0.0, "laser_baseline", _residual_rms(z_samp, v, s, 0.0), 2)
     return _aligned_raster(z, s, 0.0), fit

@@ -5,6 +5,7 @@ from a file. Whatever the input, the result is an instance or a `ConfigError`.""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import types
@@ -64,6 +65,23 @@ def _value(tp, value, where: str):
     if type(value) is not tp:  # `type`, not isinstance: true and false are not numbers
         raise ConfigError(f"{where}: expected {tp.__name__}, got {_got(value)}")
     return value
+
+
+@functools.cache
+def _float_fields(cls) -> dict:
+    """Each field of cls annotated float or a tuple of floats, to whether it is the tuple."""
+    return {k: tp is not float for k, tp in typing.get_type_hints(cls).items() if float in (tp, *typing.get_args(tp))}
+
+
+def hold_floats(cfg) -> None:
+    """Store each int that the frozen config `cfg` holds for a float as that
+    float, so that equal configs, built or read from JSON, dump and hash alike."""
+    for name, is_tuple in _float_fields(type(cfg)).items():
+        value = getattr(cfg, name)
+        if is_tuple and isinstance(value, tuple):
+            object.__setattr__(cfg, name, tuple(_value(float, v, name) if type(v) is int else v for v in value))
+        elif type(value) is int:
+            object.__setattr__(cfg, name, _value(float, value, name))
 
 
 def read_config(cls, path):

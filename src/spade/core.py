@@ -4,6 +4,9 @@ the laser rig, plus inverse-depth conversions and file I/O.
 Conventions fixed here and used everywhere else:
   * pixel coordinates are (u = column, v = row), origin at the top-left,
     integer coordinates index pixel centers;
+  * a sparse point set is three arrays in point order, u and v_row (int64)
+    and depth_m (float64), checked once when built; only this module knows
+    a single point's layout;
   * invalid/missing depth is encoded by the boolean mask, never by
     sentinel values;
   * the reference numeric path is float64.
@@ -88,14 +91,6 @@ class DepthRaster:
             )
 
     @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
@@ -109,51 +104,73 @@ class DepthRaster:
         )
 
     def __repr__(self) -> str:
-        return f"DepthRaster({self.width}x{self.height}, {self.space.value}, {int(self.valid.sum())} valid)"
-
-
-@dataclass(frozen=True)
-class Point:
-    u: int
-    v_row: int
-    depth_m: float
+        h, w = self.shape
+        return f"DepthRaster({w}x{h}, {self.space.value}, {int(self.valid.sum())} valid)"
 
 
 class SparsePointSet:
-    """Immutable set of (pixel, metric depth) measurements."""
+    """Immutable (pixel, metric depth) measurements as three read-only arrays
+    in point order: u (column) and v_row (row), int64, and depth_m, float64.
+    Built from (u, v_row, depth_m) rows, it is checked once then: each depth
+    finite and positive, no pixel twice, else the first row at fault is
+    named. Iterating gives the rows as Python numbers."""
 
-    __slots__ = ("points",)
+    __slots__ = ("u", "v_row", "depth_m")
 
-    def __init__(self, points: Iterable[tuple | Point]):
-        pts = []
-        seen = set()
-        for p in points:
-            if not isinstance(p, Point):
-                p = Point(int(p[0]), int(p[1]), float(p[2]))
-            if p.depth_m <= 0 or not np.isfinite(p.depth_m):
-                raise DomainError(f"point at (u={p.u}, v={p.v_row}) has depth {p.depth_m}")
-            key = (p.u, p.v_row)
-            if key in seen:
-                raise DomainError(f"duplicate point pixel (u={p.u}, v={p.v_row})")
-            seen.add(key)
-            pts.append(p)
-        self.points = tuple(pts)
+    def __init__(self, rows: Iterable[tuple] = ()):
+        cols = tuple(zip(*rows)) or ((), (), ())
+        try:
+            self._hold(*cols)._check()
+        except OverflowError:
+            for u, v, _ in (r for r in zip(*cols) if max(abs(r[0]), abs(r[1])) >= 2**63):
+                raise DomainError(f"point at (u={u}, v={v}) lies outside the int64 pixel range") from None
+            raise  # a depth past the float64 range, which float() refuses too
+
+    def _hold(self, u, v_row, depth_m) -> SparsePointSet:
+        self.u, self.v_row = np.array(u, dtype=np.int64), np.array(v_row, dtype=np.int64)
+        self.depth_m = np.array(depth_m, dtype=np.float64)
+        for a in (self.u, self.v_row, self.depth_m):
+            a.flags.writeable = False
+        return self
+
+    def _check(self) -> None:
+        u, v, d = self.u, self.v_row, self.depth_m
+        bad = ~((d > 0) & np.isfinite(d))
+        # a stable sort by pixel puts each repeat right after an earlier row of its pixel
+        order = np.lexsort((v, u))
+        fault = bad.copy()
+        fault[order[1:]] |= (u[order[1:]] == u[order[:-1]]) & (v[order[1:]] == v[order[:-1]])
+        for i in fault.nonzero()[0][:1]:  # the first row at fault
+            u, v, depth = self[i]
+            if bad[i]:
+                raise DomainError(f"point at (u={u}, v={v}) has depth {depth}")
+            raise DomainError(f"duplicate point pixel (u={u}, v={v})")
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.depth_m)
 
     def __iter__(self):
-        return iter(self.points)
+        return zip(self.u.tolist(), self.v_row.tolist(), self.depth_m.tolist())
+
+    def __getitem__(self, i) -> tuple[int, int, float]:
+        return int(self.u[i]), int(self.v_row[i]), float(self.depth_m[i])
+
+    def at(self, a: np.ndarray) -> np.ndarray:
+        """The entries of an (H, W) array at the points, which must lie on it."""
+        return a[self.v_row, self.u]
+
+    def subset(self, sel) -> SparsePointSet:
+        """The points a boolean mask or distinct indices select, in that order, not checked again."""
+        return SparsePointSet.__new__(SparsePointSet)._hold(self.u[sel], self.v_row[sel], self.depth_m[sel])
 
     def check_bounds(self, raster: DepthRaster) -> None:
-        for p in self.points:
-            if not (0 <= p.u < raster.width and 0 <= p.v_row < raster.height):
-                raise DomainError(
-                    f"point (u={p.u}, v={p.v_row}) outside raster {raster.width}x{raster.height}"
-                )
+        h, w = raster.values.shape
+        for i in ((self.u < 0) | (self.u >= w) | (self.v_row < 0) | (self.v_row >= h)).nonzero()[0][:1]:
+            u, v, _ = self[i]
+            raise DomainError(f"point (u={u}, v={v}) outside raster {w}x{h}")
 
     def __repr__(self) -> str:
-        return f"SparsePointSet({len(self.points)} points)"
+        return f"SparsePointSet({len(self)} points)"
 
 
 class ScaleMap:
@@ -276,7 +293,7 @@ def write_raster(r: DepthRaster, path) -> None:
     except DomainError as e:
         raise DomainError(f"{e} after rounding to float32") from None
     buf = io.BytesIO()
-    buf.write(_HEADER.pack(_MAGIC, r.width, r.height, _SPACE_TAGS[r.space]))
+    buf.write(_HEADER.pack(_MAGIC, r.shape[1], r.shape[0], _SPACE_TAGS[r.space]))
     buf.write(values.tobytes())
     buf.write(r.valid.astype(np.uint8).tobytes())
     with open(path, "wb") as f:
@@ -328,15 +345,14 @@ def raster_to_scale_map(r: DepthRaster) -> ScaleMap:
 
 
 # ---------------------------------------------------------------------------
-# Sparse points CSV: header "u,v,depth_m", one point per line, UTF-8, LF.
+# Sparse points CSV: header "u,v,depth_m", one point per line, UTF-8, LF; a
+# SparsePointSet's rows in order, the depth as Python's repr of the float64.
 # ---------------------------------------------------------------------------
 
 
 def write_points(pts: SparsePointSet, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("u,v,depth_m\n")
-        for p in pts:
-            f.write(f"{p.u},{p.v_row},{p.depth_m!r}\n")
+        f.write("u,v,depth_m\n" + "".join(f"{u},{v},{d!r}\n" for u, v, d in pts))
 
 
 def read_points(path) -> SparsePointSet:
@@ -357,7 +373,7 @@ def read_points(path) -> SparsePointSet:
             if len(row) != 3:
                 raise FormatError(f"line {i + 2}: expected 3 fields, got {len(row)}")
             try:
-                pts.append(Point(int(row[0]), int(row[1]), float(row[2])))
+                pts.append((int(row[0]), int(row[1]), float(row[2])))
             except ValueError as e:
                 raise FormatError(f"line {i + 2}: {e}")
         try:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DepthRaster, ScaleMap, Space, SparsePointSet, budget_slices
+from .config import hold_floats
 from .errors import ConfigError, DomainError, NumericError, ShapeError
 
 K_UNDERFLOW = 1e-300  # below this the normalizer is treated as "no neighbours"
@@ -35,30 +36,29 @@ class JBUParams:
                 f"kernel sigmas must be positive, with a square that neither underflows nor overflows; "
                 f"got spatial={self.sigma_spatial}, range={self.sigma_range}"
             )
+        hold_floats(self)
 
 
+@np.errstate(all="ignore")  # a factor past the float64 range is refused, not warned of
 def sparse_scale_map(pts: SparsePointSet, z_tilde: DepthRaster) -> ScaleMap:
     """eps = v / z_tilde at each point pixel, v = 1/depth_m."""
     if z_tilde.space is not Space.INVERSE:
         raise DomainError(f"aligned map must be inverse depth, got {z_tilde.space.value}")
     pts.check_bounds(z_tilde)
+    zt = pts.at(z_tilde.values)
+    eps = (1.0 / pts.depth_m) / zt
+    off = ~(pts.at(z_tilde.valid) & (zt > 0))
+    for i in (off | ~((eps > 0.0) & (eps < math.inf))).nonzero()[0][:1]:  # the first point at fault
+        u, v, d = pts[i]
+        if off[i]:
+            raise DomainError(f"aligned map is not positive at point pixel (u={u}, v={v})")
+        raise DomainError(
+            f"correction factor (1/{d}) / {zt[i]} at point pixel (u={u}, v={v}) "
+            f"is {float(eps[i])}, outside the positive float64 range"
+        )
     values = np.zeros(z_tilde.shape, dtype=np.float64)
-    known = np.zeros(z_tilde.shape, dtype=bool)
-    for p in pts:
-        zt = z_tilde.values[p.v_row, p.u]
-        if not z_tilde.valid[p.v_row, p.u] or zt <= 0:
-            raise DomainError(
-                f"aligned map is not positive at point pixel (u={p.u}, v={p.v_row})"
-            )
-        eps = (1.0 / float(p.depth_m)) / float(zt)  # Python floats overflow to inf without a warning
-        if not 0.0 < eps < math.inf:
-            raise DomainError(
-                f"correction factor (1/{p.depth_m}) / {zt} at point pixel (u={p.u}, v={p.v_row}) "
-                f"is {eps}, outside the positive float64 range"
-            )
-        values[p.v_row, p.u] = eps
-        known[p.v_row, p.u] = True
-    return ScaleMap(values, known)
+    values[pts.v_row, pts.u] = eps
+    return ScaleMap(values, values > 0)  # every factor is positive
 
 
 def jbu_densify(eps: ScaleMap, z_tilde: DepthRaster, params: JBUParams = JBUParams()) -> ScaleMap:

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import hold_floats
 from ..errors import ConfigError, ShapeError
 from .attention import CBAM, DeformAttnConfig, TransformerBlock
 from .layers import BatchNorm2d, Conv2d, Module, ModuleList
@@ -52,6 +53,7 @@ class CCDTConfig:
             raise ConfigError(f"trans_counts {list(self.trans_counts)} must all be >= 0")
         if self.decoder_width < 2:
             raise ConfigError(f"decoder_width must be >= 2 (the output head halves it), got {self.decoder_width}")
+        hold_floats(self)
 
 
 class ResNetCBAMBlock(Module):

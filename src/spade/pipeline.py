@@ -23,7 +23,7 @@ from .core import (
     from_inverse,
     to_inverse,
 )
-from .config import from_json
+from .config import from_json, hold_floats
 from .densify import JBUParams, fill_default, jbu_densify, sparse_scale_map
 from .errors import (
     AlignmentFailureError,
@@ -108,6 +108,7 @@ class RunConfig:
             raise ConfigError(f"pyramid_channels {list(self.pyramid_channels)} must have exactly 4 entries, one per level")
         if min(self.pyramid_channels) < 1:
             raise ConfigError(f"pyramid_channels {list(self.pyramid_channels)} must all be >= 1")
+        hold_floats(self)
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -138,6 +139,7 @@ class SweepSpec:
             raise ConfigError(f"n_frames must be >= 1, got {self.n_frames}")
         if not all(cap > 0 for cap in self.range_caps):
             raise ConfigError(f"range caps must be positive, got {list(self.range_caps)}")
+        hold_floats(self)
 
 
 @dataclass(frozen=True)
@@ -300,7 +302,7 @@ def prepare_frame(
     """Stage 1 for `run`, training and sweeps: the frame aligned by
     `align_frame`, with its JBU-densified corrections."""
     aligned, fit = align_frame(z_rel, pts, laser)
-    usable = SparsePointSet([p for p in pts if aligned.valid[p.v_row, p.u]])
+    usable = pts.subset(pts.at(aligned.valid))
     if len(usable) == 0:
         raise EmptyEvaluationError("no sparse points survive alignment masking")
     corrections = fill_default(jbu_densify(sparse_scale_map(usable, aligned), aligned, jbu))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DepthRaster, LaserRig, Point, Space, SparsePointSet
+from .core import DepthRaster, LaserRig, Space, SparsePointSet
 from .errors import ConfigError, DomainError, ShapeError
 
 log = logging.getLogger(__name__)
@@ -52,36 +52,29 @@ def _centered_positions(size: int, n: int) -> np.ndarray:
 
 
 # (du, dv) offsets in search order: Chebyshev ring, then squared distance, then row, then column
-_SNAP_ORDER = sorted(
+_SNAP_DU, _SNAP_DV = np.array(sorted(
     ((du, dv) for dv in range(-SNAP_RADIUS, SNAP_RADIUS + 1) for du in range(-SNAP_RADIUS, SNAP_RADIUS + 1)),
     key=lambda o: (max(abs(o[0]), abs(o[1])), o[0] ** 2 + o[1] ** 2, o[1], o[0]),
-)
+)).T
 
 
-def _snap_to_valid(gt: DepthRaster, u: int, v: int) -> tuple[int, int] | None:
-    """The first valid pixel in `_SNAP_ORDER` around (u, v), or None within SNAP_RADIUS rings."""
+def _collect(gt: DepthRaster, u, v) -> SparsePointSet:
+    """The points at pattern pixels (u, v), in order: each moved to the first
+    valid pixel in snap order or dropped when none lies within SNAP_RADIUS
+    rings, and each pixel kept once, where first reached."""
     h, w = gt.shape
-    for du, dv in _SNAP_ORDER:
-        uu, vv = u + du, v + dv
-        if 0 <= uu < w and 0 <= vv < h and gt.valid[vv, uu]:
-            return uu, vv
-    return None
-
-
-def _collect(gt: DepthRaster, pixels) -> SparsePointSet:
-    points, seen, dropped = [], set(), 0
-    for u, v in pixels:
-        snapped = _snap_to_valid(gt, int(u), int(v))
-        if snapped is None:
-            dropped += 1
-            continue
-        if snapped in seen:
-            continue
-        seen.add(snapped)
-        points.append(Point(snapped[0], snapped[1], float(gt.values[snapped[1], snapped[0]])))
-    if dropped:
-        log.warning("dropped %d pattern points with no valid pixel within radius %d", dropped, SNAP_RADIUS)
-    return SparsePointSet(points)
+    uu = np.asarray(u, dtype=np.int64)[:, None] + _SNAP_DU
+    vv = np.asarray(v, dtype=np.int64)[:, None] + _SNAP_DV
+    ok = (uu >= 0) & (uu < w) & (vv >= 0) & (vv < h)
+    ok[ok] = gt.valid[vv[ok], uu[ok]]
+    rows, first = np.arange(len(ok)), ok.argmax(axis=1)
+    found = ok[rows, first]
+    if not found.all():
+        log.warning("dropped %d pattern points with no valid pixel within radius %d", (~found).sum(), SNAP_RADIUS)
+    u, v = uu[rows, first][found], vv[rows, first][found]
+    once = np.sort(np.unique(v * w + u, return_index=True)[1])
+    u, v = u[once], v[once]
+    return SparsePointSet(zip(u.tolist(), v.tolist(), gt.values[v, u].tolist()))
 
 
 def _gradient_magnitude(img: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -131,62 +124,36 @@ def sample_pattern(
             weights = weights + 1e-9 * gt.valid
         p = (weights / weights.sum()).ravel()
         idx = rng.choice(h * w, size=spec.count, replace=False, p=p)
-        pixels = [(int(i % w), int(i // w)) for i in idx]
-        return _collect(gt, pixels)
+        return _collect(gt, idx % w, idx // w)
 
     if spec.kind == "uniform_grid":
         rows = _centered_positions(h, spec.grid_rows)
         cols = _centered_positions(w, spec.grid_cols)
-        return _collect(gt, [(c, r) for r in rows for c in cols])
+        return _collect(gt, np.tile(cols, len(rows)), np.repeat(rows, len(cols)))
 
     if spec.kind == "sonar_line":
         r0 = spec.sonar_row if spec.sonar_row is not None else h // 2
         cols = _centered_positions(w, spec.count)
         jit = rng.integers(-spec.sonar_jitter, spec.sonar_jitter + 1, size=spec.count)
-        rows = np.clip(r0 + jit, 0, h - 1)
-        return _collect(gt, list(zip(cols.tolist(), rows.tolist())))
+        return _collect(gt, cols, np.clip(r0 + jit, 0, h - 1))
 
     if spec.kind == "dvl4":
-        side = spec.dvl_fraction * min(h, w)
-        half = int(round(side / 2))
-        cy, cx = h // 2, w // 2
-        corners = [
-            (cx - half, cy - half),
-            (cx + half, cy - half),
-            (cx - half, cy + half),
-            (cx + half, cy + half),
-        ]
-        return _collect(gt, [(np.clip(u, 0, w - 1), np.clip(v, 0, h - 1)) for u, v in corners])
+        half = int(round(spec.dvl_fraction * min(h, w) / 2))
+        du, dv = np.array([[-half, half, -half, half], [-half, -half, half, half]])
+        return _collect(gt, np.clip(w // 2 + du, 0, w - 1), np.clip(h // 2 + dv, 0, h - 1))
 
     if spec.kind == "laser2":
         if laser is None:
             raise ConfigError("laser2 pattern requires a laser rig")
         row = spec.laser_row if spec.laser_row is not None else h // 2
-        pixels = []
-        for lateral in (-laser.baseline_m / 2.0, laser.baseline_m / 2.0):
-            u_star = _project_laser(gt, laser, row, lateral)
-            if u_star is None:
-                continue
-            depth = gt.values[row, u_star]
-            if depth > spec.laser_max_range_m:
-                continue
-            pixels.append((u_star, row))
-        return _collect(gt, pixels)
+        # each laser hits the column whose back-projected lateral offset is closest to its own
+        lateral = gt.values[row] * (np.arange(w) - laser.cx) / laser.fx
+        err = np.where(gt.valid[row], np.abs(lateral - np.array([[-0.5], [0.5]]) * laser.baseline_m), np.inf)
+        cols = err.argmin(axis=1)
+        u = cols[np.isfinite(err[[0, 1], cols]) & (gt.values[row, cols] <= spec.laser_max_range_m)]
+        return _collect(gt, u, np.full(len(u), row))
 
     raise ConfigError(f"unhandled pattern kind {spec.kind!r}")
-
-
-def _project_laser(gt: DepthRaster, rig: LaserRig, row: int, lateral_m: float) -> int | None:
-    """Column where a forward-pointing laser at the given lateral offset hits
-    the scene: the pixel whose back-projected lateral coordinate is closest."""
-    cols = np.arange(gt.shape[1])
-    valid = gt.valid[row]
-    lateral = gt.values[row] * (cols - rig.cx) / rig.fx
-    err = np.abs(lateral - lateral_m)
-    err[~valid] = np.inf
-    if not np.isfinite(err).any():
-        return None
-    return int(np.argmin(err))
 
 
 def subsample(pts: SparsePointSet, keep: int, seed: int) -> SparsePointSet:
@@ -201,4 +168,4 @@ def subsample(pts: SparsePointSet, keep: int, seed: int) -> SparsePointSet:
     if keep < 1:
         raise DomainError("keep must select at least one point")
     order = np.random.default_rng(seed).permutation(n)[:keep]
-    return SparsePointSet([pts.points[i] for i in order])
+    return pts.subset(order)

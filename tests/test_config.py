@@ -10,7 +10,8 @@ from conftest import FAST_NET, fast_config
 from spade.config import from_json, read_config
 from spade.densify import JBUParams
 from spade.errors import ConfigError
-from spade.pipeline import RunConfig, SweepSpec
+from spade.nn import CCDTConfig
+from spade.pipeline import RunConfig, SweepSpec, config_hash
 from spade.sensors import PatternSpec
 from spade.synth import OracleSpec, SceneSpec, SynthSpec
 
@@ -35,6 +36,34 @@ def test_integer_accepted_for_float_and_null_for_optional():
     assert (cfg.lr, cfg.betas) == (1.0, (0.0, 0.0)) and type(cfg.lr) is float and type(cfg.betas[1]) is float
     assert from_json(PatternSpec, {"sonar_row": None}).sonar_row is None
     assert from_json(SynthSpec, {"oracle": None}) == SynthSpec()
+
+
+# built with ints where floats are annotated, at the top level and nested
+INT_FOR_FLOAT = {
+    "subsample_fraction": 1,
+    "betas": [0, 0],
+    "eval_cap_m": 10,
+    "network": {"offset_range": 4},
+    "jbu": {"sigma_spatial": 3, "sigma_range": 1},
+}
+
+
+def test_an_int_for_a_float_keeps_the_config_hash():
+    built = RunConfig(
+        subsample_fraction=1, betas=(0, 0), eval_cap_m=10,
+        network=CCDTConfig(offset_range=4), jbu=JBUParams(sigma_spatial=3, sigma_range=1),
+    )
+    read = from_json(RunConfig, INT_FOR_FLOAT)
+    assert built == read and asdict(built) == asdict(read)
+    assert config_hash(built) == config_hash(read)
+    assert type(built.betas[0]) is float and type(built.network.offset_range) is float
+    assert config_hash(RunConfig(subsample_fraction=1)) == config_hash(RunConfig(subsample_fraction=1.0))
+    assert SweepSpec(range_caps=(10, 5)).range_caps == (10.0, 5.0) and type(SweepSpec(range_caps=(10,)).range_caps[0]) is float
+
+
+def test_default_config_hash_is_pinned():
+    assert config_hash(RunConfig()) == "09cacec266f383b0"
+    assert config_hash(from_json(RunConfig, {})) == "09cacec266f383b0"
 
 
 @pytest.mark.parametrize(

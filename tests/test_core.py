@@ -7,7 +7,6 @@ import pytest
 import spade
 from spade.core import (
     DepthRaster,
-    Point,
     ScaleMap,
     Space,
     SparsePointSet,
@@ -169,10 +168,44 @@ class TestSparsePoints:
         text = p.read_text()
         assert text.startswith("u,v,depth_m\n")
         assert "\r" not in text
-        back = read_points(p)
-        assert [(q.u, q.v_row, q.depth_m) for q in back] == [
-            (q.u, q.v_row, q.depth_m) for q in pts
-        ]
+        assert list(read_points(p)) == list(pts)
+
+    def test_arrays_are_typed_and_read_only(self):
+        pts = SparsePointSet([(2, 1, 2.0), (0, 3, 4)])
+        assert pts.u.tolist() == [2, 0] and pts.v_row.tolist() == [1, 3] and pts.depth_m.tolist() == [2.0, 4.0]
+        assert (pts.u.dtype, pts.v_row.dtype, pts.depth_m.dtype) == (np.int64, np.int64, np.float64)
+        for a in (pts.u, pts.v_row, pts.depth_m):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        assert list(SparsePointSet()) == [] and len(SparsePointSet([])) == 0
+
+    def test_at_reads_a_raster_at_the_points_in_order(self):
+        pts = SparsePointSet([(2, 1, 2.0), (0, 0, 4.0), (1, 1, 1.0)])
+        grid = np.arange(6.0).reshape(2, 3)
+        assert pts.at(grid).tolist() == [5.0, 0.0, 4.0]
+
+    def test_subset_keeps_the_selected_rows_unchecked(self, monkeypatch):
+        pts = SparsePointSet([(2, 1, 2.0), (0, 0, 4.0), (1, 1, 1.0)])
+        monkeypatch.setattr(SparsePointSet, "_check", lambda self: pytest.fail("a subset was checked again"))
+        assert list(pts.subset(np.array([True, False, True]))) == [(2, 1, 2.0), (1, 1, 1.0)]
+        assert list(pts.subset(np.array([2, 0]))) == [(1, 1, 1.0), (2, 1, 2.0)]
+        assert len(pts.subset(np.zeros(3, dtype=bool))) == 0
+
+    @pytest.mark.parametrize("row, first", [((-1, 0), "(u=-1, v=0)"), ((0, 2), "(u=0, v=2)"), ((3, 1), "(u=3, v=1)")])
+    def test_bounds_check_names_the_first_point_outside(self, row, first):
+        pts = SparsePointSet([(1, 1, 1.0), (*row, 1.0), (9, 9, 1.0)])
+        with pytest.raises(DomainError) as err:
+            pts.check_bounds(metric(np.ones((2, 3))))
+        assert str(err.value) == f"point {first} outside raster 3x2"
+        SparsePointSet([(0, 0, 1.0), (2, 1, 1.0)]).check_bounds(metric(np.ones((2, 3))))
+
+    def test_coordinate_past_int64_is_refused_by_row(self, tmp_path):
+        with pytest.raises(DomainError, match=r"^point at \(u=0, v=9223372036854775808\) lies outside the int64 pixel range$"):
+            SparsePointSet([(1, 1, 1.0), (0, 2**63, 1.0)])
+        p = tmp_path / "far.csv"
+        p.write_text(f"u,v,depth_m\n{-(2**70)},0,1.0\n")
+        with pytest.raises(FormatError, match="lies outside the int64 pixel range"):
+            read_points(p)
 
     def test_csv_bad_header(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -225,9 +258,9 @@ class TestScaleMap:
             ScaleMap([[0.0]], [[True]])
 
     def test_point_helpers(self):
-        pts = SparsePointSet([Point(2, 1, 2.0), Point(0, 0, 4.0)])
+        pts = SparsePointSet([(2, 1, 2.0), (0, 0, 4.0)])
         assert len(pts) == 2
-        assert [(p.u, p.v_row, p.depth_m) for p in pts] == [(2, 1, 2.0), (0, 0, 4.0)]
+        assert list(pts) == [(2, 1, 2.0), (0, 0, 4.0)]
 
 
 class TestBilinearTaps:
@@ -270,3 +303,39 @@ def test_only_budget_slices_reads_the_byte_budget():
         for scope, line in budget_reads(ast.parse(path.read_text(), str(path)))
     }
     assert {(path, scope) for path, scope, _ in readers} == {("core.py", "budget_slices")}, sorted(readers)
+
+
+POINT_FIELDS = {"u", "v_row", "depth_m"}
+
+
+def point_field_reads(node, scope="<module>"):
+    """(scope, attribute, line) of every attribute named like a point field
+    under node, and of every name `Point`."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    if isinstance(node, ast.Attribute) and node.attr in POINT_FIELDS:
+        yield scope, node.attr, node.lineno
+    if isinstance(node, ast.Name) and node.id == "Point":
+        yield scope, "Point", node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from point_field_reads(child, scope)
+
+
+def test_only_core_knows_the_point_layout():
+    """Outside `spade.core` a point set's arrays are read whole, in the few
+    places listed here, and no code builds or reads a single point."""
+    package = Path(spade.__file__).parent
+    reads = {
+        (str(path.relative_to(package)), scope, attr)
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "core.py"
+        for scope, attr, _ in point_field_reads(ast.parse(path.read_text(), str(path)))
+    }
+    assert reads == {
+        ("alignment.py", "align_global", "depth_m"),
+        ("alignment.py", "align_with_laser", "u"),
+        ("alignment.py", "align_with_laser", "depth_m"),
+        ("densify.py", "sparse_scale_map", "depth_m"),
+        ("densify.py", "sparse_scale_map", "u"),
+        ("densify.py", "sparse_scale_map", "v_row"),
+    }, sorted(reads)

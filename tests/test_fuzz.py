@@ -5,7 +5,8 @@ inputs the alignment fits and the scale-map densification get, they return
 finite values or raise SpadeError; whatever single fault a pred/gt raster pair
 has, `spade eval` and `spade report` exit with its documented code, and so
 does `spade densify` for a faulty scale map or guide; the byte-budget walk
-covers its items once, in slices that fit."""
+covers its items once, in slices that fit; a sparse point set keeps its rows
+or names the first one at fault, and its CSV round trip is exact."""
 
 import csv
 import dataclasses
@@ -31,17 +32,17 @@ from spade import core
 from spade.core import (
     DepthRaster,
     LaserRig,
-    Point,
     ScaleMap,
     Space,
     SparsePointSet,
     budget_slices,
     read_points,
     read_raster,
+    write_points,
     write_raster,
 )
 from spade.cli import main
-from spade.errors import ConfigError, FormatError, SpadeError
+from spade.errors import ConfigError, DomainError, FormatError, SpadeError
 from spade.nn import load_checkpoint
 from spade.pipeline import RunConfig, SpadeModel, SweepSpec, run_frame
 from spade.sensors import PATTERN_KINDS, PatternSpec, sample_pattern
@@ -121,6 +122,49 @@ fields = (
 def test_points_any_rows_give_only_format_error(tmp_path, rows):
     body = "".join(",".join(row) + "\n" for row in rows)
     read_or_reject(read_points, tmp_path / "p.csv", ("u,v,depth_m\n" + body).encode("utf-8"))
+
+
+def first_point_fault(rows):
+    """The DomainError message of the first row at fault, row by row: a depth
+    that is not finite and positive, or a pixel an earlier row holds."""
+    seen = set()
+    for u, v, d in rows:
+        if not (d > 0 and math.isfinite(d)):
+            return f"point at (u={u}, v={v}) has depth {d}"
+        if (u, v) in seen:
+            return f"duplicate point pixel (u={u}, v={v})"
+        seen.add((u, v))
+    return None
+
+
+point_rows = st.lists(
+    st.tuples(
+        st.integers(-2, 3),
+        st.integers(-2, 3),
+        st.sampled_from([-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308]) | st.floats(0.01, 100.0),
+    ),
+    max_size=8,
+)
+
+
+@FUZZ
+@given(rows=point_rows)
+def test_point_set_keeps_its_rows_or_names_the_first_at_fault(tmp_path, rows):
+    fault = first_point_fault(rows)
+    try:
+        pts = SparsePointSet(rows)
+    except DomainError as e:
+        assert str(e) == fault
+        return
+    assert fault is None and list(pts) == rows and len(pts) == len(rows)
+    assert (pts.u.dtype, pts.v_row.dtype, pts.depth_m.dtype) == (np.int64, np.int64, np.float64)
+    path = tmp_path / "p.csv"
+    write_points(pts, path)
+    written = path.read_bytes()
+    back = read_points(path)
+    assert list(back) == rows
+    write_points(back, path)
+    assert path.read_bytes() == written
 
 
 # values of each field's annotated type near its valid range, including
@@ -206,7 +250,7 @@ def test_accepted_pattern_samples_a_small_scene(small_scene, data):
         pts = sample_pattern(gt, spec, laser=LaserRig(20.0, 12.0, 0.1), guide=guide)
     except ConfigError:
         return
-    assert all(0 <= p.u < gt.shape[1] and 0 <= p.v_row < gt.shape[0] for p in pts.points)
+    assert all(0 <= u < gt.shape[1] and 0 <= v < gt.shape[0] for u, v, _ in pts)
 
 
 @FUZZ
@@ -344,7 +388,7 @@ def test_alignment_is_finite_or_raises(data):
     pixel = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
     pixels = data.draw(st.lists(pixel, min_size=1, max_size=5, unique=True))
     depths = mostly(data, ordinary_positive, any_positive, len(pixels))
-    pts = SparsePointSet([Point(u, v, d) for (u, v), d in zip(pixels, depths)])
+    pts = SparsePointSet([(u, v, d) for (u, v), d in zip(pixels, depths)])
     fx, cx = data.draw(positive), data.draw(ordinary | any_finite)
     results = [finite_or_spade_error(align_global, z, pts)]
     if len(pts) >= 2:
@@ -358,8 +402,8 @@ def test_alignment_is_finite_or_raises(data):
             assert aligned.space is Space.INVERSE
 
     # the fallback: a joint fit with s <= 0 ends in a scale-only fit or an error
-    usable = [p for p in pts if valid[p.v_row, p.u]]
-    z_samples, v = [values[p.v_row, p.u] for p in usable], [1 / p.depth_m for p in usable]
+    usable = [(u, v, d) for u, v, d in pts if valid[v, u]]
+    z_samples, v = [values[v, u] for u, v, _ in usable], [1 / d for _, _, d in usable]
     joint = finite_or_spade_error(fit_scale_shift, z_samples, v)
     if joint is not None and joint[0] <= 0 and results[0] is not None:
         assert results[0][1].mode == "scale_only"
@@ -405,10 +449,10 @@ def inverse_raster(data, h=4, w=4):
 @given(data=st.data())
 def test_sparse_scale_map_is_finite_and_positive_or_raises(data):
     z = inverse_raster(data)
-    pixel = st.tuples(st.integers(0, z.width - 1), st.integers(0, z.height - 1))
+    pixel = st.tuples(st.integers(0, z.shape[1] - 1), st.integers(0, z.shape[0] - 1))
     pixels = data.draw(st.lists(pixel, min_size=1, max_size=6, unique=True))
     depths = mostly(data, ordinary_positive, any_positive, len(pixels))
-    pts = SparsePointSet([Point(u, v, d) for (u, v), d in zip(pixels, depths)])
+    pts = SparsePointSet([(u, v, d) for (u, v), d in zip(pixels, depths)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -419,7 +463,7 @@ def test_sparse_scale_map_is_finite_and_positive_or_raises(data):
                 assert not z.valid[y, x]
             else:
                 assert str(e).startswith("correction factor"), e
-                depth = next(p.depth_m for p in pts if (p.v_row, p.u) == (y, x))
+                depth = next(d for u, v, d in pts if (v, u) == (y, x))
                 assert not 0.0 < (1.0 / depth) / float(z.values[y, x]) < math.inf, e
             return
     known = eps.values[eps.known]

@@ -129,10 +129,10 @@ class TestLaserRouting:
         model = SpadeModel(cfg)
         f = build_corpus(cfg, "val", n_frames=1)[0]
         rig = sweep_rig(cfg)
-        one = run_frame(model, f.z_rel, f.guide, SparsePointSet(f.points.points[:1]), laser=rig)
+        one = run_frame(model, f.z_rel, f.guide, SparsePointSet(list(f.points)[:1]), laser=rig)
         assert one.fit.mode == "scale_only"
         assert one.fit.fallback == "laser rig needs 2 points, got 1; scale/shift fit needs >= 2 points, got 1"
-        three = run_frame(model, f.z_rel, f.guide, SparsePointSet(f.points.points[:3]), laser=rig)
+        three = run_frame(model, f.z_rel, f.guide, SparsePointSet(list(f.points)[:3]), laser=rig)
         assert three.fit.mode == "scale_shift"
         assert three.fit.fallback == "laser rig needs 2 points, got 3"
 
@@ -202,6 +202,23 @@ class TestStageOne:
         assert fired() == {"align_global": 1, "align_with_laser": 1, "sparse_scale_map": 2, "jbu_densify": 2}
         _training_sample(f, f.points, cfg)
         assert fired() == {"align_global": 2, "align_with_laser": 1, "sparse_scale_map": 3, "jbu_densify": 3}
+
+    def test_each_point_set_is_checked_once_when_built(self, monkeypatch):
+        import spade.pipeline
+
+        checks, built = [], []
+        check, draw = SparsePointSet._check, spade.pipeline.sample_pattern
+        monkeypatch.setattr(SparsePointSet, "_check", lambda pts: checks.append(len(pts)) or check(pts))
+        monkeypatch.setattr(spade.pipeline, "sample_pattern", lambda *a, **k: built.append(1) or draw(*a, **k))
+        cfg = fast_config(epochs=1, decay_after_epoch=1, train_frames=4, val_frames=1)
+        f = build_corpus(cfg, "val", n_frames=1)[0]
+        assert len(checks) == len(built) == 1
+        run_frame(SpadeModel(cfg), f.z_rel, f.guide, f.points, gt=f.gt)
+        assert len(checks) == 1  # no set run_frame reads or makes is checked again
+        model, _ = train(cfg, quiet=True)
+        assert len(checks) == len(built) == 6  # each corpus frame's set; the subsamples are not checked
+        sweep(model, cfg, SweepSpec(point_counts=(20,), patterns=("feature_like", "uniform_grid", "dvl4"), n_frames=2))
+        assert len(checks) == len(built) == 6 + 2 + 2 * 2
 
     def test_network_inputs_stack_each_frame_in_order(self):
         cfg = fast_config()

@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from spade.config import from_json
-from spade.core import DepthRaster, LaserRig, Space, SparsePointSet
+from spade.core import DepthRaster, LaserRig, Space, SparsePointSet, write_points
 from spade.errors import ConfigError, DomainError
-from spade.sensors import SNAP_RADIUS, PatternSpec, _snap_to_valid, sample_pattern, subsample
+from spade.sensors import SNAP_RADIUS, PatternSpec, _collect, sample_pattern, subsample
 
 
 def metric(values, valid=None):
@@ -23,21 +25,21 @@ class TestUniformGrid:
     def test_centered_rule_on_10x10(self):
         gt = metric(np.full((10, 10), 2.0))
         pts = sample_pattern(gt, PatternSpec(kind="uniform_grid", grid_rows=2, grid_cols=2))
-        got = sorted((p.u, p.v_row) for p in pts)
+        got = sorted((u, v) for u, v, _ in pts)
         assert got == [(2, 2), (2, 7), (7, 2), (7, 7)]
 
     def test_depths_equal_gt_exactly(self):
         gt = bumpy(1)
         pts = sample_pattern(gt, PatternSpec(kind="uniform_grid", grid_rows=4, grid_cols=5))
-        for p in pts:
-            assert p.depth_m == gt.values[p.v_row, p.u]
+        for u, v, d in pts:
+            assert d == gt.values[v, u]
 
 
 class TestDVL4:
     def test_centered_square(self):
         gt = metric(np.full((100, 100), 2.0))
         pts = sample_pattern(gt, PatternSpec(kind="dvl4", dvl_fraction=0.2))
-        got = sorted((p.u, p.v_row) for p in pts)
+        got = sorted((u, v) for u, v, _ in pts)
         assert got == [(40, 40), (40, 60), (60, 40), (60, 60)]
 
 
@@ -46,10 +48,10 @@ class TestSonarLine:
         gt = bumpy(2)
         spec = PatternSpec(kind="sonar_line", count=12, sonar_jitter=3, seed=5)
         pts = sample_pattern(gt, spec)
-        r0 = gt.height // 2
+        r0 = gt.shape[0] // 2
         assert len(pts) >= 10  # jitter collisions may drop a couple
-        for p in pts:
-            assert abs(p.v_row - r0) <= 3
+        for _, v, _ in pts:
+            assert abs(v - r0) <= 3
 
 
 class TestPatternBounds:
@@ -76,7 +78,7 @@ class TestFeatureLike:
         a = sample_pattern(gt, spec)
         b = sample_pattern(gt, spec)
         assert len(a) == 40
-        assert [(p.u, p.v_row) for p in a] == [(p.u, p.v_row) for p in b]
+        assert list(a) == list(b)
 
     def test_count_exceeding_valid_pixels(self):
         gt = metric(np.full((4, 4), 2.0))
@@ -88,7 +90,7 @@ class TestFeatureLike:
         vals[:, 15:] = 3.0  # single depth edge
         gt = metric(vals)
         pts = sample_pattern(gt, PatternSpec(kind="feature_like", count=30, seed=1))
-        near_edge = sum(1 for p in pts if 13 <= p.u <= 16)
+        near_edge = sum(1 for u, _, _ in pts if 13 <= u <= 16)
         assert near_edge >= 20
 
     @pytest.mark.parametrize("texture", ["gt", "guide"])
@@ -105,8 +107,8 @@ class TestFeatureLike:
             gt = metric(holed, valid) if texture == "gt" else metric(values)
             guide = metric(holed, valid) if texture == "guide" else None
             pts = sample_pattern(gt, PatternSpec(kind="feature_like", count=60, seed=2), guide=guide)
-            assert all(gt.valid[p.v_row, p.u] and np.isfinite(p.depth_m) for p in pts)
-            drawn.append([(p.u, p.v_row) for p in pts])
+            assert all(gt.valid[v, u] and np.isfinite(d) for u, v, d in pts)
+            drawn.append([(u, v) for u, v, _ in pts])
         assert len(drawn[0]) == 60 and drawn[0] == drawn[1] == drawn[2]
 
 
@@ -120,7 +122,7 @@ class TestLaser2:
         # plane at 2 m: u = cx + fx*(+-B/2)/d = 20 -+ 4
         gt = metric(np.full((21, 40), 2.0))
         pts = sample_pattern(gt, PatternSpec(kind="laser2"), laser=LaserRig(fx=80.0, cx=20.0, baseline_m=0.2))
-        got = sorted((p.u, p.v_row) for p in pts)
+        got = sorted((u, v) for u, v, _ in pts)
         assert got == [(16, 10), (24, 10)]
 
     def test_intrinsics_required(self):
@@ -136,7 +138,7 @@ class TestSnapping:
         valid[2, 2] = False  # grid point lands here
         gt = metric(vals, valid)
         pts = sample_pattern(gt, PatternSpec(kind="uniform_grid", grid_rows=2, grid_cols=2))
-        coords = {(p.u, p.v_row) for p in pts}
+        coords = {(u, v) for u, v, _ in pts}
         assert (2, 2) not in coords
         assert len(pts) == 4
         assert any(max(abs(u - 2), abs(v - 2)) <= 3 for u, v in coords)
@@ -164,14 +166,56 @@ class TestSnapping:
             valid = rng.random((h, w)) < rng.choice([0.02, 0.1, 0.3, 0.7])
             gt = metric(np.full((h, w), 2.0), valid)
             u, v = int(rng.integers(w)), int(rng.integers(h))
-            assert _snap_to_valid(gt, u, v) == self.snap_reference(valid, u, v)
+            assert next(((uu, vv) for uu, vv, _ in _collect(gt, [u], [v])), None) == self.snap_reference(valid, u, v)
 
     def test_unreachable_point_dropped(self):
         valid = np.zeros((10, 10), dtype=bool)
         valid[9, 9] = True
         gt = metric(np.full((10, 10), 2.0), valid)
         pts = sample_pattern(gt, PatternSpec(kind="uniform_grid", grid_rows=2, grid_cols=2))
-        assert {(p.u, p.v_row) for p in pts} <= {(9, 9)}
+        assert {(u, v) for u, v, _ in pts} <= {(9, 9)}
+
+
+def holed_gt():
+    """40x60 ground truth with a 16x24 hole, wider than the snap window, and 15% scattered holes."""
+    rng = np.random.default_rng(31)
+    values = rng.uniform(1.0, 4.0, (40, 60))
+    valid = rng.random((40, 60)) > 0.15
+    valid[12:28, 8:32] = False
+    return metric(np.where(valid, values, np.nan), valid)
+
+
+# kind: (spec, rig, points kept, pattern points dropped, SHA-256 of the written CSV);
+# the digests were recorded when each point was still a Python object
+PINNED = {
+    "feature_like": (PatternSpec(kind="feature_like", count=150, seed=3), None, 150, 0,
+                     "b163e766986f008fcc8c0dd1bd382ff0bb1b53bfe94c88019c3154eb86a1ad67"),
+    # 192 grid pixels, 53 of them invalid: 15 dropped, 5 snapped onto a pixel already kept
+    "uniform_grid": (PatternSpec(kind="uniform_grid", grid_rows=12, grid_cols=16), None, 172, 15,
+                     "a55a8449e2cd4edf9128e018b3373a9dd00f64e61818477cb0271f8566ff1709"),
+    # 120 pixels on 60 columns through the hole, 65 invalid: 36 dropped, 16 repeats
+    "sonar_line": (PatternSpec(kind="sonar_line", count=120, sonar_row=20, sonar_jitter=4, seed=5), None, 68, 36,
+                   "802746f353d36ea59f9fb69ceedf2cf8e036750330dae868ae1558e4b83bdebd"),
+    # one corner on an invalid pixel, snapped
+    "dvl4": (PatternSpec(kind="dvl4", dvl_fraction=0.6), None, 4, 0,
+             "08e8da231dfdca166aebf64d9a3f8ee35a027beb96722ca1bf5c3347320516d2"),
+    "laser2": (PatternSpec(kind="laser2", laser_row=20, laser_max_range_m=5.0), LaserRig(60.0, 29.5, 0.5), 2, 0,
+               "117ab1351ac7d2a3a0cd1d019b7803440c33b9e20ab41911714981fee0e06b29"),
+}
+
+
+@pytest.mark.parametrize("kind", PINNED)
+def test_patterns_on_holed_ground_truth_write_their_pinned_bytes(kind, tmp_path, caplog):
+    spec, rig, kept, dropped, digest = PINNED[kind]
+    gt = holed_gt()
+    with caplog.at_level("WARNING", logger="spade.sensors"):
+        pts = sample_pattern(gt, spec, laser=rig)
+    assert len(pts) == kept
+    drops = [r.getMessage() for r in caplog.records]
+    assert drops == ([f"dropped {dropped} pattern points with no valid pixel within radius 3"] if dropped else [])
+    assert all(gt.valid[v, u] and d == gt.values[v, u] for u, v, d in pts)
+    write_points(pts, tmp_path / "p.csv")
+    assert hashlib.sha256((tmp_path / "p.csv").read_bytes()).hexdigest() == digest
 
 
 class TestSubsample:
@@ -183,18 +227,18 @@ class TestSubsample:
     def test_keep_all_is_identity_set(self):
         pts = self.make(50)
         out = subsample(pts, 50, seed=3)
-        assert {(p.u, p.v_row) for p in out} == {(p.u, p.v_row) for p in pts}
+        assert set(out) == set(pts)
 
     def test_same_seed_identical(self):
         pts = self.make(100)
         a = subsample(pts, 40, seed=7)
         b = subsample(pts, 40, seed=7)
-        assert [(p.u, p.v_row) for p in a] == [(p.u, p.v_row) for p in b]
+        assert list(a) == list(b)
 
     def test_nested_across_counts(self):
         pts = self.make(200)
         keeps = [200, 100, 50, 10]
-        sets = [{(p.u, p.v_row) for p in subsample(pts, k, seed=11)} for k in keeps]
+        sets = [set(subsample(pts, k, seed=11)) for k in keeps]
         for bigger, smaller in zip(sets, sets[1:]):
             assert smaller <= bigger
 

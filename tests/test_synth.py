@@ -52,7 +52,7 @@ class TestScenes:
         gt, _ = generate_scene(SceneSpec(layout="frame_with_ropes", depth_min=1.0, depth_max=4.0, seed=5))
         near = gt.values < 2.0
         widths = []
-        row = near[gt.height // 2]
+        row = near[gt.shape[0] // 2]
         runs = np.diff(np.flatnonzero(np.diff(np.concatenate([[0], row.astype(int), [0]]))).reshape(-1, 2), axis=1)
         widths = runs.ravel().tolist()
         assert any(1 <= w <= 4 for w in widths)
@@ -104,8 +104,8 @@ class TestOracle:
         z_tilde = DepthRaster(z_tilde_vals, gt.valid, Space.INVERSE)
         pts = sample_pattern(gt, PatternSpec(kind="uniform_grid", grid_rows=5, grid_cols=6))
         eps = sparse_scale_map(pts, z_tilde)
-        for p in pts:
-            assert eps.values[p.v_row, p.u] == pytest.approx(1.0 / bias[p.v_row, p.u], abs=1e-12)
+        for u, v, _ in pts:
+            assert eps.values[v, u] == pytest.approx(1.0 / bias[v, u], abs=1e-12)
 
     def test_bias_bounds_propagate_to_eps(self):
         gt, _ = generate_scene(SceneSpec(layout="canyon", seed=10))
