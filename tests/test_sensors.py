@@ -186,7 +186,7 @@ def holed_gt():
 
 
 # kind: (spec, rig, points kept, pattern points dropped, SHA-256 of the written CSV);
-# the digests were recorded when each point was still a Python object
+# the digests pin every point, so snapping, dropping and de-duplication must not move one
 PINNED = {
     "feature_like": (PatternSpec(kind="feature_like", count=150, seed=3), None, 150, 0,
                      "b163e766986f008fcc8c0dd1bd382ff0bb1b53bfe94c88019c3154eb86a1ad67"),
